@@ -12,11 +12,17 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    TSV_HEADER,
     CorpusParseError,
+    action_row,
     load_corpus,
+    read_labels,
+    report_text,
     run_benchmark,
+    tagged_from_labels,
     write_bundle,
     write_revised_bib,
+    write_tsv,
 )
 from .model import BibParseError, parse_bib_file, serialize_entry
 from .normalize import VenueSynonymTable
@@ -28,7 +34,7 @@ from .resolve import (
     ResolverConfig,
     UpstreamUnavailable,
 )
-from .verify import read_labels
+from .verify import aggregate_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,25 +90,28 @@ def cmd_lookup(args) -> int:
     return EXIT_OK
 
 
+def _emit_bundle(bundle: dict, out: str | None) -> None:
+    """Write the bundle to ``out``, or print what its report.json would hold."""
+    if out:
+        write_bundle(bundle, out)
+        print(f"wrote report bundle to {out}")
+    else:
+        sys.stdout.write(report_text(bundle))
+
+
 def cmd_verify(args) -> int:
     try:
         corpus = load_corpus(args.corpus, permissive=args.permissive)
     except CorpusParseError as exc:
         print(f"corpus error: {exc}", file=sys.stderr)
         return EXIT_CORPUS
-    bundle = run_benchmark(corpus, mode="verify", table=_load_table(args))
-    if args.out:
-        write_bundle(bundle, args.out)
-        print(f"wrote report bundle to {args.out}")
-    else:
-        report = {k: v for k, v in bundle.items() if k != "labels"}
-        print(json.dumps(report, indent=2, sort_keys=True))
+    _emit_bundle(run_benchmark(corpus, mode="verify", table=_load_table(args)), args.out)
     return EXIT_OK
 
 
 def _read_meta_file(path: str) -> list[PaperMeta]:
     lines = Path(path).read_text("utf-8").splitlines()
-    if not lines or lines[0] != "format_version\t1":
+    if not lines or lines[0] != TSV_HEADER:
         raise ValueError("unrecognized metadata file format")
     metas = []
     for line in lines[1:]:
@@ -129,21 +138,19 @@ def cmd_reconcile(args) -> int:
         return EXIT_CORPUS
     resolver = _build_resolver(args)
     revised = []
-    log_lines = ["format_version\t1"]
+    log_rows = []
     try:
         for meta, baseline in zip(metas, entries):
             outcome = reconcile(meta, baseline, resolver.resolve)
             revised.append(outcome.result)
-            score = "" if outcome.gate_score is None else f"{outcome.gate_score:.6f}"
-            slots = ",".join(sorted(s.value for s in outcome.replaced_slots))
-            log_lines.append("\t".join([meta.paper_id, baseline.citation_key, outcome.action, score, slots]))
+            log_rows.append(action_row(meta.paper_id, baseline.citation_key, outcome))
     except UpstreamUnavailable as exc:
         print(f"error: upstream unavailable: {exc}", file=sys.stderr)
         return EXIT_UPSTREAM
     out = args.out or args.bib + ".revised.bib"
     write_revised_bib(revised, out)
     if args.log:
-        Path(args.log).write_text("\n".join(log_lines) + "\n", "utf-8")
+        write_tsv(args.log, log_rows)
     print(f"wrote {len(revised)} entries to {out}")
     return EXIT_OK
 
@@ -164,57 +171,20 @@ def cmd_bench(args) -> int:
     except UpstreamUnavailable as exc:
         print(f"error: upstream unavailable: {exc}", file=sys.stderr)
         return EXIT_UPSTREAM
-    if args.out:
-        write_bundle(bundle, args.out)
-        print(f"wrote report bundle to {args.out}")
-    else:
-        report = {k: v for k, v in bundle.items() if not k.startswith("labels")}
-        print(json.dumps(report, indent=2, sort_keys=True))
+    _emit_bundle(bundle, args.out)
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
+    """The bundle aggregate of a labels file; it carries no model, tier or domain."""
     try:
-        rows = read_labels(args.labels)
+        tagged = tagged_from_labels(read_labels(args.labels))
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CORPUS
-    per_field: dict[str, dict[str, int]] = {}
-    entries: dict[tuple[str, str], bool] = {}
-    distribution: dict[str, int] = {}
-    for paper_id, tag, slot, label, _stage in rows:
-        if label == "X":
-            continue
-        distribution[label] = distribution.get(label, 0) + 1
-        bucket = per_field.setdefault(slot, {"evaluable": 0, "correct": 0})
-        bucket["evaluable"] += 1
-        if label == "C":
-            bucket["correct"] += 1
-        key = (paper_id, tag)
-        entries[key] = entries.get(key, True) and label == "C"
-    evaluable = sum(b["evaluable"] for b in per_field.values())
-    correct = sum(b["correct"] for b in per_field.values())
-    report = {
-        "format_version": 1,
-        "entries": len(entries),
-        "overall": {
-            "evaluable": evaluable,
-            "correct": correct,
-            "pct_c": round(100.0 * correct / evaluable, 1) if evaluable else None,
-        },
-        "fully_correct": {
-            "count": sum(entries.values()),
-            "pct": round(100.0 * sum(entries.values()) / len(entries), 1) if entries else None,
-        },
-        "label_distribution": dict(sorted(distribution.items())),
-        "per_field": {
-            slot: {
-                **b,
-                "pct_c": round(100.0 * b["correct"] / b["evaluable"], 1) if b["evaluable"] else None,
-            }
-            for slot, b in sorted(per_field.items())
-        },
-    }
+    report = aggregate_stats(tagged)
+    for kind in ("model", "tier", "domain"):
+        del report[f"per_{kind}"]
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Corpus ingestion, version classification, canonical resolution, benchmarks.
+"""Corpus ingestion, version classification, benchmarks, and report files.
 
 The corpus is line-delimited JSON (one paper per line) behind a leading
 format-version header, so runs are streamable and reports diffable. All
@@ -12,7 +12,7 @@ import os
 import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -21,7 +21,6 @@ from .normalize import VenueSynonymTable
 from .reconcile import PaperMeta, ReconcileOutcome, reconcile
 from .resolve import ResolutionResult
 from .verify import (
-    ERROR_LABELS,
     EVALUABLE_SLOTS,
     EntryVerdict,
     GroundTruth,
@@ -32,12 +31,7 @@ from .verify import (
     verify_entry,
 )
 
-CORPUS_HEADER = {"format_version": 1, "kind": "bibkit-corpus"}
-
 TIERS = frozenset({"popular", "low_citation", "recent"})
-
-#: Location classes; the three excluded source kinds collapse into one class.
-LOCATION_CLASSES = ("arxiv", "proceedings", "journal", "excluded")
 
 
 class CorpusParseError(ValueError):
@@ -45,10 +39,6 @@ class CorpusParseError(ValueError):
         super().__init__(f"line {line}: {reason}")
         self.line = line
         self.reason = reason
-
-
-class NoResolvableFields(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -72,99 +62,6 @@ def classify_location(url: str, source_type: str) -> str:
     if source_type == "journal":
         return "journal"
     return "excluded"
-
-
-def dedupe_locations(locations: list[tuple[str, str]]) -> dict[str, tuple[str, str]]:
-    """One location per retained class, preferring DOI-style URLs."""
-    chosen: dict[str, tuple[str, str]] = {}
-    for url, source_type in locations:
-        cls = classify_location(url, source_type)
-        if cls == "excluded":
-            continue
-        current = chosen.get(cls)
-        if current is None:
-            chosen[cls] = (url, source_type)
-        elif "doi.org" in url.lower() and "doi.org" not in current[0].lower():
-            chosen[cls] = (url, source_type)
-    return chosen
-
-
-@dataclass(frozen=True)
-class SourceRecord:
-    source: str  # openalex | zotero | dblp | pubmed | ...
-    fields: dict[str, str]
-    version_type: str | None = None  # arxiv | proceedings | journal
-
-
-_DOMAIN_DBS = ("dblp", "pubmed")
-_VERSION_PRIORITY = {"journal": 0, "proceedings": 1, "arxiv": 2}
-
-
-def _source_priority(record: SourceRecord) -> int:
-    if record.source in _DOMAIN_DBS:
-        return 0
-    if record.source == "zotero":
-        return 1
-    if record.version_type == "arxiv" or record.source == "arxiv":
-        return 2
-    return 3
-
-
-def resolve_canonical(sources: list[SourceRecord]) -> dict[str, tuple[str, str]]:
-    """One canonical value per slot under per-slot source priority rules."""
-    if not sources or all(not s.fields for s in sources):
-        raise NoResolvableFields("no source carries any field")
-
-    def first_from(order: list[list[str]], slot: str) -> tuple[str, str] | None:
-        for group in order:
-            for record in sources:
-                if record.source in group or "*" in group:
-                    value = record.fields.get(slot)
-                    if value is not None and value.strip():
-                        return value, record.source
-        return None
-
-    canonical: dict[str, tuple[str, str]] = {}
-
-    hit = first_from([["openalex"], list(_DOMAIN_DBS), ["zotero"], ["*"]], "doi")
-    if hit:
-        canonical["doi"] = hit
-    hit = first_from([["zotero"], list(_DOMAIN_DBS), ["openalex"], ["*"]], "title")
-    if hit:
-        canonical["title"] = hit
-    for slot in ("author", "venue"):
-        hit = first_from([list(_DOMAIN_DBS), ["zotero"], ["*"]], slot)
-        if hit:
-            canonical[slot] = hit
-
-    years = [(r.fields["year"].strip(), r) for r in sources if r.fields.get("year", "").strip()]
-    if years:
-        counts = Counter(y for y, _ in years)
-        best = max(counts.values())
-        leaders = sorted(y for y, n in counts.items() if n == best)
-        if len(leaders) == 1:
-            canonical["year"] = (leaders[0], "majority")
-        else:
-            tie_pool = [(y, r) for y, r in years if y in leaders]
-            tie_pool.sort(key=lambda pair: (_source_priority(pair[1]), pair[0]))
-            year, record = tie_pool[0]
-            canonical["year"] = (year, f"majority_tiebreak:{record.source}")
-
-    for slot in ("volume", "number", "pages"):
-        holders = [
-            r
-            for r in sources
-            if r.fields.get(slot, "").strip() and r.version_type in _VERSION_PRIORITY
-        ]
-        holders.sort(key=lambda r: _VERSION_PRIORITY[r.version_type])
-        if holders:
-            canonical[slot] = (holders[0].fields[slot].strip(), holders[0].source)
-        else:
-            hit = first_from([["*"]], slot)
-            if hit:
-                canonical[slot] = hit
-
-    return canonical
 
 
 # --------------------------------------------------------------------------
@@ -394,7 +291,7 @@ def run_benchmark(
     tagged_before: list[TaggedVerdict] = []
     labels_rows: list[tuple[str, ...]] = []
     labels_before_rows: list[tuple[str, ...]] = []
-    actions: list[dict] = []
+    actions: list[tuple[str, ...]] = []
     before_list: list[tuple[str, str, EntryVerdict]] = []
     after_list: list[tuple[str, str, EntryVerdict]] = []
 
@@ -414,15 +311,7 @@ def run_benchmark(
                 labels_before_rows.extend(_labels_rows(record.paper_id, tag, before))
                 before_list.append((record.paper_id, tag, before))
                 after_list.append((record.paper_id, tag, after))
-                actions.append(
-                    {
-                        "paper_id": record.paper_id,
-                        "tag": tag,
-                        "action": outcome.action,
-                        "gate_score": outcome.gate_score,
-                        "replaced_slots": sorted(s.value for s in outcome.replaced_slots),
-                    }
-                )
+                actions.append(action_row(record.paper_id, tag, outcome))
 
     verdicts = [tv.verdict for tv in tagged]
     bundle: dict = {
@@ -443,7 +332,20 @@ def run_benchmark(
 
 
 # --------------------------------------------------------------------------
-# atomic report writing
+# report files: report.json plus tab-separated row files
+
+
+TSV_HEADER = "format_version\t1"
+
+#: Bundle keys holding rows written as TSV files; report.json carries the rest.
+TSV_FILES = {"labels": "labels.tsv", "labels_before": "labels_before.tsv", "actions": "actions.tsv"}
+
+
+def action_row(entry_id: str, key: str, outcome: ReconcileOutcome) -> tuple[str, ...]:
+    """Actions-file row: entry id, citation key or tag, action, gate score, replaced slots."""
+    score = "" if outcome.gate_score is None else f"{outcome.gate_score:.6f}"
+    slots = ",".join(sorted(s.value for s in outcome.replaced_slots))
+    return (entry_id, key, outcome.action, score, slots)
 
 
 def _write_atomic(path: Path, content: str) -> None:
@@ -458,32 +360,62 @@ def _write_atomic(path: Path, content: str) -> None:
         raise
 
 
+def write_tsv(path: str | Path, rows: list[tuple[str, ...]]) -> None:
+    """Tab-joined rows behind the format-version header, written atomically."""
+    _write_atomic(Path(path), "\n".join([TSV_HEADER] + ["\t".join(r) for r in rows]) + "\n")
+
+
+def read_labels(path: str | Path) -> list[tuple[str, str, str, str, str]]:
+    """Label rows: paper_id, entry_tag, slot, label, stage."""
+    lines = Path(path).read_text("utf-8").splitlines()
+    if not lines or lines[0] != TSV_HEADER:
+        raise ValueError("unrecognized labels file format")
+    rows = []
+    for line in lines[1:]:
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ValueError(f"malformed labels row: {line!r}")
+        rows.append(tuple(parts))
+    return rows
+
+
+def tagged_from_labels(rows: list[tuple[str, str, str, str, str]]) -> list[TaggedVerdict]:
+    """Entry verdicts rebuilt from label rows; each entry needs one label per slot."""
+    entries: dict[tuple[str, str], tuple[dict[FieldSlot, FieldLabel], set[FieldSlot]]] = {}
+    for paper_id, tag, slot_name, label, stage in rows:
+        labels, stage2 = entries.setdefault((paper_id, tag), ({}, set()))
+        slot = FieldSlot(slot_name)
+        if slot in labels:
+            raise ValueError(f"{paper_id}/{tag}: duplicate {slot_name} label")
+        labels[slot] = FieldLabel(label)
+        if stage not in ("1", "2"):
+            raise ValueError(f"{paper_id}/{tag}: unknown stage {stage!r}")
+        if stage == "2":
+            stage2.add(slot)
+    tagged = []
+    for (paper_id, tag), (labels, stage2) in entries.items():
+        if len(labels) != len(FieldSlot):
+            raise ValueError(f"{paper_id}/{tag}: labels missing for some slots")
+        tagged.append(TaggedVerdict(paper_id, tag, EntryVerdict.from_labels(labels, stage2)))
+    return tagged
+
+
+def report_text(bundle: dict) -> str:
+    """The bundle without its TSV rows, as report.json holds it."""
+    report = {k: v for k, v in bundle.items() if k not in TSV_FILES}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def write_bundle(bundle: dict, out_dir: str | Path) -> None:
     """Materialize a report bundle: report.json plus labels/actions files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    from .verify import LABELS_HEADER
-
-    def labels_text(rows) -> str:
-        return "\n".join([LABELS_HEADER] + ["\t".join(r) for r in rows]) + "\n"
-
-    _write_atomic(out / "labels.tsv", labels_text(bundle["labels"]))
-    if "labels_before" in bundle:
-        _write_atomic(out / "labels_before.tsv", labels_text(bundle["labels_before"]))
-    if "actions" in bundle:
-        lines = ["format_version\t1"]
-        for a in bundle["actions"]:
-            score = "" if a["gate_score"] is None else f"{a['gate_score']:.6f}"
-            lines.append(
-                "\t".join(
-                    [a["paper_id"], a["tag"], a["action"], score, ",".join(a["replaced_slots"])]
-                )
-            )
-        _write_atomic(out / "actions.tsv", "\n".join(lines) + "\n")
-
-    report = {k: v for k, v in bundle.items() if k not in ("labels", "labels_before", "actions")}
-    _write_atomic(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    for key, name in TSV_FILES.items():
+        if key in bundle:
+            write_tsv(out / name, bundle[key])
+    _write_atomic(out / "report.json", report_text(bundle))
 
 
 def write_revised_bib(entries: list[BibEntry], path: str | Path) -> None:

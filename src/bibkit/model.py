@@ -118,10 +118,6 @@ def parse_entry(text: str) -> BibEntry:
     at = s.find("@")
     if at < 0:
         raise BibParseError("no entry found")
-    if "@" in s[at + 1 :]:
-        # a second @ inside a braced value is fine; a second top-level
-        # entry is not, so check after locating the closing brace below
-        pass
 
     m = re.match(r"@\s*([A-Za-z]+)\s*\{", s[at:])
     if not m:
@@ -130,20 +126,8 @@ def parse_entry(text: str) -> BibEntry:
     if entry_type == "string":
         raise UnsupportedConcatenation("@string macros are not supported")
     body_start = at + m.end()
-
-    # find matching close brace for the entry body
-    depth = 1
-    i = body_start
-    while i < len(s):
-        c = s[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                break
-        i += 1
-    if depth != 0:
+    i = _close_brace(s, body_start - 1)
+    if i < 0:
         raise UnbalancedBraces("entry braces are not balanced")
     body = s[body_start:i]
     trailing = s[i + 1 :].strip()
@@ -152,29 +136,26 @@ def parse_entry(text: str) -> BibEntry:
             raise MultipleEntries("more than one entry in input")
         raise BibParseError(f"trailing content after entry: {trailing[:30]!r}")
 
-    comma = _find_top_level(body, ",")
-    if comma < 0:
-        key, rest = body.strip(), ""
-    else:
-        key, rest = body[:comma].strip(), body[comma + 1 :]
+    key, *rest = _split_top_level(body, ",", 1)
+    key = key.strip()
     if not key:
         raise EmptyKey("entry has no citation key")
 
     fields: dict[str, str] = {}
-    segments = _split_top_level(rest, ",")
+    segments = _split_top_level(rest[0], ",", -1) if rest else []
     for position, segment in enumerate(segments):
         seg = segment.strip()
         if not seg:
             if position == len(segments) - 1:
                 continue  # tolerate a trailing comma
             raise BibParseError("empty field segment")
-        eq = _find_top_level(seg, "=")
-        if eq < 0:
+        name, *raw = _split_top_level(seg, "=", 1)
+        if not raw:
             raise BibParseError(f"field without '=': {seg[:30]!r}")
-        name = seg[:eq].strip().lower()
+        name = name.strip().lower()
         if not name:
             raise BibParseError("field with empty name")
-        value = _parse_value(seg[eq + 1 :].strip())
+        value = _parse_value(raw[0].strip())
         if name in fields:
             raise DuplicateField(f"duplicate field {name!r}")
         fields[name] = value
@@ -186,20 +167,15 @@ def _parse_value(raw: str) -> str:
     if not raw:
         return ""
     if raw[0] == "{":
-        depth = 0
-        for i, c in enumerate(raw):
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    rest = raw[i + 1 :].strip()
-                    if rest.startswith("#"):
-                        raise UnsupportedConcatenation("'#' concatenation is not supported")
-                    if rest:
-                        raise BibParseError(f"junk after braced value: {rest[:20]!r}")
-                    return raw[1:i]
-        raise UnbalancedBraces("value braces are not balanced")
+        i = _close_brace(raw, 0)
+        if i < 0:
+            raise UnbalancedBraces("value braces are not balanced")
+        rest = raw[i + 1 :].strip()
+        if rest.startswith("#"):
+            raise UnsupportedConcatenation("'#' concatenation is not supported")
+        if rest:
+            raise BibParseError(f"junk after braced value: {rest[:20]!r}")
+        return raw[1:i]
     if raw[0] == '"':
         end = raw.find('"', 1)
         if end < 0:
@@ -215,22 +191,24 @@ def _parse_value(raw: str) -> str:
     return raw.strip()
 
 
-def _find_top_level(s: str, ch: str) -> int:
+_BRACE_RE = re.compile(r"[{}]")
+
+
+def _close_brace(s: str, open_at: int) -> int:
+    """Index of the brace closing the ``{`` at ``open_at``, or -1; quotes are not tracked."""
     depth = 0
-    in_quote = False
-    for i, c in enumerate(s):
-        if c == "{":
+    for m in _BRACE_RE.finditer(s, open_at):
+        if m.group() == "{":
             depth += 1
-        elif c == "}":
+        else:
             depth -= 1
-        elif c == '"' and depth == 0:
-            in_quote = not in_quote
-        elif c == ch and depth == 0 and not in_quote:
-            return i
+            if depth == 0:
+                return m.start()
     return -1
 
 
-def _split_top_level(s: str, sep: str) -> list[str]:
+def _split_top_level(s: str, sep: str, maxsplit: int) -> list[str]:
+    """Split on ``sep`` outside braces and top-level quotes, like ``str.split``."""
     parts: list[str] = []
     depth = 0
     in_quote = False
@@ -245,6 +223,8 @@ def _split_top_level(s: str, sep: str) -> list[str]:
         elif c == sep and depth == 0 and not in_quote:
             parts.append(s[start:i])
             start = i + 1
+            if len(parts) == maxsplit:
+                break
     parts.append(s[start:])
     return parts
 
@@ -269,17 +249,8 @@ def split_entries(text: str) -> list[str]:
         open_brace = text.find("{", at)
         if open_brace < 0:
             break
-        depth = 0
-        j = open_brace
-        while j < len(text):
-            if text[j] == "{":
-                depth += 1
-            elif text[j] == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        if depth != 0:
+        j = _close_brace(text, open_brace)
+        if j < 0:
             raise UnbalancedBraces("unbalanced braces in .bib input")
         chunks.append(text[at : j + 1])
         i = j + 1

@@ -45,10 +45,7 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     """|a ∩ b| / |a ∪ b|; two empty sets are treated as identical (1.0)."""
     if not a and not b:
         return 1.0
-    union = a | b
-    if not union:
-        return 1.0
-    return len(a & b) / len(union)
+    return len(a & b) / len(a | b)
 
 
 def fold_diacritics(value: str) -> str:

@@ -129,7 +129,7 @@ def normalize_url(url: str) -> str:
         raise MalformedUrl(f"not an absolute http(s) URL: {url!r}")
     host = parsed.netloc.lower().removeprefix("www.")
 
-    if host.endswith("alphaxiv.org"):
+    if host == "alphaxiv.org" or host.endswith(".alphaxiv.org"):
         parsed = parsed._replace(netloc="arxiv.org")
         host = "arxiv.org"
     if host == "huggingface.co":
@@ -250,28 +250,6 @@ class ReplayTransport:
         raise TransportError(f"no recorded exchange for {method} {url} body={body!r}")
 
 
-class RecordingTransport:
-    """Wraps a live transport and captures exchanges for later replay."""
-
-    def __init__(self, inner: Transport):
-        self._inner = inner
-        self.exchanges: list[dict] = []
-
-    def request(self, method, url, *, params=None, body=None, headers=None):
-        resp = self._inner.request(method, url, params=params, body=body, headers=headers)
-        self.exchanges.append(
-            {
-                "request": {"method": method, "url": url, "params": params or {}, "body": body or ""},
-                "response": {"status": resp.status, "headers": resp.headers, "body": resp.body},
-            }
-        )
-        return resp
-
-    def save(self, path: str | Path) -> None:
-        doc = {"format_version": 1, "exchanges": self.exchanges}
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True), "utf-8")
-
-
 class RateLimiter:
     """Serializes request starts at a fixed minimum spacing.
 
@@ -292,7 +270,6 @@ class RateLimiter:
         self._sleep = sleep
         self._lock = threading.Lock()
         self._next_start: float | None = None
-        self.starts: list[float] = []
 
     def acquire(self) -> None:
         with self._lock:
@@ -302,7 +279,6 @@ class RateLimiter:
             delay = start - now
         if delay > 0:
             self._sleep(delay)
-        self.starts.append(start)
 
 
 @dataclass
@@ -327,7 +303,6 @@ class Candidate:
     doi: str | None = None
     venue: str | None = None
     authors: str | None = None
-    item: dict | None = None  # server JSON item, when the server produced it
 
 
 class Resolver:
@@ -456,7 +431,8 @@ class Resolver:
         items = self._server_lookup(endpoint, q.value)
 
         if items:
-            return self._finish_from_items(q, items, source)
+            titles = [str(item.get("title", "")) for item in items]
+            return _select(q, titles, lambda i: self._export_bibtex([items[i]]), source)
 
         if endpoint == "web":
             return ResolutionResult(status="not_found", source=source)
@@ -464,62 +440,36 @@ class Resolver:
         fallback = self.crossref_fallback(q.original)
         if not fallback:
             return ResolutionResult(status="not_found", source="crossref_fallback")
-        return self._finish_from_fallback(q, fallback)
-
-    # -- selection ---------------------------------------------------------
-
-    def _finish_from_items(self, q: Query, items: list[dict], source: str) -> ResolutionResult:
-        titles = [str(item.get("title", "")) for item in items]
-        if q.kind in IDENTIFIER_KINDS:
-            if len(items) != 1:
-                # deterministic resolution never picks among alternatives
-                return ResolutionResult(
-                    status="not_found",
-                    candidates=[(t, 1.0) for t in titles],
-                    source=source,
-                )
-            entry = self._export_bibtex(items)
-            return ResolutionResult(
-                status="found", candidates=[(titles[0], 1.0)], bibtex=entry, source=source
-            )
-
-        ranked = rank_candidates(q.value, titles)
-        winner_title = ranked[0][0]
-        winner_item = items[titles.index(winner_title)]
-        if q.kind == "title":
-            score = jaccard(tokenize_filtered(q.value), tokenize_filtered(winner_title))
-            if score < TITLE_MATCH_THRESHOLD:
-                return ResolutionResult(status="title_mismatch", candidates=ranked, source=source)
-        entry = self._export_bibtex([winner_item])
-        return ResolutionResult(status="found", candidates=ranked, bibtex=entry, source=source)
-
-    def _finish_from_fallback(self, q: Query, fallback: list[Candidate]) -> ResolutionResult:
         titles = [c.title for c in fallback]
-        if q.kind in IDENTIFIER_KINDS:
-            if len(fallback) != 1:
-                return ResolutionResult(
-                    status="not_found",
-                    candidates=[(t, 1.0) for t in titles],
-                    source="crossref_fallback",
-                )
-            chosen = fallback[0]
-            ranked = [(chosen.title, 1.0)]
-        else:
-            ranked = rank_candidates(q.value, titles)
-            chosen = fallback[titles.index(ranked[0][0])]
-            if q.kind == "title":
-                score = jaccard(tokenize_filtered(q.value), tokenize_filtered(chosen.title))
-                if score < TITLE_MATCH_THRESHOLD:
-                    return ResolutionResult(
-                        status="title_mismatch", candidates=ranked, source="crossref_fallback"
-                    )
-        entry = _entry_from_candidate(chosen)
-        return ResolutionResult(
-            status="found", candidates=ranked, bibtex=entry, source="crossref_fallback"
+        return _select(
+            q, titles, lambda i: _entry_from_candidate(fallback[i]), "crossref_fallback"
         )
 
     def resolve(self, raw: str) -> ResolutionResult:
         return self.resolve_query(classify_query(raw))
+
+
+def _select(
+    q: Query, titles: list[str], build: Callable[[int], BibEntry], source: str
+) -> ResolutionResult:
+    """Pick one candidate and build its entry with ``build(index)``.
+
+    Identifier queries need exactly one candidate; other queries take the
+    top of the ranking, and title queries must also pass the title gate.
+    """
+    if q.kind in IDENTIFIER_KINDS:
+        if len(titles) != 1:
+            # deterministic resolution never picks among alternatives
+            return ResolutionResult(
+                status="not_found", candidates=[(t, 1.0) for t in titles], source=source
+            )
+        ranked, index = [(titles[0], 1.0)], 0
+    else:
+        ranked = rank_candidates(q.value, titles)
+        if q.kind == "title" and ranked[0][1] < TITLE_MATCH_THRESHOLD:
+            return ResolutionResult(status="title_mismatch", candidates=ranked, source=source)
+        index = titles.index(ranked[0][0])
+    return ResolutionResult(status="found", candidates=ranked, bibtex=build(index), source=source)
 
 
 def _entry_from_candidate(c: Candidate) -> BibEntry:
@@ -532,5 +482,6 @@ def _entry_from_candidate(c: Candidate) -> BibEntry:
         fields["year"] = c.year
     if c.doi:
         fields["doi"] = c.doi
-    key_seed = (c.authors or c.title).split(",")[0].split()[-1] + (c.year or "")
+    words = (c.authors or c.title).split(",")[0].split()
+    key_seed = words[-1] + (c.year or "") if words else ""
     return BibEntry("article", sanitize_citation_key(key_seed), fields)

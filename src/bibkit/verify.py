@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from difflib import SequenceMatcher
-from pathlib import Path
 
 from .model import ALL_SLOTS, BibEntry, FieldLabel, FieldSlot, slot_of
 from .normalize import (
@@ -103,6 +102,18 @@ class EntryVerdict:
     fully_correct: bool
     error_mode: str  # none | isolated | wholesale | mixed
     stage2_slots: frozenset[FieldSlot] = frozenset()
+
+    @classmethod
+    def from_labels(
+        cls, labels: dict[FieldSlot, FieldLabel], stage2_slots: set[FieldSlot]
+    ) -> "EntryVerdict":
+        """Verdict of a full label set: fully correct when every evaluable slot is C."""
+        return cls(
+            labels=labels,
+            fully_correct=all(l is FieldLabel.C for l in labels.values() if l is not FieldLabel.X),
+            error_mode=classify_error_mode(labels),
+            stage2_slots=frozenset(stage2_slots),
+        )
 
 
 def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) -> str | None:
@@ -340,14 +351,7 @@ def verify_entry(
             stage2_slots.add(slot)
         else:
             labels[slot] = result
-    evaluable = [l for s, l in labels.items() if l is not FieldLabel.X]
-    fully_correct = all(l is FieldLabel.C for l in evaluable)
-    return EntryVerdict(
-        labels=labels,
-        fully_correct=fully_correct,
-        error_mode=classify_error_mode(labels),
-        stage2_slots=frozenset(stage2_slots),
-    )
+    return EntryVerdict.from_labels(labels, stage2_slots)
 
 
 # --------------------------------------------------------------------------
@@ -369,9 +373,7 @@ def co_error_matrix(
     matrix: dict[FieldSlot, dict[FieldSlot, float | None]] = {}
     for i in EVALUABLE_SLOTS:
         row: dict[FieldSlot, float | None] = {}
-        conditioning = [
-            v for v in verdicts if v.labels[i] is not FieldLabel.X and v.labels[i] in ERROR_LABELS
-        ]
+        conditioning = [v for v in verdicts if v.labels[i] in ERROR_LABELS]
         for j in EVALUABLE_SLOTS:
             if not conditioning:
                 row[j] = None
@@ -442,31 +444,3 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
     for kind, buckets in per_tag.items():
         report[f"per_{kind}"] = {tag: _pct(b) for tag, b in sorted(buckets.items())}
     return report
-
-
-# --------------------------------------------------------------------------
-# label file I/O
-
-LABELS_HEADER = "format_version\t1"
-
-
-def write_labels(path: str | Path, rows: list[tuple[str, str, str, str, str]]) -> None:
-    """Line-delimited records: paper_id, entry_tag, slot, label, stage."""
-    lines = [LABELS_HEADER]
-    lines += ["\t".join(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
-
-
-def read_labels(path: str | Path) -> list[tuple[str, str, str, str, str]]:
-    lines = Path(path).read_text("utf-8").splitlines()
-    if not lines or lines[0] != LABELS_HEADER:
-        raise ValueError("unrecognized labels file format")
-    rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ValueError(f"malformed labels row: {line!r}")
-        rows.append(tuple(parts))
-    return rows

@@ -328,6 +328,14 @@ def test_rate_limiter_live_spacing():
     try:
         config = ResolverConfig(base_url=f"http://127.0.0.1:{server.server_port}")
         resolver = Resolver(config, transport=HttpTransport(timeout=5.0))
+        starts = []
+        acquire = resolver.rate_limiter.acquire
+
+        def timed_acquire():
+            acquire()
+            starts.append(time.monotonic())
+
+        resolver.rate_limiter.acquire = timed_acquire
         begin = time.monotonic()
         for i in range(6):
             resolver._server_lookup("search", f"10.9999/q{i}")
@@ -337,7 +345,6 @@ def test_rate_limiter_live_spacing():
         server.server_close()
 
     assert elapsed >= 2.5 - 0.05
-    starts = resolver.rate_limiter.starts
     assert len(starts) == 6
     for t in starts:
         in_window = [s for s in starts if t <= s < t + 1.0 - 0.05]

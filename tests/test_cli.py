@@ -4,6 +4,7 @@ import shutil
 import pytest
 
 from bibkit.cli import main
+from bibkit.model import FieldSlot
 
 from conftest import FIXTURES
 
@@ -213,6 +214,42 @@ def test_bench_prints_report_without_out(capsys):
     assert "labels" not in report
 
 
+def test_verify_stdout_equals_report_json(tmp_path, capsys):
+    code, printed, _ = run(["verify", "--corpus", CORPUS], capsys)
+    assert code == 0
+    run(["verify", "--corpus", CORPUS, "--out", str(tmp_path)], capsys)
+    assert printed == (tmp_path / "report.json").read_text("utf-8")
+
+
+def test_bench_reconcile_stdout_equals_report_json(tmp_path, capsys):
+    record = {
+        "paper_id": "yamashita2016",
+        "tier": "recent",
+        "description": "the relapse-site nephroureterectomy paper",
+        "ground_truth": {
+            "versions": [
+                {
+                    "version_type": "journal",
+                    "fields": {"title": "Impact of relapse site", "doi": "10.1111/iju.13054"},
+                }
+            ]
+        },
+        "candidates": [{"tag": "c1", "model": "m", "bibtex": "@article{k, title={Relapse}}"}],
+        "meta": {"doi": "10.1111/iju.13054"},
+    }
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"format_version": 1}\n' + json.dumps(record) + "\n", "utf-8")
+    args = ["bench", "--corpus", str(corpus), "--mode", "reconcile_then_verify"]
+    args += ["--fixtures", str(FIXTURES / "replay_doi_found.json")] + SERVER
+    code, printed, _ = run(args, capsys)
+    assert code == 0
+    assert "actions" not in json.loads(printed)
+    run(args + ["--out", str(tmp_path / "bundle")], capsys)
+    assert printed == (tmp_path / "bundle" / "report.json").read_text("utf-8")
+    actions = (tmp_path / "bundle" / "actions.tsv").read_text("utf-8").splitlines()
+    assert actions[1].split("\t")[:3] == ["yamashita2016", "c1", "merged"]
+
+
 def test_bench_invalid_mode_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--corpus", CORPUS, "--mode", "sideways"])
@@ -232,6 +269,52 @@ def test_report_recomputes_aggregates_from_labels(tmp_path, capsys):
     assert report["overall"] == golden["overall"]
     assert report["per_field"] == golden["per_field"]
     assert report["fully_correct"] == golden["fully_correct"]
+
+
+def test_report_equals_bundle_aggregate_with_all_x_entry(tmp_path, capsys):
+    # ground truth without fields leaves every slot of the candidate X
+    record = {
+        "paper_id": "zz-empty",
+        "tier": "recent",
+        "description": "a paper whose ground truth records no fields",
+        "ground_truth": {"versions": [{"version_type": "journal", "fields": {}}]},
+        "candidates": [{"tag": "c1", "model": "m", "bibtex": "@article{k, title={T}}"}],
+    }
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        (FIXTURES / "golden_corpus.jsonl").read_text("utf-8") + json.dumps(record) + "\n", "utf-8"
+    )
+    out_dir = tmp_path / "bundle"
+    run(["verify", "--corpus", str(corpus), "--out", str(out_dir)], capsys)
+    code, out, _ = run(["report", "--labels", str(out_dir / "labels.tsv")], capsys)
+    assert code == 0
+    report = json.loads(out)
+    aggregate = json.loads((out_dir / "report.json").read_text("utf-8"))["aggregate"]
+    assert aggregate["entries"] == 21
+    for key in ("entries", "overall", "fully_correct", "label_distribution", "per_field"):
+        assert report[key] == aggregate[key], key
+
+
+FULL_ENTRY = [f"p\tc\t{slot.value}\tC\t1" for slot in FieldSlot]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        FULL_ENTRY[:3],  # slots missing
+        FULL_ENTRY + ["p\tc\ttitle\tC\t1"],  # a slot labelled twice
+        FULL_ENTRY[:-1] + ["p\tc\tissn\tC\t1"],  # unknown slot
+        FULL_ENTRY[:-1] + ["p\tc\tdoi\tQ\t1"],  # unknown label
+        FULL_ENTRY[:-1] + ["p\tc\tdoi\tC\t3"],  # unknown stage
+    ],
+    ids=["missing_slots", "duplicate_slot", "unknown_slot", "unknown_label", "unknown_stage"],
+)
+def test_report_rejects_malformed_entries(tmp_path, capsys, rows):
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("\n".join(["format_version\t1"] + rows) + "\n", "utf-8")
+    code, _, err = run(["report", "--labels", str(labels)], capsys)
+    assert code == 2
+    assert "input error" in err
 
 
 def test_report_bad_labels_file_exits_2(tmp_path, capsys):

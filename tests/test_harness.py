@@ -4,14 +4,10 @@ import pytest
 
 from bibkit.harness import (
     CorpusParseError,
-    NoResolvableFields,
     PaperRecord,
-    SourceRecord,
     classify_location,
-    dedupe_locations,
     default_meta,
     load_corpus,
-    resolve_canonical,
     run_benchmark,
     write_bundle,
     write_revised_bib,
@@ -148,103 +144,6 @@ def test_load_skips_blank_lines(tmp_path):
 )
 def test_classify_location(url, source_type, expected):
     assert classify_location(url, source_type) == expected
-
-
-def test_dedupe_prefers_doi_urls():
-    chosen = dedupe_locations(
-        [
-            ("https://journal.example/v1", "journal"),
-            ("https://doi.org/10.1/x", "journal"),
-            ("https://doi.org/10.1/y", "journal"),  # first DOI URL wins
-            ("https://example.edu/~prof/p.pdf", "personal"),
-        ]
-    )
-    assert chosen == {"journal": ("https://doi.org/10.1/x", "journal")}
-
-
-def test_dedupe_keeps_one_per_class():
-    chosen = dedupe_locations(
-        [
-            ("https://arxiv.org/abs/1", "repository"),
-            ("https://arxiv.org/abs/2", "repository"),
-            ("https://conf.example/p", "conference"),
-        ]
-    )
-    assert chosen["arxiv"] == ("https://arxiv.org/abs/1", "repository")
-    assert chosen["proceedings"] == ("https://conf.example/p", "conference")
-
-
-# -- canonical resolution --------------------------------------------------------
-
-
-def test_canonical_doi_prefers_openalex():
-    sources = [
-        SourceRecord("zotero", {"doi": "10.1/zotero"}),
-        SourceRecord("openalex", {"doi": "10.1/openalex"}),
-    ]
-    assert resolve_canonical(sources)["doi"] == ("10.1/openalex", "openalex")
-
-
-def test_canonical_title_prefers_zotero():
-    sources = [
-        SourceRecord("openalex", {"title": "From OpenAlex"}),
-        SourceRecord("zotero", {"title": "From Zotero"}),
-    ]
-    assert resolve_canonical(sources)["title"] == ("From Zotero", "zotero")
-
-
-def test_canonical_author_venue_prefer_domain_db():
-    sources = [
-        SourceRecord("zotero", {"author": "Z, A", "venue": "Zotero Venue"}),
-        SourceRecord("dblp", {"author": "D, B", "venue": "DBLP Venue"}),
-    ]
-    canonical = resolve_canonical(sources)
-    assert canonical["author"] == ("D, B", "dblp")
-    assert canonical["venue"] == ("DBLP Venue", "dblp")
-
-
-def test_canonical_year_majority():
-    sources = [
-        SourceRecord("openalex", {"year": "2018"}),
-        SourceRecord("dblp", {"year": "2017"}),
-        SourceRecord("zotero", {"year": "2018"}),
-    ]
-    assert resolve_canonical(sources)["year"] == ("2018", "majority")
-
-
-def test_canonical_year_tiebreak_by_source_priority():
-    sources = [
-        SourceRecord("arxiv", {"year": "2018"}, version_type="arxiv"),
-        SourceRecord("dblp", {"year": "2017"}),
-    ]
-    year, source = resolve_canonical(sources)["year"]
-    assert year == "2017"
-    assert source == "majority_tiebreak:dblp"
-
-
-def test_canonical_pagination_prefers_journal_version():
-    sources = [
-        SourceRecord("arxiv", {"pages": "1--99"}, version_type="arxiv"),
-        SourceRecord("openalex", {"pages": "100--110", "volume": "5"}, version_type="journal"),
-    ]
-    canonical = resolve_canonical(sources)
-    assert canonical["pages"] == ("100--110", "openalex")
-    assert canonical["volume"] == ("5", "openalex")
-
-
-def test_canonical_blank_values_skipped():
-    sources = [
-        SourceRecord("openalex", {"doi": "   "}),
-        SourceRecord("zotero", {"doi": "10.1/real"}),
-    ]
-    assert resolve_canonical(sources)["doi"] == ("10.1/real", "zotero")
-
-
-def test_canonical_no_fields_raises():
-    with pytest.raises(NoResolvableFields):
-        resolve_canonical([SourceRecord("zotero", {}), SourceRecord("dblp", {})])
-    with pytest.raises(NoResolvableFields):
-        resolve_canonical([])
 
 
 # -- default metadata -------------------------------------------------------------
@@ -397,7 +296,7 @@ def test_perfect_reconciliation_has_zero_regressions():
     bundle = run_benchmark(
         corpus, mode="reconcile_then_verify", resolver=perfect_resolver(corpus)
     )
-    assert all(a["action"] == "merged" for a in bundle["actions"])
+    assert all(row[2] == "merged" for row in bundle["actions"])
     for field, delta in bundle["deltas"].items():
         assert delta["regressions"] == 0, field
     # with a perfect source every evaluable field ends up correct

@@ -134,6 +134,13 @@ def test_parse_bib_file_multiple_entries():
     assert [e.citation_key for e in entries] == ["a", "b"]
 
 
+def test_parse_bib_file_nested_braces_and_at_signs():
+    text = "@article{a, title={A {B} c@d}, note={{x}}}\n\n@misc{b, title={E}}\n"
+    entries = parse_bib_file(text)
+    assert [e.citation_key for e in entries] == ["a", "b"]
+    assert entries[0].fields == {"title": "A {B} c@d", "note": "{x}"}
+
+
 def test_parse_bib_file_unbalanced():
     with pytest.raises(UnbalancedBraces):
         parse_bib_file("@article{a, title={A}")

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bibkit.resolve import (
@@ -20,13 +22,14 @@ from bibkit.resolve import (
 from conftest import FIXTURES
 
 
-def make_resolver(fixture_name: str) -> Resolver:
+def make_resolver(fixture: str | dict) -> Resolver:
+    """Offline resolver replaying a fixture file (by name) or an in-memory fixture."""
     config = ResolverConfig(
         base_url="http://server.test",
         crossref_url="http://crossref.test",
         retry_delay=0.0,
     )
-    transport = ReplayTransport(FIXTURES / fixture_name)
+    transport = ReplayTransport(fixture if isinstance(fixture, dict) else FIXTURES / fixture)
     limiter = RateLimiter(rate_per_sec=2.0, clock=lambda: 0.0, sleep=lambda s: None)
     return Resolver(config, transport=transport, rate_limiter=limiter, sleep=lambda s: None)
 
@@ -78,6 +81,8 @@ def test_classify_query_precedence_doi_over_title():
         ("https://arxiv.org/pdf/2510.16227.pdf", "https://arxiv.org/abs/2510.16227"),
         ("https://arxiv.org/html/2510.16227", "https://arxiv.org/abs/2510.16227"),
         ("https://www.alphaxiv.org/abs/2510.16227", "https://arxiv.org/abs/2510.16227"),
+        ("https://beta.alphaxiv.org/abs/2101.00001", "https://arxiv.org/abs/2101.00001"),
+        ("https://notalphaxiv.org/abs/2101.00001", "https://notalphaxiv.org/abs/2101.00001"),
         ("https://huggingface.co/papers/2510.16227", "https://arxiv.org/abs/2510.16227"),
         ("https://huggingface.co/papers/not-an-id", "https://huggingface.co/papers/not-an-id"),
         ("https://example.org/paper/42", "https://example.org/paper/42"),
@@ -268,12 +273,19 @@ class FakeClock:
         self.now += seconds
 
 
+def acquire_starts(limiter, clock, n):
+    """Start time of each of n acquires: the fake clock stands at it on return."""
+    starts = []
+    for _ in range(n):
+        limiter.acquire()
+        starts.append(clock.now)
+    return starts
+
+
 def test_rate_limiter_spacing():
     clock = FakeClock()
     limiter = RateLimiter(rate_per_sec=2.0, clock=clock, sleep=clock.sleep)
-    for _ in range(6):
-        limiter.acquire()
-    starts = limiter.starts
+    starts = acquire_starts(limiter, clock, 6)
     assert len(starts) == 6
     for a, b in zip(starts, starts[1:]):
         assert b - a >= 0.5 - 1e-9
@@ -283,9 +295,7 @@ def test_rate_limiter_spacing():
 def test_rate_limiter_window_bound():
     clock = FakeClock()
     limiter = RateLimiter(rate_per_sec=2.0, clock=clock, sleep=clock.sleep)
-    for _ in range(10):
-        limiter.acquire()
-    starts = limiter.starts
+    starts = acquire_starts(limiter, clock, 10)
     for i, t in enumerate(starts):
         in_window = [s for s in starts if t <= s < t + 1.0]
         assert len(in_window) <= 2, (i, in_window)
@@ -296,8 +306,7 @@ def test_rate_limiter_no_delay_when_idle():
     limiter = RateLimiter(rate_per_sec=2.0, clock=clock, sleep=clock.sleep)
     limiter.acquire()
     clock.now = 10.0
-    limiter.acquire()
-    assert limiter.starts[1] == 10.0
+    assert acquire_starts(limiter, clock, 1) == [10.0]
 
 
 # -- crossref candidate mapping ----------------------------------------------
@@ -315,3 +324,38 @@ def test_crossref_candidate_shape():
     assert first.doi == "10.5555/cand.00"
     assert first.venue == "Journal of Examples"
     assert first.authors == "Example, Writer 00"
+
+
+def single_hit_fallback(doi: str, hit: dict) -> Resolver:
+    """Resolver whose server finds nothing for ``doi`` and CrossRef returns one hit."""
+    exchanges = [
+        {
+            "request": {"method": "POST", "url": "http://server.test/search", "body": doi},
+            "response": {"status": 200, "body": "[]"},
+        },
+        {
+            "request": {
+                "method": "GET",
+                "url": "http://crossref.test/works",
+                "params": {"query": doi, "rows": "10"},
+            },
+            "response": {"status": 200, "body": json.dumps({"message": {"items": [hit]}})},
+        },
+    ]
+    return make_resolver({"format_version": 1, "exchanges": exchanges})
+
+
+def test_crossref_blank_title_gets_fallback_key():
+    hit = {"title": [""], "DOI": "10.9999/blank.1", "issued": {"date-parts": [[2015]]}}
+    result = single_hit_fallback("10.9999/blank.1", hit).resolve("10.9999/blank.1")
+    assert result.status == "found"
+    assert result.bibtex.citation_key == "ref"
+    assert result.bibtex.get("doi") == "10.9999/blank.1"
+
+
+def test_crossref_blank_author_names_get_fallback_key():
+    hit = {"title": ["A Title"], "author": [{"family": " ", "given": " "}], "DOI": "10.9999/blank.2"}
+    result = single_hit_fallback("10.9999/blank.2", hit).resolve("10.9999/blank.2")
+    assert result.status == "found"
+    assert result.bibtex.citation_key == "ref"
+    assert result.bibtex.get("title") == "A Title"

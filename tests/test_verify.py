@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from bibkit.harness import read_labels, write_tsv
 from bibkit.model import BibEntry, FieldLabel, FieldSlot, parse_entry
 from bibkit.normalize import VenueSynonymTable
 from bibkit.verify import (
@@ -20,10 +21,8 @@ from bibkit.verify import (
     classify_stage1,
     classify_stage2,
     co_error_matrix,
-    read_labels,
     verdict_from_criteria,
     verify_entry,
-    write_labels,
 )
 
 from reference_impls import brute_co_error
@@ -569,7 +568,7 @@ def test_labels_file_round_trip(tmp_path):
         ("mcauley2012", "cand1", "pages", "F", "2"),
     ]
     path = tmp_path / "labels.tsv"
-    write_labels(path, rows)
+    write_tsv(path, rows)
     assert read_labels(path) == rows
 
 

@@ -2,11 +2,21 @@
 
 Exit codes: 0 success, 1 usage error, 2 corpus/input error,
 3 upstream unavailable.
+
+- ``lookup``: an empty or malformed query (``EmptyQuery``, ``MalformedUrl``)
+  is a usage error, 1; ``UpstreamUnavailable`` and ``ExportFailure`` are 3.
+- ``reconcile``: unreadable ``.bib``/meta files, and a meta row whose query
+  is empty or malformed, are input errors, 2; ``UpstreamUnavailable`` and
+  ``ExportFailure`` are 3. No output is written on any of them.
+- ``verify``, ``bench``, ``report``: an unreadable corpus or labels file
+  is 2. ``bench`` records a paper whose resolution fails under
+  ``incomplete`` in the bundle and still exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,6 +39,8 @@ from .normalize import VenueSynonymTable
 from .reconcile import PaperMeta, reconcile
 from .resolve import (
     EmptyQuery,
+    ExportFailure,
+    MalformedUrl,
     ReplayTransport,
     Resolver,
     ResolverConfig,
@@ -80,8 +92,14 @@ def cmd_lookup(args) -> int:
     except EmptyQuery:
         print("error: empty query", file=sys.stderr)
         return EXIT_USAGE
+    except MalformedUrl as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except UpstreamUnavailable as exc:
         print(f"error: upstream unavailable: {exc}", file=sys.stderr)
+        return EXIT_UPSTREAM
+    except ExportFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_UPSTREAM
     if result.status == "found":
         print(serialize_entry(result.bibtex))
@@ -136,17 +154,24 @@ def cmd_reconcile(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CORPUS
-    resolver = _build_resolver(args)
+    # one lookup per distinct query string, as in harness.run_benchmark
+    resolve = functools.cache(_build_resolver(args).resolve)
     revised = []
     log_rows = []
-    try:
-        for meta, baseline in zip(metas, entries):
-            outcome = reconcile(meta, baseline, resolver.resolve)
-            revised.append(outcome.result)
-            log_rows.append(action_row(meta.paper_id, baseline.citation_key, outcome))
-    except UpstreamUnavailable as exc:
-        print(f"error: upstream unavailable: {exc}", file=sys.stderr)
-        return EXIT_UPSTREAM
+    for meta, baseline in zip(metas, entries):
+        try:
+            outcome = reconcile(meta, baseline, resolve)
+        except (EmptyQuery, MalformedUrl) as exc:
+            print(f"input error: meta row {meta.paper_id!r}: {exc}", file=sys.stderr)
+            return EXIT_CORPUS
+        except UpstreamUnavailable as exc:
+            print(f"error: upstream unavailable: {exc}", file=sys.stderr)
+            return EXIT_UPSTREAM
+        except ExportFailure as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_UPSTREAM
+        revised.append(outcome.result)
+        log_rows.append(action_row(meta.paper_id, baseline.citation_key, outcome))
     out = args.out or args.bib + ".revised.bib"
     write_revised_bib(revised, out)
     if args.log:

@@ -7,6 +7,7 @@ output files are written atomically and identically across repeat runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -247,12 +248,20 @@ def run_benchmark(
     """Label every candidate entry; optionally reconcile first.
 
     Returns the full report bundle as a dict; a failing record is recorded
-    under "incomplete" and never aborts the run.
+    under "incomplete" and never aborts the run. The run asks ``resolver``
+    once per distinct query and reuses its result for every candidate that
+    sends the same query; an exception is not kept, so the next candidate
+    with that query asks again.
     """
     if mode not in ("verify", "reconcile_then_verify"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "reconcile_then_verify" and resolver is None:
-        raise ValueError("reconcile_then_verify requires a resolver")
+    if mode == "reconcile_then_verify":
+        if resolver is None:
+            raise ValueError("reconcile_then_verify requires a resolver")
+        # Keyed on the exact query string build_query sends, not on the
+        # classified query: the CrossRef fallback searches the original
+        # string, so "10.1000/x" and "https://doi.org/10.1000/x" can differ.
+        resolver = functools.cache(resolver)
     if table is None:
         table = VenueSynonymTable.default()
 

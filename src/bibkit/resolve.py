@@ -7,7 +7,10 @@ candidates). Identifier queries must yield exactly one record; title
 queries are validated against the winner with a 0.85 token-overlap gate.
 
 All upstream traffic goes through a transport seam so the module can be
-exercised offline against recorded fixtures.
+exercised offline against recorded fixtures. A network error, a 5xx or a
+429 is retried once (a 429 after its numeric ``Retry-After``) and then
+raises ``UpstreamUnavailable``: an upstream that could not be asked never
+reads as "not found".
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ TITLE_MATCH_THRESHOLD = 0.85
 
 #: Maximum candidates taken from the CrossRef fallback.
 CROSSREF_MAX_CANDIDATES = 10
+
+#: Longest ``Retry-After`` (seconds) a 429 is waited out for; a longer one
+#: means the upstream cannot be asked within this run.
+MAX_RETRY_AFTER = 60.0
 
 
 class ResolveError(Exception):
@@ -98,7 +105,10 @@ def classify_query(raw: str) -> Query:
         parsed = urlparse(s)
         host = parsed.netloc.lower().removeprefix("www.")
         if host in ("doi.org", "dx.doi.org"):
-            return Query("doi", normalize_doi(parsed.path.lstrip("/")), raw)
+            doi = normalize_doi(parsed.path.lstrip("/"))
+            if not doi:
+                raise EmptyQuery(f"no DOI in {s!r}")
+            return Query("doi", doi, raw)
         return Query("url", normalize_url(s), raw)
     m = _ARXIV_NEW_RE.match(s) or _ARXIV_OLD_RE.match(s)
     if m:
@@ -334,10 +344,17 @@ class Resolver:
                     raise UpstreamUnavailable(str(exc)) from exc
                 self._sleep(self.config.retry_delay)
                 continue
-            if resp.status >= 500:
+            if resp.status >= 500 or resp.status == 429:
+                # a throttled or failing upstream could not be asked; its
+                # body is never read as an answer
                 if attempts >= 2:
                     raise UpstreamUnavailable(f"upstream returned {resp.status}")
-                self._sleep(self.config.retry_delay)
+                delay = self.config.retry_delay
+                if resp.status == 429:
+                    delay = _retry_after(resp.headers, delay)
+                    if delay > MAX_RETRY_AFTER:
+                        raise UpstreamUnavailable(f"upstream asked to retry after {delay:g} s")
+                self._sleep(delay)
                 continue
             return resp
 
@@ -409,10 +426,12 @@ class Resolver:
             containers = hit.get("container-title") or []
             parts = []
             for a in hit.get("author") or []:
-                if a.get("family") and a.get("given"):
-                    parts.append(f"{a['family']}, {a['given']}")
-                elif a.get("family"):
-                    parts.append(a["family"])
+                family = str(a.get("family") or "").strip()
+                given = str(a.get("given") or "").strip()
+                if family and given:
+                    parts.append(f"{family}, {given}")
+                elif family:
+                    parts.append(family)
             authors = " and ".join(parts) if parts else None
             candidates.append(
                 Candidate(
@@ -447,6 +466,18 @@ class Resolver:
 
     def resolve(self, raw: str) -> ResolutionResult:
         return self.resolve_query(classify_query(raw))
+
+
+def _retry_after(headers: dict[str, str], default: float) -> float:
+    """Seconds a 429 asks the client to wait, or ``default`` if not a number."""
+    for name, value in headers.items():
+        if name.lower() == "retry-after":
+            try:
+                seconds = float(value)
+            except (TypeError, ValueError):  # an HTTP-date, or not a value at all
+                return default
+            return seconds if seconds >= 0 else default  # also rejects NaN
+    return default
 
 
 def _select(

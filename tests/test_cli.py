@@ -82,6 +82,67 @@ def test_lookup_upstream_unavailable_exits_3(tmp_path, capsys):
     assert "upstream unavailable" in err
 
 
+def write_exchanges(path, *exchanges):
+    """A replay fixture of (request, response) pairs against http://server.test."""
+    doc = {"format_version": 1, "exchanges": [{"request": q, "response": r} for q, r in exchanges]}
+    path.write_text(json.dumps(doc), "utf-8")
+    return str(path)
+
+
+def search_request(query):
+    return {"method": "POST", "url": "http://server.test/search", "body": query}
+
+
+def test_lookup_throttled_exits_3(tmp_path, capsys):
+    throttled = {"status": 429, "body": "", "headers": {"Retry-After": "0"}}
+    crossref = {
+        "method": "GET",
+        "url": "https://api.crossref.org/works",
+        "params": {"query": "10.1111/iju.13054", "rows": "10"},
+    }
+    fixture = write_exchanges(
+        tmp_path / "throttled.json",
+        (search_request("10.1111/iju.13054"), throttled),
+        (search_request("10.1111/iju.13054"), throttled),
+        (crossref, {"status": 200, "body": json.dumps({"message": {"items": []}})}),
+    )
+    code, out, err = run(["lookup", "10.1111/iju.13054", "--fixtures", fixture] + SERVER, capsys)
+    assert code == 3
+    assert "upstream unavailable" in err
+    assert "not_found" not in out
+
+
+def test_lookup_malformed_url_exits_1(capsys):
+    code, _, err = run(
+        ["lookup", "https://", "--fixtures", str(FIXTURES / "replay_doi_found.json")] + SERVER,
+        capsys,
+    )
+    assert code == 1
+    assert "not an absolute http(s) URL" in err
+
+
+def unparseable_export(tmp_path, query):
+    item = [{"title": "A Paper", "DOI": query}]
+    export = {
+        "method": "POST",
+        "url": "http://server.test/export",
+        "params": {"format": "bibtex"},
+        "body": json.dumps(item, sort_keys=True),
+    }
+    return write_exchanges(
+        tmp_path / "export.json",
+        (search_request(query), {"status": 200, "body": json.dumps(item)}),
+        (export, {"status": 200, "body": "this is not bibtex"}),
+    )
+
+
+def test_lookup_export_failure_exits_3(tmp_path, capsys):
+    fixture = unparseable_export(tmp_path, "10.9999/export.1")
+    code, _, err = run(["lookup", "10.9999/export.1", "--fixtures", fixture] + SERVER, capsys)
+    assert code == 3
+    assert "unparseable BibTeX" in err
+
+
 def test_lookup_fixtures_directory_merges_files(tmp_path, capsys):
     for name in ("replay_doi_found.json", "replay_title_mismatch.json"):
         shutil.copy(FIXTURES / name, tmp_path / name)
@@ -165,6 +226,60 @@ def test_reconcile_merges_and_logs(tmp_path, capsys):
     assert log_lines[1].split("\t")[:3] == ["p1", "mine", "merged"]
 
 
+def reconcile_args(bib, meta, fixture, tmp_path):
+    out = ["--out", str(tmp_path / "revised.bib"), "--log", str(tmp_path / "actions.tsv")]
+    return ["reconcile", "--bib", str(bib), "--meta", str(meta), "--fixtures", fixture] + out + SERVER
+
+
+def test_reconcile_resolves_a_shared_query_once(tmp_path, capsys):
+    # the replay holds one lookup, so a second request for the DOI would fail
+    bib = tmp_path / "refs.bib"
+    bib.write_text(
+        "@article{a, title={Relapse site}}\n"
+        "@article{b, title={Working title}, year={2015}}\n"
+        "@misc{c, note={kept}}\n",
+        "utf-8",
+    )
+    meta = tmp_path / "meta.tsv"
+    rows = [f"p{i}\t\t10.1111/iju.13054\t" for i in (1, 2, 3)]
+    meta.write_text("format_version\t1\n" + "\n".join(rows) + "\n", "utf-8")
+    fixture = str(FIXTURES / "replay_doi_found.json")
+    code, _, err = run(reconcile_args(bib, meta, fixture, tmp_path), capsys)
+    assert code == 0, err
+    log = (tmp_path / "actions.tsv").read_text("utf-8").splitlines()[1:]
+    assert [row.split("\t")[:3] for row in log] == [
+        ["p1", "a", "merged"],
+        ["p2", "b", "merged"],
+        ["p3", "c", "merged"],
+    ]
+    revised = (tmp_path / "revised.bib").read_text("utf-8")
+    assert revised.count("doi = {10.1111/iju.13054}") == 3
+    assert "note = {kept}" in revised
+
+
+@pytest.mark.parametrize("url", ["https://", "https://doi.org/"])
+def test_reconcile_bad_query_in_meta_row_exits_2(tmp_path, capsys, url):
+    bib = tmp_path / "refs.bib"
+    bib.write_text("@article{a, title={A}}\n@article{b, title={B}}\n", "utf-8")
+    meta = tmp_path / "meta.tsv"
+    meta.write_text(f"format_version\t1\np1\t\t10.1111/iju.13054\t\np2\t{url}\t\t\n", "utf-8")
+    fixture = str(FIXTURES / "replay_doi_found.json")
+    code, _, err = run(reconcile_args(bib, meta, fixture, tmp_path), capsys)
+    assert code == 2
+    assert "input error: meta row 'p2'" in err
+    assert not (tmp_path / "revised.bib").exists()
+
+
+def test_reconcile_export_failure_exits_3(tmp_path, capsys):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    meta.write_text("format_version\t1\np1\t\t10.9999/export.1\t\n", "utf-8")
+    fixture = unparseable_export(tmp_path, "10.9999/export.1")
+    code, _, err = run(reconcile_args(bib, meta, fixture, tmp_path), capsys)
+    assert code == 3
+    assert "unparseable BibTeX" in err
+    assert not (tmp_path / "revised.bib").exists()
+
+
 def test_reconcile_count_mismatch_exits_2(tmp_path, capsys):
     bib, _ = write_reconcile_inputs(tmp_path)
     meta = tmp_path / "meta2.tsv"
@@ -221,7 +336,8 @@ def test_verify_stdout_equals_report_json(tmp_path, capsys):
     assert printed == (tmp_path / "report.json").read_text("utf-8")
 
 
-def test_bench_reconcile_stdout_equals_report_json(tmp_path, capsys):
+def write_relapse_corpus(tmp_path, n_candidates=1):
+    """One-paper corpus whose query is the DOI that replay_doi_found.json answers."""
     record = {
         "paper_id": "yamashita2016",
         "tier": "recent",
@@ -234,11 +350,19 @@ def test_bench_reconcile_stdout_equals_report_json(tmp_path, capsys):
                 }
             ]
         },
-        "candidates": [{"tag": "c1", "model": "m", "bibtex": "@article{k, title={Relapse}}"}],
+        "candidates": [
+            {"tag": f"c{i}", "model": "m", "bibtex": "@article{k, title={Relapse}}"}
+            for i in range(1, n_candidates + 1)
+        ],
         "meta": {"doi": "10.1111/iju.13054"},
     }
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"format_version": 1}\n' + json.dumps(record) + "\n", "utf-8")
+    return corpus
+
+
+def test_bench_reconcile_stdout_equals_report_json(tmp_path, capsys):
+    corpus = write_relapse_corpus(tmp_path)
     args = ["bench", "--corpus", str(corpus), "--mode", "reconcile_then_verify"]
     args += ["--fixtures", str(FIXTURES / "replay_doi_found.json")] + SERVER
     code, printed, _ = run(args, capsys)
@@ -248,6 +372,19 @@ def test_bench_reconcile_stdout_equals_report_json(tmp_path, capsys):
     assert printed == (tmp_path / "bundle" / "report.json").read_text("utf-8")
     actions = (tmp_path / "bundle" / "actions.tsv").read_text("utf-8").splitlines()
     assert actions[1].split("\t")[:3] == ["yamashita2016", "c1", "merged"]
+
+
+def test_bench_reconcile_resolves_a_shared_query_once(tmp_path, capsys):
+    # the replay holds one lookup, so a second request for the DOI would fail
+    corpus = write_relapse_corpus(tmp_path, n_candidates=3)
+    args = ["bench", "--corpus", str(corpus), "--mode", "reconcile_then_verify"]
+    args += ["--fixtures", str(FIXTURES / "replay_doi_found.json"), "--out", str(tmp_path / "b")]
+    code, _, _ = run(args + SERVER, capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "b" / "report.json").read_text("utf-8"))
+    assert report["incomplete"] == []
+    actions = (tmp_path / "b" / "actions.tsv").read_text("utf-8").splitlines()[1:]
+    assert [row.split("\t")[1:3] for row in actions] == [[f"c{i}", "merged"] for i in (1, 2, 3)]
 
 
 def test_bench_invalid_mode_is_usage_error():

@@ -14,7 +14,7 @@ from bibkit.harness import (
 )
 from bibkit.model import BibEntry, parse_entry, serialize_entry
 from bibkit.normalize import VenueSynonymTable
-from bibkit.resolve import ResolutionResult
+from bibkit.resolve import ResolutionResult, UpstreamUnavailable
 from bibkit.verify import GroundTruth, GroundTruthVersion, verify_entry
 
 from conftest import FIXTURES, load_fixture
@@ -328,6 +328,39 @@ def test_failing_record_is_recorded_not_fatal():
     failed = sorted(corpus, key=lambda r: r.paper_id)
     assert [d["paper_id"] for d in bundle["incomplete"]] == [corpus[0].paper_id]
     assert bundle["aggregate"]["entries"] == 20 - len(corpus[0].candidates)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_each_distinct_query_is_resolved_once(workers):
+    corpus = load_corpus(CORPUS_PATH)
+    resolver = perfect_resolver(corpus)
+    calls = []
+
+    def counting(query):
+        calls.append(query)
+        return resolver(query)
+
+    bundle = run_benchmark(corpus, mode="reconcile_then_verify", resolver=counting, workers=workers)
+    assert len(bundle["actions"]) == 20
+    assert sorted(calls) == sorted(r.meta.title for r in corpus)  # 8 distinct queries
+
+
+def test_failed_lookup_is_not_reused(tmp_path):
+    lines = [HEADER] + [record_line(paper_id=p, meta={"doi": "10.1000/shared"}) for p in ("p1", "p2")]
+    corpus = load_corpus(write_corpus(tmp_path, lines))
+    calls = []
+
+    def resolver(query):
+        calls.append(query)
+        if len(calls) == 1:
+            raise UpstreamUnavailable("upstream returned 503")
+        entry = parse_entry("@article{a, title={T}, year={2020}, doi={10.1000/shared}}")
+        return ResolutionResult(status="found", bibtex=entry)
+
+    bundle = run_benchmark(corpus, mode="reconcile_then_verify", resolver=resolver)
+    assert bundle["incomplete"] == [{"paper_id": "p1", "error": "upstream returned 503"}]
+    assert [list(row[:3]) for row in bundle["actions"]] == [["p2", "c1", "merged"]]
+    assert calls == ["10.1000/shared", "10.1000/shared"]
 
 
 # -- bundle writing -----------------------------------------------------------------

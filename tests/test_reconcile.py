@@ -199,3 +199,25 @@ def test_merge_upstream_error_never_modifies_baseline():
     with pytest.raises(RuntimeError):
         reconcile(PaperMeta("p", title="T"), baseline, failing_resolver)
     assert baseline == parse_entry("@article{b, title={T}}")
+
+
+def test_shared_result_is_not_mutated_by_merges():
+    shared = ResolutionResult(
+        status="found",
+        bibtex=parse_entry(
+            "@inproceedings{auth, author={Doe, John}, title={Shared Title}, "
+            "booktitle={Proc. of Examples}, year={2020}, pages={1--9}}"
+        ),
+        candidates=[("Shared Title", 1.0)],
+    )
+    before = serialize_entry(shared.bibtex)
+    baselines = [
+        parse_entry("@article{one, title={Shared Title}, journal={J}, pages={3}, note={n}}"),
+        parse_entry("@misc{two, author={Roe, R}, title={Shared title}, howpublished={web}}"),
+    ]
+    for baseline in baselines:
+        outcome = reconcile(PaperMeta("p", doi="10.1000/x"), baseline, lambda q: shared)
+        assert outcome.action == "merged"
+        assert outcome.result.fields is not shared.bibtex.fields
+    assert serialize_entry(shared.bibtex) == before
+    assert shared.candidates == [("Shared Title", 1.0)]

@@ -19,6 +19,9 @@ from bibkit.resolve import (
     rank_candidates,
 )
 
+from bibkit.model import FieldSlot, parse_entry
+from bibkit.reconcile import PaperMeta, reconcile
+
 from conftest import FIXTURES
 
 
@@ -64,6 +67,14 @@ def test_classify_query(raw, kind, value):
 def test_classify_query_empty():
     with pytest.raises(EmptyQuery):
         classify_query("   ")
+
+
+@pytest.mark.parametrize(
+    "raw", ["https://doi.org/", "https://dx.doi.org/", "http://www.doi.org", "https://doi.org/doi:"]
+)
+def test_classify_query_doi_url_without_doi(raw):
+    with pytest.raises(EmptyQuery):
+        classify_query(raw)
 
 
 def test_classify_query_precedence_doi_over_title():
@@ -259,6 +270,79 @@ def test_404_returns_no_items():
     assert quiet_resolver(AlwaysStatus(404))._server_lookup("search", "x") == []
 
 
+class ScriptedTransport:
+    """Answers each endpoint from its own queue; the last answer repeats."""
+
+    def __init__(self, script: dict[str, list[TransportResponse]]):
+        self.script = {endpoint: list(answers) for endpoint, answers in script.items()}
+        self.calls: list[str] = []
+
+    def request(self, method, url, *, params=None, body=None, headers=None):
+        endpoint = url.rsplit("/", 1)[-1]
+        self.calls.append(endpoint)
+        answers = self.script[endpoint]
+        return answers.pop(0) if len(answers) > 1 else answers[0]
+
+
+def throttle_resolver(script) -> tuple[Resolver, ScriptedTransport, list[float]]:
+    transport = ScriptedTransport(script)
+    sleeps: list[float] = []
+    config = ResolverConfig(
+        base_url="http://server.test", crossref_url="http://crossref.test", retry_delay=0.25
+    )
+    limiter = RateLimiter(rate_per_sec=2.0, clock=lambda: 0.0, sleep=lambda s: None)
+    return Resolver(config, transport, limiter, sleep=sleeps.append), transport, sleeps
+
+
+THROTTLED = TransportResponse(429, "")
+NO_ITEMS = TransportResponse(200, "[]")
+ONE_ITEM = TransportResponse(200, json.dumps([{"title": "A Paper"}]))
+
+
+@pytest.mark.parametrize(
+    "throttled,script",
+    [
+        ("search", {"search": [THROTTLED]}),
+        ("works", {"search": [NO_ITEMS], "works": [THROTTLED]}),
+        ("export", {"search": [ONE_ITEM], "export": [THROTTLED]}),
+    ],
+)
+def test_429_is_upstream_unavailable_not_an_answer(throttled, script):
+    resolver, transport, sleeps = throttle_resolver(script)
+    with pytest.raises(UpstreamUnavailable, match="429"):
+        resolver.resolve("10.9999/throttled")
+    assert transport.calls.count(throttled) == 2
+    assert transport.calls[-1] == throttled  # nothing asked after giving up
+    assert sleeps == [0.25]  # no Retry-After: the configured retry delay
+
+
+@pytest.mark.parametrize(
+    "headers,expected_sleep",
+    [
+        ({"Retry-After": "7"}, 7.0),
+        ({"retry-after": "2.5"}, 2.5),
+        ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, 0.25),
+        ({"Retry-After": "-3"}, 0.25),
+        ({}, 0.25),
+    ],
+)
+def test_429_retries_once_after_retry_after(headers, expected_sleep):
+    throttled = TransportResponse(429, "", headers)
+    resolver, transport, sleeps = throttle_resolver({"search": [throttled, ONE_ITEM]})
+    assert resolver._server_lookup("search", "x") == [{"title": "A Paper"}]
+    assert transport.calls == ["search", "search"]
+    assert sleeps == [expected_sleep]
+
+
+def test_429_with_retry_after_beyond_limit_gives_up_at_once():
+    throttled = TransportResponse(429, "", {"Retry-After": "3600"})
+    resolver, transport, sleeps = throttle_resolver({"search": [throttled, ONE_ITEM]})
+    with pytest.raises(UpstreamUnavailable, match="3600"):
+        resolver._server_lookup("search", "x")
+    assert transport.calls == ["search"]
+    assert sleeps == []
+
+
 # -- rate limiter ------------------------------------------------------------
 
 
@@ -357,5 +441,36 @@ def test_crossref_blank_author_names_get_fallback_key():
     hit = {"title": ["A Title"], "author": [{"family": " ", "given": " "}], "DOI": "10.9999/blank.2"}
     result = single_hit_fallback("10.9999/blank.2", hit).resolve("10.9999/blank.2")
     assert result.status == "found"
-    assert result.bibtex.citation_key == "ref"
+    # blank names are dropped, so the entry is that of a hit without authors
+    no_author = {k: v for k, v in hit.items() if k != "author"}
+    assert result.bibtex == single_hit_fallback("10.9999/blank.2", no_author).resolve(
+        "10.9999/blank.2"
+    ).bibtex
+    assert result.bibtex.get("author") is None
     assert result.bibtex.get("title") == "A Title"
+
+
+def test_crossref_blank_author_names_never_replace_baseline_author():
+    hit = {
+        "title": ["Record Linkage at Scale"],
+        "author": [{"family": " ", "given": " "}, {"given": "Ann"}],
+        "DOI": "10.9999/blank.3",
+    }
+    resolver = single_hit_fallback("10.9999/blank.3", hit)
+    baseline = parse_entry("@article{k, author={Smith, Jane}, title={Record Linkage at Scale}}")
+    meta = PaperMeta("p", doi="10.9999/blank.3", title="Record Linkage at Scale")
+    outcome = reconcile(meta, baseline, resolver.resolve)
+    assert outcome.action == "merged"
+    assert outcome.result.get("author") == "Smith, Jane"
+    assert FieldSlot.AUTHOR not in outcome.replaced_slots
+    assert outcome.result.get("doi") == "10.9999/blank.3"
+
+
+def test_crossref_author_names_are_stripped():
+    hit = {
+        "title": ["Record Linkage at Scale"],
+        "author": [{"family": " Doe ", "given": " John"}, {"family": "Roe ", "given": "  "}],
+        "DOI": "10.9999/blank.4",
+    }
+    result = single_hit_fallback("10.9999/blank.4", hit).resolve("10.9999/blank.4")
+    assert result.bibtex.get("author") == "Doe, John and Roe"

@@ -189,13 +189,7 @@ def cmd_bench(args) -> int:
     resolver = None
     if args.mode == "reconcile_then_verify":
         resolver = _build_resolver(args).resolve
-    try:
-        bundle = run_benchmark(
-            corpus, mode=args.mode, resolver=resolver, table=_load_table(args), workers=args.workers
-        )
-    except UpstreamUnavailable as exc:
-        print(f"error: upstream unavailable: {exc}", file=sys.stderr)
-        return EXIT_UPSTREAM
+    bundle = run_benchmark(corpus, mode=args.mode, resolver=resolver, table=_load_table(args))
     _emit_bundle(bundle, args.out)
     return EXIT_OK
 
@@ -245,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["verify", "reconcile_then_verify"], default="verify")
     p.add_argument("--fixtures")
     p.add_argument("--server")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--venues")
     p.add_argument("--permissive", action="store_true")

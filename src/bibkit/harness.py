@@ -12,7 +12,6 @@ import json
 import os
 import tempfile
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -129,7 +128,6 @@ def _parse_record(doc: dict, line_no: int, seen_ids: set[str]) -> PaperRecord:
 
 def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]:
     records: list[PaperRecord] = []
-    errors: list[CorpusParseError] = []
     seen_ids: set[str] = set()
     lines = Path(path).read_text("utf-8").splitlines()
     if not lines:
@@ -146,16 +144,13 @@ def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            err = CorpusParseError(line_no, f"bad JSON: {exc}")
             if permissive:
-                errors.append(err)
                 continue
-            raise err from None
+            raise CorpusParseError(line_no, f"bad JSON: {exc}") from None
         try:
             record = _parse_record(doc, line_no, seen_ids)
-        except CorpusParseError as err:
+        except CorpusParseError:
             if permissive:
-                errors.append(err)
                 continue
             raise
         seen_ids.add(record.paper_id)
@@ -203,37 +198,20 @@ def _labels_rows(paper_id: str, tag: str, verdict: EntryVerdict) -> list[tuple[s
     return rows
 
 
-def _field_deltas(
-    before: list[tuple[str, str, EntryVerdict]], after: list[tuple[str, str, EntryVerdict]]
-) -> dict:
-    """Per-field correction/regression accounting between two labelings."""
-    after_map = {(pid, tag): v for pid, tag, v in after}
+def _field_deltas(before: list[TaggedVerdict], after: list[TaggedVerdict]) -> dict:
+    """Per-field correction/regression accounting between two aligned labelings."""
+    C, X = FieldLabel.C, FieldLabel.X
     deltas: dict[str, dict] = {}
     for slot in EVALUABLE_SLOTS:
-        corrections = regressions = before_c = after_c = evaluable = 0
-        for pid, tag, verdict_before in before:
-            verdict_after = after_map.get((pid, tag))
-            if verdict_after is None:
-                continue
-            lb = verdict_before.labels[slot]
-            la = verdict_after.labels[slot]
-            if lb is FieldLabel.X or la is FieldLabel.X:
-                continue
-            evaluable += 1
-            if lb is FieldLabel.C:
-                before_c += 1
-            if la is FieldLabel.C:
-                after_c += 1
-            if lb is not FieldLabel.C and la is FieldLabel.C:
-                corrections += 1
-            if lb is FieldLabel.C and la is not FieldLabel.C:
-                regressions += 1
+        pairs = [(b.verdict.labels[slot], a.verdict.labels[slot]) for b, a in zip(before, after)]
+        # (correct before, correct after) of each entry evaluable in both
+        correct = [(lb is C, la is C) for lb, la in pairs if X not in (lb, la)]
         deltas[slot.value] = {
-            "evaluable": evaluable,
-            "before_c": before_c,
-            "after_c": after_c,
-            "corrections": corrections,
-            "regressions": regressions,
+            "evaluable": len(correct),
+            "before_c": sum(cb for cb, _ in correct),
+            "after_c": sum(ca for _, ca in correct),
+            "corrections": sum(ca and not cb for cb, ca in correct),
+            "regressions": sum(cb and not ca for cb, ca in correct),
         }
     return deltas
 
@@ -243,15 +221,15 @@ def run_benchmark(
     mode: str = "verify",
     resolver: Callable[[str], ResolutionResult] | None = None,
     table: VenueSynonymTable | None = None,
-    workers: int = 1,
 ) -> dict:
     """Label every candidate entry; optionally reconcile first.
 
-    Returns the full report bundle as a dict; a failing record is recorded
-    under "incomplete" and never aborts the run. The run asks ``resolver``
-    once per distinct query and reuses its result for every candidate that
-    sends the same query; an exception is not kept, so the next candidate
-    with that query asks again.
+    Records run one by one in ``paper_id`` order. Returns the report bundle
+    as a dict; a failing record adds no rows, is listed under "incomplete"
+    and never aborts the run. The run asks ``resolver`` once per distinct
+    query and reuses its result for every candidate that sends the same
+    query; an exception is not kept, so the next candidate with that query
+    asks again.
     """
     if mode not in ("verify", "reconcile_then_verify"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -265,62 +243,39 @@ def run_benchmark(
     if table is None:
         table = VenueSynonymTable.default()
 
-    ordered = sorted(corpus, key=lambda r: r.paper_id)
-
     def process(record: PaperRecord):
         out = []
         for tag, model, entry in record.candidates:
             before = verify_entry(entry, record.ground_truth, table)
-            outcome: ReconcileOutcome | None = None
-            after = None
+            outcome = after = None
             if mode == "reconcile_then_verify":
                 outcome = reconcile(default_meta(record), entry, resolver)
                 after = verify_entry(outcome.result, record.ground_truth, table)
             out.append((tag, model, before, after, outcome))
         return out
 
-    results: dict[str, object] = {}
-    incomplete: list[dict] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {r.paper_id: pool.submit(process, r) for r in ordered}
-        for paper_id, fut in futures.items():
-            try:
-                results[paper_id] = fut.result()
-            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                incomplete.append({"paper_id": paper_id, "error": str(exc)})
-    else:
-        for record in ordered:
-            try:
-                results[record.paper_id] = process(record)
-            except Exception as exc:  # noqa: BLE001
-                incomplete.append({"paper_id": record.paper_id, "error": str(exc)})
-
     tagged: list[TaggedVerdict] = []
     tagged_before: list[TaggedVerdict] = []
     labels_rows: list[tuple[str, ...]] = []
     labels_before_rows: list[tuple[str, ...]] = []
     actions: list[tuple[str, ...]] = []
-    before_list: list[tuple[str, str, EntryVerdict]] = []
-    after_list: list[tuple[str, str, EntryVerdict]] = []
+    incomplete: list[dict] = []
 
-    for record in ordered:
-        if record.paper_id not in results:
+    for record in sorted(corpus, key=lambda r: r.paper_id):
+        try:
+            results = process(record)
+        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+            incomplete.append({"paper_id": record.paper_id, "error": str(exc)})
             continue
-        for tag, model, before, after, outcome in results[record.paper_id]:
+        pid, tier, domain = record.paper_id, record.tier, record.domain
+        for tag, model, before, after, outcome in results:
             final = after if after is not None else before
-            tagged.append(
-                TaggedVerdict(record.paper_id, tag, final, model, record.tier, record.domain)
-            )
-            labels_rows.extend(_labels_rows(record.paper_id, tag, final))
+            tagged.append(TaggedVerdict(pid, tag, final, model, tier, domain))
+            labels_rows.extend(_labels_rows(pid, tag, final))
             if after is not None:
-                tagged_before.append(
-                    TaggedVerdict(record.paper_id, tag, before, model, record.tier, record.domain)
-                )
-                labels_before_rows.extend(_labels_rows(record.paper_id, tag, before))
-                before_list.append((record.paper_id, tag, before))
-                after_list.append((record.paper_id, tag, after))
-                actions.append(action_row(record.paper_id, tag, outcome))
+                tagged_before.append(TaggedVerdict(pid, tag, before, model, tier, domain))
+                labels_before_rows.extend(_labels_rows(pid, tag, before))
+                actions.append(action_row(pid, tag, outcome))
 
     verdicts = [tv.verdict for tv in tagged]
     bundle: dict = {
@@ -329,13 +284,13 @@ def run_benchmark(
         "aggregate": aggregate_stats(tagged),
         "error_modes": dict(sorted(Counter(v.error_mode for v in verdicts).items())),
         "co_error": _matrix_json(co_error_matrix(verdicts)) if verdicts else {},
-        "incomplete": sorted(incomplete, key=lambda d: d["paper_id"]),
+        "incomplete": incomplete,
         "labels": labels_rows,
     }
     if mode == "reconcile_then_verify":
         bundle["aggregate_before"] = aggregate_stats(tagged_before)
         bundle["labels_before"] = labels_before_rows
-        bundle["deltas"] = _field_deltas(before_list, after_list)
+        bundle["deltas"] = _field_deltas(tagged_before, tagged)
         bundle["actions"] = actions
     return bundle
 

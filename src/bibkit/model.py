@@ -99,9 +99,6 @@ class BibEntry:
     def get(self, name: str) -> str | None:
         return self.fields.get(name.lower())
 
-    def with_fields(self, fields: dict[str, str]) -> "BibEntry":
-        return BibEntry(self.entry_type, self.citation_key, dict(fields))
-
 
 _KEY_RE = re.compile(r"[^A-Za-z0-9]+")
 

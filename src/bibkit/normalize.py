@@ -158,7 +158,6 @@ class VenueSynonymTable:
 
     def __init__(self, mapping: dict[str, set[str]] | None = None):
         self._canonical_of: dict[str, str] = {}
-        self.variant_count = 0
         for canonical, variants in (mapping or {}).items():
             self.add(canonical, variants)
 
@@ -173,9 +172,7 @@ class VenueSynonymTable:
             existing = self._canonical_of.get(key)
             if existing is not None and existing != canon_form:
                 raise ValueError(f"variant {variant!r} already maps to {existing!r}")
-            if key not in self._canonical_of:
-                self._canonical_of[key] = canon_form
-                self.variant_count += 1
+            self._canonical_of[key] = canon_form
 
     def lookup(self, value: str) -> str | None:
         return self._canonical_of.get(self._fold(value))

@@ -366,11 +366,7 @@ class Resolver:
             body=payload,
             headers={"Content-Type": "text/plain"},
         )
-        if resp.status in (404, 501):
-            return []
         if resp.status not in (200, 300):
-            return []
-        if not resp.body.strip():
             return []
         try:
             items = json.loads(resp.body)
@@ -378,7 +374,7 @@ class Resolver:
             return []
         if isinstance(items, dict):
             items = [items]
-        return [item for item in items if isinstance(item, dict)]
+        return [item for item in _list(items) if isinstance(item, dict)]
 
     def _export_bibtex(self, items: list[dict]) -> BibEntry:
         resp = self._request(
@@ -411,35 +407,25 @@ class Resolver:
         if resp.status != 200:
             return []
         try:
-            message = json.loads(resp.body).get("message", {})
+            hits = _get(_get(json.loads(resp.body), "message"), "items")
         except json.JSONDecodeError:
             return []
         candidates = []
-        for hit in message.get("items", [])[:CROSSREF_MAX_CANDIDATES]:
-            titles = hit.get("title") or []
-            if not titles:
+        for hit in _list(hits)[:CROSSREF_MAX_CANDIDATES]:
+            title = _first_str(_get(hit, "title"))
+            if title is None:  # also a hit that is not an object
                 continue
-            year = None
-            issued = (hit.get("issued") or {}).get("date-parts") or []
-            if issued and issued[0]:
-                year = str(issued[0][0])
-            containers = hit.get("container-title") or []
-            parts = []
-            for a in hit.get("author") or []:
-                family = str(a.get("family") or "").strip()
-                given = str(a.get("given") or "").strip()
-                if family and given:
-                    parts.append(f"{family}, {given}")
-                elif family:
-                    parts.append(family)
-            authors = " and ".join(parts) if parts else None
+            authors = _list(hit.get("author"))
+            names = [(_str(_get(a, "family")), _str(_get(a, "given"))) for a in authors]
+            parts = [f"{family}, {given}" if given else family for family, given in names if family]
+            doi = hit.get("DOI")
             candidates.append(
                 Candidate(
-                    title=titles[0],
-                    year=year,
-                    doi=hit.get("DOI"),
-                    venue=containers[0] if containers else None,
-                    authors=authors,
+                    title=title,
+                    year=_issued_year(hit.get("issued")),
+                    doi=doi if isinstance(doi, str) else None,
+                    venue=_first_str(hit.get("container-title")),
+                    authors=" and ".join(parts) if parts else None,
                 )
             )
         return candidates
@@ -466,6 +452,35 @@ class Resolver:
 
     def resolve(self, raw: str) -> ResolutionResult:
         return self.resolve_query(classify_query(raw))
+
+
+# Upstream JSON is outside input: a value of the wrong type reads as absent
+# (None, [] or "").
+
+
+def _get(value, key):
+    return value.get(key) if isinstance(value, dict) else None
+
+
+def _list(value) -> list:
+    return value if isinstance(value, list) else []
+
+
+def _str(value) -> str:
+    return value.strip() if isinstance(value, str) else ""
+
+
+def _first_str(value) -> str | None:
+    """The first element of a JSON array when it is a string, else None."""
+    first = _list(value)[:1]
+    return first[0] if first and isinstance(first[0], str) else None
+
+
+def _issued_year(issued) -> str | None:
+    """The year of a CrossRef ``issued`` value ``{"date-parts": [[2020, 5]]}``, else None."""
+    dates = _list(_get(issued, "date-parts"))
+    date = _list(dates[0]) if dates else []
+    return str(date[0]) if date and type(date[0]) is int else None  # not a bool or null
 
 
 def _retry_after(headers: dict[str, str], default: float) -> float:

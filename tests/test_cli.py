@@ -112,6 +112,24 @@ def test_lookup_throttled_exits_3(tmp_path, capsys):
     assert "not_found" not in out
 
 
+def test_lookup_malformed_crossref_body_exits_0(tmp_path, capsys):
+    crossref = {
+        "method": "GET",
+        "url": "https://api.crossref.org/works",
+        "params": {"query": "10.1111/iju.13054", "rows": "10"},
+    }
+    hits = ["a string hit", {"title": "Some Title", "author": "Doe", "issued": "2020"}]
+    fixture = write_exchanges(
+        tmp_path / "malformed.json",
+        (search_request("10.1111/iju.13054"), {"status": 200, "body": "null"}),
+        (crossref, {"status": 200, "body": json.dumps({"message": {"items": hits}})}),
+    )
+    code, out, err = run(["lookup", "10.1111/iju.13054", "--fixtures", fixture] + SERVER, capsys)
+    assert code == 0
+    assert out.strip() == "not_found"
+    assert err == ""
+
+
 def test_lookup_malformed_url_exits_1(capsys):
     code, _, err = run(
         ["lookup", "https://", "--fixtures", str(FIXTURES / "replay_doi_found.json")] + SERVER,
@@ -391,6 +409,13 @@ def test_bench_invalid_mode_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--corpus", CORPUS, "--mode", "sideways"])
     assert exc.value.code == 1
+
+
+def test_bench_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--corpus", CORPUS, "--workers", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 # -- report ------------------------------------------------------------------------

@@ -238,13 +238,6 @@ def test_golden_corpus_aggregate_matches_hand_tally():
     assert bundle["incomplete"] == []
 
 
-def test_workers_do_not_change_the_bundle():
-    corpus = load_corpus(CORPUS_PATH)
-    serial = run_benchmark(corpus, mode="verify", workers=1)
-    threaded = run_benchmark(corpus, mode="verify", workers=4)
-    assert serial == threaded
-
-
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         run_benchmark([], mode="nonsense")
@@ -330,8 +323,7 @@ def test_failing_record_is_recorded_not_fatal():
     assert bundle["aggregate"]["entries"] == 20 - len(corpus[0].candidates)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_each_distinct_query_is_resolved_once(workers):
+def test_each_distinct_query_is_resolved_once():
     corpus = load_corpus(CORPUS_PATH)
     resolver = perfect_resolver(corpus)
     calls = []
@@ -340,9 +332,31 @@ def test_each_distinct_query_is_resolved_once(workers):
         calls.append(query)
         return resolver(query)
 
-    bundle = run_benchmark(corpus, mode="reconcile_then_verify", resolver=counting, workers=workers)
+    bundle = run_benchmark(corpus, mode="reconcile_then_verify", resolver=counting)
     assert len(bundle["actions"]) == 20
     assert sorted(calls) == sorted(r.meta.title for r in corpus)  # 8 distinct queries
+
+
+def test_failing_records_are_listed_in_paper_id_order_and_add_no_rows(tmp_path):
+    lines = [HEADER] + [
+        record_line(paper_id=p, meta={"doi": f"10.1000/{p}"}) for p in ("p1", "p2", "p3")
+    ]
+    corpus = load_corpus(write_corpus(tmp_path, lines))
+
+    def resolver(query):
+        if query != "10.1000/p2":
+            raise UpstreamUnavailable(f"no answer for {query}")
+        entry = parse_entry("@article{a, title={T}, year={2020}, doi={10.1000/p2}}")
+        return ResolutionResult(status="found", bibtex=entry)
+
+    bundle = run_benchmark(corpus[::-1], mode="reconcile_then_verify", resolver=resolver)
+    assert bundle["incomplete"] == [
+        {"paper_id": "p1", "error": "no answer for 10.1000/p1"},
+        {"paper_id": "p3", "error": "no answer for 10.1000/p3"},
+    ]
+    for key in ("labels", "labels_before", "actions"):
+        assert {row[0] for row in bundle[key]} == {"p2"}, key
+    assert bundle["aggregate"]["entries"] == bundle["aggregate_before"]["entries"] == 1
 
 
 def test_failed_lookup_is_not_reused(tmp_path):

@@ -412,6 +412,11 @@ def test_crossref_candidate_shape():
 
 def single_hit_fallback(doi: str, hit: dict) -> Resolver:
     """Resolver whose server finds nothing for ``doi`` and CrossRef returns one hit."""
+    return crossref_body_fallback(doi, {"message": {"items": [hit]}})
+
+
+def crossref_body_fallback(doi: str, body) -> Resolver:
+    """Resolver whose server finds nothing for ``doi`` and CrossRef answers ``body``."""
     exchanges = [
         {
             "request": {"method": "POST", "url": "http://server.test/search", "body": doi},
@@ -423,7 +428,7 @@ def single_hit_fallback(doi: str, hit: dict) -> Resolver:
                 "url": "http://crossref.test/works",
                 "params": {"query": doi, "rows": "10"},
             },
-            "response": {"status": 200, "body": json.dumps({"message": {"items": [hit]}})},
+            "response": {"status": 200, "body": json.dumps(body)},
         },
     ]
     return make_resolver({"format_version": 1, "exchanges": exchanges})
@@ -474,3 +479,83 @@ def test_crossref_author_names_are_stripped():
     }
     result = single_hit_fallback("10.9999/blank.4", hit).resolve("10.9999/blank.4")
     assert result.bibtex.get("author") == "Doe, John and Roe"
+
+
+# -- upstream JSON of the wrong shape -------------------------------------------
+
+
+@pytest.mark.parametrize("body", ["null", "5", '"a string"', "true"])
+def test_search_body_of_wrong_shape_has_no_items(body):
+    resolver, transport, _ = throttle_resolver(
+        {"search": [TransportResponse(200, body)], "works": [TransportResponse(200, "{}")]}
+    )
+    result = resolver.resolve("10.9999/shape.0")
+    assert result.status == "not_found"
+    assert transport.calls == ["search", "works"]
+
+
+SHAPE_TITLE = "Record Linkage at Scale"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        [1, 2],
+        {"message": []},
+        {"message": {"items": {"title": [SHAPE_TITLE]}}},
+        {"message": {"items": [SHAPE_TITLE]}},
+        {"message": {"items": [{"title": [5]}]}},
+        {"message": {"items": [{"title": SHAPE_TITLE}]}},
+    ],
+    ids=["top-level-list", "message-list", "items-object", "string-hit", "title-number", "title-string"],
+)
+def test_crossref_body_of_wrong_shape_has_no_candidates(body):
+    for query in ("10.9999/shape.1", SHAPE_TITLE):
+        result = crossref_body_fallback(query, body).resolve(query)
+        assert result.status == "not_found", query
+        assert result.candidates == []
+
+
+GOOD_HIT = {
+    "title": [SHAPE_TITLE],
+    "author": [{"family": "Doe", "given": "Jane"}],
+    "issued": {"date-parts": [[2020, 5]]},
+    "container-title": ["Journal of Examples"],
+    "DOI": "10.9999/shape.2",
+}
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("author", "Doe"),
+        ("author", ["Doe", 5, None]),
+        ("author", [{"family": 5, "given": ["Jane"]}]),
+        ("issued", "2020"),
+        ("issued", {"date-parts": [2020]}),
+        ("issued", {"date-parts": [[None, 5]]}),
+        ("issued", {"date-parts": [["2020"]]}),
+        ("container-title", "Journal of Examples"),
+        ("container-title", [7]),
+        ("DOI", 10.5),
+    ],
+    ids=[
+        "author-string",
+        "author-non-objects",
+        "name-parts-non-strings",
+        "issued-string",
+        "date-parts-flat",
+        "year-null",
+        "year-string",
+        "container-title-string",
+        "container-title-number",
+        "doi-number",
+    ],
+)
+def test_crossref_field_of_wrong_type_is_absent(name, value):
+    def entry(hit):
+        return single_hit_fallback("10.9999/shape.2", hit).resolve("10.9999/shape.2").bibtex
+
+    without = {k: v for k, v in GOOD_HIT.items() if k != name}
+    assert entry(dict(GOOD_HIT, **{name: value})) == entry(without)
+    assert entry(GOOD_HIT) != entry(without)

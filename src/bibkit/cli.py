@@ -117,16 +117,6 @@ def _emit_bundle(bundle: dict, out: str | None) -> None:
         sys.stdout.write(report_text(bundle))
 
 
-def cmd_verify(args) -> int:
-    try:
-        corpus = load_corpus(args.corpus, permissive=args.permissive)
-    except CorpusParseError as exc:
-        print(f"corpus error: {exc}", file=sys.stderr)
-        return EXIT_CORPUS
-    _emit_bundle(run_benchmark(corpus, mode="verify", table=_load_table(args)), args.out)
-    return EXIT_OK
-
-
 def _read_meta_file(path: str) -> list[PaperMeta]:
     lines = Path(path).read_text("utf-8").splitlines()
     if not lines or lines[0] != TSV_HEADER:
@@ -223,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report bundle directory")
     p.add_argument("--venues", help="venue synonym table file")
     p.add_argument("--permissive", action="store_true", help="skip malformed records")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_bench, mode="verify")
 
     p = sub.add_parser("reconcile", help="merge baseline entries with authoritative records")
     p.add_argument("--bib", required=True, help=".bib file of baseline entries")

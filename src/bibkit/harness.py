@@ -68,58 +68,85 @@ def classify_location(url: str, source_type: str) -> str:
 # corpus I/O
 
 
-def _parse_record(doc: dict, line_no: int, seen_ids: set[str]) -> PaperRecord:
+def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
     def fail(reason: str):
         raise CorpusParseError(line_no, reason)
 
-    paper_id = doc.get("paper_id")
+    def typed(obj: dict, key: str, kind, default):
+        value = obj.get(key, default)
+        if not isinstance(value, kind):
+            fail(f"{key}: unexpected {type(value).__name__} value")
+        return value
+
+    def objects(obj: dict, key: str) -> list[dict]:
+        items = typed(obj, key, list, [])
+        if not all(isinstance(item, dict) for item in items):
+            fail(f"{key}: every item must be an object")
+        return items
+
+    def strings(obj: dict, what: str) -> dict[str, str]:
+        if not all(isinstance(v, str) for v in obj.values()):
+            fail(f"{what}: every value must be a string")
+        return dict(obj)
+
+    if not isinstance(doc, dict):
+        fail("record is not a JSON object")
+    paper_id = typed(doc, "paper_id", (str, type(None)), None)
     if not paper_id:
         fail("missing paper_id")
     if paper_id in seen_ids:
         fail(f"duplicate paper_id {paper_id!r}")
-    if not doc.get("description", "").strip():
+    if not typed(doc, "description", str, "").strip():
         fail("missing description")
-    tier = doc.get("tier", "")
+    tier = typed(doc, "tier", str, "")
     if tier not in TIERS:
         fail(f"unknown tier {tier!r}")
 
-    gt_doc = doc.get("ground_truth") or {}
+    gt_doc = typed(doc, "ground_truth", (dict, type(None)), None) or {}
     versions = tuple(
-        GroundTruthVersion(version_type=v.get("version_type", ""), fields=dict(v.get("fields", {})))
-        for v in gt_doc.get("versions", [])
+        GroundTruthVersion(
+            version_type=typed(v, "version_type", str, ""),
+            fields=strings(typed(v, "fields", dict, {}), "version fields"),
+        )
+        for v in objects(gt_doc, "versions")
     )
     if not versions:
         fail("ground truth needs at least one version")
-    canonical = {
-        slot: (entry["value"], entry.get("source", ""))
-        for slot, entry in (gt_doc.get("canonical") or {}).items()
-    }
+    canonical = {}
+    for slot, entry in (typed(gt_doc, "canonical", (dict, type(None)), None) or {}).items():
+        if not isinstance(entry, dict):
+            fail(f"canonical {slot!r}: not an object")
+        canonical[slot] = (typed(entry, "value", str, None), typed(entry, "source", str, ""))
     gt = GroundTruth(
         paper_id=paper_id,
         versions=versions,
         canonical=canonical,
-        known_aliases=tuple(dict(a) for a in gt_doc.get("known_aliases", [])),
+        known_aliases=tuple(strings(a, "known alias") for a in objects(gt_doc, "known_aliases")),
     )
 
     candidates = []
-    for c in doc.get("candidates", []):
+    for c in objects(doc, "candidates"):
+        tag = typed(c, "tag", str, "candidate")
         try:
-            entry = parse_entry(c["bibtex"])
-        except (KeyError, BibParseError) as exc:
-            fail(f"candidate {c.get('tag', '?')!r}: {exc}")
-        candidates.append((c.get("tag", "candidate"), c.get("model", ""), entry))
+            entry = parse_entry(typed(c, "bibtex", str, ""))
+        except BibParseError as exc:
+            fail(f"candidate {tag!r}: {exc}")
+        candidates.append((tag, typed(c, "model", str, ""), entry))
 
     meta = None
     if "meta" in doc:
-        m = doc["meta"]
-        meta = PaperMeta(paper_id, url=m.get("url"), doi=m.get("doi"), title=m.get("title"))
+        m = typed(doc, "meta", dict, {})
+        url, doi, title = (typed(m, k, (str, type(None)), None) for k in ("url", "doi", "title"))
+        meta = PaperMeta(paper_id, url=url, doi=doi, title=title)
 
     return PaperRecord(
         paper_id=paper_id,
-        domain=doc.get("domain", ""),
+        domain=typed(doc, "domain", str, ""),
         tier=tier,
         description=doc["description"],
-        locations=tuple((l.get("url", ""), l.get("source_type", "")) for l in doc.get("locations", [])),
+        locations=tuple(
+            (typed(l, "url", str, ""), typed(l, "source_type", str, "")) for l in objects(doc, "locations")
+        ),
         ground_truth=gt,
         candidates=tuple(candidates),
         meta=meta,
@@ -136,7 +163,7 @@ def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CorpusParseError(1, f"bad header: {exc}") from exc
-    if header.get("format_version") != 1:
+    if not isinstance(header, dict) or header.get("format_version") != 1:
         raise CorpusParseError(1, "unsupported corpus format version")
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -168,8 +195,8 @@ def default_meta(record: PaperRecord) -> PaperMeta:
             url = loc_url
             break
     gt = record.ground_truth
-    doi = gt.canonical.get("doi", (None,))[0] if "doi" in gt.canonical else None
-    title = gt.canonical.get("title", (None,))[0] if "title" in gt.canonical else None
+    doi = gt.canonical.get("doi", (None,))[0]
+    title = gt.canonical.get("title", (None,))[0]
     if doi is None:
         dois = gt.values_for(FieldSlot.DOI)
         doi = dois[0] if dois else None

@@ -195,12 +195,11 @@ class VenueSynonymTable:
 
 def normalize_venue(value: str, table: VenueSynonymTable | None = None) -> str:
     """Canonical venue name via the synonym table, else the folded input."""
-    folded = re.sub(r"\s+", " ", value).strip().lower()
     if table is not None:
         hit = table.lookup(value)
         if hit is not None:
             return hit
-    return folded
+    return VenueSynonymTable._fold(value)
 
 
 _DOI_PREFIX_RE = re.compile(r"^(?:https?://(?:dx\.)?doi\.org/|doi:\s*)", re.IGNORECASE)

@@ -18,7 +18,7 @@ from .resolve import ResolutionResult, classify_query
 RECONCILE_GATE_THRESHOLD = 0.3
 
 #: Plain field names replaced wholesale when the authoritative record has them.
-_STANDARD_FIELD_NAMES = ("author", "title", "year", "volume", "number", "pages", "doi")
+_STANDARD_FIELD_NAMES = frozenset(s.value for s in VALUE_SLOTS if s is not FieldSlot.VENUE)
 
 
 @dataclass(frozen=True)
@@ -55,57 +55,31 @@ def merge_fields(
 ) -> tuple[BibEntry, frozenset[FieldSlot]]:
     """Database-wins merge over the standard slots.
 
-    The citation key stays with the baseline (downstream documents already
-    reference it); non-standard baseline fields pass through unchanged.
+    Every value slot the authoritative record carries is replaced, and so is
+    the entry type when it has one. Its venue keeps its field name (journal
+    over booktitle) in place of the baseline's first journal/booktitle field
+    and drops the others; slots the baseline lacked are appended in slot
+    order. The citation key stays with the baseline (downstream documents
+    already reference it); non-standard baseline fields pass through.
     """
-    replaced: set[FieldSlot] = set()
-    auth_venue = slot_of(authoritative, FieldSlot.VENUE)
-    auth_venue_field = None
-    if auth_venue is not None:
-        auth_venue_field = "journal" if authoritative.get("journal") is not None else "booktitle"
-
+    auth = {s: v for s in VALUE_SLOTS if (v := slot_of(authoritative, s)) is not None}
+    venue_field = "journal" if authoritative.get("journal") is not None else "booktitle"
     merged: dict[str, str] = {}
-    venue_placed = False
     for name, value in baseline.fields.items():
-        if name in ("journal", "booktitle"):
-            if auth_venue_field is None:
-                merged[name] = value
-            elif not venue_placed:
-                merged[auth_venue_field] = auth_venue
-                venue_placed = True
-                replaced.add(FieldSlot.VENUE)
-            continue
-        if name in _STANDARD_FIELD_NAMES:
-            auth_value = authoritative.get(name)
-            if auth_value is not None:
-                merged[name] = auth_value
-                replaced.add(FieldSlot(name))
-            else:
-                merged[name] = value
-            continue
-        merged[name] = value
+        if name in ("journal", "booktitle") and FieldSlot.VENUE in auth:
+            merged.setdefault(venue_field, auth[FieldSlot.VENUE])
+        elif name in _STANDARD_FIELD_NAMES:
+            merged[name] = auth.get(FieldSlot(name), value)
+        else:
+            merged[name] = value
+    for slot, value in auth.items():
+        merged.setdefault(venue_field if slot is FieldSlot.VENUE else slot.value, value)
 
-    # standard slots the baseline lacked entirely
-    for slot in VALUE_SLOTS:
-        if slot is FieldSlot.VENUE:
-            if auth_venue_field is not None and not venue_placed:
-                merged[auth_venue_field] = auth_venue
-                venue_placed = True
-                replaced.add(FieldSlot.VENUE)
-            continue
-        name = slot.value
-        if name not in merged:
-            auth_value = authoritative.get(name)
-            if auth_value is not None:
-                merged[name] = auth_value
-                replaced.add(slot)
-
-    entry_type = baseline.entry_type
+    replaced = set(auth)
     if authoritative.entry_type:
-        entry_type = authoritative.entry_type
         replaced.add(FieldSlot.ENTRY_TYPE)
-    result = BibEntry(entry_type, baseline.citation_key, merged)
-    return result, frozenset(replaced)
+    entry_type = authoritative.entry_type or baseline.entry_type
+    return BibEntry(entry_type, baseline.citation_key, merged), frozenset(replaced)
 
 
 def reconcile(

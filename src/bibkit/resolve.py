@@ -156,11 +156,7 @@ def normalize_url(url: str) -> str:
 
 
 def rank_candidates(query_text: str, candidates: list[str]) -> list[tuple[str, float]]:
-    """Jaccard-scored ranking with a substring tiebreaker.
-
-    A single candidate is passed through unmodified (score computed but
-    not used for selection).
-    """
+    """Jaccard-scored ranking with a substring tiebreaker."""
     if not candidates:
         raise NoCandidates("no candidates to rank")
     query_tokens = tokenize_filtered(query_text)
@@ -171,9 +167,6 @@ def rank_candidates(query_text: str, candidates: list[str]) -> list[tuple[str, f
         t_lower = title.lower()
         substring = q_lower in t_lower or t_lower in q_lower
         scored.append((title, score, substring, index))
-    if len(scored) == 1:
-        title, score, _, _ = scored[0]
-        return [(title, score)]
     scored.sort(key=lambda item: (-item[1], not item[2], item[3]))
     return [(title, score) for title, score, _, _ in scored]
 

@@ -56,8 +56,10 @@ SUBSTITUTABLE_SLOTS = frozenset(
     {FieldSlot.AUTHOR, FieldSlot.TITLE, FieldSlot.VENUE, FieldSlot.DOI}
 )
 
-#: Context slots consulted as wrong-paper evidence.
+#: Context slots consulted as wrong-paper evidence, and the Stage-1 results
+#: that are not such evidence.
 IDENTITY_SLOTS = (FieldSlot.AUTHOR, FieldSlot.TITLE, FieldSlot.VENUE, FieldSlot.YEAR)
+_NOT_SUSPECT = (None, FieldLabel.C, FieldLabel.X)
 
 #: Entry types considered semantically related for partial-match purposes.
 RELATED_ENTRY_TYPES = frozenset({"article", "inproceedings", "misc", "incollection"})
@@ -176,13 +178,15 @@ def _page_range(value: str) -> tuple[int, int] | None:
 _ARXIV_DOI_RE = re.compile(r"^10\.48550/arxiv\.(.+)$")
 
 
-def _doi_partial(value: str, gt: GroundTruth) -> bool:
+def _doi_partial(value: str, gt_values: list[str], gt: GroundTruth) -> bool:
     norm = normalize_doi(value)
-    gt_dois = [normalize_doi(v) for v in gt.values_for(FieldSlot.DOI)]
-    for gt_doi in gt_dois:
+    my_reg, _, my_suffix = norm.partition("/")
+    for gt_value in gt_values:
+        gt_doi = normalize_doi(gt_value)
+        # verify_entry never sends an equal DOI here (stage 1 labels it C);
+        # a direct call can, and a DOI without a suffix matches nothing else
         if norm == gt_doi:
             return True
-        my_reg, _, my_suffix = norm.partition("/")
         gt_reg, _, gt_suffix = gt_doi.partition("/")
         if my_reg == gt_reg and my_suffix and gt_suffix:
             if SequenceMatcher(None, my_suffix, gt_suffix).ratio() >= DOI_SUFFIX_SIMILARITY:
@@ -200,11 +204,6 @@ def _doi_partial(value: str, gt: GroundTruth) -> bool:
     return False
 
 
-def _suspect(label) -> bool:
-    """Context label that counts as wrong-paper evidence."""
-    return label is not None and label not in (FieldLabel.C, FieldLabel.X)
-
-
 def classify_stage2(
     entry_value: str,
     slot: FieldSlot,
@@ -212,37 +211,41 @@ def classify_stage2(
     context: dict[FieldSlot, object] | None = None,
     table: VenueSynonymTable | None = None,
 ) -> CriterionVerdict:
-    """Deterministic overlap heuristic for slots Stage 1 left pending."""
+    """Deterministic overlap heuristic for slots Stage 1 left pending.
+
+    ``context`` maps slots to their Stage-1 labels; ``slot``'s own is ignored.
+    """
     context = context or {}
     gt_values = gt.values_for(slot)
-    value_tokens = tokenize_filtered(entry_value)
+    suspects = sum(1 for s in IDENTITY_SLOTS if s is not slot and context.get(s) not in _NOT_SUSPECT)
+    tokens = tokenize_filtered(entry_value)
+    overlaps: dict[str, float] = {}
+
+    def overlap(gt_value: str) -> float:
+        # computed when first read: the rules stop early, so most ground-truth
+        # values never need their token set
+        if gt_value not in overlaps:
+            overlaps[gt_value] = jaccard(tokens, tokenize_filtered(gt_value))
+        return overlaps[gt_value]
 
     if not gt_values:
         partial = CANNOT_ASSESS
     else:
-        partial = MET if _partial_match(entry_value, value_tokens, slot, gt, gt_values, context, table) else UNMET
+        partial = MET if _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) else UNMET
 
     different = UNMET
-    if partial is not MET and slot in SUBSTITUTABLE_SLOTS:
-        if _matches_alias(entry_value, slot, gt, table):
-            different = MET
-        else:
-            suspects = sum(
-                1 for s in IDENTITY_SLOTS if s is not slot and _suspect(context.get(s))
-            )
-            zero_overlap = all(
-                jaccard(value_tokens, tokenize_filtered(v)) == 0.0 for v in gt_values
-            ) if gt_values else False
-            if suspects >= 2 and zero_overlap:
-                different = MET
+    if partial is not MET and slot in SUBSTITUTABLE_SLOTS and (
+        _matches_alias(entry_value, tokens, slot, gt, table)
+        or (suspects >= 2 and gt_values and all(overlap(v) == 0.0 for v in gt_values))
+    ):
+        different = MET
     return CriterionVerdict(partial_match=partial, different_paper=different)
 
 
-def _partial_match(entry_value, value_tokens, slot, gt, gt_values, context, table) -> bool:
+def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
     if slot in (FieldSlot.TITLE, FieldSlot.VENUE, FieldSlot.AUTHOR):
-        for gt_value in gt_values:
-            if jaccard(value_tokens, tokenize_filtered(gt_value)) >= TOKEN_OVERLAP_THRESHOLD:
-                return True
+        if any(overlap(v) >= TOKEN_OVERLAP_THRESHOLD for v in gt_values):
+            return True
         if slot is FieldSlot.AUTHOR:
             try:
                 mine = set(author_lastname_list(entry_value))
@@ -276,36 +279,30 @@ def _partial_match(entry_value, value_tokens, slot, gt, gt_values, context, tabl
                 return True
         return False
     if slot is FieldSlot.DOI:
-        return _doi_partial(entry_value, gt)
+        return _doi_partial(entry_value, gt_values, gt)
     if slot in (FieldSlot.VOLUME, FieldSlot.NUMBER):
+        # verify_entry never sends an equal value here (stage 1 labels it C)
         return any(entry_value.strip() == v.strip() for v in gt_values)
     if slot is FieldSlot.ENTRY_TYPE:
         mine = entry_value.strip().lower()
         related = mine in RELATED_ENTRY_TYPES and all(
             v.strip().lower() in RELATED_ENTRY_TYPES for v in gt_values
         )
-        if not related:
-            return False
-        suspects = sum(1 for s in IDENTITY_SLOTS if _suspect(context.get(s)))
-        return suspects < 2
+        return related and suspects < 2
     return False
 
 
-def _matches_alias(entry_value: str, slot: FieldSlot, gt: GroundTruth, table) -> bool:
+def _matches_alias(entry_value: str, tokens: frozenset[str], slot: FieldSlot, gt: GroundTruth, table) -> bool:
     """Value traces to a known confusable record for a different paper."""
-    for alias in gt.known_aliases:
-        alias_value = alias.get(slot.value)
-        if not alias_value:
-            continue
-        if slot is FieldSlot.DOI:
-            if normalize_doi(entry_value) == normalize_doi(alias_value):
-                return True
-            continue
-        mine = _normalized(slot, entry_value, table)
-        theirs = _normalized(slot, alias_value, table)
-        if mine is not None and mine == theirs:
+    alias_values = [v for alias in gt.known_aliases if (v := alias.get(slot.value))]
+    if not alias_values:
+        return False
+    mine = _normalized(slot, entry_value, table)
+    for alias_value in alias_values:
+        if mine is not None and mine == _normalized(slot, alias_value, table):
             return True
-        if jaccard(tokenize_filtered(entry_value), tokenize_filtered(alias_value)) >= TOKEN_OVERLAP_THRESHOLD:
+        # a DOI is an identifier: sharing tokens does not make it the alias's
+        if slot is not FieldSlot.DOI and jaccard(tokens, tokenize_filtered(alias_value)) >= TOKEN_OVERLAP_THRESHOLD:
             return True
     return False
 
@@ -344,9 +341,7 @@ def verify_entry(
     stage2_slots = set()
     for slot, result in stage1.items():
         if result is PENDING:
-            context = {s: r for s, r in stage1.items() if s is not slot}
-            value = slot_of(entry, slot) or ""
-            cv = classify_stage2(value, slot, gt, context, table)
+            cv = classify_stage2(slot_of(entry, slot) or "", slot, gt, stage1, table)
             labels[slot] = verdict_from_criteria(cv)
             stage2_slots.add(slot)
         else:

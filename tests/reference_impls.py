@@ -209,3 +209,56 @@ def brute_tally(label_rows: list[tuple[str, str, dict[str, str]]]) -> dict:
             for s, b in per_field.items()
         },
     }
+
+
+def reference_merge(
+    base_type: str, base_fields: dict[str, str], auth_type: str, auth_fields: dict[str, str]
+) -> tuple[str, dict[str, str], set[str]]:
+    """Database-wins merge over plain field dicts, in two explicit phases.
+
+    Returns (entry_type, fields, replaced slot names). The authoritative
+    venue is its journal, else its booktitle, and keeps that field name.
+    Phase 1 walks the baseline: its first venue field becomes the
+    authoritative venue and later ones are dropped; a standard field takes
+    the authoritative value when there is one; everything else is kept.
+    Phase 2 appends, in slot order, each standard slot the baseline lacked.
+    """
+    standard = ["author", "title", "year", "volume", "number", "pages", "doi"]
+    slot_order = ["author", "title", "year", "venue", "volume", "number", "pages", "doi"]
+    if "journal" in auth_fields:
+        venue_field, venue = "journal", auth_fields["journal"]
+    elif "booktitle" in auth_fields:
+        venue_field, venue = "booktitle", auth_fields["booktitle"]
+    else:
+        venue_field, venue = None, None
+
+    fields: dict[str, str] = {}
+    venue_done = False
+    for name, value in base_fields.items():
+        if name == "journal" or name == "booktitle":
+            if venue is None:
+                fields[name] = value
+            elif not venue_done:
+                fields[venue_field] = venue
+                venue_done = True
+        elif name in standard and name in auth_fields:
+            fields[name] = auth_fields[name]
+        else:
+            fields[name] = value
+
+    for name in slot_order:
+        if name == "venue":
+            if venue is not None and not venue_done:
+                fields[venue_field] = venue
+                venue_done = True
+        elif name not in fields and name in auth_fields:
+            fields[name] = auth_fields[name]
+
+    replaced = {name for name in standard if name in auth_fields}
+    if venue is not None:
+        replaced.add("venue")
+    entry_type = base_type
+    if auth_type:
+        entry_type = auth_type
+        replaced.add("entry_type")
+    return entry_type, fields, replaced

@@ -198,6 +198,29 @@ def test_verify_bad_corpus_exits_2(tmp_path, capsys):
     assert "corpus error" in err
 
 
+@pytest.mark.parametrize("permissive", [[], ["--permissive"]])
+def test_verify_corpus_header_of_wrong_type_exits_2(tmp_path, capsys, permissive):
+    lines = (FIXTURES / "golden_corpus.jsonl").read_text("utf-8").splitlines()
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_text("\n".join(["[1]"] + lines[1:]) + "\n", "utf-8")
+    code, _, err = run(["verify", "--corpus", str(bad)] + permissive, capsys)
+    assert code == 2
+    assert "corpus error: line 1" in err
+
+
+def test_verify_record_of_wrong_type_exits_2_or_is_skipped(tmp_path, capsys):
+    lines = (FIXTURES / "golden_corpus.jsonl").read_text("utf-8").splitlines()
+    lines.insert(2, "5")
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_text("\n".join(lines) + "\n", "utf-8")
+    code, _, err = run(["verify", "--corpus", str(bad)], capsys)
+    assert code == 2
+    assert "corpus error: line 3" in err
+    code, out, _ = run(["verify", "--corpus", str(bad), "--permissive"], capsys)
+    assert code == 0
+    assert json.loads(out)["aggregate"]["entries"] == 20
+
+
 def test_verify_permissive_skips_bad_records(tmp_path, capsys):
     lines = (FIXTURES / "golden_corpus.jsonl").read_text("utf-8").splitlines()
     lines.insert(2, "{broken json")

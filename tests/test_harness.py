@@ -122,6 +122,59 @@ def test_load_permissive_skips_bad_lines(tmp_path):
     assert [r.paper_id for r in records] == ["p1"]
 
 
+def test_load_header_not_an_object_rejected(tmp_path):
+    with pytest.raises(CorpusParseError, match="line 1"):
+        load_corpus(write_corpus(tmp_path, ["[1]", record_line()]))
+
+
+def _ground_truth(**overrides):
+    gt = {"versions": [{"version_type": "journal", "fields": {"title": "T"}}]}
+    gt.update(overrides)
+    return gt
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param("5", id="record-number"),
+        pytest.param("[1]", id="record-list"),
+        pytest.param(record_line(paper_id=5), id="paper_id"),
+        pytest.param(record_line(description=5), id="description"),
+        pytest.param(record_line(tier=["popular"]), id="tier"),
+        pytest.param(record_line(domain=5), id="domain"),
+        pytest.param(record_line(ground_truth=[1]), id="ground_truth"),
+        pytest.param(record_line(ground_truth=_ground_truth(versions=["x"])), id="version"),
+        pytest.param(
+            record_line(ground_truth=_ground_truth(versions=[{"version_type": "journal", "fields": 5}])),
+            id="version-fields",
+        ),
+        pytest.param(
+            record_line(ground_truth=_ground_truth(versions=[{"version_type": 5, "fields": {}}])),
+            id="version-type",
+        ),
+        pytest.param(
+            record_line(ground_truth=_ground_truth(versions=[{"fields": {"title": 5}}])),
+            id="version-field-value",
+        ),
+        pytest.param(record_line(ground_truth=_ground_truth(canonical={"doi": {}})), id="canonical-no-value"),
+        pytest.param(record_line(ground_truth=_ground_truth(canonical={"doi": "10.1/x"})), id="canonical-entry"),
+        pytest.param(record_line(ground_truth=_ground_truth(known_aliases=["x"])), id="alias"),
+        pytest.param(record_line(ground_truth=_ground_truth(known_aliases=[{"title": None}])), id="alias-value"),
+        pytest.param(record_line(candidates=["x"]), id="candidate"),
+        pytest.param(record_line(candidates=[{"tag": "c1", "bibtex": 5}]), id="candidate-bibtex"),
+        pytest.param(record_line(candidates=[{"tag": 5, "bibtex": "@article{k, title={T}}"}]), id="candidate-tag"),
+        pytest.param(record_line(meta=None), id="meta"),
+        pytest.param(record_line(meta={"url": 5}), id="meta-url"),
+        pytest.param(record_line(locations=[{"url": 5, "source_type": "journal"}]), id="location-url"),
+    ],
+)
+def test_load_value_of_wrong_type_rejected(tmp_path, line):
+    with pytest.raises(CorpusParseError, match="line 2"):
+        load_corpus(write_corpus(tmp_path, [HEADER, line]))
+    path = write_corpus(tmp_path, [HEADER, line, record_line(paper_id="ok")])
+    assert [r.paper_id for r in load_corpus(path, permissive=True)] == ["ok"]
+
+
 def test_load_skips_blank_lines(tmp_path):
     path = write_corpus(tmp_path, [HEADER, "", record_line(), ""])
     assert len(load_corpus(path)) == 1

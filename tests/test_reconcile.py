@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from bibkit.model import FieldSlot, parse_entry, serialize_entry, slot_of
+from bibkit.model import BibEntry, FieldSlot, parse_entry, serialize_entry, slot_of
 from bibkit.reconcile import (
     PaperMeta,
     RECONCILE_GATE_THRESHOLD,
@@ -12,6 +13,7 @@ from bibkit.reconcile import (
 from bibkit.resolve import ResolutionResult
 
 from conftest import load_fixture
+from reference_impls import reference_merge
 
 PAIRS = load_fixture("reconcile_pairs.json")["pairs"]
 
@@ -188,6 +190,44 @@ def test_merge_venue_field_name_follows_authoritative():
     assert merged.get("booktitle") is None
     assert FieldSlot.VENUE in replaced
     assert merged.entry_type == "article"
+
+
+_FIELD_NAMES = [
+    "author", "title", "year", "journal", "booktitle", "volume", "number", "pages", "doi",
+    "note", "publisher", "venue", "url",
+]
+_FIELDS = st.dictionaries(
+    st.sampled_from(_FIELD_NAMES), st.sampled_from(["", "A", "B", "Some Title"]), max_size=10
+)
+
+
+@given(
+    base_type=st.sampled_from(["article", "inproceedings", "misc"]),
+    base_fields=_FIELDS,
+    auth_type=st.sampled_from(["", "article", "inproceedings"]),
+    auth_fields=_FIELDS,
+)
+def test_merge_fields_matches_reference(base_type, base_fields, auth_type, auth_fields):
+    merged, replaced = merge_fields(
+        BibEntry(base_type, "mine", dict(base_fields)), BibEntry(auth_type, "theirs", dict(auth_fields))
+    )
+    entry_type, fields, replaced_names = reference_merge(base_type, base_fields, auth_type, auth_fields)
+    assert merged.entry_type == entry_type
+    assert merged.citation_key == "mine"
+    assert list(merged.fields.items()) == list(fields.items())
+    assert {slot.value for slot in replaced} == replaced_names
+
+
+def test_merge_places_venue_at_first_baseline_venue_field():
+    baseline = parse_entry(
+        "@inproceedings{b, booktitle={Old Proc}, title={T}, journal={Old J}, note={n}}"
+    )
+    authoritative = parse_entry("@article{a, journal={New J}, title={T2}, doi={10.1/x}}")
+    merged, replaced = merge_fields(baseline, authoritative)
+    assert list(merged.fields.items()) == [
+        ("journal", "New J"), ("title", "T2"), ("note", "n"), ("doi", "10.1/x"),
+    ]
+    assert replaced == {FieldSlot.VENUE, FieldSlot.TITLE, FieldSlot.DOI, FieldSlot.ENTRY_TYPE}
 
 
 def test_merge_upstream_error_never_modifies_baseline():

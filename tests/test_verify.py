@@ -379,6 +379,84 @@ def test_stage2_conservative_default_unmet():
     assert verdict_from_criteria(cv) is FieldLabel.F
 
 
+def _criteria(value, slot, gt, context=None):
+    cv = classify_stage2(value, slot, gt, context, TABLE)
+    return cv.partial_match, cv.different_paper, verdict_from_criteria(cv)
+
+
+def test_stage2_title_token_overlap_is_partial():
+    # 4 of the 6 ground-truth title tokens
+    title = "Learning to Discover Social Circles"
+    assert _criteria(title, FieldSlot.TITLE, isolated_ground_truth()) == (MET, UNMET, FieldLabel.P)
+
+
+def test_stage2_token_overlap_with_alias_is_substituted():
+    # no token in common with the ground truth, most of the alias title
+    title = "Clinical implications of intravesical recurrence"
+    assert _criteria(title, FieldSlot.TITLE, wholesale_ground_truth()) == (UNMET, MET, FieldLabel.S)
+
+
+def test_stage2_alias_without_the_slot_is_skipped():
+    # the alias carries no author, so only the context can show substitution
+    gt = wholesale_ground_truth()
+    assert _criteria("Smith, John", FieldSlot.AUTHOR, gt) == (UNMET, UNMET, FieldLabel.F)
+    context = {FieldSlot.TITLE: FieldLabel.S, FieldSlot.VENUE: FieldLabel.S}
+    assert _criteria("Smith, John", FieldSlot.AUTHOR, gt, context) == (UNMET, MET, FieldLabel.S)
+
+
+def test_stage2_doi_alias_needs_equal_doi_not_token_overlap():
+    # shares the alias's tokens "10", "1111" and "iju", but a DOI is an identifier
+    gt = wholesale_ground_truth()
+    assert _criteria("10.1111/iju.13055", FieldSlot.DOI, gt) == (UNMET, UNMET, FieldLabel.F)
+    assert _criteria("https://doi.org/10.1111/IJU.13054", FieldSlot.DOI, gt) == (UNMET, MET, FieldLabel.S)
+
+
+def test_stage2_author_without_last_names():
+    # the entry side: "et al." alone has no last name to compare
+    assert _criteria("et al.", FieldSlot.AUTHOR, isolated_ground_truth()) == (UNMET, UNMET, FieldLabel.F)
+    # the ground-truth side: a version without last names is skipped, the
+    # other shares one of the two last names
+    gt = GroundTruth(
+        "p",
+        (
+            GroundTruthVersion("arxiv", {"author": "et al."}),
+            GroundTruthVersion("journal", {"author": "McAuley, Julian and Leskovec, Jure"}),
+        ),
+    )
+    value = "Julian McAuley and Someone Else"
+    assert _criteria(value, FieldSlot.AUTHOR, gt) == (MET, UNMET, FieldLabel.P)
+
+
+def test_stage2_equality_rules_hold_on_direct_calls():
+    # verify_entry never sends these to stage 2: stage 1 labels them C
+    gt = wholesale_ground_truth()
+    assert _criteria(" 34 ", FieldSlot.VOLUME, gt) == (MET, UNMET, FieldLabel.P)
+    assert _criteria("10.1200/JCO.2016.34.2_suppl.426", FieldSlot.DOI, gt) == (MET, UNMET, FieldLabel.P)
+    # a DOI without a suffix matches only through exact equality
+    bare = GroundTruth("p", (GroundTruthVersion("journal", {"doi": "10.1234"}),))
+    assert _criteria("doi:10.1234", FieldSlot.DOI, bare) == (MET, UNMET, FieldLabel.P)
+
+
+@pytest.mark.parametrize(
+    "slot,value,version,label",
+    [
+        # malformed values fail normalization in stage 1 and go to stage 2
+        ("year", "2017a", {"year": "2017"}, FieldLabel.P),
+        ("year", "17", {"year": "2017"}, FieldLabel.F),
+        ("pages", "548", {"pages": "548--556"}, FieldLabel.P),  # a single page
+        ("pages", "pp. x", {"pages": "548--556"}, FieldLabel.F),  # no digits
+        # no last name and no token in common, with every other slot missing
+        ("author", "et al.", {"author": "McAuley, Julian", "title": "T", "year": "2012"}, FieldLabel.S),
+    ],
+)
+def test_malformed_values_are_labelled_in_stage2(slot, value, version, label):
+    entry = parse_entry("@inproceedings{k, %s={%s}}" % (slot, value))
+    gt = GroundTruth("p", (GroundTruthVersion("proceedings", version),))
+    verdict = verify_entry(entry, gt, TABLE)
+    assert verdict.labels[FieldSlot(slot)] is label
+    assert FieldSlot(slot) in verdict.stage2_slots
+
+
 # -- error-mode classification ----------------------------------------------------
 
 

@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 usage error, 2 corpus/input error,
 - ``verify``, ``bench``, ``report``: an unreadable corpus or labels file
   is 2. ``bench`` records a paper whose resolution fails under
   ``incomplete`` in the bundle and still exits 0.
+- Any command: a ``--venues`` or ``--fixtures`` file that is missing,
+  unreadable or malformed is an input error, 2.
 """
 
 from __future__ import annotations
@@ -61,28 +63,43 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class InputError(Exception):
+    """An input file that cannot be read or is malformed; ``main`` exits 2."""
+
+
+def _replay_transport(path: str) -> ReplayTransport:
+    fixtures = Path(path)
+    try:
+        if fixtures.is_dir():
+            exchanges = []
+            for p in sorted(fixtures.glob("*.json")):
+                exchanges.extend(json.loads(p.read_text("utf-8"))["exchanges"])
+            return ReplayTransport({"format_version": 1, "exchanges": exchanges})
+        return ReplayTransport(fixtures)
+    except (KeyError, TypeError):
+        raise InputError(f"--fixtures {path}: no 'exchanges' list") from None
+    except (OSError, ValueError) as exc:
+        raise InputError(f"--fixtures {path}: {exc}") from None
+
+
 def _build_resolver(args) -> Resolver:
     config = ResolverConfig.from_env()
     if getattr(args, "server", None):
         config.base_url = args.server
     transport = None
     if getattr(args, "fixtures", None):
-        fixtures = Path(args.fixtures)
-        if fixtures.is_dir():
-            exchanges = []
-            for p in sorted(fixtures.glob("*.json")):
-                exchanges.extend(json.loads(p.read_text("utf-8"))["exchanges"])
-            transport = ReplayTransport({"format_version": 1, "exchanges": exchanges})
-        else:
-            transport = ReplayTransport(fixtures)
+        transport = _replay_transport(args.fixtures)
         config.retry_delay = 0.0
     return Resolver(config, transport=transport)
 
 
 def _load_table(args) -> VenueSynonymTable:
-    if getattr(args, "venues", None):
+    if not getattr(args, "venues", None):
+        return VenueSynonymTable.default()
+    try:
         return VenueSynonymTable.from_file(args.venues)
-    return VenueSynonymTable.default()
+    except (OSError, ValueError) as exc:  # a conflicting variant is a ValueError
+        raise InputError(f"--venues {args.venues}: {exc}") from None
 
 
 def cmd_lookup(args) -> int:
@@ -176,6 +193,8 @@ def cmd_bench(args) -> int:
     except CorpusParseError as exc:
         print(f"corpus error: {exc}", file=sys.stderr)
         return EXIT_CORPUS
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"--corpus {args.corpus}: {exc}") from None
     resolver = None
     if args.mode == "reconcile_then_verify":
         resolver = _build_resolver(args).resolve
@@ -244,7 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_CORPUS
 
 
 if __name__ == "__main__":

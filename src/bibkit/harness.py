@@ -16,7 +16,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .model import BibEntry, BibParseError, FieldLabel, FieldSlot, parse_entry, serialize_entry
+from .model import (
+    LABEL_NAMES,
+    SLOT_NAMES,
+    BibEntry,
+    BibParseError,
+    FieldLabel,
+    FieldSlot,
+    parse_entry,
+    serialize_entry,
+)
 from .normalize import VenueSynonymTable
 from .reconcile import PaperMeta, ReconcileOutcome, reconcile
 from .resolve import ResolutionResult
@@ -26,6 +35,7 @@ from .verify import (
     GroundTruth,
     GroundTruthVersion,
     TaggedVerdict,
+    _normalized,
     aggregate_stats,
     co_error_matrix,
     verify_entry,
@@ -46,7 +56,6 @@ class PaperRecord:
     paper_id: str
     domain: str
     tier: str
-    description: str
     locations: tuple[tuple[str, str], ...]
     ground_truth: GroundTruth
     candidates: tuple[tuple[str, str, BibEntry], ...]  # (tag, model, entry)
@@ -143,7 +152,6 @@ def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
         paper_id=paper_id,
         domain=typed(doc, "domain", str, ""),
         tier=tier,
-        description=doc["description"],
         locations=tuple(
             (typed(l, "url", str, ""), typed(l, "source_type", str, "")) for l in objects(doc, "locations")
         ),
@@ -218,11 +226,11 @@ def _matrix_json(matrix) -> dict:
 
 
 def _labels_rows(paper_id: str, tag: str, verdict: EntryVerdict) -> list[tuple[str, ...]]:
-    rows = []
-    for slot in FieldSlot:
-        stage = "2" if slot in verdict.stage2_slots else "1"
-        rows.append((paper_id, tag, slot.value, verdict.labels[slot].value, stage))
-    return rows
+    labels, stage2 = verdict.labels, verdict.stage2_slots
+    return [
+        (paper_id, tag, name, LABEL_NAMES[labels[slot]], "2" if slot in stage2 else "1")
+        for slot, name in SLOT_NAMES
+    ]
 
 
 def _field_deltas(before: list[TaggedVerdict], after: list[TaggedVerdict]) -> dict:
@@ -256,7 +264,8 @@ def run_benchmark(
     and never aborts the run. The run asks ``resolver`` once per distinct
     query and reuses its result for every candidate that sends the same
     query; an exception is not kept, so the next candidate with that query
-    asks again.
+    asks again. The normalization memo of ``verify`` is emptied when the
+    run returns or raises.
     """
     if mode not in ("verify", "reconcile_then_verify"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -288,21 +297,24 @@ def run_benchmark(
     actions: list[tuple[str, ...]] = []
     incomplete: list[dict] = []
 
-    for record in sorted(corpus, key=lambda r: r.paper_id):
-        try:
-            results = process(record)
-        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-            incomplete.append({"paper_id": record.paper_id, "error": str(exc)})
-            continue
-        pid, tier, domain = record.paper_id, record.tier, record.domain
-        for tag, model, before, after, outcome in results:
-            final = after if after is not None else before
-            tagged.append(TaggedVerdict(pid, tag, final, model, tier, domain))
-            labels_rows.extend(_labels_rows(pid, tag, final))
-            if after is not None:
-                tagged_before.append(TaggedVerdict(pid, tag, before, model, tier, domain))
-                labels_before_rows.extend(_labels_rows(pid, tag, before))
-                actions.append(action_row(pid, tag, outcome))
+    try:
+        for record in sorted(corpus, key=lambda r: r.paper_id):
+            try:
+                results = process(record)
+            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+                incomplete.append({"paper_id": record.paper_id, "error": str(exc)})
+                continue
+            pid, tier, domain = record.paper_id, record.tier, record.domain
+            for tag, model, before, after, outcome in results:
+                final = after if after is not None else before
+                tagged.append(TaggedVerdict(pid, tag, final, model, tier, domain))
+                labels_rows.extend(_labels_rows(pid, tag, final))
+                if after is not None:
+                    tagged_before.append(TaggedVerdict(pid, tag, before, model, tier, domain))
+                    labels_before_rows.extend(_labels_rows(pid, tag, before))
+                    actions.append(action_row(pid, tag, outcome))
+    finally:
+        _normalized.cache_clear()  # the memo lives for one run
 
     verdicts = [tv.verdict for tv in tagged]
     bundle: dict = {

@@ -84,6 +84,12 @@ class FieldLabel(str, enum.Enum):
         return self.value
 
 
+#: Each slot with its name in slot order, and each label's name: the
+#: per-label loops read these instead of an enum's ``.value``.
+SLOT_NAMES = tuple((slot, slot.value) for slot in FieldSlot)
+LABEL_NAMES = {label: label.value for label in FieldLabel}
+
+
 @dataclass(frozen=True)
 class BibEntry:
     """One parsed BibTeX record.
@@ -204,24 +210,34 @@ def _close_brace(s: str, open_at: int) -> int:
     return -1
 
 
+#: Delimiters ``_split_top_level`` stops at, per separator it is called with.
+_DELIMITER_RES = {sep: re.compile(r'[{}"' + re.escape(sep) + "]") for sep in ",="}
+
+
 def _split_top_level(s: str, sep: str, maxsplit: int) -> list[str]:
-    """Split on ``sep`` outside braces and top-level quotes, like ``str.split``."""
+    """Split on ``sep`` outside braces and depth-0 quotes, like ``str.split``.
+
+    ``sep`` is ``,`` or ``=``. A quote toggles only at depth 0; braces count
+    inside quotes too.
+    """
     parts: list[str] = []
     depth = 0
     in_quote = False
     start = 0
-    for i, c in enumerate(s):
+    for m in _DELIMITER_RES[sep].finditer(s):
+        c = m.group()
         if c == "{":
             depth += 1
         elif c == "}":
             depth -= 1
-        elif c == '"' and depth == 0:
-            in_quote = not in_quote
-        elif c == sep and depth == 0 and not in_quote:
-            parts.append(s[start:i])
-            start = i + 1
-            if len(parts) == maxsplit:
-                break
+        elif depth == 0:
+            if c == '"':
+                in_quote = not in_quote
+            elif not in_quote:
+                parts.append(s[start : m.start()])
+                start = m.end()
+                if len(parts) == maxsplit:
+                    break
     parts.append(s[start:])
     return parts
 

@@ -11,6 +11,7 @@ import re
 import unicodedata
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 
 class EmptyAuthor(ValueError):
@@ -156,6 +157,10 @@ class VenueSynonymTable:
     variants (UTF-8). Every canonical name is implicitly its own variant.
     """
 
+    #: Called after every ``add``, so no memo of a venue lookup outlives a
+    #: change to the table it read.
+    on_change: list[Callable[[], None]] = []
+
     def __init__(self, mapping: dict[str, set[str]] | None = None):
         self._canonical_of: dict[str, str] = {}
         for canonical, variants in (mapping or {}).items():
@@ -173,6 +178,8 @@ class VenueSynonymTable:
             if existing is not None and existing != canon_form:
                 raise ValueError(f"variant {variant!r} already maps to {existing!r}")
             self._canonical_of[key] = canon_form
+        for hook in VenueSynonymTable.on_change:
+            hook()
 
     def lookup(self, value: str) -> str | None:
         return self._canonical_of.get(self._fold(value))

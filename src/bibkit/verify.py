@@ -9,11 +9,12 @@ that also has a journal version is not an error.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 
-from .model import ALL_SLOTS, BibEntry, FieldLabel, FieldSlot, slot_of
+from .model import ALL_SLOTS, LABEL_NAMES, SLOT_NAMES, BibEntry, FieldLabel, FieldSlot, slot_of
 from .normalize import (
     EmptyAuthor,
     MalformedPages,
@@ -63,6 +64,10 @@ _NOT_SUSPECT = (None, FieldLabel.C, FieldLabel.X)
 
 #: Entry types considered semantically related for partial-match purposes.
 RELATED_ENTRY_TYPES = frozenset({"article", "inproceedings", "misc", "incollection"})
+
+#: Entries the normalization memo holds at most; bounds it for callers that
+#: never run ``harness.run_benchmark``, which empties it.
+NORMALIZED_MEMO_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -118,8 +123,14 @@ class EntryVerdict:
         )
 
 
+@functools.lru_cache(maxsize=NORMALIZED_MEMO_SIZE)
 def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) -> str | None:
-    """Per-slot normalization; None when the value cannot be normalized."""
+    """Per-slot normalization; None when the value cannot be normalized.
+
+    Memoized: most values recur across candidates and ground-truth versions.
+    ``harness.run_benchmark`` empties the memo when a run ends, and any
+    change to a venue table empties it at once.
+    """
     try:
         if slot is FieldSlot.AUTHOR:
             return normalize_author(value)
@@ -138,6 +149,9 @@ def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) ->
         return value.strip()
     except (EmptyAuthor, MalformedPages, MalformedYear):
         return None
+
+
+VenueSynonymTable.on_change.append(_normalized.cache_clear)
 
 
 def classify_stage1(
@@ -354,6 +368,7 @@ def verify_entry(
 
 
 EVALUABLE_SLOTS = tuple(s for s in ALL_SLOTS if s is not FieldSlot.ENTRY_KEY)
+_EVALUABLE_NAMES = tuple((s, name) for s, name in SLOT_NAMES if s is not FieldSlot.ENTRY_KEY)
 
 
 def co_error_matrix(
@@ -400,30 +415,39 @@ def _pct(bucket: dict) -> dict:
 
 def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
     """Accuracy tables and label distribution; X slots never enter denominators."""
+    C, X = FieldLabel.C, FieldLabel.X
     overall = _bucket()
-    per_field: dict[str, dict] = {s.value: _bucket() for s in EVALUABLE_SLOTS}
+    per_field: dict[str, dict] = {name: _bucket() for _, name in _EVALUABLE_NAMES}
     per_tag: dict[str, dict[str, dict]] = {"model": {}, "tier": {}, "domain": {}}
-    label_distribution = {l.value: 0 for l in (FieldLabel.C, FieldLabel.M, FieldLabel.F, FieldLabel.P, FieldLabel.S)}
+    labels_seen = {label: 0 for label in (C, FieldLabel.M, FieldLabel.F, FieldLabel.P, FieldLabel.S)}
     fully_correct = 0
 
     for tv in tagged:
         if tv.verdict.fully_correct:
             fully_correct += 1
-        for slot in EVALUABLE_SLOTS:
-            label = tv.verdict.labels[slot]
-            if label is FieldLabel.X:
+        labels = tv.verdict.labels
+        evaluable = correct = 0
+        for slot, name in _EVALUABLE_NAMES:
+            label = labels[slot]
+            if label is X:
                 continue
-            label_distribution[label.value] += 1
-            for bucket in (
-                overall,
-                per_field[slot.value],
-                per_tag["model"].setdefault(tv.model, _bucket()),
-                per_tag["tier"].setdefault(tv.tier, _bucket()),
-                per_tag["domain"].setdefault(tv.domain, _bucket()),
-            ):
-                bucket["evaluable"] += 1
-                if label is FieldLabel.C:
-                    bucket["correct"] += 1
+            labels_seen[label] += 1
+            bucket = per_field[name]
+            bucket["evaluable"] += 1
+            evaluable += 1
+            if label is C:
+                bucket["correct"] += 1
+                correct += 1
+        if not evaluable:
+            continue  # an all-X entry opens no model, tier or domain bucket
+        for bucket in (
+            overall,
+            per_tag["model"].setdefault(tv.model, _bucket()),
+            per_tag["tier"].setdefault(tv.tier, _bucket()),
+            per_tag["domain"].setdefault(tv.domain, _bucket()),
+        ):
+            bucket["evaluable"] += evaluable
+            bucket["correct"] += correct
 
     report = {
         "format_version": 1,
@@ -433,7 +457,7 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
             "count": fully_correct,
             "pct": round(100.0 * fully_correct / len(tagged), 1) if tagged else None,
         },
-        "label_distribution": label_distribution,
+        "label_distribution": {LABEL_NAMES[label]: n for label, n in labels_seen.items()},
         "per_field": {name: _pct(b) for name, b in sorted(per_field.items())},
     }
     for kind, buckets in per_tag.items():

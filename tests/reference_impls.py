@@ -114,6 +114,28 @@ def reference_parse(text: str):
     return entry_type, key, fields
 
 
+def reference_split_top_level(s: str, sep: str, maxsplit: int) -> list[str]:
+    """The character-loop field splitter ``bibkit.model`` used before its regex scan."""
+    parts: list[str] = []
+    depth = 0
+    in_quote = False
+    start = 0
+    for i, c in enumerate(s):
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+        elif c == '"' and depth == 0:
+            in_quote = not in_quote
+        elif c == sep and depth == 0 and not in_quote:
+            parts.append(s[start:i])
+            start = i + 1
+            if len(parts) == maxsplit:
+                break
+    parts.append(s[start:])
+    return parts
+
+
 def brute_jaccard(a, b) -> float:
     """Membership-counting Jaccard, no set operators."""
     union = []

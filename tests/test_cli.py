@@ -231,6 +231,92 @@ def test_verify_permissive_skips_bad_records(tmp_path, capsys):
     assert json.loads(out)["aggregate"]["entries"] == 20
 
 
+# -- unreadable input files ---------------------------------------------------------
+
+
+def missing_file(tmp_path):
+    return tmp_path / "absent.txt"
+
+
+def directory(tmp_path):
+    return tmp_path
+
+
+def not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"format_version\tcaf\xe9\n")
+    return path
+
+
+def conflicting_venues(tmp_path):
+    path = tmp_path / "venues.tsv"
+    path.write_text("Alpha Conference\tAC\nBeta Conference\tAC\n", "utf-8")
+    return path
+
+
+def not_json(tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text("{not json", "utf-8")
+    return path
+
+
+def no_exchanges(tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({"format_version": 1}), "utf-8")
+    return path
+
+
+def no_exchanges_in_directory(tmp_path):
+    no_exchanges(tmp_path)
+    return tmp_path
+
+
+def assert_input_error(code, out, err, option):
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: {option} ")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("make", [missing_file, directory, not_utf8])
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_unreadable_corpus_exits_2(tmp_path, capsys, make, command):
+    code, out, err = run([command, "--corpus", str(make(tmp_path))], capsys)
+    assert_input_error(code, out, err, "--corpus")
+
+
+@pytest.mark.parametrize("make", [missing_file, not_utf8, conflicting_venues])
+def test_unreadable_venues_exits_2(tmp_path, capsys, make):
+    code, out, err = run(["verify", "--corpus", CORPUS, "--venues", str(make(tmp_path))], capsys)
+    assert_input_error(code, out, err, "--venues")
+
+
+def test_conflicting_venues_message_names_the_variant(tmp_path, capsys):
+    path = conflicting_venues(tmp_path)
+    _, _, err = run(["verify", "--corpus", CORPUS, "--venues", str(path)], capsys)
+    assert "already maps to 'alpha conference'" in err
+
+
+@pytest.mark.parametrize(
+    "make", [missing_file, not_utf8, not_json, no_exchanges, no_exchanges_in_directory]
+)
+def test_unreadable_fixtures_exits_2(tmp_path, capsys, make):
+    out_dir = tmp_path / "bundle"
+    args = ["bench", "--corpus", CORPUS, "--mode", "reconcile_then_verify", "--out", str(out_dir)]
+    code, out, err = run(args + ["--fixtures", str(make(tmp_path))] + SERVER, capsys)
+    assert_input_error(code, out, err, "--fixtures")
+    assert not out_dir.exists()
+
+
+def test_lookup_and_reconcile_with_missing_fixtures_exit_2(tmp_path, capsys):
+    fixtures = ["--fixtures", str(missing_file(tmp_path))] + SERVER
+    code, out, err = run(["lookup", "10.1111/iju.13054"] + fixtures, capsys)
+    assert_input_error(code, out, err, "--fixtures")
+    bib, meta = write_reconcile_inputs(tmp_path)
+    code, out, err = run(["reconcile", "--bib", str(bib), "--meta", str(meta)] + fixtures, capsys)
+    assert_input_error(code, out, err, "--fixtures")
+
+
 # -- reconcile ----------------------------------------------------------------------
 
 

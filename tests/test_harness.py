@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bibkit import harness, verify
 from bibkit.harness import (
     CorpusParseError,
     PaperRecord,
@@ -214,7 +215,6 @@ def make_record(meta=None, locations=(), canonical=None, gt_fields=None):
         paper_id="p",
         domain="ai",
         tier="popular",
-        description="d",
         locations=tuple(locations),
         ground_truth=gt,
         candidates=(),
@@ -428,6 +428,61 @@ def test_failed_lookup_is_not_reused(tmp_path):
     assert bundle["incomplete"] == [{"paper_id": "p1", "error": "upstream returned 503"}]
     assert [list(row[:3]) for row in bundle["actions"]] == [["p2", "c1", "merged"]]
     assert calls == ["10.1000/shared", "10.1000/shared"]
+
+
+# -- normalization memo -------------------------------------------------------------
+
+
+def memo_size() -> int:
+    return verify._normalized.cache_info().currsize
+
+
+def test_memo_is_filled_during_a_run_and_empty_after(monkeypatch):
+    sizes = []
+
+    def recording(*args):
+        verdict = verify_entry(*args)
+        sizes.append(memo_size())
+        return verdict
+
+    monkeypatch.setattr(harness, "verify_entry", recording)
+    bundle = run_benchmark(load_corpus(CORPUS_PATH), mode="verify")
+    assert bundle["aggregate"] == GOLDEN_AGGREGATE["aggregate"]
+    assert max(sizes) > 0
+    assert memo_size() == 0
+
+
+def test_memo_is_empty_after_a_failing_record():
+    corpus = load_corpus(CORPUS_PATH)
+    resolver = perfect_resolver(corpus)
+
+    def flaky(query):
+        if query == corpus[0].meta.title:
+            raise RuntimeError("boom")
+        return resolver(query)
+
+    bundle = run_benchmark(corpus, mode="reconcile_then_verify", resolver=flaky)
+    assert [d["paper_id"] for d in bundle["incomplete"]] == [corpus[0].paper_id]
+    assert memo_size() == 0
+
+
+class Abort(BaseException):
+    pass
+
+
+def test_memo_is_empty_after_a_run_that_raises():
+    corpus = load_corpus(CORPUS_PATH)
+    resolver = perfect_resolver(corpus)
+    first = min(corpus, key=lambda r: r.paper_id)
+
+    def aborting(query):
+        if query != first.meta.title:
+            raise Abort()  # not an Exception, so it ends the run
+        return resolver(query)
+
+    with pytest.raises(Abort):
+        run_benchmark(corpus, mode="reconcile_then_verify", resolver=aborting)
+    assert memo_size() == 0
 
 
 # -- bundle writing -----------------------------------------------------------------

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bibkit.model import (
     BibEntry,
@@ -12,6 +12,7 @@ from bibkit.model import (
     MultipleEntries,
     UnbalancedBraces,
     UnsupportedConcatenation,
+    _split_top_level,
     parse_bib_file,
     parse_entry,
     sanitize_citation_key,
@@ -20,7 +21,7 @@ from bibkit.model import (
 )
 
 from conftest import load_fixture
-from reference_impls import reference_parse
+from reference_impls import reference_parse, reference_split_top_level
 
 ERROR_CLASSES = {
     "BibParseError": BibParseError,
@@ -157,3 +158,20 @@ _value = st.text(
 def test_round_trip_property(fields):
     entry = BibEntry("article", "key1", fields)
     assert parse_entry(serialize_entry(entry)) == entry
+
+
+# -- top-level field splitter -------------------------------------------------------
+
+
+@settings(max_examples=1000)
+@given(
+    st.text(alphabet=st.sampled_from('{}",=\\ aZ'), max_size=40),
+    st.sampled_from([",", "="]),
+    st.sampled_from([1, -1]),
+)
+@example("}a,b{", ",", -1)  # unbalanced: depth below zero
+@example('{a,"b},c', ",", -1)  # unbalanced: depth never returns to zero
+@example('"a=b"=c', "=", 1)  # a quote at depth 0 hides the first separator
+@example('{"}a,b', ",", -1)  # a quote inside braces does not count
+def test_split_top_level_agrees_with_character_loop(s, sep, maxsplit):
+    assert _split_top_level(s, sep, maxsplit) == reference_split_top_level(s, sep, maxsplit)

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bibkit.harness import read_labels, write_tsv
+from bibkit import verify
+from bibkit.harness import load_corpus, read_labels, write_tsv
 from bibkit.model import BibEntry, FieldLabel, FieldSlot, parse_entry
 from bibkit.normalize import VenueSynonymTable
 from bibkit.verify import (
@@ -25,6 +26,7 @@ from bibkit.verify import (
     verify_entry,
 )
 
+from conftest import FIXTURES, load_fixture
 from reference_impls import brute_co_error
 
 TABLE = VenueSynonymTable.default()
@@ -655,3 +657,41 @@ def test_labels_file_rejects_unknown_format(tmp_path):
     path.write_text("something else\n", "utf-8")
     with pytest.raises(ValueError):
         read_labels(path)
+
+
+# -- normalization memo -------------------------------------------------------------
+
+
+def test_changing_the_venue_table_changes_the_labels():
+    gt = GroundTruth("p", (GroundTruthVersion("proceedings", {"venue": "Alpha Conference"}),))
+    entry = parse_entry("@inproceedings{k, booktitle={AC}}")
+    table = VenueSynonymTable()
+    assert verify_entry(entry, gt, table).labels[FieldSlot.VENUE] is FieldLabel.F
+    table.add("Alpha Conference", ["AC"])
+    assert verify_entry(entry, gt, table).labels[FieldSlot.VENUE] is FieldLabel.C
+    assert verify_entry(entry, gt, table) == verify_entry(
+        entry, gt, VenueSynonymTable({"Alpha Conference": {"AC"}})
+    )
+
+
+def _golden_direct_labels(table):
+    out = {}
+    for record in load_corpus(FIXTURES / "golden_corpus.jsonl"):
+        for tag, _, entry in record.candidates:
+            v = verify_entry(entry, record.ground_truth, table)
+            labels = {slot.value: label.value for slot, label in v.labels.items()}
+            out[(record.paper_id, tag)] = (labels, sorted(s.value for s in v.stage2_slots), v.error_mode)
+    return out
+
+
+def test_direct_verify_entry_calls_give_the_hand_labels(monkeypatch):
+    expected = {
+        (e["paper_id"], e["tag"]): (e["labels"], e["stage2_slots"], e["error_mode"])
+        for e in load_fixture("golden_labels.json")["entries"]
+    }
+    verify._normalized.cache_clear()
+    assert _golden_direct_labels(TABLE) == expected  # empty memo
+    assert verify._normalized.cache_info().currsize > 0
+    assert _golden_direct_labels(TABLE) == expected  # memo filled by the first pass
+    monkeypatch.setattr(verify, "_normalized", verify._normalized.__wrapped__)
+    assert _golden_direct_labels(TABLE) == expected  # no memo

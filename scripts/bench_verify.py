@@ -5,10 +5,10 @@
 
 Runs each checkout's own ``perfbench/run.py --trace 0`` in alternating pairs
 (both runs of a pair use the same seed; the order flips every pair), then one
-``--trace 1`` run on each at the trace seed. The file records every run, the
-medians and quartiles of the end-to-end metrics, the uncalibrated entries/s,
-the per-layer metrics, the machine and the Python version. ``--change``
-defaults to the checkout this script is in.
+``--trace 1`` run on each at the trace seed. The change is the checkout this
+script is in. The file records every run, the medians and quartiles of the
+end-to-end metrics, the uncalibrated entries/s, the per-layer metrics, the
+machine and the Python version.
 """
 
 from __future__ import annotations
@@ -25,17 +25,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD = "verify_corpus"
+PAIRS = 10
+FIRST_SEED = 1
+SECONDS = 10
+TRACE_SEED = 301
+OUT = ROOT / "BENCH_verify.json"
 UNCALIBRATED_RE = re.compile(r"^uncalibrated: entries_per_s ([0-9.]+) 1/s")
 
 
-def run(checkout: Path, seed: int, seconds: float, trace: int) -> dict:
+def run(checkout: Path, seed: int, trace: int) -> dict:
     """One perfbench run: its metric values, plus the uncalibrated entries/s."""
     argv = [
         sys.executable, "perfbench/run.py", "--workload", WORKLOAD, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
+        "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     proc = subprocess.run(
-        argv, cwd=checkout, capture_output=True, text=True, timeout=seconds * 3 + 120
+        argv, cwd=checkout, capture_output=True, text=True, timeout=SECONDS * 3 + 120
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -59,26 +64,19 @@ def spread(values: list[float]) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
-    ap.add_argument("--change", default=ROOT, type=Path, help="checkout of the change")
-    ap.add_argument("--parent-label", default="parent")
-    ap.add_argument("--change-label", default="change")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--trace-seed", type=int, default=301)
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_verify.json")
+    ap.add_argument("--parent-label", default="parent", help="name of the parent in the file")
     args = ap.parse_args()
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
 
     pairs = []
-    for i in range(args.pairs):
-        seed = args.first_seed + i
+    for i in range(PAIRS):
+        seed = FIRST_SEED + i
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         pair = {"seed": seed, "order": order}
         for side in order:
-            pair[side] = run(checkouts[side], seed, args.seconds, 0)
+            pair[side] = run(checkouts[side], seed, 0)
         pairs.append(pair)
-        print(f"pair {i + 1}/{args.pairs} seed {seed}: entries_per_s "
+        print(f"pair {i + 1}/{PAIRS} seed {seed}: entries_per_s "
               f"{pair['parent']['entries_per_s']:.1f} -> {pair['change']['entries_per_s']:.1f}",
               file=sys.stderr)
 
@@ -99,12 +97,12 @@ def main() -> int:
         / summary["parent"]["uncalibrated_entries_per_s"]["median"] - 1,
     }
 
-    traced = {side: run(checkouts[side], args.trace_seed, args.seconds, 1) for side in checkouts}
+    traced = {side: run(checkouts[side], TRACE_SEED, 1) for side in checkouts}
 
     report = {
         "format_version": 1,
         "workload": WORKLOAD,
-        "checkouts": {"parent": args.parent_label, "change": args.change_label},
+        "checkouts": {"parent": args.parent_label, "change": "change"},
         "machine": {
             "platform": platform.platform(),
             "machine": platform.machine(),
@@ -113,18 +111,18 @@ def main() -> int:
         "python": platform.python_version(),
         "trace_0": {
             "command": f"python3 perfbench/run.py --workload {WORKLOAD} --seed SEED "
-            f"--seconds {args.seconds:g} --trace 0",
+            f"--seconds {SECONDS} --trace 0",
             "pairs": pairs,
             "summary": summary,
         },
         "trace_1": {
-            "command": f"python3 perfbench/run.py --workload {WORKLOAD} --seed {args.trace_seed} "
-            f"--seconds {args.seconds:g} --trace 1",
+            "command": f"python3 perfbench/run.py --workload {WORKLOAD} --seed {TRACE_SEED} "
+            f"--seconds {SECONDS} --trace 1",
             **traced,
         },
     }
-    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", "utf-8")
-    print(f"wrote {args.out}", file=sys.stderr)
+    OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", "utf-8")
+    print(f"wrote {OUT}", file=sys.stderr)
     return 0
 
 

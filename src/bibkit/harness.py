@@ -35,8 +35,8 @@ from .verify import (
     GroundTruth,
     GroundTruthVersion,
     TaggedVerdict,
-    _normalized,
     aggregate_stats,
+    clear_memo,
     co_error_matrix,
     verify_entry,
 )
@@ -314,7 +314,7 @@ def run_benchmark(
                     labels_before_rows.extend(_labels_rows(pid, tag, before))
                     actions.append(action_row(pid, tag, outcome))
     finally:
-        _normalized.cache_clear()  # the memo lives for one run
+        clear_memo()  # the normalization memo lives for one run
 
     verdicts = [tv.verdict for tv in tagged]
     bundle: dict = {

@@ -11,7 +11,6 @@ import re
 import unicodedata
 from importlib import resources
 from pathlib import Path
-from typing import Callable
 
 
 class EmptyAuthor(ValueError):
@@ -150,16 +149,15 @@ def normalize_title(value: str) -> str:
     return s.lower()
 
 
+_SPACES_RE = re.compile(r"\s+")
+
+
 class VenueSynonymTable:
     """Canonical venue name -> known variants; lookup is case-insensitive.
 
     File format: one record per line, canonical name, tab, pipe-separated
     variants (UTF-8). Every canonical name is implicitly its own variant.
     """
-
-    #: Called after every ``add``, so no memo of a venue lookup outlives a
-    #: change to the table it read.
-    on_change: list[Callable[[], None]] = []
 
     def __init__(self, mapping: dict[str, set[str]] | None = None):
         self._canonical_of: dict[str, str] = {}
@@ -168,21 +166,24 @@ class VenueSynonymTable:
 
     @staticmethod
     def _fold(value: str) -> str:
-        return re.sub(r"\s+", " ", value).strip().lower()
+        return _SPACES_RE.sub(" ", value).strip().lower()
 
     def add(self, canonical: str, variants: set[str] | list[str]) -> None:
+        """Map every variant to ``canonical``; on a conflict, raise and change nothing."""
         canon_form = self._fold(canonical)
-        for variant in set(variants) | {canonical}:
-            key = self._fold(variant)
+        keys = {self._fold(variant): variant for variant in set(variants) | {canonical}}
+        for key, variant in keys.items():
             existing = self._canonical_of.get(key)
             if existing is not None and existing != canon_form:
                 raise ValueError(f"variant {variant!r} already maps to {existing!r}")
-            self._canonical_of[key] = canon_form
-        for hook in VenueSynonymTable.on_change:
-            hook()
+        self._canonical_of.update(dict.fromkeys(keys, canon_form))
 
     def lookup(self, value: str) -> str | None:
         return self._canonical_of.get(self._fold(value))
+
+    def lookup_folded(self, key: str) -> str | None:
+        """``lookup`` for a value that is already folded (``normalize_venue(value)``)."""
+        return self._canonical_of.get(key)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "VenueSynonymTable":
@@ -202,11 +203,12 @@ class VenueSynonymTable:
 
 def normalize_venue(value: str, table: VenueSynonymTable | None = None) -> str:
     """Canonical venue name via the synonym table, else the folded input."""
+    folded = VenueSynonymTable._fold(value)
     if table is not None:
-        hit = table.lookup(value)
+        hit = table.lookup_folded(folded)
         if hit is not None:
             return hit
-    return VenueSynonymTable._fold(value)
+    return folded
 
 
 _DOI_PREFIX_RE = re.compile(r"^(?:https?://(?:dx\.)?doi\.org/|doi:\s*)", re.IGNORECASE)

@@ -124,12 +124,11 @@ class EntryVerdict:
 
 
 @functools.lru_cache(maxsize=NORMALIZED_MEMO_SIZE)
-def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) -> str | None:
-    """Per-slot normalization; None when the value cannot be normalized.
+def _table_free_normalized(slot: FieldSlot, value: str) -> str | None:
+    """The part of ``_normalized`` that reads no venue table; memoized.
 
-    Memoized: most values recur across candidates and ground-truth versions.
-    ``harness.run_benchmark`` empties the memo when a run ends, and any
-    change to a venue table empties it at once.
+    Most values recur across candidates and ground-truth versions. A venue
+    is only folded here, so the memo stays valid whatever the table holds.
     """
     try:
         if slot is FieldSlot.AUTHOR:
@@ -137,7 +136,7 @@ def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) ->
         if slot is FieldSlot.TITLE:
             return normalize_title(value)
         if slot is FieldSlot.VENUE:
-            return normalize_venue(value, table)
+            return normalize_venue(value)
         if slot is FieldSlot.DOI:
             return normalize_doi(value)
         if slot is FieldSlot.PAGES:
@@ -151,7 +150,22 @@ def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) ->
         return None
 
 
-VenueSynonymTable.on_change.append(_normalized.cache_clear)
+def clear_memo() -> None:
+    """Empty the normalization memo; ``harness.run_benchmark`` does so when a run ends."""
+    _table_free_normalized.cache_clear()
+
+
+_VENUE = FieldSlot.VENUE  # read once: an enum attribute lookup is slow next to a memo hit
+
+
+def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) -> str | None:
+    """Per-slot normalization; None when the value cannot be normalized."""
+    norm = _table_free_normalized(slot, value)
+    if slot is _VENUE and table is not None:
+        hit = table.lookup_folded(norm)  # the rest of normalize_venue(value, table)
+        if hit is not None:
+            return hit
+    return norm
 
 
 def classify_stage1(

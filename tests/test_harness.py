@@ -434,7 +434,7 @@ def test_failed_lookup_is_not_reused(tmp_path):
 
 
 def memo_size() -> int:
-    return verify._normalized.cache_info().currsize
+    return verify._table_free_normalized.cache_info().currsize
 
 
 def test_memo_is_filled_during_a_run_and_empty_after(monkeypatch):

@@ -674,6 +674,24 @@ def test_changing_the_venue_table_changes_the_labels():
     )
 
 
+def test_an_add_that_fails_part_way_leaves_the_labels_unchanged():
+    gt = GroundTruth("p", (GroundTruthVersion("proceedings", {"venue": "Alpha Conference"}),))
+    new_variants = [f"N{i}" for i in range(20)]
+    entries = [parse_entry(f"@inproceedings{{k, booktitle={{{v}}}}}") for v in ["AC", "Beta", *new_variants]]
+    mapping = {"Alpha Conference": {"AC"}, "Beta Conference": {"Beta"}}
+    table = VenueSynonymTable(mapping)
+    before = [verify_entry(e, gt, table) for e in entries]  # warms the memo
+    for variant in new_variants:
+        # The order in which variants are checked follows string hashing, so across
+        # 20 tries the new variant comes before the conflicting one in some of them.
+        with pytest.raises(ValueError, match="already maps to"):
+            table.add("Alpha Conference", [variant, "Beta"])
+        assert table.lookup(variant) is None
+    fresh = VenueSynonymTable(mapping)
+    assert [verify_entry(e, gt, table) for e in entries] == before
+    assert [verify_entry(e, gt, fresh) for e in entries] == before
+
+
 def _golden_direct_labels(table):
     out = {}
     for record in load_corpus(FIXTURES / "golden_corpus.jsonl"):
@@ -689,9 +707,9 @@ def test_direct_verify_entry_calls_give_the_hand_labels(monkeypatch):
         (e["paper_id"], e["tag"]): (e["labels"], e["stage2_slots"], e["error_mode"])
         for e in load_fixture("golden_labels.json")["entries"]
     }
-    verify._normalized.cache_clear()
+    verify.clear_memo()
     assert _golden_direct_labels(TABLE) == expected  # empty memo
-    assert verify._normalized.cache_info().currsize > 0
+    assert verify._table_free_normalized.cache_info().currsize > 0
     assert _golden_direct_labels(TABLE) == expected  # memo filled by the first pass
-    monkeypatch.setattr(verify, "_normalized", verify._normalized.__wrapped__)
+    monkeypatch.setattr(verify, "_table_free_normalized", verify._table_free_normalized.__wrapped__)
     assert _golden_direct_labels(TABLE) == expected  # no memo

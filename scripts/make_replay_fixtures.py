@@ -13,6 +13,9 @@ FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 SERVER = "http://server.test"
 CROSSREF = "http://crossref.test"
+# the CLI has no CrossRef URL option, so a fixture for `bibkit lookup` records
+# requests to the default CrossRef endpoint
+CROSSREF_DEFAULT = "https://api.crossref.org"
 
 
 def exchange(method, url, *, params=None, body="", status=200, resp_body=""):
@@ -200,6 +203,33 @@ def main():
                 params={"format": "bibtex"},
                 body=json.dumps([url_item], sort_keys=True),
                 resp_body=url_bib,
+            ),
+        ],
+    )
+
+    # 8. Unknown DOI with one typed fallback hit, replayable through
+    #    `bibkit lookup --server http://server.test`: a proceedings-article
+    #    becomes an @inproceedings entry whose venue is its booktitle.
+    typed_hit = {
+        "type": "proceedings-article",
+        "title": ["Learning to Discover Social Circles in Ego Networks"],
+        "DOI": "10.9999/unknown.5",
+        "issued": {"date-parts": [[2012]]},
+        "container-title": ["Advances in Neural Information Processing Systems 25"],
+        "author": [
+            {"family": "McAuley", "given": "Julian J."},
+            {"family": "Leskovec", "given": "Jure"},
+        ],
+    }
+    write(
+        "replay_fallback_typed.json",
+        [
+            exchange("POST", f"{SERVER}/search", body="10.9999/unknown.5", resp_body="[]"),
+            exchange(
+                "GET",
+                f"{CROSSREF_DEFAULT}/works",
+                params={"query": "10.9999/unknown.5", "rows": "10"},
+                resp_body=json.dumps({"message": {"items": [typed_hit]}}),
             ),
         ],
     )

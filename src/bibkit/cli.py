@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 usage error, 2 corpus/input error,
   is empty or malformed, are input errors, 2; ``UpstreamUnavailable`` and
   ``ExportFailure`` are 3. No output is written on any of them.
 - ``verify``, ``bench``, ``report``: an unreadable corpus or labels file
-  is 2. ``bench`` records a paper whose resolution fails under
-  ``incomplete`` in the bundle and still exits 0.
+  is 2. ``bench`` records a paper whose processing fails (say, its
+  resolution) under ``incomplete``, still writes or prints the bundle,
+  and then exits 3 when ``incomplete`` is not empty.
 - Any command: a ``--venues`` or ``--fixtures`` file that is missing,
   unreadable or malformed is an input error, 2.
 """
@@ -21,6 +22,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -119,7 +121,8 @@ def cmd_lookup(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UPSTREAM
     if result.status == "found":
-        print(serialize_entry(result.bibtex))
+        entry = result.bibtex  # an untyped CrossRef record prints as @misc, which parses
+        print(serialize_entry(replace(entry, entry_type=entry.entry_type or "misc")))
         return EXIT_OK
     print(result.status)
     return EXIT_OK
@@ -200,6 +203,9 @@ def cmd_bench(args) -> int:
         resolver = _build_resolver(args).resolve
     bundle = run_benchmark(corpus, mode=args.mode, resolver=resolver, table=_load_table(args))
     _emit_bundle(bundle, args.out)
+    if bundle["incomplete"]:
+        print(f"error: {len(bundle['incomplete'])} incomplete record(s)", file=sys.stderr)
+        return EXIT_UPSTREAM
     return EXIT_OK
 
 

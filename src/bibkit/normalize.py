@@ -55,27 +55,22 @@ def fold_diacritics(value: str) -> str:
 
 
 _ET_AL_RE = re.compile(r"\bet\.?\s+al\.?\s*$", re.IGNORECASE)
+_BRACE_OR_AND_RE = re.compile(r"[{}]| and ", re.IGNORECASE)
 
 
 def _split_top_level_and(value: str) -> list[str]:
-    """Split an author field on the literal separator " and " at brace depth 0."""
+    """Split an author field on the separator " and " (any case) at brace depth 0."""
     parts: list[str] = []
     depth = 0
-    i = 0
     start = 0
-    lowered = value.lower()
-    while i < len(value):
-        c = value[i]
-        if c == "{":
+    for m in _BRACE_OR_AND_RE.finditer(value):
+        if m.group() == "{":
             depth += 1
-        elif c == "}":
+        elif m.group() == "}":
             depth -= 1
-        elif depth == 0 and lowered.startswith(" and ", i):
-            parts.append(value[start:i])
-            i += 5
-            start = i
-            continue
-        i += 1
+        elif depth == 0:
+            parts.append(value[start : m.start()])
+            start = m.end()
     parts.append(value[start:])
     return [p.strip() for p in parts if p.strip()]
 

@@ -34,6 +34,15 @@ TITLE_MATCH_THRESHOLD = 0.85
 #: Maximum candidates taken from the CrossRef fallback.
 CROSSREF_MAX_CANDIDATES = 10
 
+#: Entry types of the CrossRef work types (https://api.crossref.org/types)
+#: that name one; a work of any other type claims no entry type.
+CROSSREF_ENTRY_TYPES = {
+    "journal-article": "article",
+    "proceedings-article": "inproceedings",
+    "book-chapter": "incollection",
+    "posted-content": "misc",
+}
+
 #: Longest ``Retry-After`` (seconds) a 429 is waited out for; a longer one
 #: means the upstream cannot be asked within this run.
 MAX_RETRY_AFTER = 60.0
@@ -230,26 +239,36 @@ def _exchange_key(method, url, params, body):
 
 
 class ReplayTransport:
-    """Replays recorded exchanges from a fixture file; read-only."""
+    """Replays recorded exchanges from a fixture file, each at most once.
+
+    An exchange without a string request method and url and an int response
+    status, or with a part of another type, is a ``ValueError``.
+    """
 
     def __init__(self, source: str | Path | dict):
-        if isinstance(source, dict):
-            doc = source
-        else:
-            doc = json.loads(Path(source).read_text("utf-8"))
-        self._exchanges = list(doc["exchanges"])
-        self._used = [False] * len(self._exchanges)
+        doc = source if isinstance(source, dict) else json.loads(Path(source).read_text("utf-8"))
+        self._unused: list[tuple[tuple, TransportResponse]] = []
+        for i, exchange in enumerate(doc["exchanges"]):
+            req, resp = _get(exchange, "request"), _get(exchange, "response")
+            if not (
+                isinstance(_get(req, "method"), str)
+                and isinstance(_get(req, "url"), str)
+                and isinstance(req.get("params") or {}, dict)
+                and isinstance(req.get("body") or "", str)
+                and type(_get(resp, "status")) is int  # not a bool
+                and isinstance(resp.get("body", ""), str)
+                and isinstance(resp.get("headers", {}), dict)
+            ):
+                raise ValueError(f"exchange {i} is not a well-formed request and response")
+            key = _exchange_key(req["method"], req["url"], req.get("params"), req.get("body"))
+            response = TransportResponse(resp["status"], resp.get("body", ""), resp.get("headers", {}))
+            self._unused.append((key, response))
 
     def request(self, method, url, *, params=None, body=None, headers=None):
         key = _exchange_key(method, url, params, body)
-        for i, exchange in enumerate(self._exchanges):
-            if self._used[i]:
-                continue
-            req = exchange["request"]
-            if _exchange_key(req["method"], req["url"], req.get("params"), req.get("body")) == key:
-                self._used[i] = True
-                resp = exchange["response"]
-                return TransportResponse(resp["status"], resp.get("body", ""), resp.get("headers", {}))
+        for i, (recorded, _) in enumerate(self._unused):
+            if recorded == key:
+                return self._unused.pop(i)[1]
         raise TransportError(f"no recorded exchange for {method} {url} body={body!r}")
 
 
@@ -297,15 +316,6 @@ class ResolverConfig:
         env = os.environ if env is None else env
         base = env.get("BIBKIT_SERVER_URL", "http://127.0.0.1:1969")
         return cls(base_url=base, contact=env.get("BIBKIT_CONTACT"))
-
-
-@dataclass
-class Candidate:
-    title: str
-    year: str | None = None
-    doi: str | None = None
-    venue: str | None = None
-    authors: str | None = None
 
 
 class Resolver:
@@ -386,8 +396,8 @@ class Resolver:
 
     # -- public ------------------------------------------------------------
 
-    def crossref_fallback(self, text: str) -> list[Candidate]:
-        """Up to 10 candidates from the CrossRef works API, in API order."""
+    def crossref_fallback(self, text: str) -> list[BibEntry]:
+        """Entries of up to 10 CrossRef works with a title, in API order."""
         headers = {}
         if self.config.contact:
             headers["User-Agent"] = f"bibkit/0.1 (mailto:{self.config.contact})"
@@ -400,28 +410,11 @@ class Resolver:
         if resp.status != 200:
             return []
         try:
-            hits = _get(_get(json.loads(resp.body), "message"), "items")
+            works = _get(_get(json.loads(resp.body), "message"), "items")
         except json.JSONDecodeError:
             return []
-        candidates = []
-        for hit in _list(hits)[:CROSSREF_MAX_CANDIDATES]:
-            title = _first_str(_get(hit, "title"))
-            if title is None:  # also a hit that is not an object
-                continue
-            authors = _list(hit.get("author"))
-            names = [(_str(_get(a, "family")), _str(_get(a, "given"))) for a in authors]
-            parts = [f"{family}, {given}" if given else family for family, given in names if family]
-            doi = hit.get("DOI")
-            candidates.append(
-                Candidate(
-                    title=title,
-                    year=_issued_year(hit.get("issued")),
-                    doi=doi if isinstance(doi, str) else None,
-                    venue=_first_str(hit.get("container-title")),
-                    authors=" and ".join(parts) if parts else None,
-                )
-            )
-        return candidates
+        entries = [_entry_from_work(work) for work in _list(works)[:CROSSREF_MAX_CANDIDATES]]
+        return [entry for entry in entries if entry is not None]
 
     def resolve_query(self, q: Query) -> ResolutionResult:
         endpoint = "web" if q.kind == "url" else "search"
@@ -436,12 +429,8 @@ class Resolver:
             return ResolutionResult(status="not_found", source=source)
 
         fallback = self.crossref_fallback(q.original)
-        if not fallback:
-            return ResolutionResult(status="not_found", source="crossref_fallback")
-        titles = [c.title for c in fallback]
-        return _select(
-            q, titles, lambda i: _entry_from_candidate(fallback[i]), "crossref_fallback"
-        )
+        titles = [entry.fields["title"] for entry in fallback]
+        return _select(q, titles, fallback.__getitem__, "crossref_fallback")
 
     def resolve(self, raw: str) -> ResolutionResult:
         return self.resolve_query(classify_query(raw))
@@ -469,11 +458,11 @@ def _first_str(value) -> str | None:
     return first[0] if first and isinstance(first[0], str) else None
 
 
-def _issued_year(issued) -> str | None:
-    """The year of a CrossRef ``issued`` value ``{"date-parts": [[2020, 5]]}``, else None."""
+def _issued_year(issued) -> str:
+    """The year of a CrossRef ``issued`` value ``{"date-parts": [[2020, 5]]}``, else ""."""
     dates = _list(_get(issued, "date-parts"))
     date = _list(dates[0]) if dates else []
-    return str(date[0]) if date and type(date[0]) is int else None  # not a bool or null
+    return str(date[0]) if date and type(date[0]) is int else ""  # not a bool or null
 
 
 def _retry_after(headers: dict[str, str], default: float) -> float:
@@ -493,10 +482,11 @@ def _select(
 ) -> ResolutionResult:
     """Pick one candidate and build its entry with ``build(index)``.
 
-    Identifier queries need exactly one candidate; other queries take the
-    top of the ranking, and title queries must also pass the title gate.
+    No candidate is ``not_found``. Identifier queries need exactly one;
+    other queries take the top of the ranking, and title queries must also
+    pass the title gate.
     """
-    if q.kind in IDENTIFIER_KINDS:
+    if q.kind in IDENTIFIER_KINDS or not titles:
         if len(titles) != 1:
             # deterministic resolution never picks among alternatives
             return ResolutionResult(
@@ -511,16 +501,25 @@ def _select(
     return ResolutionResult(status="found", candidates=ranked, bibtex=build(index), source=source)
 
 
-def _entry_from_candidate(c: Candidate) -> BibEntry:
-    fields: dict[str, str] = {"title": c.title}
-    if c.authors:
-        fields["author"] = c.authors
-    if c.venue:
-        fields["journal"] = c.venue
-    if c.year:
-        fields["year"] = c.year
-    if c.doi:
-        fields["doi"] = c.doi
-    words = (c.authors or c.title).split(",")[0].split()
-    key_seed = words[-1] + (c.year or "") if words else ""
-    return BibEntry("article", sanitize_citation_key(key_seed), fields)
+def _entry_from_work(work) -> BibEntry | None:
+    """The entry a CrossRef work states, or None when it has no string title.
+
+    A ``type`` outside ``CROSSREF_ENTRY_TYPES`` claims no entry type (""). The
+    venue is the ``booktitle`` of an inproceedings or incollection entry,
+    else the ``journal``.
+    """
+    title = _first_str(_get(work, "title"))
+    if title is None:  # also a work that is not an object
+        return None
+    entry_type = CROSSREF_ENTRY_TYPES.get(_str(work.get("type")), "")
+    names = [(_str(_get(a, "family")), _str(_get(a, "given"))) for a in _list(work.get("author"))]
+    parts = [f"{family}, {given}" if given else family for family, given in names if family]
+    authors = " and ".join(parts)
+    year = _issued_year(work.get("issued"))
+    venue_field = "booktitle" if entry_type in ("inproceedings", "incollection") else "journal"
+    venue = _first_str(work.get("container-title"))
+    stated = [("author", authors), (venue_field, venue), ("year", year), ("doi", work.get("DOI"))]
+    fields = {"title": title} | {name: v for name, v in stated if isinstance(v, str) and v}
+    words = (authors or title).split(",")[0].split()
+    key_seed = words[-1] + year if words else ""
+    return BibEntry(entry_type, sanitize_citation_key(key_seed), fields)

@@ -136,6 +136,33 @@ def reference_split_top_level(s: str, sep: str, maxsplit: int) -> list[str]:
     return parts
 
 
+
+def reference_split_top_level_and(value: str) -> list[str]:
+    """The character-loop author splitter ``bibkit.normalize`` used before its regex scan.
+
+    It indexes ``value.lower()`` with positions of ``value``, so it is only
+    right for strings whose ``lower()`` keeps their length.
+    """
+    parts: list[str] = []
+    depth = 0
+    i = 0
+    start = 0
+    lowered = value.lower()
+    while i < len(value):
+        c = value[i]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+        elif depth == 0 and lowered.startswith(" and ", i):
+            parts.append(value[start:i])
+            i += 5
+            start = i
+            continue
+        i += 1
+    parts.append(value[start:])
+    return [p.strip() for p in parts if p.strip()]
+
 def brute_jaccard(a, b) -> float:
     """Membership-counting Jaccard, no set operators."""
     union = []

@@ -4,7 +4,8 @@ import shutil
 import pytest
 
 from bibkit.cli import main
-from bibkit.model import FieldSlot
+from bibkit.model import FieldSlot, parse_entry
+from bibkit.resolve import RateLimiter
 
 from conftest import FIXTURES
 
@@ -171,6 +172,42 @@ def test_lookup_fixtures_directory_merges_files(tmp_path, capsys):
     assert out.startswith("@article{yamashita2016,")
 
 
+
+def crossref_request(query):
+    return {
+        "method": "GET",
+        "url": "https://api.crossref.org/works",
+        "params": {"query": query, "rows": "10"},
+    }
+
+
+def test_lookup_untyped_crossref_record_prints_misc(tmp_path, capsys):
+    hit = {"title": ["An Untyped Work"], "author": [{"family": "Doe", "given": "Jane"}]}
+    fixture = write_exchanges(
+        tmp_path / "untyped.json",
+        (search_request("10.9999/untyped.1"), {"status": 200, "body": "[]"}),
+        (
+            crossref_request("10.9999/untyped.1"),
+            {"status": 200, "body": json.dumps({"message": {"items": [hit]}})},
+        ),
+    )
+    code, out, _ = run(["lookup", "10.9999/untyped.1", "--fixtures", fixture] + SERVER, capsys)
+    assert code == 0
+    assert out.startswith("@misc{Doe,")
+    entry = parse_entry(out)
+    assert entry.entry_type == "misc"
+    assert entry.fields == {"title": "An Untyped Work", "author": "Doe, Jane"}
+
+
+def test_lookup_typed_crossref_record(capsys):
+    fixture = str(FIXTURES / "replay_fallback_typed.json")
+    code, out, _ = run(["lookup", "10.9999/unknown.5", "--fixtures", fixture] + SERVER, capsys)
+    assert code == 0
+    entry = parse_entry(out)
+    assert entry.entry_type == "inproceedings"
+    assert entry.get("booktitle") == "Advances in Neural Information Processing Systems 25"
+    assert entry.get("journal") is None
+
 # -- verify -----------------------------------------------------------------------
 
 
@@ -316,6 +353,38 @@ def test_lookup_and_reconcile_with_missing_fixtures_exit_2(tmp_path, capsys):
     code, out, err = run(["reconcile", "--bib", str(bib), "--meta", str(meta)] + fixtures, capsys)
     assert_input_error(code, out, err, "--fixtures")
 
+
+
+SEARCH = {"method": "POST", "url": "http://server.test/search"}
+MALFORMED_EXCHANGES = {
+    "no-url": {"request": {"method": "POST"}},
+    "method-number": {"request": dict(SEARCH, method=5), "response": {"status": 200}},
+    "status-string": {"request": SEARCH, "response": {"status": "200"}},
+    "status-bool": {"request": SEARCH, "response": {"status": True}},
+    "no-response": {"request": SEARCH},
+    "request-list": {"request": ["POST"], "response": {"status": 200}},
+    "exchange-string": "POST http://server.test/search",
+    "params-list": {"request": dict(SEARCH, params=["rows"]), "response": {"status": 200}},
+    "body-number": {"request": SEARCH, "response": {"status": 200, "body": 5}},
+    "headers-list": {"request": SEARCH, "response": {"status": 429, "headers": []}},
+}
+
+
+@pytest.mark.parametrize("exchange", MALFORMED_EXCHANGES.values(), ids=MALFORMED_EXCHANGES)
+@pytest.mark.parametrize("command", ["lookup", "reconcile", "bench"])
+def test_malformed_replay_exchange_exits_2(tmp_path, capsys, command, exchange):
+    fixture = tmp_path / "malformed.json"
+    fixture.write_text(json.dumps({"format_version": 1, "exchanges": [exchange]}), "utf-8")
+    if command == "lookup":
+        args = ["lookup", "10.1111/iju.13054"]
+    elif command == "reconcile":
+        bib, meta = write_reconcile_inputs(tmp_path)
+        args = ["reconcile", "--bib", str(bib), "--meta", str(meta)]
+    else:
+        args = ["bench", "--corpus", CORPUS, "--mode", "reconcile_then_verify"]
+    code, out, err = run(args + ["--fixtures", str(fixture)] + SERVER, capsys)
+    assert_input_error(code, out, err, "--fixtures")
+    assert "exchange 0 is not a well-formed request and response" in err
 
 # -- reconcile ----------------------------------------------------------------------
 
@@ -512,6 +581,23 @@ def test_bench_reconcile_resolves_a_shared_query_once(tmp_path, capsys):
     assert report["incomplete"] == []
     actions = (tmp_path / "b" / "actions.tsv").read_text("utf-8").splitlines()[1:]
     assert [row.split("\t")[1:3] for row in actions] == [[f"c{i}", "merged"] for i in (1, 2, 3)]
+
+
+def test_bench_with_incomplete_records_writes_bundle_then_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(RateLimiter, "acquire", lambda self: None)  # spacing is not under test
+    fixture = tmp_path / "zero.json"
+    fixture.write_text(json.dumps({"format_version": 1, "exchanges": []}), "utf-8")
+    args = ["bench", "--corpus", CORPUS, "--mode", "reconcile_then_verify"]
+    args += ["--fixtures", str(fixture)] + SERVER
+    code, printed, err = run(args, capsys)
+    assert code == 3
+    assert err == "error: 8 incomplete record(s)\n"
+    code, _, _ = run(args + ["--out", str(tmp_path / "bundle")], capsys)
+    assert code == 3
+    report = (tmp_path / "bundle" / "report.json").read_text("utf-8")
+    assert report == printed
+    assert len(json.loads(report)["incomplete"]) == 8
+    assert json.loads(report)["aggregate"]["entries"] == 0
 
 
 def test_bench_invalid_mode_is_usage_error():

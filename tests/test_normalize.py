@@ -1,9 +1,10 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bibkit.normalize import (
+    _split_top_level_and,
     EmptyAuthor,
     MalformedPages,
     MalformedYear,
@@ -22,7 +23,7 @@ from bibkit.normalize import (
 )
 
 from conftest import load_fixture
-from reference_impls import brute_jaccard
+from reference_impls import brute_jaccard, reference_split_top_level_and
 
 TABLE = VenueSynonymTable.default()
 
@@ -76,6 +77,28 @@ def test_normalize_author_empty():
 @pytest.mark.parametrize("case", NAME_CASES, ids=[c["input"][:25] for c in NAME_CASES])
 def test_author_lastname_list(case):
     assert author_lastname_list(case["input"]) == case["lastnames"]
+
+
+def test_author_lastname_list_with_dotted_capital_i():
+    # "İ".lower() is two characters long, which must not shift the separators
+    assert author_lastname_list("İnan, Ali and Smith, John") == ["inan", "smith"]
+    assert author_lastname_list("{İnan and Co} and Smith, John") == ["inanandco", "smith"]
+
+
+AUTHOR_PIECES = st.sampled_from(["{", "}", " and ", " AND ", " And ", " an", "d ", "a", "n", " ", ","])
+
+
+@settings(max_examples=1000)
+@given(
+    st.lists(AUTHOR_PIECES | st.text(max_size=3), max_size=12)
+    .map("".join)
+    .filter(lambda s: len(s.lower()) == len(s))
+)
+@example("}a and b{ and c")  # unbalanced: depth below zero
+@example("a and and b")  # two separators share a space
+@example("{a and b} and c")
+def test_split_top_level_and_agrees_with_character_loop(value):
+    assert _split_top_level_and(value) == reference_split_top_level_and(value)
 
 
 @pytest.mark.parametrize(

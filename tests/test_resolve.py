@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bibkit.resolve import (
-    Candidate,
+    CROSSREF_ENTRY_TYPES,
     EmptyQuery,
     MalformedUrl,
     NoCandidates,
@@ -19,7 +20,7 @@ from bibkit.resolve import (
     rank_candidates,
 )
 
-from bibkit.model import FieldSlot, parse_entry
+from bibkit.model import BibEntry, FieldSlot, parse_entry
 from bibkit.reconcile import PaperMeta, reconcile
 
 from conftest import FIXTURES
@@ -402,12 +403,12 @@ def test_crossref_candidate_shape():
     candidates = resolver.crossref_fallback("10.9999/unknown.1")
     assert len(candidates) == 10
     first = candidates[0]
-    assert isinstance(first, Candidate)
-    assert first.title == "Candidate Paper Number 00 on Record Linkage"
-    assert first.year == "2015"
-    assert first.doi == "10.5555/cand.00"
-    assert first.venue == "Journal of Examples"
-    assert first.authors == "Example, Writer 00"
+    assert isinstance(first, BibEntry)
+    assert first.get("title") == "Candidate Paper Number 00 on Record Linkage"
+    assert first.get("year") == "2015"
+    assert first.get("doi") == "10.5555/cand.00"
+    assert first.get("journal") == "Journal of Examples"
+    assert first.get("author") == "Example, Writer 00"
 
 
 def single_hit_fallback(doi: str, hit: dict) -> Resolver:
@@ -559,3 +560,84 @@ def test_crossref_field_of_wrong_type_is_absent(name, value):
     without = {k: v for k, v in GOOD_HIT.items() if k != name}
     assert entry(dict(GOOD_HIT, **{name: value})) == entry(without)
     assert entry(GOOD_HIT) != entry(without)
+
+
+# -- CrossRef work type ------------------------------------------------------------
+
+ABSENT = object()
+
+
+@pytest.mark.parametrize(
+    "work_type,entry_type,venue_field",
+    [
+        ("journal-article", "article", "journal"),
+        ("proceedings-article", "inproceedings", "booktitle"),
+        ("book-chapter", "incollection", "booktitle"),
+        ("posted-content", "misc", "journal"),
+        ("dataset", "", "journal"),
+        (ABSENT, "", "journal"),
+        (["journal-article"], "", "journal"),
+        (5, "", "journal"),
+    ],
+    ids=["journal", "proceedings", "chapter", "posted", "dataset", "absent", "list", "number"],
+)
+def test_crossref_type_table(work_type, entry_type, venue_field):
+    hit = dict(GOOD_HIT) if work_type is ABSENT else dict(GOOD_HIT, type=work_type)
+    entry = single_hit_fallback("10.9999/shape.2", hit).resolve("10.9999/shape.2").bibtex
+    assert entry.entry_type == entry_type
+    assert entry.get(venue_field) == "Journal of Examples"
+    assert entry.get({"journal": "booktitle", "booktitle": "journal"}[venue_field]) is None
+    # the rest of the entry does not depend on the type
+    assert entry.citation_key == "Doe2020"
+    assert list(entry.fields) == ["title", "author", venue_field, "year", "doi"]
+
+
+def test_fallback_merge_of_untyped_work_keeps_baseline_type():
+    resolver = single_hit_fallback("10.9999/shape.2", GOOD_HIT)
+    baseline = parse_entry(
+        "@inproceedings{k, author={Doe, J.}, title={Record Linkage at Scale}, booktitle={RLS}}"
+    )
+    outcome = reconcile(PaperMeta("p", doi="10.9999/shape.2"), baseline, resolver.resolve)
+    assert outcome.action == "merged"
+    assert outcome.result.entry_type == "inproceedings"
+    assert FieldSlot.ENTRY_TYPE not in outcome.replaced_slots
+    assert outcome.result.get("author") == "Doe, Jane"
+    # an untyped work names its venue a journal, and merge_fields follows that name
+    assert outcome.result.get("journal") == "Journal of Examples"
+    assert outcome.result.get("booktitle") is None
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+TEXT = st.text(max_size=8) | JSON_VALUES
+# besides any JSON value, each key gets values of about the right shape, so
+# that works do reach the entry
+SHAPED = {
+    "type": st.sampled_from([*CROSSREF_ENTRY_TYPES, "dataset", " journal-article "]),
+    "title": st.lists(TEXT, min_size=1, max_size=2),
+    "author": st.lists(st.fixed_dictionaries({}, optional={"family": TEXT, "given": TEXT})),
+    "issued": st.fixed_dictionaries({"date-parts": st.lists(st.lists(JSON_VALUES))}),
+    "container-title": st.lists(TEXT, max_size=2),
+    "DOI": TEXT,
+}
+WORKS = st.fixed_dictionaries({}, optional={k: JSON_VALUES | v for k, v in SHAPED.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(works=st.lists(WORKS | JSON_VALUES, max_size=4))
+def test_crossref_fallback_never_raises_on_arbitrary_json(works):
+    query = "10.9999/fuzz.1"
+    entries = crossref_body_fallback(query, {"message": {"items": works}}).crossref_fallback(query)
+    assert len(entries) <= sum(isinstance(w, dict) for w in works)
+    for entry in entries:
+        assert entry.entry_type in ("", "article", "inproceedings", "incollection", "misc")
+        assert isinstance(entry.fields["title"], str)
+        assert all(isinstance(v, str) for v in entry.fields.values())

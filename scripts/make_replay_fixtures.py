@@ -12,10 +12,7 @@ from pathlib import Path
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 SERVER = "http://server.test"
-CROSSREF = "http://crossref.test"
-# the CLI has no CrossRef URL option, so a fixture for `bibkit lookup` records
-# requests to the default CrossRef endpoint
-CROSSREF_DEFAULT = "https://api.crossref.org"
+CROSSREF = "https://api.crossref.org"
 
 
 def exchange(method, url, *, params=None, body="", status=200, resp_body=""):
@@ -227,7 +224,7 @@ def main():
             exchange("POST", f"{SERVER}/search", body="10.9999/unknown.5", resp_body="[]"),
             exchange(
                 "GET",
-                f"{CROSSREF_DEFAULT}/works",
+                f"{CROSSREF}/works",
                 params={"query": "10.9999/unknown.5", "rows": "10"},
                 resp_body=json.dumps({"message": {"items": [typed_hit]}}),
             ),

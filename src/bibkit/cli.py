@@ -1,19 +1,29 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error, 2 corpus/input error,
-3 upstream unavailable.
+3 upstream unavailable. Commands raise; ``main`` turns the exception into
+its exit code and one stderr line by the first matching row of ``FAILURES``:
 
-- ``lookup``: an empty or malformed query (``EmptyQuery``, ``MalformedUrl``)
-  is a usage error, 1; ``UpstreamUnavailable`` and ``ExportFailure`` are 3.
-- ``reconcile``: unreadable ``.bib``/meta files, and a meta row whose query
-  is empty or malformed, are input errors, 2; ``UpstreamUnavailable`` and
-  ``ExportFailure`` are 3. No output is written on any of them.
-- ``verify``, ``bench``, ``report``: an unreadable corpus or labels file
-  is 2. ``bench`` records a paper whose processing fails (say, its
-  resolution) under ``incomplete``, still writes or prints the bundle,
-  and then exits 3 when ``incomplete`` is not empty.
-- Any command: a ``--venues`` or ``--fixtures`` file that is missing,
-  unreadable or malformed is an input error, 2.
+    InputError                  2  "input error: "
+    CorpusParseError            2  "corpus error: "
+    EmptyQuery, MalformedUrl    1  "error: "
+    UpstreamUnavailable         3  "error: upstream unavailable: "
+    ExportFailure               3  "error: "
+
+Any other exception propagates, so a program bug stays a traceback. The
+argument parser reports a usage error and exits 1.
+
+- A ``--corpus``, ``--bib``, ``--meta``, ``--labels``, ``--venues`` or
+  ``--fixtures`` file that cannot be read or parsed is an ``InputError``
+  naming the option and the path; a corpus header or record that is not
+  valid is a ``CorpusParseError`` naming the line.
+- ``reconcile``: a meta row whose query is empty or malformed, and a
+  ``.bib`` and meta file of different lengths, are input errors too. It
+  writes nothing on any error.
+- ``bench`` and ``verify`` list a paper whose processing fails under
+  ``incomplete``, still write or print the bundle, and then exit 3 when
+  ``incomplete`` is not empty.
+- A ``--fixtures`` replay waits neither for the rate limiter nor a retry.
 """
 
 from __future__ import annotations
@@ -24,13 +34,14 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from .harness import (
-    TSV_HEADER,
     CorpusParseError,
     action_row,
     load_corpus,
     read_labels,
+    read_tsv,
     report_text,
     run_benchmark,
     tagged_from_labels,
@@ -38,13 +49,14 @@ from .harness import (
     write_revised_bib,
     write_tsv,
 )
-from .model import BibParseError, parse_bib_file, serialize_entry
+from .model import parse_bib_file, serialize_entry
 from .normalize import VenueSynonymTable
 from .reconcile import PaperMeta, reconcile
 from .resolve import (
     EmptyQuery,
     ExportFailure,
     MalformedUrl,
+    RateLimiter,
     ReplayTransport,
     Resolver,
     ResolverConfig,
@@ -58,6 +70,21 @@ EXIT_CORPUS = 2
 EXIT_UPSTREAM = 3
 
 
+class InputError(Exception):
+    """An input file that cannot be read or is malformed."""
+
+
+#: Exit code and stderr prefix per exception type; the first type that matches wins.
+FAILURES = {
+    InputError: (EXIT_CORPUS, "input error: "),
+    CorpusParseError: (EXIT_CORPUS, "corpus error: "),
+    EmptyQuery: (EXIT_USAGE, "error: "),
+    MalformedUrl: (EXIT_USAGE, "error: "),
+    UpstreamUnavailable: (EXIT_UPSTREAM, "error: upstream unavailable: "),
+    ExportFailure: (EXIT_UPSTREAM, "error: "),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -65,8 +92,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class InputError(Exception):
-    """An input file that cannot be read or is malformed; ``main`` exits 2."""
+def _read_input(flag: str, path: str, read: Callable[[str], object]):
+    """``read(path)``, with a file it cannot read or parse as an ``InputError``."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError and BibParseError are ValueErrors
+        raise InputError(f"{flag} {path}: {exc}") from None
 
 
 def _replay_transport(path: str) -> ReplayTransport:
@@ -79,107 +110,53 @@ def _replay_transport(path: str) -> ReplayTransport:
             return ReplayTransport({"format_version": 1, "exchanges": exchanges})
         return ReplayTransport(fixtures)
     except (KeyError, TypeError):
-        raise InputError(f"--fixtures {path}: no 'exchanges' list") from None
-    except (OSError, ValueError) as exc:
-        raise InputError(f"--fixtures {path}: {exc}") from None
+        raise ValueError("no 'exchanges' list") from None
+    except RecursionError as exc:  # JSON nested too deeply
+        raise ValueError(str(exc)) from None
 
 
 def _build_resolver(args) -> Resolver:
     config = ResolverConfig.from_env()
-    if getattr(args, "server", None):
+    if args.server:
         config.base_url = args.server
-    transport = None
-    if getattr(args, "fixtures", None):
-        transport = _replay_transport(args.fixtures)
-        config.retry_delay = 0.0
-    return Resolver(config, transport=transport)
-
-
-def _load_table(args) -> VenueSynonymTable:
-    if not getattr(args, "venues", None):
-        return VenueSynonymTable.default()
-    try:
-        return VenueSynonymTable.from_file(args.venues)
-    except (OSError, ValueError) as exc:  # a conflicting variant is a ValueError
-        raise InputError(f"--venues {args.venues}: {exc}") from None
+    if not args.fixtures:
+        return Resolver(config)
+    transport = _read_input("--fixtures", args.fixtures, _replay_transport)
+    limiter = RateLimiter(config.rate_per_sec, sleep=lambda seconds: None)
+    return Resolver(config, transport=transport, rate_limiter=limiter, sleep=lambda seconds: None)
 
 
 def cmd_lookup(args) -> int:
-    resolver = _build_resolver(args)
-    try:
-        result = resolver.resolve(args.query)
-    except EmptyQuery:
-        print("error: empty query", file=sys.stderr)
-        return EXIT_USAGE
-    except MalformedUrl as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UpstreamUnavailable as exc:
-        print(f"error: upstream unavailable: {exc}", file=sys.stderr)
-        return EXIT_UPSTREAM
-    except ExportFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UPSTREAM
+    result = _build_resolver(args).resolve(args.query)
     if result.status == "found":
         entry = result.bibtex  # an untyped CrossRef record prints as @misc, which parses
         print(serialize_entry(replace(entry, entry_type=entry.entry_type or "misc")))
-        return EXIT_OK
-    print(result.status)
+    else:
+        print(result.status)
     return EXIT_OK
 
 
-def _emit_bundle(bundle: dict, out: str | None) -> None:
-    """Write the bundle to ``out``, or print what its report.json would hold."""
-    if out:
-        write_bundle(bundle, out)
-        print(f"wrote report bundle to {out}")
-    else:
-        sys.stdout.write(report_text(bundle))
-
-
 def _read_meta_file(path: str) -> list[PaperMeta]:
-    lines = Path(path).read_text("utf-8").splitlines()
-    if not lines or lines[0] != TSV_HEADER:
-        raise ValueError("unrecognized metadata file format")
-    metas = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = (line.split("\t") + ["", "", "", ""])[:4]
-        paper_id, url, doi, title = parts
-        metas.append(PaperMeta(paper_id, url=url or None, doi=doi or None, title=title or None))
-    return metas
+    rows = [(row + ["", "", ""])[:4] for row in read_tsv(path)]
+    return [
+        PaperMeta(paper_id, url=url or None, doi=doi or None, title=title or None)
+        for paper_id, url, doi, title in rows
+    ]
 
 
 def cmd_reconcile(args) -> int:
-    try:
-        entries = parse_bib_file(Path(args.bib).read_text("utf-8"))
-        metas = _read_meta_file(args.meta)
-    except (OSError, BibParseError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_CORPUS
+    entries = _read_input("--bib", args.bib, lambda p: parse_bib_file(Path(p).read_text("utf-8")))
+    metas = _read_input("--meta", args.meta, _read_meta_file)
     if len(entries) != len(metas):
-        print(
-            f"input error: {len(entries)} entries but {len(metas)} metadata lines",
-            file=sys.stderr,
-        )
-        return EXIT_CORPUS
+        raise InputError(f"{len(entries)} entries but {len(metas)} metadata lines")
     # one lookup per distinct query string, as in harness.run_benchmark
     resolve = functools.cache(_build_resolver(args).resolve)
-    revised = []
-    log_rows = []
+    revised, log_rows = [], []
     for meta, baseline in zip(metas, entries):
         try:
             outcome = reconcile(meta, baseline, resolve)
-        except (EmptyQuery, MalformedUrl) as exc:
-            print(f"input error: meta row {meta.paper_id!r}: {exc}", file=sys.stderr)
-            return EXIT_CORPUS
-        except UpstreamUnavailable as exc:
-            print(f"error: upstream unavailable: {exc}", file=sys.stderr)
-            return EXIT_UPSTREAM
-        except ExportFailure as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_UPSTREAM
+        except (EmptyQuery, MalformedUrl) as exc:  # a bad row is bad input, not a usage error
+            raise InputError(f"meta row {meta.paper_id!r}: {exc}") from None
         revised.append(outcome.result)
         log_rows.append(action_row(meta.paper_id, baseline.citation_key, outcome))
     out = args.out or args.bib + ".revised.bib"
@@ -193,16 +170,18 @@ def cmd_reconcile(args) -> int:
 def cmd_bench(args) -> int:
     try:
         corpus = load_corpus(args.corpus, permissive=args.permissive)
-    except CorpusParseError as exc:
-        print(f"corpus error: {exc}", file=sys.stderr)
-        return EXIT_CORPUS
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a CorpusParseError goes to main
         raise InputError(f"--corpus {args.corpus}: {exc}") from None
-    resolver = None
-    if args.mode == "reconcile_then_verify":
-        resolver = _build_resolver(args).resolve
-    bundle = run_benchmark(corpus, mode=args.mode, resolver=resolver, table=_load_table(args))
-    _emit_bundle(bundle, args.out)
+    resolver = _build_resolver(args).resolve if args.mode == "reconcile_then_verify" else None
+    table = VenueSynonymTable.default()
+    if args.venues:
+        table = _read_input("--venues", args.venues, VenueSynonymTable.from_file)
+    bundle = run_benchmark(corpus, mode=args.mode, resolver=resolver, table=table)
+    if args.out:
+        write_bundle(bundle, args.out)
+        print(f"wrote report bundle to {args.out}")
+    else:
+        sys.stdout.write(report_text(bundle))
     if bundle["incomplete"]:
         print(f"error: {len(bundle['incomplete'])} incomplete record(s)", file=sys.stderr)
         return EXIT_UPSTREAM
@@ -211,11 +190,7 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     """The bundle aggregate of a labels file; it carries no model, tier or domain."""
-    try:
-        tagged = tagged_from_labels(read_labels(args.labels))
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_CORPUS
+    tagged = _read_input("--labels", args.labels, lambda p: tagged_from_labels(read_labels(p)))
     report = aggregate_stats(tagged)
     for kind in ("model", "tier", "domain"):
         del report[f"per_{kind}"]
@@ -267,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_CORPUS
+    except tuple(FAILURES) as exc:
+        code, prefix = next(row for kind, row in FAILURES.items() if isinstance(exc, kind))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

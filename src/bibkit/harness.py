@@ -169,7 +169,7 @@ def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]
         raise CorpusParseError(1, "empty corpus file")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise CorpusParseError(1, f"bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format_version") != 1:
         raise CorpusParseError(1, "unsupported corpus format version")
@@ -178,7 +178,7 @@ def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             if permissive:
                 continue
             raise CorpusParseError(line_no, f"bad JSON: {exc}") from None
@@ -368,20 +368,22 @@ def write_tsv(path: str | Path, rows: list[tuple[str, ...]]) -> None:
     _write_atomic(Path(path), "\n".join([TSV_HEADER] + ["\t".join(r) for r in rows]) + "\n")
 
 
-def read_labels(path: str | Path) -> list[tuple[str, str, str, str, str]]:
-    """Label rows: paper_id, entry_tag, slot, label, stage."""
+def read_tsv(path: str | Path) -> list[list[str]]:
+    """The tab-split rows behind the format-version header; blank lines are skipped."""
     lines = Path(path).read_text("utf-8").splitlines()
     if not lines or lines[0] != TSV_HEADER:
-        raise ValueError("unrecognized labels file format")
-    rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
+        raise ValueError(f"unrecognized file format: first line is not {TSV_HEADER!r}")
+    return [line.split("\t") for line in lines[1:] if line.strip()]
+
+
+def read_labels(path: str | Path) -> list[tuple[str, str, str, str, str]]:
+    """Label rows: paper_id, entry_tag, slot, label, stage."""
+    rows = read_tsv(path)
+    for row in rows:
+        if len(row) != 5:
+            line = "\t".join(row)
             raise ValueError(f"malformed labels row: {line!r}")
-        rows.append(tuple(parts))
-    return rows
+    return [tuple(row) for row in rows]
 
 
 def tagged_from_labels(rows: list[tuple[str, str, str, str, str]]) -> list[TaggedVerdict]:

@@ -43,6 +43,12 @@ CROSSREF_ENTRY_TYPES = {
     "posted-content": "misc",
 }
 
+#: The CrossRef API the fallback asks.
+CROSSREF_URL = "https://api.crossref.org"
+
+#: Seconds waited before the one retry of a failed request without ``Retry-After``.
+RETRY_DELAY = 1.0
+
 #: Longest ``Retry-After`` (seconds) a 429 is waited out for; a longer one
 #: means the upstream cannot be asked within this run.
 MAX_RETRY_AFTER = 60.0
@@ -285,11 +291,11 @@ class RateLimiter:
         self,
         rate_per_sec: float = 2.0,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Callable[[float], None] | None = None,
     ):
         self.min_interval = 1.0 / rate_per_sec
         self._clock = clock
-        self._sleep = sleep
+        self._sleep = sleep or time.sleep  # looked up per instance, so a patched one is seen
         self._lock = threading.Lock()
         self._next_start: float | None = None
 
@@ -306,9 +312,7 @@ class RateLimiter:
 @dataclass
 class ResolverConfig:
     base_url: str
-    crossref_url: str = "https://api.crossref.org"
     contact: str | None = None
-    retry_delay: float = 1.0
     rate_per_sec: float = 2.0
 
     @classmethod
@@ -326,12 +330,12 @@ class Resolver:
         config: ResolverConfig,
         transport: Transport | None = None,
         rate_limiter: RateLimiter | None = None,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Callable[[float], None] | None = None,
     ):
         self.config = config
         self.transport = transport or HttpTransport()
         self.rate_limiter = rate_limiter or RateLimiter(config.rate_per_sec)
-        self._sleep = sleep
+        self._sleep = sleep or time.sleep
 
     # -- low-level ---------------------------------------------------------
 
@@ -345,14 +349,14 @@ class Resolver:
             except TransportError as exc:
                 if attempts >= 2:
                     raise UpstreamUnavailable(str(exc)) from exc
-                self._sleep(self.config.retry_delay)
+                self._sleep(RETRY_DELAY)
                 continue
             if resp.status >= 500 or resp.status == 429:
                 # a throttled or failing upstream could not be asked; its
                 # body is never read as an answer
                 if attempts >= 2:
                     raise UpstreamUnavailable(f"upstream returned {resp.status}")
-                delay = self.config.retry_delay
+                delay = RETRY_DELAY
                 if resp.status == 429:
                     delay = _retry_after(resp.headers, delay)
                     if delay > MAX_RETRY_AFTER:
@@ -371,10 +375,7 @@ class Resolver:
         )
         if resp.status not in (200, 300):
             return []
-        try:
-            items = json.loads(resp.body)
-        except json.JSONDecodeError:
-            return []
+        items = _json(resp.body)
         if isinstance(items, dict):
             items = [items]
         return [item for item in _list(items) if isinstance(item, dict)]
@@ -403,16 +404,13 @@ class Resolver:
             headers["User-Agent"] = f"bibkit/0.1 (mailto:{self.config.contact})"
         resp = self._request(
             "GET",
-            f"{self.config.crossref_url}/works",
+            f"{CROSSREF_URL}/works",
             params={"query": text, "rows": str(CROSSREF_MAX_CANDIDATES)},
             headers=headers or None,
         )
         if resp.status != 200:
             return []
-        try:
-            works = _get(_get(json.loads(resp.body), "message"), "items")
-        except json.JSONDecodeError:
-            return []
+        works = _get(_get(_json(resp.body), "message"), "items")
         entries = [_entry_from_work(work) for work in _list(works)[:CROSSREF_MAX_CANDIDATES]]
         return [entry for entry in entries if entry is not None]
 
@@ -438,6 +436,14 @@ class Resolver:
 
 # Upstream JSON is outside input: a value of the wrong type reads as absent
 # (None, [] or "").
+
+
+def _json(body: str):
+    """The JSON value of an upstream body, or None when it is not JSON."""
+    try:
+        return json.loads(body)
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deeply
+        return None
 
 
 def _get(value, key):

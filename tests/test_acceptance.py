@@ -266,9 +266,7 @@ def test_co_error_matrix_on_50_synthetic_verdicts():
 
 
 def replay_resolver(fixture_name: str) -> Resolver:
-    config = ResolverConfig(
-        base_url="http://server.test", crossref_url="http://crossref.test", retry_delay=0.0
-    )
+    config = ResolverConfig(base_url="http://server.test")
     limiter = RateLimiter(rate_per_sec=2.0, clock=lambda: 0.0, sleep=lambda s: None)
     return Resolver(
         config,

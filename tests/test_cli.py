@@ -1,11 +1,11 @@
 import json
 import shutil
+import time
 
 import pytest
 
 from bibkit.cli import main
 from bibkit.model import FieldSlot, parse_entry
-from bibkit.resolve import RateLimiter
 
 from conftest import FIXTURES
 
@@ -140,6 +140,14 @@ def test_lookup_malformed_url_exits_1(capsys):
     assert "not an absolute http(s) URL" in err
 
 
+def test_lookup_doi_url_without_a_doi_exits_1(capsys):
+    fixture = str(FIXTURES / "replay_doi_found.json")
+    code, out, err = run(["lookup", "https://doi.org/", "--fixtures", fixture] + SERVER, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: no DOI in 'https://doi.org/'\n"
+
+
 def unparseable_export(tmp_path, query):
     item = [{"title": "A Paper", "DOI": query}]
     export = {
@@ -197,6 +205,36 @@ def test_lookup_untyped_crossref_record_prints_misc(tmp_path, capsys):
     entry = parse_entry(out)
     assert entry.entry_type == "misc"
     assert entry.fields == {"title": "An Untyped Work", "author": "Doe, Jane"}
+
+
+@pytest.mark.parametrize(
+    "fixture,query,printed",
+    [
+        ("replay_fallback_single.json", "10.9999/unknown.3", "@misc{Yamashita2016,"),
+        ("replay_fallback_many.json", "10.9999/unknown.1", "not_found"),
+        ("replay_fallback_empty.json", "10.9999/unknown.2", "not_found"),
+    ],
+)
+def test_lookup_replays_recorded_crossref_exchange(capsys, fixture, query, printed):
+    code, out, err = run(["lookup", query, "--fixtures", str(FIXTURES / fixture)] + SERVER, capsys)
+    assert code == 0, err
+    assert out.startswith(printed)
+
+
+def test_replayed_lookup_does_not_sleep(tmp_path, capsys, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    throttled = {"status": 429, "body": "", "headers": {"Retry-After": "5"}}
+    fixture = write_exchanges(
+        tmp_path / "throttled.json",
+        (search_request("10.9999/slow.1"), throttled),
+        (search_request("10.9999/slow.1"), {"status": 200, "body": "[]"}),
+        (crossref_request("10.9999/slow.1"), {"status": 200, "body": '{"message": {"items": []}}'}),
+    )
+    code, out, _ = run(["lookup", "10.9999/slow.1", "--fixtures", fixture] + SERVER, capsys)
+    assert code == 0
+    assert out == "not_found\n"
+    assert sleeps == []  # neither the limiter's spacing nor the Retry-After was waited out
 
 
 def test_lookup_typed_crossref_record(capsys):
@@ -353,6 +391,80 @@ def test_lookup_and_reconcile_with_missing_fixtures_exit_2(tmp_path, capsys):
     code, out, err = run(["reconcile", "--bib", str(bib), "--meta", str(meta)] + fixtures, capsys)
     assert_input_error(code, out, err, "--fixtures")
 
+
+
+@pytest.mark.parametrize("option", ["--bib", "--meta", "--labels"])
+def test_missing_input_file_names_the_option(tmp_path, capsys, option):
+    missing = str(missing_file(tmp_path))
+    if option == "--labels":
+        args = ["report", "--labels", missing]
+    else:
+        bib, meta = write_reconcile_inputs(tmp_path)
+        files = {"--bib": str(bib), "--meta": str(meta), option: missing}
+        args = ["reconcile", "--bib", files["--bib"], "--meta", files["--meta"]]
+    code, out, err = run(args, capsys)
+    assert_input_error(code, out, err, option)
+    assert missing in err
+
+
+DEEP = "[" * 100000  # deeper than the JSON parser's recursion limit
+
+
+def write_lines(tmp_path, lines):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    return str(path)
+
+
+def deep_corpus_header(tmp_path):
+    lines = (FIXTURES / "golden_corpus.jsonl").read_text("utf-8").splitlines()
+    return ["verify", "--corpus", write_lines(tmp_path, [DEEP] + lines[1:])]
+
+
+def deep_corpus_record(tmp_path):
+    lines = (FIXTURES / "golden_corpus.jsonl").read_text("utf-8").splitlines()
+    return ["verify", "--corpus", write_lines(tmp_path, lines[:2] + [DEEP] + lines[2:])]
+
+
+def deep_fixtures_file(tmp_path):
+    fixture = tmp_path / "deep.json"
+    fixture.write_text(DEEP, "utf-8")
+    return ["lookup", "10.1111/iju.13054", "--fixtures", str(fixture)] + SERVER
+
+
+def deep_body(search_body, crossref_body):
+    def make(tmp_path):
+        fixture = write_exchanges(
+            tmp_path / "deep.json",
+            (search_request("10.1111/iju.13054"), {"status": 200, "body": search_body}),
+            (crossref_request("10.1111/iju.13054"), {"status": 200, "body": crossref_body}),
+        )
+        return ["lookup", "10.1111/iju.13054", "--fixtures", fixture] + SERVER
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make,code,printed",
+    [
+        (deep_corpus_header, 2, "corpus error: line 1: bad header: "),
+        (deep_corpus_record, 2, "corpus error: line 3: bad JSON: "),
+        (deep_fixtures_file, 2, "input error: --fixtures "),
+        (deep_body(DEEP, '{"message": {"items": []}}'), 0, "not_found\n"),  # no items
+        (deep_body("[]", DEEP), 0, "not_found\n"),
+    ],
+    ids=["corpus-header", "corpus-record", "fixtures-file", "search-body", "crossref-body"],
+)
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, make, code, printed):
+    args = make(tmp_path)
+    got, out, err = run(args, capsys)
+    assert got == code
+    assert (err or out).startswith(printed)
+    assert err.count("\n") <= 1  # one line, no traceback
+    if make is deep_corpus_record:  # skipped under --permissive
+        got, out, _ = run(args + ["--permissive"], capsys)
+        assert got == 0
+        assert json.loads(out)["aggregate"]["entries"] == 20
 
 
 SEARCH = {"method": "POST", "url": "http://server.test/search"}
@@ -583,8 +695,7 @@ def test_bench_reconcile_resolves_a_shared_query_once(tmp_path, capsys):
     assert [row.split("\t")[1:3] for row in actions] == [[f"c{i}", "merged"] for i in (1, 2, 3)]
 
 
-def test_bench_with_incomplete_records_writes_bundle_then_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(RateLimiter, "acquire", lambda self: None)  # spacing is not under test
+def test_bench_with_incomplete_records_writes_bundle_then_exits_3(tmp_path, capsys):
     fixture = tmp_path / "zero.json"
     fixture.write_text(json.dumps({"format_version": 1, "exchanges": []}), "utf-8")
     args = ["bench", "--corpus", CORPUS, "--mode", "reconcile_then_verify"]

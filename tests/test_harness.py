@@ -9,9 +9,11 @@ from bibkit.harness import (
     classify_location,
     default_meta,
     load_corpus,
+    read_tsv,
     run_benchmark,
     write_bundle,
     write_revised_bib,
+    write_tsv,
 )
 from bibkit.model import BibEntry, parse_entry, serialize_entry
 from bibkit.normalize import VenueSynonymTable
@@ -525,6 +527,23 @@ def test_write_bundle_overwrites_atomically(tmp_path):
     first = read_tree(tmp_path)
     write_bundle(bundle, tmp_path)
     assert read_tree(tmp_path) == first
+
+
+def test_read_tsv_round_trips_write_tsv(tmp_path):
+    rows = [("p1", "", "10.1111/iju.13054", ""), ("p2", "https://arxiv.org/abs/1", "", "A Title")]
+    path = tmp_path / "rows.tsv"
+    write_tsv(path, rows)
+    assert read_tsv(path) == [list(row) for row in rows]
+    path.write_text(path.read_text("utf-8") + "\n \t \n", "utf-8")  # blank lines are skipped
+    assert read_tsv(path) == [list(row) for row in rows]
+
+
+@pytest.mark.parametrize("text", ["", "p1\t\t10.1111/iju.13054\t\n", "format_version\t2\np1\n"])
+def test_read_tsv_rejects_a_missing_header(tmp_path, text):
+    path = tmp_path / "rows.tsv"
+    path.write_text(text, "utf-8")
+    with pytest.raises(ValueError, match="format_version"):
+        read_tsv(path)
 
 
 def test_write_revised_bib_round_trips(tmp_path):

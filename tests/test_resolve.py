@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from bibkit.resolve import (
     CROSSREF_ENTRY_TYPES,
+    CROSSREF_URL,
+    RETRY_DELAY,
     EmptyQuery,
     MalformedUrl,
     NoCandidates,
@@ -28,11 +30,7 @@ from conftest import FIXTURES
 
 def make_resolver(fixture: str | dict) -> Resolver:
     """Offline resolver replaying a fixture file (by name) or an in-memory fixture."""
-    config = ResolverConfig(
-        base_url="http://server.test",
-        crossref_url="http://crossref.test",
-        retry_delay=0.0,
-    )
+    config = ResolverConfig(base_url="http://server.test")
     transport = ReplayTransport(fixture if isinstance(fixture, dict) else FIXTURES / fixture)
     limiter = RateLimiter(rate_per_sec=2.0, clock=lambda: 0.0, sleep=lambda s: None)
     return Resolver(config, transport=transport, rate_limiter=limiter, sleep=lambda s: None)
@@ -235,7 +233,7 @@ class FlakyTransport:
 
 
 def quiet_resolver(transport) -> Resolver:
-    config = ResolverConfig(base_url="http://server.test", retry_delay=0.0)
+    config = ResolverConfig(base_url="http://server.test")
     limiter = RateLimiter(rate_per_sec=2.0, clock=lambda: 0.0, sleep=lambda s: None)
     return Resolver(config, transport=transport, rate_limiter=limiter, sleep=lambda s: None)
 
@@ -288,9 +286,7 @@ class ScriptedTransport:
 def throttle_resolver(script) -> tuple[Resolver, ScriptedTransport, list[float]]:
     transport = ScriptedTransport(script)
     sleeps: list[float] = []
-    config = ResolverConfig(
-        base_url="http://server.test", crossref_url="http://crossref.test", retry_delay=0.25
-    )
+    config = ResolverConfig(base_url="http://server.test")
     limiter = RateLimiter(rate_per_sec=2.0, clock=lambda: 0.0, sleep=lambda s: None)
     return Resolver(config, transport, limiter, sleep=sleeps.append), transport, sleeps
 
@@ -314,7 +310,7 @@ def test_429_is_upstream_unavailable_not_an_answer(throttled, script):
         resolver.resolve("10.9999/throttled")
     assert transport.calls.count(throttled) == 2
     assert transport.calls[-1] == throttled  # nothing asked after giving up
-    assert sleeps == [0.25]  # no Retry-After: the configured retry delay
+    assert sleeps == [RETRY_DELAY]  # no Retry-After
 
 
 @pytest.mark.parametrize(
@@ -322,9 +318,9 @@ def test_429_is_upstream_unavailable_not_an_answer(throttled, script):
     [
         ({"Retry-After": "7"}, 7.0),
         ({"retry-after": "2.5"}, 2.5),
-        ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, 0.25),
-        ({"Retry-After": "-3"}, 0.25),
-        ({}, 0.25),
+        ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, RETRY_DELAY),
+        ({"Retry-After": "-3"}, RETRY_DELAY),
+        ({}, RETRY_DELAY),
     ],
 )
 def test_429_retries_once_after_retry_after(headers, expected_sleep):
@@ -426,7 +422,7 @@ def crossref_body_fallback(doi: str, body) -> Resolver:
         {
             "request": {
                 "method": "GET",
-                "url": "http://crossref.test/works",
+                "url": f"{CROSSREF_URL}/works",
                 "params": {"query": doi, "rows": "10"},
             },
             "response": {"status": 200, "body": json.dumps(body)},

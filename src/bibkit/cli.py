@@ -14,9 +14,10 @@ Any other exception propagates, so a program bug stays a traceback. The
 argument parser reports a usage error and exits 1.
 
 - A ``--corpus``, ``--bib``, ``--meta``, ``--labels``, ``--venues`` or
-  ``--fixtures`` file that cannot be read or parsed is an ``InputError``
-  naming the option and the path; a corpus header or record that is not
-  valid is a ``CorpusParseError`` naming the line.
+  ``--fixtures`` file that cannot be read or parsed, and an ``--out`` or
+  ``--log`` path that cannot be written, is an ``InputError`` naming the
+  option and the path; a corpus header or record that is not valid is a
+  ``CorpusParseError`` naming the line.
 - ``reconcile``: a meta row whose query is empty or malformed, and a
   ``.bib`` and meta file of different lengths, are input errors too. It
   writes nothing on any error.
@@ -38,16 +39,17 @@ from typing import Callable
 
 from .harness import (
     CorpusParseError,
+    _write_atomic,
     action_row,
+    bib_text,
     load_corpus,
     read_labels,
     read_tsv,
     report_text,
     run_benchmark,
     tagged_from_labels,
+    tsv_text,
     write_bundle,
-    write_revised_bib,
-    write_tsv,
 )
 from .model import parse_bib_file, serialize_entry
 from .normalize import VenueSynonymTable
@@ -71,7 +73,7 @@ EXIT_UPSTREAM = 3
 
 
 class InputError(Exception):
-    """An input file that cannot be read or is malformed."""
+    """An input file that cannot be read or is malformed, or an output it cannot write."""
 
 
 #: Exit code and stderr prefix per exception type; the first type that matches wins.
@@ -92,10 +94,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_input(flag: str, path: str, read: Callable[[str], object]):
-    """``read(path)``, with a file it cannot read or parse as an ``InputError``."""
+def _use_file(flag: str, path: str, use: Callable[[str], object]):
+    """``use(path)``, with a file it cannot read, parse or write as an ``InputError``."""
     try:
-        return read(path)
+        return use(path)
     except (OSError, ValueError) as exc:  # UnicodeDecodeError and BibParseError are ValueErrors
         raise InputError(f"{flag} {path}: {exc}") from None
 
@@ -121,7 +123,7 @@ def _build_resolver(args) -> Resolver:
         config.base_url = args.server
     if not args.fixtures:
         return Resolver(config)
-    transport = _read_input("--fixtures", args.fixtures, _replay_transport)
+    transport = _use_file("--fixtures", args.fixtures, _replay_transport)
     limiter = RateLimiter(config.rate_per_sec, sleep=lambda seconds: None)
     return Resolver(config, transport=transport, rate_limiter=limiter, sleep=lambda seconds: None)
 
@@ -145,8 +147,8 @@ def _read_meta_file(path: str) -> list[PaperMeta]:
 
 
 def cmd_reconcile(args) -> int:
-    entries = _read_input("--bib", args.bib, lambda p: parse_bib_file(Path(p).read_text("utf-8")))
-    metas = _read_input("--meta", args.meta, _read_meta_file)
+    entries = _use_file("--bib", args.bib, lambda p: parse_bib_file(Path(p).read_text("utf-8")))
+    metas = _use_file("--meta", args.meta, _read_meta_file)
     if len(entries) != len(metas):
         raise InputError(f"{len(entries)} entries but {len(metas)} metadata lines")
     # one lookup per distinct query string, as in harness.run_benchmark
@@ -160,9 +162,10 @@ def cmd_reconcile(args) -> int:
         revised.append(outcome.result)
         log_rows.append(action_row(meta.paper_id, baseline.citation_key, outcome))
     out = args.out or args.bib + ".revised.bib"
-    write_revised_bib(revised, out)
-    if args.log:
-        write_tsv(args.log, log_rows)
+    with _write_atomic() as stage:  # both files or neither
+        _use_file("--out", out, lambda p: stage(p, bib_text(revised)))
+        if args.log:
+            _use_file("--log", args.log, lambda p: stage(p, tsv_text(log_rows)))
     print(f"wrote {len(revised)} entries to {out}")
     return EXIT_OK
 
@@ -175,10 +178,10 @@ def cmd_bench(args) -> int:
     resolver = _build_resolver(args).resolve if args.mode == "reconcile_then_verify" else None
     table = VenueSynonymTable.default()
     if args.venues:
-        table = _read_input("--venues", args.venues, VenueSynonymTable.from_file)
+        table = _use_file("--venues", args.venues, VenueSynonymTable.from_file)
     bundle = run_benchmark(corpus, mode=args.mode, resolver=resolver, table=table)
     if args.out:
-        write_bundle(bundle, args.out)
+        _use_file("--out", args.out, lambda p: write_bundle(bundle, p))
         print(f"wrote report bundle to {args.out}")
     else:
         sys.stdout.write(report_text(bundle))
@@ -190,7 +193,7 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     """The bundle aggregate of a labels file; it carries no model, tier or domain."""
-    tagged = _read_input("--labels", args.labels, lambda p: tagged_from_labels(read_labels(p)))
+    tagged = _use_file("--labels", args.labels, lambda p: tagged_from_labels(read_labels(p)))
     report = aggregate_stats(tagged)
     for kind in ("model", "tier", "domain"):
         del report[f"per_{kind}"]
@@ -199,39 +202,36 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--corpus", required=True)
+    corpus.add_argument("--out", help="report bundle directory")
+    corpus.add_argument("--venues", help="venue synonym table file")
+    corpus.add_argument("--permissive", action="store_true", help="skip malformed records")
+    upstream = argparse.ArgumentParser(add_help=False)
+    upstream.add_argument("--server", help="translation server base URL")
+    upstream.add_argument("--fixtures", help="replay fixture file or directory (offline)")
+
     parser = _Parser(prog="bibkit", description="Deterministic bibliographic toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lookup", help="resolve an identifier, URL, or title to BibTeX")
+    p = sub.add_parser("lookup", parents=[upstream], help="resolve an identifier, URL, or title to BibTeX")
     p.add_argument("query")
-    p.add_argument("--server", help="translation server base URL")
-    p.add_argument("--fixtures", help="replay fixture file or directory (offline)")
     p.set_defaults(func=cmd_lookup)
 
-    p = sub.add_parser("verify", help="label candidate entries against ground truth")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", help="report bundle directory")
-    p.add_argument("--venues", help="venue synonym table file")
-    p.add_argument("--permissive", action="store_true", help="skip malformed records")
+    p = sub.add_parser("verify", parents=[corpus], help="label candidate entries against ground truth")
     p.set_defaults(func=cmd_bench, mode="verify")
 
-    p = sub.add_parser("reconcile", help="merge baseline entries with authoritative records")
+    p = sub.add_parser(
+        "reconcile", parents=[upstream], help="merge baseline entries with authoritative records"
+    )
     p.add_argument("--bib", required=True, help=".bib file of baseline entries")
     p.add_argument("--meta", required=True, help="sidecar metadata file (paper_id/url/doi/title)")
     p.add_argument("--out", help="revised .bib output path")
     p.add_argument("--log", help="per-entry action log path")
-    p.add_argument("--server")
-    p.add_argument("--fixtures")
     p.set_defaults(func=cmd_reconcile)
 
-    p = sub.add_parser("bench", help="run the benchmark pipeline over a corpus")
-    p.add_argument("--corpus", required=True)
+    p = sub.add_parser("bench", parents=[corpus, upstream], help="run the benchmark pipeline over a corpus")
     p.add_argument("--mode", choices=["verify", "reconcile_then_verify"], default="verify")
-    p.add_argument("--fixtures")
-    p.add_argument("--server")
-    p.add_argument("--out")
-    p.add_argument("--venues")
-    p.add_argument("--permissive", action="store_true")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("report", help="recompute aggregates from a labels file")

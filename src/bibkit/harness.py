@@ -7,6 +7,7 @@ output files are written atomically and identically across repeat runs.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -225,10 +226,11 @@ def _matrix_json(matrix) -> dict:
     }
 
 
-def _labels_rows(paper_id: str, tag: str, verdict: EntryVerdict) -> list[tuple[str, ...]]:
-    labels, stage2 = verdict.labels, verdict.stage2_slots
+def _labels_rows(tagged: list[TaggedVerdict]) -> list[tuple[str, ...]]:
     return [
-        (paper_id, tag, name, LABEL_NAMES[labels[slot]], "2" if slot in stage2 else "1")
+        (tv.paper_id, tv.entry_tag, name, LABEL_NAMES[labels[slot]], "2" if slot in stage2 else "1")
+        for tv in tagged
+        for labels, stage2 in [(tv.verdict.labels, tv.verdict.stage2_slots)]
         for slot, name in SLOT_NAMES
     ]
 
@@ -292,8 +294,6 @@ def run_benchmark(
 
     tagged: list[TaggedVerdict] = []
     tagged_before: list[TaggedVerdict] = []
-    labels_rows: list[tuple[str, ...]] = []
-    labels_before_rows: list[tuple[str, ...]] = []
     actions: list[tuple[str, ...]] = []
     incomplete: list[dict] = []
 
@@ -308,10 +308,8 @@ def run_benchmark(
             for tag, model, before, after, outcome in results:
                 final = after if after is not None else before
                 tagged.append(TaggedVerdict(pid, tag, final, model, tier, domain))
-                labels_rows.extend(_labels_rows(pid, tag, final))
                 if after is not None:
                     tagged_before.append(TaggedVerdict(pid, tag, before, model, tier, domain))
-                    labels_before_rows.extend(_labels_rows(pid, tag, before))
                     actions.append(action_row(pid, tag, outcome))
     finally:
         clear_memo()  # the normalization memo lives for one run
@@ -324,11 +322,11 @@ def run_benchmark(
         "error_modes": dict(sorted(Counter(v.error_mode for v in verdicts).items())),
         "co_error": _matrix_json(co_error_matrix(verdicts)) if verdicts else {},
         "incomplete": incomplete,
-        "labels": labels_rows,
+        "labels": _labels_rows(tagged),
     }
     if mode == "reconcile_then_verify":
         bundle["aggregate_before"] = aggregate_stats(tagged_before)
-        bundle["labels_before"] = labels_before_rows
+        bundle["labels_before"] = _labels_rows(tagged_before)
         bundle["deltas"] = _field_deltas(tagged_before, tagged)
         bundle["actions"] = actions
     return bundle
@@ -351,21 +349,45 @@ def action_row(entry_id: str, key: str, outcome: ReconcileOutcome) -> tuple[str,
     return (entry_id, key, outcome.action, score, slots)
 
 
-def _write_atomic(path: Path, content: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
+@contextlib.contextmanager
+def _write_atomic():
+    """Yield ``stage(path, content)``; staged files replace their targets when the block ends.
+
+    Each file is written to a temporary file beside its target, and no
+    target is replaced before every file is written. On an error every
+    temporary file is removed.
+    """
+    staged: list[tuple[str, Path]] = []
+
+    def stage(path: str | Path, content: str) -> None:
+        path = Path(path)
+        if path.is_dir():  # os.replace cannot put a file in its place
+            raise IsADirectoryError("is a directory")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        staged.append((tmp, path))
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(content)
-        os.replace(tmp, path)
+
+    try:
+        yield stage
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
+def tsv_text(rows: list[tuple[str, ...]]) -> str:
+    """Tab-joined rows behind the format-version header."""
+    return "\n".join([TSV_HEADER] + ["\t".join(r) for r in rows]) + "\n"
+
+
 def write_tsv(path: str | Path, rows: list[tuple[str, ...]]) -> None:
-    """Tab-joined rows behind the format-version header, written atomically."""
-    _write_atomic(Path(path), "\n".join([TSV_HEADER] + ["\t".join(r) for r in rows]) + "\n")
+    """``tsv_text(rows)``, written atomically."""
+    with _write_atomic() as stage:
+        stage(path, tsv_text(rows))
 
 
 def read_tsv(path: str | Path) -> list[list[str]]:
@@ -417,12 +439,19 @@ def write_bundle(bundle: dict, out_dir: str | Path) -> None:
     """Materialize a report bundle: report.json plus labels/actions files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for key, name in TSV_FILES.items():
-        if key in bundle:
-            write_tsv(out / name, bundle[key])
-    _write_atomic(out / "report.json", report_text(bundle))
+    with _write_atomic() as stage:
+        for key, name in TSV_FILES.items():
+            if key in bundle:
+                stage(out / name, tsv_text(bundle[key]))
+        stage(out / "report.json", report_text(bundle))
+
+
+def bib_text(entries: list[BibEntry]) -> str:
+    """The entries serialized, separated by blank lines."""
+    return "\n\n".join(serialize_entry(e) for e in entries) + "\n"
 
 
 def write_revised_bib(entries: list[BibEntry], path: str | Path) -> None:
-    text = "\n\n".join(serialize_entry(e) for e in entries) + "\n"
-    _write_atomic(Path(path), text)
+    """``bib_text(entries)``, written atomically."""
+    with _write_atomic() as stage:
+        stage(path, bib_text(entries))

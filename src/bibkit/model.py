@@ -139,20 +139,20 @@ def parse_entry(text: str) -> BibEntry:
             raise MultipleEntries("more than one entry in input")
         raise BibParseError(f"trailing content after entry: {trailing[:30]!r}")
 
-    key, *rest = _split_top_level(body, ",", 1)
+    key, *rest = _split_top_level(body, _COMMA_RE, 1)
     key = key.strip()
     if not key:
         raise EmptyKey("entry has no citation key")
 
     fields: dict[str, str] = {}
-    segments = _split_top_level(rest[0], ",", -1) if rest else []
+    segments = _split_top_level(rest[0], _COMMA_RE) if rest else []
     for position, segment in enumerate(segments):
         seg = segment.strip()
         if not seg:
             if position == len(segments) - 1:
                 continue  # tolerate a trailing comma
             raise BibParseError("empty field segment")
-        name, *raw = _split_top_level(seg, "=", 1)
+        name, *raw = _split_top_level(seg, _EQUALS_RE, 1)
         if not raw:
             raise BibParseError(f"field without '=': {seg[:30]!r}")
         name = name.strip().lower()
@@ -170,28 +170,23 @@ def _parse_value(raw: str) -> str:
     if not raw:
         return ""
     if raw[0] == "{":
-        i = _close_brace(raw, 0)
-        if i < 0:
+        end, kind = _close_brace(raw, 0), "braced"
+        if end < 0:
             raise UnbalancedBraces("value braces are not balanced")
-        rest = raw[i + 1 :].strip()
-        if rest.startswith("#"):
-            raise UnsupportedConcatenation("'#' concatenation is not supported")
-        if rest:
-            raise BibParseError(f"junk after braced value: {rest[:20]!r}")
-        return raw[1:i]
-    if raw[0] == '"':
-        end = raw.find('"', 1)
+    elif raw[0] == '"':
+        end, kind = raw.find('"', 1), "quoted"
         if end < 0:
             raise BibParseError("unterminated quoted value")
-        rest = raw[end + 1 :].strip()
-        if rest.startswith("#"):
-            raise UnsupportedConcatenation("'#' concatenation is not supported")
-        if rest:
-            raise BibParseError(f"junk after quoted value: {rest[:20]!r}")
-        return raw[1:end]
-    if "#" in raw:
+    elif "#" in raw:
         raise UnsupportedConcatenation("'#' concatenation is not supported")
-    return raw.strip()
+    else:
+        return raw.strip()
+    rest = raw[end + 1 :].strip()
+    if rest.startswith("#"):
+        raise UnsupportedConcatenation("'#' concatenation is not supported")
+    if rest:
+        raise BibParseError(f"junk after {kind} value: {rest[:20]!r}")
+    return raw[1:end]
 
 
 _BRACE_RE = re.compile(r"[{}]")
@@ -210,21 +205,23 @@ def _close_brace(s: str, open_at: int) -> int:
     return -1
 
 
-#: Delimiters ``_split_top_level`` stops at, per separator it is called with.
-_DELIMITER_RES = {sep: re.compile(r'[{}"' + re.escape(sep) + "]") for sep in ",="}
+#: The delimiters ``parse_entry`` splits at: braces, quotes and the separator.
+_COMMA_RE = re.compile(r'[{}",]')
+_EQUALS_RE = re.compile(r'[{}"=]')
 
 
-def _split_top_level(s: str, sep: str, maxsplit: int) -> list[str]:
-    """Split on ``sep`` outside braces and depth-0 quotes, like ``str.split``.
+def _split_top_level(s: str, delimiters: re.Pattern, maxsplit: int = -1) -> list[str]:
+    """Split ``s`` at separators outside braces, like ``str.split``.
 
-    ``sep`` is ``,`` or ``=``. A quote toggles only at depth 0; braces count
-    inside quotes too.
+    ``delimiters`` matches ``{``, ``}`` and the separator. When it also
+    matches ``"``, a quote toggles at depth 0 and hides the separators up
+    to the next one; braces count inside quotes too.
     """
     parts: list[str] = []
     depth = 0
     in_quote = False
     start = 0
-    for m in _DELIMITER_RES[sep].finditer(s):
+    for m in delimiters.finditer(s):
         c = m.group()
         if c == "{":
             depth += 1

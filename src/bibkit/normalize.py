@@ -12,6 +12,8 @@ import unicodedata
 from importlib import resources
 from pathlib import Path
 
+from .model import _split_top_level
+
 
 class EmptyAuthor(ValueError):
     pass
@@ -55,24 +57,7 @@ def fold_diacritics(value: str) -> str:
 
 
 _ET_AL_RE = re.compile(r"\bet\.?\s+al\.?\s*$", re.IGNORECASE)
-_BRACE_OR_AND_RE = re.compile(r"[{}]| and ", re.IGNORECASE)
-
-
-def _split_top_level_and(value: str) -> list[str]:
-    """Split an author field on the separator " and " (any case) at brace depth 0."""
-    parts: list[str] = []
-    depth = 0
-    start = 0
-    for m in _BRACE_OR_AND_RE.finditer(value):
-        if m.group() == "{":
-            depth += 1
-        elif m.group() == "}":
-            depth -= 1
-        elif depth == 0:
-            parts.append(value[start : m.start()])
-            start = m.end()
-    parts.append(value[start:])
-    return [p.strip() for p in parts if p.strip()]
+_AUTHOR_DELIMITER_RE = re.compile(r"[{}]| and ", re.IGNORECASE)
 
 
 def _split_authors(value: str) -> list[str]:
@@ -88,7 +73,7 @@ def _split_authors(value: str) -> list[str]:
     value = _ET_AL_RE.sub("", value).strip().rstrip(",")
     if not value:
         raise EmptyAuthor("empty author field")
-    parts = _split_top_level_and(value)
+    parts = [p.strip() for p in _split_top_level(value, _AUTHOR_DELIMITER_RE) if p.strip()]
     if len(parts) > 1:
         return parts
     segments = [s.strip() for s in value.split(",") if s.strip()]
@@ -173,12 +158,9 @@ class VenueSynonymTable:
                 raise ValueError(f"variant {variant!r} already maps to {existing!r}")
         self._canonical_of.update(dict.fromkeys(keys, canon_form))
 
-    def lookup(self, value: str) -> str | None:
-        return self._canonical_of.get(self._fold(value))
-
-    def lookup_folded(self, key: str) -> str | None:
-        """``lookup`` for a value that is already folded (``normalize_venue(value)``)."""
-        return self._canonical_of.get(key)
+    def canonical(self, folded: str) -> str:
+        """The canonical name of an already folded venue, or ``folded`` when no variant matches."""
+        return self._canonical_of.get(folded, folded)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "VenueSynonymTable":
@@ -199,11 +181,7 @@ class VenueSynonymTable:
 def normalize_venue(value: str, table: VenueSynonymTable | None = None) -> str:
     """Canonical venue name via the synonym table, else the folded input."""
     folded = VenueSynonymTable._fold(value)
-    if table is not None:
-        hit = table.lookup_folded(folded)
-        if hit is not None:
-            return hit
-    return folded
+    return folded if table is None else table.canonical(folded)
 
 
 _DOI_PREFIX_RE = re.compile(r"^(?:https?://(?:dx\.)?doi\.org/|doi:\s*)", re.IGNORECASE)

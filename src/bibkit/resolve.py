@@ -380,12 +380,13 @@ class Resolver:
             items = [items]
         return [item for item in _list(items) if isinstance(item, dict)]
 
-    def _export_bibtex(self, items: list[dict]) -> BibEntry:
+    def _export_bibtex(self, encoded_item: str) -> BibEntry:
+        """The entry ``/export`` makes of one item, given as ``json.dumps(item, sort_keys=True)``."""
         resp = self._request(
             "POST",
             f"{self.config.base_url}/export",
             params={"format": "bibtex"},
-            body=json.dumps(items, sort_keys=True),
+            body="[" + encoded_item + "]",
             headers={"Content-Type": "application/json"},
         )
         raw = resp.body
@@ -417,11 +418,16 @@ class Resolver:
     def resolve_query(self, q: Query) -> ResolutionResult:
         endpoint = "web" if q.kind == "url" else "search"
         source = "web_endpoint" if q.kind == "url" else "search_endpoint"
-        items = self._server_lookup(endpoint, q.value)
+        items = []  # (item, its encoding for /export)
+        for item in self._server_lookup(endpoint, q.value):
+            try:
+                items.append((item, json.dumps(item, sort_keys=True)))
+            except RecursionError:  # nested too deeply to send back: reads as absent
+                pass
 
         if items:
-            titles = [str(item.get("title", "")) for item in items]
-            return _select(q, titles, lambda i: self._export_bibtex([items[i]]), source)
+            titles = [str(item.get("title", "")) for item, _ in items]
+            return _select(q, titles, lambda i: self._export_bibtex(items[i][1]), source)
 
         if endpoint == "web":
             return ResolutionResult(status="not_found", source=source)

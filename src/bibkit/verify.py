@@ -162,9 +162,7 @@ def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) ->
     """Per-slot normalization; None when the value cannot be normalized."""
     norm = _table_free_normalized(slot, value)
     if slot is _VENUE and table is not None:
-        hit = table.lookup_folded(norm)  # the rest of normalize_venue(value, table)
-        if hit is not None:
-            return hit
+        return table.canonical(norm)  # the rest of normalize_venue(value, table)
     return norm
 
 

@@ -407,6 +407,85 @@ def test_missing_input_file_names_the_option(tmp_path, capsys, option):
     assert missing in err
 
 
+def test_reconcile_out_in_missing_directory_exits_2_and_writes_nothing(tmp_path, capsys):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    fixture = str(FIXTURES / "replay_doi_found.json")
+    args = reconcile_args(bib, meta, fixture, tmp_path)
+    out = str(tmp_path / "missing" / "revised.bib")
+    args[args.index("--out") + 1] = out
+    code, stdout, err = run(args, capsys)
+    assert_input_error(code, stdout, err, "--out")
+    assert out in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.tsv", "refs.bib"]
+
+
+def test_reconcile_log_in_missing_directory_exits_2_and_writes_nothing(tmp_path, capsys):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    fixture = str(FIXTURES / "replay_doi_found.json")
+    args = reconcile_args(bib, meta, fixture, tmp_path)
+    log = str(tmp_path / "missing" / "actions.tsv")
+    args[args.index("--log") + 1] = log
+    code, stdout, err = run(args, capsys)
+    assert_input_error(code, stdout, err, "--log")
+    assert log in err
+    # the revised .bib was staged first; it is neither written nor left as a temporary
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.tsv", "refs.bib"]
+
+
+def test_reconcile_out_that_is_a_directory_exits_2_and_writes_nothing(tmp_path, capsys):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    fixture = str(FIXTURES / "replay_doi_found.json")
+    args = reconcile_args(bib, meta, fixture, tmp_path)
+    (tmp_path / "revised.bib").mkdir()
+    code, stdout, err = run(args, capsys)
+    assert_input_error(code, stdout, err, "--out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.tsv", "refs.bib", "revised.bib"]
+    assert not any((tmp_path / "revised.bib").iterdir())
+
+
+def test_verify_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    out.write_text("not a directory\n", "utf-8")
+    code, stdout, err = run(["verify", "--corpus", CORPUS, "--out", str(out)], capsys)
+    assert_input_error(code, stdout, err, "--out")
+    assert out.read_text("utf-8") == "not a directory\n"
+
+
+def lookup_nested_search_item(tmp_path, capsys, depth):
+    """Whether a replayed /search item nested ``depth`` deep is sent on to /export.
+
+    Neither /export nor CrossRef is recorded, so either request ends the
+    lookup with exit 3 and names the request it could not replay.
+    """
+    query = "10.1111/iju.13054"
+    body = '[{"title": "A", "x": ' + "[" * depth + "]" * depth + "}]"
+    fixture = write_exchanges(
+        tmp_path / f"nested{depth}.json", (search_request(query), {"status": 200, "body": body})
+    )
+    code, out, err = run(["lookup", query, "--fixtures", fixture] + SERVER, capsys)
+    assert (code, out) == (3, "")
+    assert ("/export" in err) != ("api.crossref.org" in err)
+    return "/export" in err
+
+
+def test_search_item_nested_too_deeply_to_resend_reads_as_absent(tmp_path, capsys):
+    # Find the first depth whose item does not reach /export: from there on
+    # the body no longer parses. Just below it the body parses, and the item
+    # may still be too deep to encode again for /export; such an item reads
+    # as absent, so the lookup falls back to CrossRef instead of raising.
+    lo, hi = 1, 5000
+    assert lookup_nested_search_item(tmp_path, capsys, lo)
+    assert not lookup_nested_search_item(tmp_path, capsys, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lookup_nested_search_item(tmp_path, capsys, mid):
+            lo = mid
+        else:
+            hi = mid
+    for depth in range(hi - 1, hi - 25, -1):
+        lookup_nested_search_item(tmp_path, capsys, depth)
+
+
 DEEP = "[" * 100000  # deeper than the JSON parser's recursion limit
 
 

@@ -12,6 +12,8 @@ from bibkit.model import (
     MultipleEntries,
     UnbalancedBraces,
     UnsupportedConcatenation,
+    _COMMA_RE,
+    _EQUALS_RE,
     _split_top_level,
     parse_bib_file,
     parse_entry,
@@ -147,6 +149,27 @@ def test_parse_bib_file_unbalanced():
         parse_bib_file("@article{a, title={A}")
 
 
+# -- error branches the grammar fixture does not reach --------------------------
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("@{k, a={b}}", BibParseError, "malformed entry header"),
+        ("@article{k, a={b}} x", BibParseError, "trailing content after entry"),
+        ('@article{k, a="b" # c}', UnsupportedConcatenation, "'#' concatenation"),
+        ('@article{k, a="b" c}', BibParseError, "junk after quoted value"),
+    ],
+)
+def test_parse_entry_error_branches(text, error, message):
+    with pytest.raises(error, match=message):
+        parse_entry(text)
+
+
+def test_parse_entry_empty_value_is_empty_string():
+    assert parse_entry("@article{k, a=}").fields == {"a": ""}
+
+
 _name = st.sampled_from(["title", "author", "year", "journal", "note", "pages"])
 _value = st.text(
     alphabet=st.characters(blacklist_characters="{}\"#@\\", blacklist_categories=("Cs", "Cc")),
@@ -174,4 +197,5 @@ def test_round_trip_property(fields):
 @example('"a=b"=c', "=", 1)  # a quote at depth 0 hides the first separator
 @example('{"}a,b', ",", -1)  # a quote inside braces does not count
 def test_split_top_level_agrees_with_character_loop(s, sep, maxsplit):
-    assert _split_top_level(s, sep, maxsplit) == reference_split_top_level(s, sep, maxsplit)
+    delimiters = {",": _COMMA_RE, "=": _EQUALS_RE}[sep]
+    assert _split_top_level(s, delimiters, maxsplit) == reference_split_top_level(s, sep, maxsplit)

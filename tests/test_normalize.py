@@ -3,8 +3,9 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bibkit.model import _split_top_level
 from bibkit.normalize import (
-    _split_top_level_and,
+    _AUTHOR_DELIMITER_RE,
     EmptyAuthor,
     MalformedPages,
     MalformedYear,
@@ -98,7 +99,8 @@ AUTHOR_PIECES = st.sampled_from(["{", "}", " and ", " AND ", " And ", " an", "d 
 @example("a and and b")  # two separators share a space
 @example("{a and b} and c")
 def test_split_top_level_and_agrees_with_character_loop(value):
-    assert _split_top_level_and(value) == reference_split_top_level_and(value)
+    parts = _split_top_level(value, _AUTHOR_DELIMITER_RE)
+    assert [p.strip() for p in parts if p.strip()] == reference_split_top_level_and(value)
 
 
 @pytest.mark.parametrize(
@@ -203,6 +205,28 @@ def test_tokenize_filtered():
 def test_fold_diacritics():
     assert fold_diacritics("Sánchez") == "Sanchez"
     assert fold_diacritics("Müller") == "Muller"
+
+
+@pytest.mark.parametrize(
+    "normalizer,raw,error",
+    [
+        (normalize_author, "{}", EmptyAuthor),
+        (author_lastname_list, "{} and {}", EmptyAuthor),
+        (normalize_pages, "a b--c d", MalformedPages),
+    ],
+)
+def test_normalizer_error_branches(normalizer, raw, error):
+    with pytest.raises(error):
+        normalizer(raw)
+
+
+def test_venue_file_skips_comment_lines(tmp_path):
+    path = tmp_path / "venues.tsv"
+    path.write_text("# Comment Venue\tCV\nAlpha Conference\tAC\n", "utf-8")
+    table = VenueSynonymTable.from_file(path)
+    assert normalize_venue("AC", table) == "alpha conference"
+    assert normalize_venue("CV", table) == "cv"
+    assert set(table._canonical_of.values()) == {"alpha conference"}
 
 
 # -- jaccard properties ------------------------------------------------------

@@ -105,12 +105,10 @@ def _use_file(flag: str, path: str, use: Callable[[str], object]):
 def _replay_transport(path: str) -> ReplayTransport:
     fixtures = Path(path)
     try:
-        if fixtures.is_dir():
-            exchanges = []
-            for p in sorted(fixtures.glob("*.json")):
-                exchanges.extend(json.loads(p.read_text("utf-8"))["exchanges"])
-            return ReplayTransport({"format_version": 1, "exchanges": exchanges})
-        return ReplayTransport(fixtures)
+        exchanges = []  # of the file, or of each *.json file of the directory in name order
+        for file in sorted(fixtures.glob("*.json")) if fixtures.is_dir() else [fixtures]:
+            exchanges.extend(json.loads(file.read_text("utf-8"))["exchanges"])
+        return ReplayTransport(exchanges)
     except (KeyError, TypeError):
         raise ValueError("no 'exchanges' list") from None
     except RecursionError as exc:  # JSON nested too deeply

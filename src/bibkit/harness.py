@@ -11,7 +11,6 @@ import contextlib
 import functools
 import json
 import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -354,16 +353,20 @@ def _write_atomic():
     """Yield ``stage(path, content)``; staged files replace their targets when the block ends.
 
     Each file is written to a temporary file beside its target, and no
-    target is replaced before every file is written. On an error every
+    target is replaced before every file is written. A temporary file is
+    created with mode 0o666 less the process umask, as ``open`` creates a
+    new file, and ``os.replace`` keeps that mode. On an error every
     temporary file is removed.
     """
-    staged: list[tuple[str, Path]] = []
+    staged: list[tuple[Path, Path]] = []
 
     def stage(path: str | Path, content: str) -> None:
         path = Path(path)
         if path.is_dir():  # os.replace cannot put a file in its place
             raise IsADirectoryError("is a directory")
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        # 64 random bits: a name already taken raises FileExistsError, never overwrites
+        tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         staged.append((tmp, path))
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(content)
@@ -382,12 +385,6 @@ def _write_atomic():
 def tsv_text(rows: list[tuple[str, ...]]) -> str:
     """Tab-joined rows behind the format-version header."""
     return "\n".join([TSV_HEADER] + ["\t".join(r) for r in rows]) + "\n"
-
-
-def write_tsv(path: str | Path, rows: list[tuple[str, ...]]) -> None:
-    """``tsv_text(rows)``, written atomically."""
-    with _write_atomic() as stage:
-        stage(path, tsv_text(rows))
 
 
 def read_tsv(path: str | Path) -> list[list[str]]:
@@ -425,7 +422,7 @@ def tagged_from_labels(rows: list[tuple[str, str, str, str, str]]) -> list[Tagge
     for (paper_id, tag), (labels, stage2) in entries.items():
         if len(labels) != len(FieldSlot):
             raise ValueError(f"{paper_id}/{tag}: labels missing for some slots")
-        tagged.append(TaggedVerdict(paper_id, tag, EntryVerdict.from_labels(labels, stage2)))
+        tagged.append(TaggedVerdict(paper_id, tag, EntryVerdict(labels, frozenset(stage2))))
     return tagged
 
 
@@ -449,9 +446,3 @@ def write_bundle(bundle: dict, out_dir: str | Path) -> None:
 def bib_text(entries: list[BibEntry]) -> str:
     """The entries serialized, separated by blank lines."""
     return "\n\n".join(serialize_entry(e) for e in entries) + "\n"
-
-
-def write_revised_bib(entries: list[BibEntry], path: str | Path) -> None:
-    """``bib_text(entries)``, written atomically."""
-    with _write_atomic() as stage:
-        stage(path, bib_text(entries))

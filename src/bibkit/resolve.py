@@ -7,10 +7,11 @@ candidates). Identifier queries must yield exactly one record; title
 queries are validated against the winner with a 0.85 token-overlap gate.
 
 All upstream traffic goes through a transport seam so the module can be
-exercised offline against recorded fixtures. A network error, a 5xx or a
-429 is retried once (a 429 after its numeric ``Retry-After``) and then
-raises ``UpstreamUnavailable``: an upstream that could not be asked never
-reads as "not found".
+exercised offline against recorded fixtures. A network error, a 5xx other
+than 501 or a 429 is retried once (a 429 after its numeric ``Retry-After``)
+and then raises ``UpstreamUnavailable``: an upstream that could not be asked
+never reads as "not found". A 501 is an answer: the translation server has
+no translator for the payload or finds no identifier in it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Protocol
 from urllib.parse import urlparse, urlunparse
 
@@ -245,16 +245,15 @@ def _exchange_key(method, url, params, body):
 
 
 class ReplayTransport:
-    """Replays recorded exchanges from a fixture file, each at most once.
+    """Replays recorded exchanges (a fixture file's ``exchanges`` list), each at most once.
 
     An exchange without a string request method and url and an int response
     status, or with a part of another type, is a ``ValueError``.
     """
 
-    def __init__(self, source: str | Path | dict):
-        doc = source if isinstance(source, dict) else json.loads(Path(source).read_text("utf-8"))
+    def __init__(self, exchanges: list[dict]):
         self._unused: list[tuple[tuple, TransportResponse]] = []
-        for i, exchange in enumerate(doc["exchanges"]):
+        for i, exchange in enumerate(exchanges):
             req, resp = _get(exchange, "request"), _get(exchange, "response")
             if not (
                 isinstance(_get(req, "method"), str)
@@ -340,30 +339,24 @@ class Resolver:
     # -- low-level ---------------------------------------------------------
 
     def _request(self, method, url, *, params=None, body=None, headers=None) -> TransportResponse:
-        attempts = 0
-        while True:
-            attempts += 1
+        for attempt in (1, 2):
             self.rate_limiter.acquire()
             try:
                 resp = self.transport.request(method, url, params=params, body=body, headers=headers)
             except TransportError as exc:
-                if attempts >= 2:
-                    raise UpstreamUnavailable(str(exc)) from exc
-                self._sleep(RETRY_DELAY)
-                continue
-            if resp.status >= 500 or resp.status == 429:
-                # a throttled or failing upstream could not be asked; its
-                # body is never read as an answer
-                if attempts >= 2:
-                    raise UpstreamUnavailable(f"upstream returned {resp.status}")
-                delay = RETRY_DELAY
-                if resp.status == 429:
-                    delay = _retry_after(resp.headers, delay)
-                    if delay > MAX_RETRY_AFTER:
-                        raise UpstreamUnavailable(f"upstream asked to retry after {delay:g} s")
-                self._sleep(delay)
-                continue
-            return resp
+                reason, cause, delay = str(exc), exc, RETRY_DELAY
+            else:
+                # a 501 is an answer; a throttled or failing upstream could
+                # not be asked, and its body is never read as an answer
+                if resp.status != 429 and (resp.status < 500 or resp.status == 501):
+                    return resp
+                reason, cause = f"upstream returned {resp.status}", None
+                delay = _retry_after(resp.headers, RETRY_DELAY) if resp.status == 429 else RETRY_DELAY
+            if attempt == 2:
+                raise UpstreamUnavailable(reason) from cause
+            if delay > MAX_RETRY_AFTER:
+                raise UpstreamUnavailable(f"upstream asked to retry after {delay:g} s")
+            self._sleep(delay)
 
     def _server_lookup(self, endpoint: str, payload: str) -> list[dict]:
         """POST to /search or /web; returns candidate items ([] when none)."""

@@ -106,21 +106,17 @@ class CriterionVerdict:
 @dataclass
 class EntryVerdict:
     labels: dict[FieldSlot, FieldLabel]
-    fully_correct: bool
-    error_mode: str  # none | isolated | wholesale | mixed
     stage2_slots: frozenset[FieldSlot] = frozenset()
 
-    @classmethod
-    def from_labels(
-        cls, labels: dict[FieldSlot, FieldLabel], stage2_slots: set[FieldSlot]
-    ) -> "EntryVerdict":
-        """Verdict of a full label set: fully correct when every evaluable slot is C."""
-        return cls(
-            labels=labels,
-            fully_correct=all(l is FieldLabel.C for l in labels.values() if l is not FieldLabel.X),
-            error_mode=classify_error_mode(labels),
-            stage2_slots=frozenset(stage2_slots),
-        )
+    @property
+    def fully_correct(self) -> bool:
+        """Every evaluable slot is C."""
+        return all(l is FieldLabel.C for l in self.labels.values() if l is not FieldLabel.X)
+
+    @property
+    def error_mode(self) -> str:
+        """``none``, ``isolated``, ``wholesale`` or ``mixed``; see ``classify_error_mode``."""
+        return classify_error_mode(self.labels)
 
 
 @functools.lru_cache(maxsize=NORMALIZED_MEMO_SIZE)
@@ -372,7 +368,7 @@ def verify_entry(
             stage2_slots.add(slot)
         else:
             labels[slot] = result
-    return EntryVerdict.from_labels(labels, stage2_slots)
+    return EntryVerdict(labels, frozenset(stage2_slots))
 
 
 # --------------------------------------------------------------------------

@@ -247,9 +247,7 @@ def test_co_error_matrix_on_50_synthetic_verdicts():
     for _ in range(50):
         picked = {slot: rng.choice(labels) for slot in FieldSlot}
         picked[FieldSlot.ENTRY_KEY] = FieldLabel.X
-        verdicts.append(
-            EntryVerdict(labels=picked, fully_correct=False, error_mode="mixed")
-        )
+        verdicts.append(EntryVerdict(labels=picked))
     matrix = co_error_matrix(verdicts)
     rows = [{s.value: v.value for s, v in verdict.labels.items()} for verdict in verdicts]
     expected = brute_co_error(rows)
@@ -270,7 +268,7 @@ def replay_resolver(fixture_name: str) -> Resolver:
     limiter = RateLimiter(rate_per_sec=2.0, clock=lambda: 0.0, sleep=lambda s: None)
     return Resolver(
         config,
-        transport=ReplayTransport(FIXTURES / fixture_name),
+        transport=ReplayTransport(load_fixture(fixture_name)["exchanges"]),
         rate_limiter=limiter,
         sleep=lambda s: None,
     )

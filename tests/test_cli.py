@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import stat
 import time
 
 import pytest
@@ -235,6 +237,24 @@ def test_replayed_lookup_does_not_sleep(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out == "not_found\n"
     assert sleeps == []  # neither the limiter's spacing nor the Retry-After was waited out
+
+
+def test_lookup_search_501_falls_back_to_crossref(tmp_path, capsys):
+    # the translation server's "no translator / no identifier" is an answer, not an outage
+    fixture = write_exchanges(
+        tmp_path / "no_translator.json",
+        (search_request("10.9999/none.1"), {"status": 501, "body": "No translators available"}),
+        (crossref_request("10.9999/none.1"), {"status": 200, "body": '{"message": {"items": []}}'}),
+    )
+    code, out, err = run(["lookup", "10.9999/none.1", "--fixtures", fixture] + SERVER, capsys)
+    assert (code, out, err) == (0, "not_found\n", "")
+
+
+def test_lookup_web_501_is_not_found_without_a_retry(tmp_path, capsys):
+    web = {"method": "POST", "url": "http://server.test/web", "body": "https://example.org/paper"}
+    fixture = write_exchanges(tmp_path / "no_translator.json", (web, {"status": 501, "body": ""}))
+    code, out, err = run(["lookup", "https://example.org/paper", "--fixtures", fixture] + SERVER, capsys)
+    assert (code, out, err) == (0, "not_found\n", "")
 
 
 def test_lookup_typed_crossref_record(capsys):
@@ -642,6 +662,24 @@ def test_reconcile_resolves_a_shared_query_once(tmp_path, capsys):
     revised = (tmp_path / "revised.bib").read_text("utf-8")
     assert revised.count("doi = {10.1111/iju.13054}") == 3
     assert "note = {kept}" in revised
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, capsys, umask, mode):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    bundle = tmp_path / "bundle"
+    previous = os.umask(umask)
+    try:
+        codes = [
+            run(["verify", "--corpus", CORPUS, "--out", str(bundle)], capsys)[0],
+            run(reconcile_args(bib, meta, str(FIXTURES / "replay_doi_found.json"), tmp_path), capsys)[0],
+        ]
+    finally:
+        os.umask(previous)
+    assert codes == [0, 0]
+    written = sorted(bundle.iterdir()) + [tmp_path / "revised.bib", tmp_path / "actions.tsv"]
+    assert [p.name for p in written[:2]] == ["labels.tsv", "report.json"]
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == {p.name: mode for p in written}
 
 
 @pytest.mark.parametrize("url", ["https://", "https://doi.org/"])

@@ -6,14 +6,14 @@ from bibkit import harness, verify
 from bibkit.harness import (
     CorpusParseError,
     PaperRecord,
+    bib_text,
     classify_location,
     default_meta,
     load_corpus,
     read_tsv,
     run_benchmark,
+    tsv_text,
     write_bundle,
-    write_revised_bib,
-    write_tsv,
 )
 from bibkit.model import BibEntry, parse_entry, serialize_entry
 from bibkit.normalize import VenueSynonymTable
@@ -529,10 +529,10 @@ def test_write_bundle_overwrites_atomically(tmp_path):
     assert read_tree(tmp_path) == first
 
 
-def test_read_tsv_round_trips_write_tsv(tmp_path):
+def test_read_tsv_round_trips_tsv_text(tmp_path):
     rows = [("p1", "", "10.1111/iju.13054", ""), ("p2", "https://arxiv.org/abs/1", "", "A Title")]
     path = tmp_path / "rows.tsv"
-    write_tsv(path, rows)
+    path.write_text(tsv_text(rows), "utf-8")
     assert read_tsv(path) == [list(row) for row in rows]
     path.write_text(path.read_text("utf-8") + "\n \t \n", "utf-8")  # blank lines are skipped
     assert read_tsv(path) == [list(row) for row in rows]
@@ -546,12 +546,10 @@ def test_read_tsv_rejects_a_missing_header(tmp_path, text):
         read_tsv(path)
 
 
-def test_write_revised_bib_round_trips(tmp_path):
+def test_bib_text_separates_entries_by_a_blank_line():
     entries = [
         parse_entry("@article{a, title={First}, year={2020}}"),
         parse_entry("@misc{b, title={Second}}"),
     ]
-    path = tmp_path / "revised.bib"
-    write_revised_bib(entries, path)
-    text = path.read_text("utf-8")
+    text = bib_text(entries)
     assert text == serialize_entry(entries[0]) + "\n\n" + serialize_entry(entries[1]) + "\n"

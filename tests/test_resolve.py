@@ -25,13 +25,13 @@ from bibkit.resolve import (
 from bibkit.model import BibEntry, FieldSlot, parse_entry
 from bibkit.reconcile import PaperMeta, reconcile
 
-from conftest import FIXTURES
+from conftest import load_fixture
 
 
-def make_resolver(fixture: str | dict) -> Resolver:
-    """Offline resolver replaying a fixture file (by name) or an in-memory fixture."""
+def make_resolver(fixture: str | list) -> Resolver:
+    """Offline resolver replaying a fixture file (by name) or a list of exchanges."""
     config = ResolverConfig(base_url="http://server.test")
-    transport = ReplayTransport(fixture if isinstance(fixture, dict) else FIXTURES / fixture)
+    transport = ReplayTransport(fixture if isinstance(fixture, list) else load_fixture(fixture)["exchanges"])
     limiter = RateLimiter(rate_per_sec=2.0, clock=lambda: 0.0, sleep=lambda s: None)
     return Resolver(config, transport=transport, rate_limiter=limiter, sleep=lambda s: None)
 
@@ -428,7 +428,7 @@ def crossref_body_fallback(doi: str, body) -> Resolver:
             "response": {"status": 200, "body": json.dumps(body)},
         },
     ]
-    return make_resolver({"format_version": 1, "exchanges": exchanges})
+    return make_resolver(exchanges)
 
 
 def test_crossref_blank_title_gets_fallback_key():

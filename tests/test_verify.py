@@ -1,15 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bibkit import verify
-from bibkit.harness import load_corpus, read_labels, write_tsv
+from bibkit.harness import load_corpus, read_labels, tsv_text
 from bibkit.model import BibEntry, FieldLabel, FieldSlot, parse_entry
 from bibkit.normalize import VenueSynonymTable
 from bibkit.verify import (
     CANNOT_ASSESS,
     CriterionVerdict,
+    EVALUABLE_SLOTS,
     EntryVerdict,
     GroundTruth,
     GroundTruthVersion,
@@ -27,7 +28,7 @@ from bibkit.verify import (
 )
 
 from conftest import FIXTURES, load_fixture
-from reference_impls import brute_co_error
+from reference_impls import brute_co_error, brute_tally
 
 TABLE = VenueSynonymTable.default()
 
@@ -507,12 +508,7 @@ def test_error_mode_total_partition(overrides):
 def make_verdict(labels: dict) -> EntryVerdict:
     full = {slot: FieldLabel(labels.get(slot.value, "C")) for slot in FieldSlot}
     full[FieldSlot.ENTRY_KEY] = FieldLabel.X
-    evaluable = [l for l in full.values() if l is not FieldLabel.X]
-    return EntryVerdict(
-        labels=full,
-        fully_correct=all(l is FieldLabel.C for l in evaluable),
-        error_mode=classify_error_mode(full),
-    )
+    return EntryVerdict(labels=full)
 
 
 def test_co_error_perfect_coupling():
@@ -617,6 +613,32 @@ def test_aggregate_empty_input():
     assert report["overall"]["pct_c"] is None
 
 
+ENTRY_LABELS = st.one_of(
+    st.fixed_dictionaries({slot: st.sampled_from(list(FieldLabel)) for slot in EVALUABLE_SLOTS}),
+    st.just({slot: FieldLabel.X for slot in EVALUABLE_SLOTS}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ENTRY_LABELS, max_size=20))
+@example([])
+@example([{slot: FieldLabel.X for slot in EVALUABLE_SLOTS}])
+def test_aggregate_matches_brute_tally(entries):
+    tagged = [
+        TaggedVerdict(f"p{i}", "t", EntryVerdict(labels | {FieldSlot.ENTRY_KEY: FieldLabel.X}))
+        for i, labels in enumerate(entries)
+    ]
+    want = brute_tally(
+        [(f"p{i}", "t", {s.value: l.value for s, l in labels.items()}) for i, labels in enumerate(entries)]
+    )
+    report = aggregate_stats(tagged)
+    assert report["entries"] == want["entries"]
+    assert report["overall"] == {k: want[k] for k in ("evaluable", "correct", "pct_c")}
+    assert report["fully_correct"]["count"] == want["fully_correct"]
+    assert report["label_distribution"] == want["label_distribution"]
+    assert report["per_field"] == want["per_field"]
+
+
 def test_monotonicity_fixing_one_error_never_lowers_accuracy():
     wrong = make_verdict({"pages": "F", "doi": "M"})
     fixed = make_verdict({"doi": "M"})
@@ -648,7 +670,7 @@ def test_labels_file_round_trip(tmp_path):
         ("mcauley2012", "cand1", "pages", "F", "2"),
     ]
     path = tmp_path / "labels.tsv"
-    write_tsv(path, rows)
+    path.write_text(tsv_text(rows), "utf-8")
     assert read_labels(path) == rows
 
 

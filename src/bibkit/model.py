@@ -2,13 +2,16 @@
 
 The parser handles exactly one entry per input string. Values may be
 brace-delimited, quote-delimited, or bare tokens; string concatenation
-with ``#`` and ``@string`` macros are rejected.
+with ``#`` and ``@string`` macros are rejected. One brace-depth scan,
+``_scan``, finds every separator: braces count inside quotes too, and a
+quote toggles only at depth 0.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 
@@ -122,43 +125,59 @@ def parse_entry(text: str) -> BibEntry:
     if at < 0:
         raise BibParseError("no entry found")
 
-    m = re.match(r"@\s*([A-Za-z]+)\s*\{", s[at:])
+    m = _HEADER_RE.match(s, at)
     if not m:
         raise BibParseError("malformed entry header")
     entry_type = m.group(1).lower()
     if entry_type == "string":
         raise UnsupportedConcatenation("@string macros are not supported")
-    body_start = at + m.end()
-    i = _close_brace(s, body_start - 1)
-    if i < 0:
+
+    # One scan of the body. Each segment is [start, its first '=', the first
+    # '}' after that '=' back at depth 0]; a comma outside quotes starts the next.
+    segments = [[m.end(), -1, -1]]
+    in_quote = False
+    for sep, depth in _scan(s, _ENTRY_RE, m.end()):
+        c, seg = sep.group(), segments[-1]
+        if depth < 0:
+            break
+        if c == "}":
+            if seg[1] >= 0 and seg[2] < 0:
+                seg[2] = sep.start()
+        elif c == '"':
+            in_quote = not in_quote
+        elif in_quote:
+            continue
+        elif c == ",":
+            segments.append([sep.end(), -1, -1])
+        elif seg[1] < 0:
+            seg[1] = sep.start()
+    else:
         raise UnbalancedBraces("entry braces are not balanced")
-    body = s[body_start:i]
-    trailing = s[i + 1 :].strip()
+    end = sep.start()
+    trailing = s[end + 1 :].strip()
     if trailing:
         if "@" in trailing:
             raise MultipleEntries("more than one entry in input")
         raise BibParseError(f"trailing content after entry: {trailing[:30]!r}")
 
-    key, *rest = _split_top_level(body, _COMMA_RE, 1)
-    key = key.strip()
+    segments.append([end + 1])  # the closing brace ends the last segment
+    key = s[m.end() : segments[1][0] - 1].strip()
     if not key:
         raise EmptyKey("entry has no citation key")
 
     fields: dict[str, str] = {}
-    segments = _split_top_level(rest[0], _COMMA_RE) if rest else []
-    for position, segment in enumerate(segments):
-        seg = segment.strip()
+    for (start, eq, close), (next_start, *_) in zip(segments[1:], segments[2:]):
+        seg = s[start : next_start - 1].strip()
         if not seg:
-            if position == len(segments) - 1:
+            if next_start > end:
                 continue  # tolerate a trailing comma
             raise BibParseError("empty field segment")
-        name, *raw = _split_top_level(seg, _EQUALS_RE, 1)
-        if not raw:
+        if eq < 0:
             raise BibParseError(f"field without '=': {seg[:30]!r}")
-        name = name.strip().lower()
+        name = s[start:eq].strip().lower()
         if not name:
             raise BibParseError("field with empty name")
-        value = _parse_value(raw[0].strip())
+        value = _parse_value(s, eq + 1, next_start - 1, close)
         if name in fields:
             raise DuplicateField(f"duplicate field {name!r}")
         fields[name] = value
@@ -166,77 +185,52 @@ def parse_entry(text: str) -> BibEntry:
     return BibEntry(entry_type=entry_type, citation_key=key, fields=fields)
 
 
-def _parse_value(raw: str) -> str:
-    if not raw:
-        return ""
-    if raw[0] == "{":
-        end, kind = _close_brace(raw, 0), "braced"
-        if end < 0:
-            raise UnbalancedBraces("value braces are not balanced")
-    elif raw[0] == '"':
-        end, kind = raw.find('"', 1), "quoted"
+def _parse_value(s: str, start: int, stop: int, close: int) -> str:
+    """The value in ``s[start:stop]``; ``close`` is its first ``}`` back at depth 0."""
+    raw = s[start:stop].strip()
+    if raw[:1] == "{":  # the segment ends at depth 0, so this brace closes at ``close``
+        value, rest, kind = s[s.find("{", start) + 1 : close], s[close + 1 : stop], "braced"
+    elif raw[:1] == '"':
+        end = raw.find('"', 1)
         if end < 0:
             raise BibParseError("unterminated quoted value")
+        value, rest, kind = raw[1:end], raw[end + 1 :], "quoted"
     elif "#" in raw:
         raise UnsupportedConcatenation("'#' concatenation is not supported")
     else:
-        return raw.strip()
-    rest = raw[end + 1 :].strip()
+        return raw  # bare, or empty
+    rest = rest.strip()
     if rest.startswith("#"):
         raise UnsupportedConcatenation("'#' concatenation is not supported")
     if rest:
         raise BibParseError(f"junk after {kind} value: {rest[:20]!r}")
-    return raw[1:end]
+    return value
 
 
+_HEADER_RE = re.compile(r"@\s*([A-Za-z]+)\s*\{")
+#: What ``parse_entry`` scans for: braces, quotes and the two separators.
+_ENTRY_RE = re.compile(r'[{}",=]')
 _BRACE_RE = re.compile(r"[{}]")
 
 
-def _close_brace(s: str, open_at: int) -> int:
-    """Index of the brace closing the ``{`` at ``open_at``, or -1; quotes are not tracked."""
-    depth = 0
-    for m in _BRACE_RE.finditer(s, open_at):
-        if m.group() == "{":
-            depth += 1
-        else:
-            depth -= 1
-            if depth == 0:
-                return m.start()
-    return -1
+def _scan(s: str, pattern: re.Pattern, pos: int = 0) -> Iterator[tuple[re.Match, int]]:
+    """The one brace-depth scan: yield ``(match, depth)`` over ``s[pos:]``.
 
-
-#: The delimiters ``parse_entry`` splits at: braces, quotes and the separator.
-_COMMA_RE = re.compile(r'[{}",]')
-_EQUALS_RE = re.compile(r'[{}"=]')
-
-
-def _split_top_level(s: str, delimiters: re.Pattern, maxsplit: int = -1) -> list[str]:
-    """Split ``s`` at separators outside braces, like ``str.split``.
-
-    ``delimiters`` matches ``{``, ``}`` and the separator. When it also
-    matches ``"``, a quote toggles at depth 0 and hides the separators up
-    to the next one; braces count inside quotes too.
+    ``pattern`` matches ``{``, ``}`` and the separators. Depth starts at 0
+    and counts every brace; the scan yields each separator met at depth 0
+    and each ``}`` that leaves the depth at 0 or below.
     """
-    parts: list[str] = []
     depth = 0
-    in_quote = False
-    start = 0
-    for m in delimiters.finditer(s):
+    for m in pattern.finditer(s, pos):
         c = m.group()
         if c == "{":
             depth += 1
         elif c == "}":
             depth -= 1
+            if depth <= 0:
+                yield m, depth
         elif depth == 0:
-            if c == '"':
-                in_quote = not in_quote
-            elif not in_quote:
-                parts.append(s[start : m.start()])
-                start = m.end()
-                if len(parts) == maxsplit:
-                    break
-    parts.append(s[start:])
-    return parts
+            yield m, 0
 
 
 def serialize_entry(entry: BibEntry) -> str:
@@ -252,18 +246,15 @@ def split_entries(text: str) -> list[str]:
     """Split a .bib file into individual entry sources (brace-aware)."""
     chunks: list[str] = []
     i = 0
-    while i < len(text):
-        at = text.find("@", i)
-        if at < 0:
-            break
+    while (at := text.find("@", i)) >= 0:
         open_brace = text.find("{", at)
         if open_brace < 0:
             break
-        j = _close_brace(text, open_brace)
-        if j < 0:
+        close = next(_scan(text, _BRACE_RE, open_brace), None)
+        if close is None:
             raise UnbalancedBraces("unbalanced braces in .bib input")
-        chunks.append(text[at : j + 1])
-        i = j + 1
+        i = close[0].end()
+        chunks.append(text[at:i])
     return chunks
 
 

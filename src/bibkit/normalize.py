@@ -12,7 +12,7 @@ import unicodedata
 from importlib import resources
 from pathlib import Path
 
-from .model import _split_top_level
+from .model import _scan
 
 
 class EmptyAuthor(ValueError):
@@ -73,13 +73,23 @@ def _split_authors(value: str) -> list[str]:
     value = _ET_AL_RE.sub("", value).strip().rstrip(",")
     if not value:
         raise EmptyAuthor("empty author field")
-    parts = [p.strip() for p in _split_top_level(value, _AUTHOR_DELIMITER_RE) if p.strip()]
+    parts = _split_and(value)
     if len(parts) > 1:
         return parts
     segments = [s.strip() for s in value.split(",") if s.strip()]
     if len(segments) > 1 and all("{" not in s and len(s.split()) > 1 for s in segments):
         return segments
     return [value]
+
+
+def _split_and(value: str) -> list[str]:
+    """The non-blank pieces of ``value`` between the " and "s at brace depth 0."""
+    parts, start = [], 0
+    for sep, _ in _scan(value, _AUTHOR_DELIMITER_RE):
+        if sep.group() != "}":
+            parts.append(value[start : sep.start()])
+            start = sep.end()
+    return [p.strip() for p in [*parts, value[start:]] if p.strip()]
 
 
 def _last_name(name: str) -> str:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
@@ -75,7 +74,7 @@ class UpstreamUnavailable(ResolveError):
 
 
 class ExportFailure(ResolveError):
-    """Server export produced unparseable BibTeX; raw text is retained."""
+    """Server export answered other than 200, or with unparseable BibTeX; the body is retained."""
 
     def __init__(self, message: str, raw: str):
         super().__init__(message)
@@ -295,17 +294,14 @@ class RateLimiter:
         self.min_interval = 1.0 / rate_per_sec
         self._clock = clock
         self._sleep = sleep or time.sleep  # looked up per instance, so a patched one is seen
-        self._lock = threading.Lock()
         self._next_start: float | None = None
 
     def acquire(self) -> None:
-        with self._lock:
-            now = self._clock()
-            start = now if self._next_start is None else max(now, self._next_start)
-            self._next_start = start + self.min_interval
-            delay = start - now
-        if delay > 0:
-            self._sleep(delay)
+        now = self._clock()
+        start = now if self._next_start is None else max(now, self._next_start)
+        self._next_start = start + self.min_interval
+        if start > now:
+            self._sleep(start - now)
 
 
 @dataclass
@@ -322,7 +318,7 @@ class ResolverConfig:
 
 
 class Resolver:
-    """Shareable client; the rate limiter is the only cross-call state."""
+    """Client for one thread at a time; the rate limiter is the only cross-call state."""
 
     def __init__(
         self,
@@ -383,6 +379,8 @@ class Resolver:
             headers={"Content-Type": "application/json"},
         )
         raw = resp.body
+        if resp.status != 200:
+            raise ExportFailure(f"export returned {resp.status}", raw=raw)
         try:
             entry = parse_entry(raw)
         except BibParseError as exc:

@@ -2,10 +2,24 @@
 
 Each routine here is deliberately written from scratch in the most obvious
 way possible (explicit loops, no shared helpers with the package under
-test) so agreement between the two is meaningful evidence.
+test) so agreement between the two is meaningful evidence. The one copy is
+the earlier ``bibkit.model`` parser, kept as the oracle for its error
+classes and messages.
 """
 
 from __future__ import annotations
+
+import re
+
+from bibkit.model import (
+    BibEntry,
+    BibParseError,
+    DuplicateField,
+    EmptyKey,
+    MultipleEntries,
+    UnbalancedBraces,
+    UnsupportedConcatenation,
+)
 
 
 def reference_parse(text: str):
@@ -114,27 +128,154 @@ def reference_parse(text: str):
     return entry_type, key, fields
 
 
-def reference_split_top_level(s: str, sep: str, maxsplit: int) -> list[str]:
-    """The character-loop field splitter ``bibkit.model`` used before its regex scan."""
+# -- the regex-scan BibTeX parser ------------------------------------------------
+#
+# ``bibkit.model`` before it parsed each entry in one scan, copied verbatim
+# except for the two public names: four brace scans per entry, but the
+# error classes and messages every later parser must keep.
+
+
+def parent_parse_entry(text: str) -> BibEntry:
+    """Parse exactly one ``@type{key, ...}`` block into a BibEntry."""
+    s = text.strip()
+    at = s.find("@")
+    if at < 0:
+        raise BibParseError("no entry found")
+
+    m = re.match(r"@\s*([A-Za-z]+)\s*\{", s[at:])
+    if not m:
+        raise BibParseError("malformed entry header")
+    entry_type = m.group(1).lower()
+    if entry_type == "string":
+        raise UnsupportedConcatenation("@string macros are not supported")
+    body_start = at + m.end()
+    i = _close_brace(s, body_start - 1)
+    if i < 0:
+        raise UnbalancedBraces("entry braces are not balanced")
+    body = s[body_start:i]
+    trailing = s[i + 1 :].strip()
+    if trailing:
+        if "@" in trailing:
+            raise MultipleEntries("more than one entry in input")
+        raise BibParseError(f"trailing content after entry: {trailing[:30]!r}")
+
+    key, *rest = _split_top_level(body, _COMMA_RE, 1)
+    key = key.strip()
+    if not key:
+        raise EmptyKey("entry has no citation key")
+
+    fields: dict[str, str] = {}
+    segments = _split_top_level(rest[0], _COMMA_RE) if rest else []
+    for position, segment in enumerate(segments):
+        seg = segment.strip()
+        if not seg:
+            if position == len(segments) - 1:
+                continue  # tolerate a trailing comma
+            raise BibParseError("empty field segment")
+        name, *raw = _split_top_level(seg, _EQUALS_RE, 1)
+        if not raw:
+            raise BibParseError(f"field without '=': {seg[:30]!r}")
+        name = name.strip().lower()
+        if not name:
+            raise BibParseError("field with empty name")
+        value = _parse_value(raw[0].strip())
+        if name in fields:
+            raise DuplicateField(f"duplicate field {name!r}")
+        fields[name] = value
+
+    return BibEntry(entry_type=entry_type, citation_key=key, fields=fields)
+
+
+def _parse_value(raw: str) -> str:
+    if not raw:
+        return ""
+    if raw[0] == "{":
+        end, kind = _close_brace(raw, 0), "braced"
+        if end < 0:
+            raise UnbalancedBraces("value braces are not balanced")
+    elif raw[0] == '"':
+        end, kind = raw.find('"', 1), "quoted"
+        if end < 0:
+            raise BibParseError("unterminated quoted value")
+    elif "#" in raw:
+        raise UnsupportedConcatenation("'#' concatenation is not supported")
+    else:
+        return raw.strip()
+    rest = raw[end + 1 :].strip()
+    if rest.startswith("#"):
+        raise UnsupportedConcatenation("'#' concatenation is not supported")
+    if rest:
+        raise BibParseError(f"junk after {kind} value: {rest[:20]!r}")
+    return raw[1:end]
+
+
+_BRACE_RE = re.compile(r"[{}]")
+
+
+def _close_brace(s: str, open_at: int) -> int:
+    """Index of the brace closing the ``{`` at ``open_at``, or -1; quotes are not tracked."""
+    depth = 0
+    for m in _BRACE_RE.finditer(s, open_at):
+        if m.group() == "{":
+            depth += 1
+        else:
+            depth -= 1
+            if depth == 0:
+                return m.start()
+    return -1
+
+
+#: The delimiters ``parse_entry`` splits at: braces, quotes and the separator.
+_COMMA_RE = re.compile(r'[{}",]')
+_EQUALS_RE = re.compile(r'[{}"=]')
+
+
+def _split_top_level(s: str, delimiters: re.Pattern, maxsplit: int = -1) -> list[str]:
+    """Split ``s`` at separators outside braces, like ``str.split``.
+
+    ``delimiters`` matches ``{``, ``}`` and the separator. When it also
+    matches ``"``, a quote toggles at depth 0 and hides the separators up
+    to the next one; braces count inside quotes too.
+    """
     parts: list[str] = []
     depth = 0
     in_quote = False
     start = 0
-    for i, c in enumerate(s):
+    for m in delimiters.finditer(s):
+        c = m.group()
         if c == "{":
             depth += 1
         elif c == "}":
             depth -= 1
-        elif c == '"' and depth == 0:
-            in_quote = not in_quote
-        elif c == sep and depth == 0 and not in_quote:
-            parts.append(s[start:i])
-            start = i + 1
-            if len(parts) == maxsplit:
-                break
+        elif depth == 0:
+            if c == '"':
+                in_quote = not in_quote
+            elif not in_quote:
+                parts.append(s[start : m.start()])
+                start = m.end()
+                if len(parts) == maxsplit:
+                    break
     parts.append(s[start:])
     return parts
 
+
+def parent_split_entries(text: str) -> list[str]:
+    """Split a .bib file into individual entry sources (brace-aware)."""
+    chunks: list[str] = []
+    i = 0
+    while i < len(text):
+        at = text.find("@", i)
+        if at < 0:
+            break
+        open_brace = text.find("{", at)
+        if open_brace < 0:
+            break
+        j = _close_brace(text, open_brace)
+        if j < 0:
+            raise UnbalancedBraces("unbalanced braces in .bib input")
+        chunks.append(text[at : j + 1])
+        i = j + 1
+    return chunks
 
 
 def reference_split_top_level_and(value: str) -> list[str]:

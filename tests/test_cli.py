@@ -150,7 +150,7 @@ def test_lookup_doi_url_without_a_doi_exits_1(capsys):
     assert err == "error: no DOI in 'https://doi.org/'\n"
 
 
-def unparseable_export(tmp_path, query):
+def unparseable_export(tmp_path, query, status=200, body="this is not bibtex"):
     item = [{"title": "A Paper", "DOI": query}]
     export = {
         "method": "POST",
@@ -161,7 +161,7 @@ def unparseable_export(tmp_path, query):
     return write_exchanges(
         tmp_path / "export.json",
         (search_request(query), {"status": 200, "body": json.dumps(item)}),
-        (export, {"status": 200, "body": "this is not bibtex"}),
+        (export, {"status": status, "body": body}),
     )
 
 
@@ -170,6 +170,15 @@ def test_lookup_export_failure_exits_3(tmp_path, capsys):
     code, _, err = run(["lookup", "10.9999/export.1", "--fixtures", fixture] + SERVER, capsys)
     assert code == 3
     assert "unparseable BibTeX" in err
+
+
+@pytest.mark.parametrize("status", [501, 404])
+def test_lookup_export_error_status_exits_3_naming_it(tmp_path, capsys, status):
+    # a BibTeX-looking error body must not be read as the export
+    fixture = unparseable_export(tmp_path, "10.9999/export.2", status, "@misc{k, title={Not implemented}}")
+    code, out, err = run(["lookup", "10.9999/export.2", "--fixtures", fixture] + SERVER, capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: export returned {status}\n"
 
 
 def test_lookup_fixtures_directory_merges_files(tmp_path, capsys):

@@ -12,18 +12,16 @@ from bibkit.model import (
     MultipleEntries,
     UnbalancedBraces,
     UnsupportedConcatenation,
-    _COMMA_RE,
-    _EQUALS_RE,
-    _split_top_level,
     parse_bib_file,
     parse_entry,
     sanitize_citation_key,
     serialize_entry,
     slot_of,
+    split_entries,
 )
 
 from conftest import load_fixture
-from reference_impls import reference_parse, reference_split_top_level
+from reference_impls import parent_parse_entry, parent_split_entries, reference_parse
 
 ERROR_CLASSES = {
     "BibParseError": BibParseError,
@@ -183,19 +181,56 @@ def test_round_trip_property(fields):
     assert parse_entry(serialize_entry(entry)) == entry
 
 
-# -- top-level field splitter -------------------------------------------------------
+# -- one scan against the parent parser ------------------------------------------
+
+
+def test_split_entries_stops_at_an_at_sign_without_a_brace():
+    assert split_entries("@article{a, t={x}}\n@ stray (no brace)") == ["@article{a, t={x}}"]
+
+
+def test_split_entries_second_entry_unbalanced():
+    with pytest.raises(UnbalancedBraces, match="unbalanced braces in .bib input"):
+        split_entries("@article{a, t={x}}\n@misc{b, t={y}")
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: its error class and message, or its result."""
+    try:
+        result = parse(text)
+    except BibParseError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, BibEntry):
+        return result.entry_type, result.citation_key, list(result.fields.items())
+    return result
+
+
+_HEADERS = st.sampled_from(["", "@article{", "@misc{k,", " @Book { key, t = ", "@string{"])
+_BIB_PIECES = st.lists(st.sampled_from([*'{}",=#@ \n\taZk1', "{x}", '"y"', "k=", " and "]), max_size=20)
 
 
 @settings(max_examples=1000)
-@given(
-    st.text(alphabet=st.sampled_from('{}",=\\ aZ'), max_size=40),
-    st.sampled_from([",", "="]),
-    st.sampled_from([1, -1]),
-)
-@example("}a,b{", ",", -1)  # unbalanced: depth below zero
-@example('{a,"b},c', ",", -1)  # unbalanced: depth never returns to zero
-@example('"a=b"=c', "=", 1)  # a quote at depth 0 hides the first separator
-@example('{"}a,b', ",", -1)  # a quote inside braces does not count
-def test_split_top_level_agrees_with_character_loop(s, sep, maxsplit):
-    delimiters = {",": _COMMA_RE, "=": _EQUALS_RE}[sep]
-    assert _split_top_level(s, delimiters, maxsplit) == reference_split_top_level(s, sep, maxsplit)
+@given(st.tuples(_HEADERS, _BIB_PIECES.map("".join), st.sampled_from(["", "}"])).map("".join))
+@example("no entry here")
+@example("@{k, a={b}}")  # malformed entry header
+@example("@string{a = {b}}")
+@example("@article{k, a={b}")  # entry braces are not balanced
+@example("@article{k} @misc{j}")  # more than one entry
+@example("@article{k} x")  # trailing content
+@example("@article{, a={b}}")  # no citation key
+@example("@article{k,, a={b}}")  # empty field segment
+@example("@article{k, a}")  # field without '='
+@example("@article{k, ={b}}")  # field with empty name
+@example('@article{k, a="b}')  # unterminated quoted value
+@example("@article{k, a=b # c}")  # '#' in a bare value
+@example('@article{k, a="b" # c}')  # '#' after a quoted value
+@example("@article{k, a={b} c}")  # junk after braced value
+@example('@article{k, a="b" c}')  # junk after quoted value
+@example("@article{k, a=1, A=2}")  # duplicate field
+@example('@article{k"x,y", a={"}, b="{,}"}')  # quotes toggle at depth 0 only
+@example("@article{k, a={b}, }")  # trailing comma
+@example("@article{k,,}")  # an empty segment before the trailing comma
+@example("@article{k, {x}={y}}")  # a brace closes before the '='
+@example("@article{a, t={x}}\n@misc{b, t={y}")  # second entry unbalanced
+def test_parse_agrees_with_parent_parser(text):
+    assert _outcome(parse_entry, text) == _outcome(parent_parse_entry, text)
+    assert _outcome(split_entries, text) == _outcome(parent_split_entries, text)

@@ -3,9 +3,8 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bibkit.model import _split_top_level
 from bibkit.normalize import (
-    _AUTHOR_DELIMITER_RE,
+    _split_and,
     EmptyAuthor,
     MalformedPages,
     MalformedYear,
@@ -99,8 +98,7 @@ AUTHOR_PIECES = st.sampled_from(["{", "}", " and ", " AND ", " And ", " an", "d 
 @example("a and and b")  # two separators share a space
 @example("{a and b} and c")
 def test_split_top_level_and_agrees_with_character_loop(value):
-    parts = _split_top_level(value, _AUTHOR_DELIMITER_RE)
-    assert [p.strip() for p in parts if p.strip()] == reference_split_top_level_and(value)
+    assert _split_and(value) == reference_split_top_level_and(value)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from bibkit.resolve import (
     CROSSREF_URL,
     RETRY_DELAY,
     EmptyQuery,
+    HttpTransport,
     MalformedUrl,
     NoCandidates,
     RateLimiter,
@@ -405,6 +407,41 @@ def test_crossref_candidate_shape():
     assert first.get("doi") == "10.5555/cand.00"
     assert first.get("journal") == "Journal of Examples"
     assert first.get("author") == "Example, Writer 00"
+
+
+class RecordingTransport:
+    """Answers every request with an empty 200 and records what was sent."""
+
+    def __init__(self):
+        self.calls: list[tuple[str, str, dict | None]] = []
+
+    def request(self, method, url, *, params=None, body=None, headers=None):
+        self.calls.append((method, url, headers))
+        return TransportResponse(200, "{}")
+
+
+@pytest.mark.parametrize(
+    "env,user_agent",
+    [({"BIBKIT_CONTACT": "me@example.org"}, "bibkit/0.1 (mailto:me@example.org)"), ({}, None)],
+)
+def test_crossref_request_names_the_contact(env, user_agent):
+    transport = RecordingTransport()
+    limiter = RateLimiter(clock=lambda: 0.0, sleep=lambda s: None)
+    resolver = Resolver(ResolverConfig.from_env(env), transport, limiter, sleep=lambda s: None)
+    assert resolver.crossref_fallback("A Paper") == []
+    [(method, url, headers)] = transport.calls
+    assert (method, url) == ("GET", f"{CROSSREF_URL}/works")
+    assert (headers or {}).get("User-Agent") == user_agent
+
+
+def test_http_transport_connection_refused_is_transport_error(monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")  # a proxy setting must not reroute the request
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    # the socket is closed and never listened, so nothing accepts on the port
+    with pytest.raises(TransportError):
+        HttpTransport(timeout=5.0).request("GET", f"http://127.0.0.1:{port}/")
 
 
 def single_hit_fallback(doi: str, hit: dict) -> Resolver:

@@ -24,6 +24,8 @@ argument parser reports a usage error and exits 1.
 - ``bench`` and ``verify`` list a paper whose processing fails under
   ``incomplete``, still write or print the bundle, and then exit 3 when
   ``incomplete`` is not empty.
+- A ``--server`` or ``BIBKIT_SERVER_URL`` value that is not an absolute
+  http(s) URL is an input error, raised before any request.
 - A ``--fixtures`` replay waits neither for the rate limiter nor a retry.
 """
 
@@ -36,6 +38,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
+from urllib.parse import urlsplit
 
 from .harness import (
     CorpusParseError,
@@ -116,9 +119,16 @@ def _replay_transport(path: str) -> ReplayTransport:
 
 
 def _build_resolver(args) -> Resolver:
-    config = ResolverConfig.from_env()
+    config, source = ResolverConfig.from_env(), "BIBKIT_SERVER_URL"
     if args.server:
-        config.base_url = args.server
+        config.base_url, source = args.server, "--server"
+    try:
+        url = urlsplit(config.base_url)
+        absolute = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+    except ValueError:  # an unclosed IPv6 bracket, or a port that is not a number up to 65535
+        absolute = False
+    if not absolute:
+        raise InputError(f"{source} {config.base_url!r}: not an absolute http(s) URL")
     if not args.fixtures:
         return Resolver(config)
     transport = _use_file("--fixtures", args.fixtures, _replay_transport)

@@ -1,4 +1,4 @@
-"""Corpus ingestion, version classification, benchmarks, and report files.
+"""Corpus ingestion, benchmarks, and report files.
 
 The corpus is line-delimited JSON (one paper per line) behind a leading
 format-version header, so runs are streamable and reports diffable. All
@@ -56,21 +56,9 @@ class PaperRecord:
     paper_id: str
     domain: str
     tier: str
-    locations: tuple[tuple[str, str], ...]
     ground_truth: GroundTruth
     candidates: tuple[tuple[str, str, BibEntry], ...]  # (tag, model, entry)
-    meta: PaperMeta | None = None
-
-
-def classify_location(url: str, source_type: str) -> str:
-    """Version type of a hosting location; rule order is significant."""
-    if "arxiv.org" in url.lower():
-        return "arxiv"
-    if source_type == "conference":
-        return "proceedings"
-    if source_type == "journal":
-        return "journal"
-    return "excluded"
+    meta: PaperMeta  # what a reconcile run resolves the paper by
 
 
 # --------------------------------------------------------------------------
@@ -121,43 +109,37 @@ def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
     )
     if not versions:
         fail("ground truth needs at least one version")
-    canonical = {}
-    for slot, entry in (typed(gt_doc, "canonical", (dict, type(None)), None) or {}).items():
-        if not isinstance(entry, dict):
-            fail(f"canonical {slot!r}: not an object")
-        canonical[slot] = (typed(entry, "value", str, None), typed(entry, "source", str, ""))
     gt = GroundTruth(
         paper_id=paper_id,
         versions=versions,
-        canonical=canonical,
         known_aliases=tuple(strings(a, "known alias") for a in objects(gt_doc, "known_aliases")),
     )
 
     candidates = []
     for c in objects(doc, "candidates"):
         tag = typed(c, "tag", str, "candidate")
+        if any(tag == seen for seen, _, _ in candidates):
+            fail(f"duplicate candidate tag {tag!r}")
         try:
             entry = parse_entry(typed(c, "bibtex", str, ""))
         except BibParseError as exc:
             fail(f"candidate {tag!r}: {exc}")
         candidates.append((tag, typed(c, "model", str, ""), entry))
 
-    meta = None
     if "meta" in doc:
         m = typed(doc, "meta", dict, {})
         url, doi, title = (typed(m, k, (str, type(None)), None) for k in ("url", "doi", "title"))
-        meta = PaperMeta(paper_id, url=url, doi=doi, title=title)
+    else:  # the first ground-truth DOI and title
+        url = None
+        doi, title = (next(iter(gt.values_for(s)), None) for s in (FieldSlot.DOI, FieldSlot.TITLE))
 
     return PaperRecord(
         paper_id=paper_id,
         domain=typed(doc, "domain", str, ""),
         tier=tier,
-        locations=tuple(
-            (typed(l, "url", str, ""), typed(l, "source_type", str, "")) for l in objects(doc, "locations")
-        ),
         ground_truth=gt,
         candidates=tuple(candidates),
-        meta=meta,
+        meta=PaperMeta(paper_id, url=url, doi=doi, title=title),
     )
 
 
@@ -191,27 +173,6 @@ def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]
         seen_ids.add(record.paper_id)
         records.append(record)
     return records
-
-
-def default_meta(record: PaperRecord) -> PaperMeta:
-    """Reconciliation metadata derived from the record when none is supplied."""
-    if record.meta is not None:
-        return record.meta
-    url = None
-    for loc_url, source_type in record.locations:
-        if classify_location(loc_url, source_type) != "excluded":
-            url = loc_url
-            break
-    gt = record.ground_truth
-    doi = gt.canonical.get("doi", (None,))[0]
-    title = gt.canonical.get("title", (None,))[0]
-    if doi is None:
-        dois = gt.values_for(FieldSlot.DOI)
-        doi = dois[0] if dois else None
-    if title is None:
-        titles = gt.values_for(FieldSlot.TITLE)
-        title = titles[0] if titles else None
-    return PaperMeta(record.paper_id, url=url, doi=doi, title=title)
 
 
 # --------------------------------------------------------------------------
@@ -286,7 +247,7 @@ def run_benchmark(
             before = verify_entry(entry, record.ground_truth, table)
             outcome = after = None
             if mode == "reconcile_then_verify":
-                outcome = reconcile(default_meta(record), entry, resolver)
+                outcome = reconcile(record.meta, entry, resolver)
                 after = verify_entry(outcome.result, record.ground_truth, table)
             out.append((tag, model, before, after, outcome))
         return out

@@ -2,9 +2,9 @@
 
 The parser handles exactly one entry per input string. Values may be
 brace-delimited, quote-delimited, or bare tokens; string concatenation
-with ``#`` and ``@string`` macros are rejected. One brace-depth scan,
-``_scan``, finds every separator: braces count inside quotes too, and a
-quote toggles only at depth 0.
+with ``#``, ``@string`` macros and ``@preamble`` are rejected. One
+brace-depth scan, ``_scan``, finds every separator: braces count inside
+quotes too, and a quote toggles only at depth 0.
 """
 
 from __future__ import annotations
@@ -131,6 +131,8 @@ def parse_entry(text: str) -> BibEntry:
     entry_type = m.group(1).lower()
     if entry_type == "string":
         raise UnsupportedConcatenation("@string macros are not supported")
+    if entry_type == "preamble":
+        raise BibParseError("@preamble is not supported")
 
     # One scan of the body. Each segment is [start, its first '=', the first
     # '}' after that '=' back at depth 0]; a comma outside quotes starts the next.
@@ -211,6 +213,8 @@ _HEADER_RE = re.compile(r"@\s*([A-Za-z]+)\s*\{")
 #: What ``parse_entry`` scans for: braces, quotes and the two separators.
 _ENTRY_RE = re.compile(r'[{}",=]')
 _BRACE_RE = re.compile(r"[{}]")
+#: The name after an ``@`` and the ``{`` or ``(`` that follows it, if one does.
+_AT_NAME_RE = re.compile(r"@\s*([^\s\"#%'(),={}@]*)\s*([{(]?)")
 
 
 def _scan(s: str, pattern: re.Pattern, pos: int = 0) -> Iterator[tuple[re.Match, int]]:
@@ -243,10 +247,19 @@ def serialize_entry(entry: BibEntry) -> str:
 
 
 def split_entries(text: str) -> list[str]:
-    """Split a .bib file into individual entry sources (brace-aware)."""
+    """Split a .bib file into individual entry sources (brace-aware).
+
+    An ``@`` whose name is followed by neither ``{`` nor ``(`` is text, as
+    in ``me@example.org``; an ``@comment{...}`` block is skipped. Any other
+    ``@`` starts an entry that runs to the brace closing its first ``{``.
+    """
     chunks: list[str] = []
     i = 0
     while (at := text.find("@", i)) >= 0:
+        name, opener = _AT_NAME_RE.match(text, at).groups()
+        if name and not opener:
+            i = at + 1
+            continue
         open_brace = text.find("{", at)
         if open_brace < 0:
             break
@@ -254,7 +267,8 @@ def split_entries(text: str) -> list[str]:
         if close is None:
             raise UnbalancedBraces("unbalanced braces in .bib input")
         i = close[0].end()
-        chunks.append(text[at:i])
+        if not (opener == "{" and name.lower() == "comment"):
+            chunks.append(text[at:i])
     return chunks
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from difflib import SequenceMatcher
 
 from .model import ALL_SLOTS, LABEL_NAMES, SLOT_NAMES, BibEntry, FieldLabel, FieldSlot, slot_of
@@ -81,11 +81,10 @@ class GroundTruthVersion:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """All citable versions of one paper plus canonical resolved fields."""
+    """All citable versions of one paper, and records it is confused with."""
 
     paper_id: str
     versions: tuple[GroundTruthVersion, ...]
-    canonical: dict[str, tuple[str, str]] = field(default_factory=dict)  # slot -> (value, source)
     known_aliases: tuple[dict[str, str], ...] = ()  # confusable other-paper records
 
     def values_for(self, slot: FieldSlot) -> list[str]:

@@ -85,6 +85,27 @@ def test_lookup_upstream_unavailable_exits_3(tmp_path, capsys):
     assert "upstream unavailable" in err
 
 
+@pytest.mark.parametrize(
+    "server",
+    ["localhost:1969", "http://:1969", "ftp://server.test", "http://[::1", "http://127.0.0.1:99999", "http://h:0"],
+)
+def test_lookup_server_that_is_not_an_absolute_http_url_exits_2(tmp_path, capsys, server):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"format_version": 1, "exchanges": []}), "utf-8")
+    code, _, err = run(["lookup", "10.1111/iju.13054", "--fixtures", str(empty), "--server", server], capsys)
+    assert code == 2
+    assert err == f"input error: --server {server!r}: not an absolute http(s) URL\n"
+
+
+def test_server_url_variable_that_is_not_an_absolute_http_url_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BIBKIT_SERVER_URL", "localhost:1969")
+    bib, meta = write_reconcile_inputs(tmp_path)
+    code, _, err = run(["reconcile", "--bib", str(bib), "--meta", str(meta)], capsys)
+    assert code == 2
+    assert "input error: BIBKIT_SERVER_URL 'localhost:1969'" in err
+    assert not (tmp_path / "refs.bib.revised.bib").exists()
+
+
 def write_exchanges(path, *exchanges):
     """A replay fixture of (request, response) pairs against http://server.test."""
     doc = {"format_version": 1, "exchanges": [{"request": q, "response": r} for q, r in exchanges]}
@@ -333,6 +354,21 @@ def test_verify_permissive_skips_bad_records(tmp_path, capsys):
     code, out, _ = run(["verify", "--corpus", str(bad), "--permissive"], capsys)
     assert code == 0
     assert json.loads(out)["aggregate"]["entries"] == 20
+
+
+def test_verify_repeated_candidate_tag_exits_2_or_is_skipped(tmp_path, capsys):
+    lines = (FIXTURES / "golden_corpus.jsonl").read_text("utf-8").splitlines()
+    doc = json.loads(lines[1])
+    doc["candidates"] = [{k: v for k, v in c.items() if k != "tag"} for c in doc["candidates"][:2]]
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(doc)] + lines[2:]) + "\n", "utf-8")
+    code, _, err = run(["verify", "--corpus", str(bad)], capsys)
+    assert code == 2
+    assert "corpus error: line 2: duplicate candidate tag 'candidate'" in err
+    code, out, _ = run(["verify", "--corpus", str(bad), "--permissive"], capsys)
+    assert code == 0
+    expected = 20 - len(json.loads(lines[1])["candidates"])
+    assert json.loads(out)["aggregate"]["entries"] == expected
 
 
 # -- unreadable input files ---------------------------------------------------------
@@ -671,6 +707,28 @@ def test_reconcile_resolves_a_shared_query_once(tmp_path, capsys):
     revised = (tmp_path / "revised.bib").read_text("utf-8")
     assert revised.count("doi = {10.1111/iju.13054}") == 3
     assert "note = {kept}" in revised
+
+
+def test_reconcile_jabref_file_writes_only_its_entries(tmp_path, capsys):
+    bib = tmp_path / "refs.bib"
+    bib.write_text(
+        "% Encoding: UTF-8\n"
+        "% Questions: me@example.org\n\n"
+        "@Article{mine,\n  title = {Some Working Title},\n  year  = {2015},\n}\n\n"
+        "@Misc{other,\n  note = {kept},\n}\n\n"
+        "@Comment{jabref-meta: databaseType:bibtex;}\n\n"
+        "@Comment{jabref-meta: grouping:\n0 AllEntriesGroup:;\n1 StaticGroup:Mine\\;0\\;1\\;;\n}\n",
+        "utf-8",
+    )
+    meta = tmp_path / "meta.tsv"
+    meta.write_text("format_version\t1\np1\t\t10.1111/iju.13054\t\np2\t\t10.1111/iju.13054\t\n", "utf-8")
+    code, _, err = run(reconcile_args(bib, meta, str(FIXTURES / "replay_doi_found.json"), tmp_path), capsys)
+    assert code == 0, err
+    revised = (tmp_path / "revised.bib").read_text("utf-8")
+    assert [line for line in revised.splitlines() if line.startswith("@")] == ["@article{mine,", "@article{other,"]
+    assert "jabref" not in revised
+    log = (tmp_path / "actions.tsv").read_text("utf-8").splitlines()[1:]
+    assert [row.split("\t")[:3] for row in log] == [["p1", "mine", "merged"], ["p2", "other", "merged"]]
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])

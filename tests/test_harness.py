@@ -5,10 +5,7 @@ import pytest
 from bibkit import harness, verify
 from bibkit.harness import (
     CorpusParseError,
-    PaperRecord,
     bib_text,
-    classify_location,
-    default_meta,
     load_corpus,
     read_tsv,
     run_benchmark,
@@ -17,8 +14,9 @@ from bibkit.harness import (
 )
 from bibkit.model import BibEntry, parse_entry, serialize_entry
 from bibkit.normalize import VenueSynonymTable
+from bibkit.reconcile import PaperMeta
 from bibkit.resolve import ResolutionResult, UpstreamUnavailable
-from bibkit.verify import GroundTruth, GroundTruthVersion, verify_entry
+from bibkit.verify import verify_entry
 
 from conftest import FIXTURES, load_fixture
 
@@ -130,6 +128,13 @@ def test_load_header_not_an_object_rejected(tmp_path):
         load_corpus(write_corpus(tmp_path, ["[1]", record_line()]))
 
 
+#: Two versions: the first carries no DOI, the second a different title.
+GT_VERSIONS = [
+    {"version_type": "arxiv", "fields": {"entry_type": "misc", "title": "First"}},
+    {"version_type": "journal", "fields": {"title": "Second", "doi": "10.1/second"}},
+]
+
+
 def _ground_truth(**overrides):
     gt = {"versions": [{"version_type": "journal", "fields": {"title": "T"}}]}
     gt.update(overrides)
@@ -159,8 +164,6 @@ def _ground_truth(**overrides):
             record_line(ground_truth=_ground_truth(versions=[{"fields": {"title": 5}}])),
             id="version-field-value",
         ),
-        pytest.param(record_line(ground_truth=_ground_truth(canonical={"doi": {}})), id="canonical-no-value"),
-        pytest.param(record_line(ground_truth=_ground_truth(canonical={"doi": "10.1/x"})), id="canonical-entry"),
         pytest.param(record_line(ground_truth=_ground_truth(known_aliases=["x"])), id="alias"),
         pytest.param(record_line(ground_truth=_ground_truth(known_aliases=[{"title": None}])), id="alias-value"),
         pytest.param(record_line(candidates=["x"]), id="candidate"),
@@ -168,7 +171,6 @@ def _ground_truth(**overrides):
         pytest.param(record_line(candidates=[{"tag": 5, "bibtex": "@article{k, title={T}}"}]), id="candidate-tag"),
         pytest.param(record_line(meta=None), id="meta"),
         pytest.param(record_line(meta={"url": 5}), id="meta-url"),
-        pytest.param(record_line(locations=[{"url": 5, "source_type": "journal"}]), id="location-url"),
     ],
 )
 def test_load_value_of_wrong_type_rejected(tmp_path, line):
@@ -183,76 +185,58 @@ def test_load_skips_blank_lines(tmp_path):
     assert len(load_corpus(path)) == 1
 
 
-# -- location classification ----------------------------------------------------
+def test_load_repeated_candidate_tag_rejected(tmp_path):
+    bibtex = "@article{k, title={T}}"
+    untagged = record_line(candidates=[{"bibtex": bibtex}, {"bibtex": bibtex}])
+    shared = record_line(paper_id="p2", candidates=[{"tag": "c1", "bibtex": bibtex}] * 2)
+    for line, tag in ((untagged, "candidate"), (shared, "c1")):
+        with pytest.raises(CorpusParseError, match=f"line 2: duplicate candidate tag '{tag}'"):
+            load_corpus(write_corpus(tmp_path, [HEADER, line]))
+    path = write_corpus(tmp_path, [HEADER, untagged, shared, record_line(paper_id="ok")])
+    assert [r.paper_id for r in load_corpus(path, permissive=True)] == ["ok"]
+
+
+# -- reconcile metadata -------------------------------------------------------------
+
+
+def load_one(tmp_path, **overrides):
+    (record,) = load_corpus(write_corpus(tmp_path, [HEADER, record_line(**overrides)]))
+    return record
+
+
+def test_load_meta_passes_through_explicit_meta(tmp_path):
+    record = load_one(tmp_path, meta={"title": "Given"}, ground_truth=_ground_truth(versions=GT_VERSIONS))
+    assert record.meta == PaperMeta("p1", title="Given")
+
+
+def test_load_meta_falls_back_to_first_ground_truth_doi_and_title(tmp_path):
+    record = load_one(tmp_path, ground_truth=_ground_truth(versions=GT_VERSIONS))
+    assert record.meta == PaperMeta("p1", url=None, doi="10.1/second", title="First")
+
+
+def test_load_meta_handles_missing_slots(tmp_path):
+    versions = [{"version_type": "journal", "fields": {"entry_type": "misc", "author": "A"}}]
+    record = load_one(tmp_path, ground_truth=_ground_truth(versions=versions))
+    assert record.meta == PaperMeta("p1")
 
 
 @pytest.mark.parametrize(
-    "url,source_type,expected",
+    "gt_extra,extra",
     [
-        ("https://arxiv.org/abs/2510.16227", "repository", "arxiv"),
-        ("https://ARXIV.org/pdf/2510.16227", "conference", "arxiv"),  # arXiv rule first
-        ("https://papers.nips.cc/paper/4532", "conference", "proceedings"),
-        ("https://doi.org/10.1200/jco.2016", "journal", "journal"),
-        ("https://example.edu/~prof/paper.pdf", "personal", "excluded"),
-        ("https://github.com/lab/code", "repository", "excluded"),
-        ("https://en.wikipedia.org/wiki/Paper", "encyclopedia", "excluded"),
+        pytest.param({"canonical": {"doi": {}}}, {}, id="canonical-no-value"),
+        pytest.param({"canonical": {"doi": "10.1/x"}}, {}, id="canonical-entry"),
+        pytest.param({"canonical": {"doi": {"value": "10.1/c", "source": "s"}}}, {}, id="canonical-doi"),
+        pytest.param({}, {"locations": [{"url": 5, "source_type": "journal"}]}, id="location-url"),
+        pytest.param({}, {"locations": [{"url": "https://doi.org/10.1/c", "source_type": "journal"}]}, id="location"),
     ],
 )
-def test_classify_location(url, source_type, expected):
-    assert classify_location(url, source_type) == expected
-
-
-# -- default metadata -------------------------------------------------------------
-
-
-def make_record(meta=None, locations=(), canonical=None, gt_fields=None):
-    fields = gt_fields or {"entry_type": "article", "title": "GT Title", "doi": "10.1/gt"}
-    gt = GroundTruth(
-        paper_id="p",
-        versions=(GroundTruthVersion("journal", dict(fields)),),
-        canonical=canonical or {},
-        known_aliases=(),
-    )
-    return PaperRecord(
-        paper_id="p",
-        domain="ai",
-        tier="popular",
-        locations=tuple(locations),
-        ground_truth=gt,
-        candidates=(),
-        meta=meta,
-    )
-
-
-def test_default_meta_passes_through_explicit_meta():
-    from bibkit.reconcile import PaperMeta
-
-    meta = PaperMeta("p", title="Given")
-    assert default_meta(make_record(meta=meta)) is meta
-
-
-def test_default_meta_prefers_retained_location_url():
-    record = make_record(
-        locations=[
-            ("https://example.edu/~prof/p.pdf", "personal"),  # excluded
-            ("https://doi.org/10.1/x", "journal"),
-        ]
-    )
-    meta = default_meta(record)
-    assert meta.url == "https://doi.org/10.1/x"
-    assert meta.doi == "10.1/gt"
-    assert meta.title == "GT Title"
-
-
-def test_default_meta_canonical_beats_version_fields():
-    record = make_record(canonical={"doi": ("10.1/canonical", "openalex")})
-    assert default_meta(record).doi == "10.1/canonical"
-
-
-def test_default_meta_handles_missing_slots():
-    record = make_record(gt_fields={"entry_type": "misc", "author": "A"})
-    meta = default_meta(record)
-    assert meta.url is None and meta.doi is None and meta.title is None
+def test_load_ignores_locations_and_canonical(tmp_path, gt_extra, extra):
+    """Keys the loader does not read, of any shape, change neither meta nor labels."""
+    gt = _ground_truth(versions=GT_VERSIONS)
+    plain = load_one(tmp_path, ground_truth=gt)
+    record = load_one(tmp_path, ground_truth={**gt, **gt_extra}, **extra)
+    assert record.meta == plain.meta
+    assert run_benchmark([record])["labels"] == run_benchmark([plain])["labels"]
 
 
 # -- verify-mode benchmark vs hand labels ------------------------------------------

@@ -233,4 +233,67 @@ _BIB_PIECES = st.lists(st.sampled_from([*'{}",=#@ \n\taZk1', "{x}", '"y"', "k=",
 @example("@article{a, t={x}}\n@misc{b, t={y}")  # second entry unbalanced
 def test_parse_agrees_with_parent_parser(text):
     assert _outcome(parse_entry, text) == _outcome(parent_parse_entry, text)
-    assert _outcome(split_entries, text) == _outcome(parent_split_entries, text)
+    assert _outcome(split_entries, text) == _outcome(masked_parent_split_entries, text)
+
+
+_NAME_END = set('"#%\'(),={}@')  # and whitespace
+
+
+def _text_ats(text):
+    """Each ``@`` followed by a name and then, after any whitespace, by neither ``{`` nor ``(``."""
+    for at, c in enumerate(text):
+        if c != "@":
+            continue
+        start = at + 1
+        while start < len(text) and text[start].isspace():
+            start += 1
+        end = start
+        while end < len(text) and not text[end].isspace() and text[end] not in _NAME_END:
+            end += 1
+        while end < len(text) and text[end].isspace():
+            end += 1
+        if end > start and text[end : end + 1] not in ("{", "("):
+            yield at
+
+
+def masked_parent_split_entries(text):
+    """The parent splitter, blind to each ``@`` that is text (masked as ``\\0``, mapped back)."""
+    masked = list(text)
+    for at in _text_ats(text):
+        masked[at] = "\0"
+    return [chunk.replace("\0", "@") for chunk in parent_split_entries("".join(masked))]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "% contact: me@example.org\n@article{a, title={X}}\n",
+        "Follow @bibkit on Mastodon.\n@article{a, title={X}}\nuser@host",
+        "@ bibkit\n@article{a, title={X}}",
+    ],
+)
+def test_parse_bib_file_reads_an_at_sign_in_text_as_text(text):
+    assert parse_bib_file(text) == [BibEntry("article", "a", {"title": "X"})]
+
+
+def test_parse_bib_file_skips_comment_blocks():
+    text = (
+        "@Comment{jabref-meta: databaseType:bibtex;}\n"
+        "@article{a, title={X}}\n"
+        "@COMMENT { @misc{b, title={Y}} }\n"
+        "@comment{jabref-meta: grouping:\n0 AllEntriesGroup:;\n}\n"
+    )
+    assert parse_bib_file(text) == [BibEntry("article", "a", {"title": "X"})]
+
+
+@pytest.mark.parametrize("text", ["@{k, a={b}}", "@article(k, a={b})", "@comment(x) @article{a, t={x}}"])
+def test_parse_bib_file_rejects_an_entry_without_a_brace_header(text):
+    with pytest.raises(BibParseError, match="malformed entry header"):
+        parse_bib_file(text)
+
+
+def test_parse_bib_file_rejects_preamble():
+    with pytest.raises(BibParseError, match="^@preamble is not supported$"):
+        parse_bib_file('@preamble{"\\newcommand{\\noop}[1]{}"}\n@article{a, title={X}}')
+    with pytest.raises(UnsupportedConcatenation, match="^@string macros are not supported$"):
+        parse_bib_file("@string{acm = {ACM}}")

@@ -18,9 +18,9 @@ argument parser reports a usage error and exits 1.
   ``--log`` path that cannot be written, is an ``InputError`` naming the
   option and the path; a corpus header or record that is not valid is a
   ``CorpusParseError`` naming the line.
-- ``reconcile``: a meta row whose query is empty or malformed, and a
-  ``.bib`` and meta file of different lengths, are input errors too. It
-  writes nothing on any error.
+- ``reconcile``: a meta row whose query is empty or malformed, a ``.bib``
+  key holding a tab or line break, and a ``.bib`` and meta file of
+  different lengths, are input errors too. It writes nothing on any error.
 - ``bench`` and ``verify`` list a paper whose processing fails under
   ``incomplete``, still write or print the bundle, and then exit 3 when
   ``incomplete`` is not empty.
@@ -42,6 +42,7 @@ from urllib.parse import urlsplit
 
 from .harness import (
     CorpusParseError,
+    _holds_separator,
     _write_atomic,
     action_row,
     bib_text,
@@ -50,7 +51,6 @@ from .harness import (
     read_tsv,
     report_text,
     run_benchmark,
-    tagged_from_labels,
     tsv_text,
     write_bundle,
 )
@@ -147,15 +147,15 @@ def cmd_lookup(args) -> int:
 
 
 def _read_meta_file(path: str) -> list[PaperMeta]:
-    rows = [(row + ["", "", ""])[:4] for row in read_tsv(path)]
-    return [
-        PaperMeta(paper_id, url=url or None, doi=doi or None, title=title or None)
-        for paper_id, url, doi, title in rows
-    ]
+    """One ``PaperMeta`` per row; ``reconcile`` reads a blank field as absent."""
+    return [PaperMeta(*(row + ["", "", ""])[:4]) for row in read_tsv(path)]
 
 
 def cmd_reconcile(args) -> int:
     entries = _use_file("--bib", args.bib, lambda p: parse_bib_file(Path(p).read_text("utf-8")))
+    for entry in entries:  # the key is a field of its --log row
+        if _holds_separator(entry.citation_key):
+            raise InputError(f"--bib {args.bib}: key {entry.citation_key!r} holds a tab or line break")
     metas = _use_file("--meta", args.meta, _read_meta_file)
     if len(entries) != len(metas):
         raise InputError(f"{len(entries)} entries but {len(metas)} metadata lines")
@@ -201,7 +201,7 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     """The bundle aggregate of a labels file; it carries no model, tier or domain."""
-    tagged = _use_file("--labels", args.labels, lambda p: tagged_from_labels(read_labels(p)))
+    tagged = _use_file("--labels", args.labels, read_labels)
     report = aggregate_stats(tagged)
     for kind in ("model", "tier", "domain"):
         del report[f"per_{kind}"]

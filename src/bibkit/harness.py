@@ -17,8 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 from .model import (
-    LABEL_NAMES,
-    SLOT_NAMES,
+    ALL_SLOTS,
     BibEntry,
     BibParseError,
     FieldLabel,
@@ -26,7 +25,7 @@ from .model import (
     parse_entry,
     serialize_entry,
 )
-from .normalize import VenueSynonymTable
+from .normalize import VenueSynonymTable, _read_lines
 from .reconcile import PaperMeta, ReconcileOutcome, reconcile
 from .resolve import ResolutionResult
 from .verify import (
@@ -65,6 +64,11 @@ class PaperRecord:
 # corpus I/O
 
 
+def _holds_separator(value: str) -> bool:
+    """Whether ``value`` holds a tab or a line break, which would split its TSV row."""
+    return any(c in value for c in "\t\r\n")
+
+
 def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
     def fail(reason: str):
         raise CorpusParseError(line_no, reason)
@@ -93,6 +97,8 @@ def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
         fail("missing paper_id")
     if paper_id in seen_ids:
         fail(f"duplicate paper_id {paper_id!r}")
+    if _holds_separator(paper_id):
+        fail(f"paper_id {paper_id!r} holds a tab or line break")
     if not typed(doc, "description", str, "").strip():
         fail("missing description")
     tier = typed(doc, "tier", str, "")
@@ -120,6 +126,8 @@ def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
         tag = typed(c, "tag", str, "candidate")
         if any(tag == seen for seen, _, _ in candidates):
             fail(f"duplicate candidate tag {tag!r}")
+        if _holds_separator(tag):
+            fail(f"candidate tag {tag!r} holds a tab or line break")
         try:
             entry = parse_entry(typed(c, "bibtex", str, ""))
         except BibParseError as exc:
@@ -146,7 +154,7 @@ def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
 def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]:
     records: list[PaperRecord] = []
     seen_ids: set[str] = set()
-    lines = Path(path).read_text("utf-8").splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise CorpusParseError(1, "empty corpus file")
     try:
@@ -181,17 +189,17 @@ def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]
 
 def _matrix_json(matrix) -> dict:
     return {
-        i.value: {j.value: (None if v is None else round(v, 6)) for j, v in row.items()}
+        i: {j: (None if v is None else round(v, 6)) for j, v in row.items()}
         for i, row in matrix.items()
     }
 
 
 def _labels_rows(tagged: list[TaggedVerdict]) -> list[tuple[str, ...]]:
     return [
-        (tv.paper_id, tv.entry_tag, name, LABEL_NAMES[labels[slot]], "2" if slot in stage2 else "1")
+        (tv.paper_id, tv.entry_tag, slot, labels[slot], "2" if slot in stage2 else "1")
         for tv in tagged
         for labels, stage2 in [(tv.verdict.labels, tv.verdict.stage2_slots)]
-        for slot, name in SLOT_NAMES
+        for slot in ALL_SLOTS
     ]
 
 
@@ -203,7 +211,7 @@ def _field_deltas(before: list[TaggedVerdict], after: list[TaggedVerdict]) -> di
         pairs = [(b.verdict.labels[slot], a.verdict.labels[slot]) for b, a in zip(before, after)]
         # (correct before, correct after) of each entry evaluable in both
         correct = [(lb is C, la is C) for lb, la in pairs if X not in (lb, la)]
-        deltas[slot.value] = {
+        deltas[slot] = {
             "evaluable": len(correct),
             "before_c": sum(cb for cb, _ in correct),
             "after_c": sum(ca for _, ca in correct),
@@ -305,7 +313,7 @@ TSV_FILES = {"labels": "labels.tsv", "labels_before": "labels_before.tsv", "acti
 def action_row(entry_id: str, key: str, outcome: ReconcileOutcome) -> tuple[str, ...]:
     """Actions-file row: entry id, citation key or tag, action, gate score, replaced slots."""
     score = "" if outcome.gate_score is None else f"{outcome.gate_score:.6f}"
-    slots = ",".join(sorted(s.value for s in outcome.replaced_slots))
+    slots = ",".join(sorted(outcome.replaced_slots))
     return (entry_id, key, outcome.action, score, slots)
 
 
@@ -350,26 +358,20 @@ def tsv_text(rows: list[tuple[str, ...]]) -> str:
 
 def read_tsv(path: str | Path) -> list[list[str]]:
     """The tab-split rows behind the format-version header; blank lines are skipped."""
-    lines = Path(path).read_text("utf-8").splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != TSV_HEADER:
         raise ValueError(f"unrecognized file format: first line is not {TSV_HEADER!r}")
     return [line.split("\t") for line in lines[1:] if line.strip()]
 
 
-def read_labels(path: str | Path) -> list[tuple[str, str, str, str, str]]:
-    """Label rows: paper_id, entry_tag, slot, label, stage."""
-    rows = read_tsv(path)
-    for row in rows:
+def read_labels(path: str | Path) -> list[TaggedVerdict]:
+    """The verdicts ``_labels_rows`` wrote to a labels file; each entry needs one label per slot."""
+    entries: dict[tuple[str, str], tuple[dict[FieldSlot, FieldLabel], set[FieldSlot]]] = {}
+    for row in read_tsv(path):
         if len(row) != 5:
             line = "\t".join(row)
             raise ValueError(f"malformed labels row: {line!r}")
-    return [tuple(row) for row in rows]
-
-
-def tagged_from_labels(rows: list[tuple[str, str, str, str, str]]) -> list[TaggedVerdict]:
-    """Entry verdicts rebuilt from label rows; each entry needs one label per slot."""
-    entries: dict[tuple[str, str], tuple[dict[FieldSlot, FieldLabel], set[FieldSlot]]] = {}
-    for paper_id, tag, slot_name, label, stage in rows:
+        paper_id, tag, slot_name, label, stage = row
         labels, stage2 = entries.setdefault((paper_id, tag), ({}, set()))
         slot = FieldSlot(slot_name)
         if slot in labels:

@@ -87,12 +87,6 @@ class FieldLabel(str, enum.Enum):
         return self.value
 
 
-#: Each slot with its name in slot order, and each label's name: the
-#: per-label loops read these instead of an enum's ``.value``.
-SLOT_NAMES = tuple((slot, slot.value) for slot in FieldSlot)
-LABEL_NAMES = {label: label.value for label in FieldLabel}
-
-
 @dataclass(frozen=True)
 class BibEntry:
     """One parsed BibTeX record.
@@ -290,4 +284,4 @@ def slot_of(entry: BibEntry, slot: FieldSlot) -> str | None:
         if journal is not None:
             return journal
         return entry.get("booktitle")
-    return entry.get(slot.value)
+    return entry.get(slot)

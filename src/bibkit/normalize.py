@@ -27,6 +27,16 @@ class MalformedYear(ValueError):
     pass
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    """A UTF-8 file split at "\\n", which ``read_text`` makes of "\\r\\n" and "\\r" too.
+
+    Not ``str.splitlines``: it also splits at U+2028, U+0085 and the other
+    Unicode line breaks, which a JSON string or a TSV field may hold.
+    """
+    text = Path(path).read_text("utf-8")
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 def _load_stopwords() -> frozenset[str]:
     text = resources.files("bibkit.data").joinpath("stopwords.txt").read_text("utf-8")
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
@@ -175,7 +185,7 @@ class VenueSynonymTable:
     @classmethod
     def from_file(cls, path: str | Path) -> "VenueSynonymTable":
         table = cls()
-        for line in Path(path).read_text("utf-8").splitlines():
+        for line in _read_lines(path):
             if not line.strip() or line.startswith("#"):
                 continue
             canonical, _, variants = line.partition("\t")

@@ -18,7 +18,7 @@ from .resolve import ResolutionResult, classify_query
 RECONCILE_GATE_THRESHOLD = 0.3
 
 #: Plain field names replaced wholesale when the authoritative record has them.
-_STANDARD_FIELD_NAMES = frozenset(s.value for s in VALUE_SLOTS if s is not FieldSlot.VENUE)
+_STANDARD_FIELD_NAMES = frozenset(VALUE_SLOTS) - {FieldSlot.VENUE}
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,14 @@ class ReconcileOutcome:
     replaced_slots: frozenset[FieldSlot] = frozenset()
 
 
+def _nonblank(value: str | None) -> str | None:
+    """``value`` stripped; None when it is missing, empty or only whitespace."""
+    return (value.strip() or None) if value is not None else None
+
+
 def build_query(meta: PaperMeta) -> str | None:
-    """First non-empty of url, doi, title."""
-    for value in (meta.url, meta.doi, meta.title):
-        if value and value.strip():
-            return value.strip()
-    return None
+    """First non-blank of url, doi, title, stripped."""
+    return next(filter(None, map(_nonblank, (meta.url, meta.doi, meta.title))), None)
 
 
 def title_gate(query_or_title: str, authoritative_title: str) -> tuple[bool, float]:
@@ -69,11 +71,11 @@ def merge_fields(
         if name in ("journal", "booktitle") and FieldSlot.VENUE in auth:
             merged.setdefault(venue_field, auth[FieldSlot.VENUE])
         elif name in _STANDARD_FIELD_NAMES:
-            merged[name] = auth.get(FieldSlot(name), value)
+            merged[name] = auth.get(name, value)
         else:
             merged[name] = value
     for slot, value in auth.items():
-        merged.setdefault(venue_field if slot is FieldSlot.VENUE else slot.value, value)
+        merged.setdefault(venue_field if slot is FieldSlot.VENUE else slot, value)
 
     replaced = set(auth)
     if authoritative.entry_type:
@@ -108,11 +110,7 @@ def reconcile(
 
     # identifier queries resolve deterministically, so the gate compares
     # title metadata when available and auto-passes otherwise
-    gate_input: str | None
-    if classify_query(query).kind == "title":
-        gate_input = query
-    else:
-        gate_input = meta.title
+    gate_input = query if classify_query(query).kind == "title" else _nonblank(meta.title)
 
     gate_score: float | None = None
     if gate_input is not None:

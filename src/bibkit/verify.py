@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 
-from .model import ALL_SLOTS, LABEL_NAMES, SLOT_NAMES, BibEntry, FieldLabel, FieldSlot, slot_of
+from .model import ALL_SLOTS, BibEntry, FieldLabel, FieldSlot, slot_of
 from .normalize import (
     EmptyAuthor,
     MalformedPages,
@@ -75,9 +75,6 @@ class GroundTruthVersion:
     version_type: str  # arxiv | proceedings | journal
     fields: dict[str, str]  # slot name -> value
 
-    def get(self, slot: FieldSlot) -> str | None:
-        return self.fields.get(slot.value)
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -88,12 +85,7 @@ class GroundTruth:
     known_aliases: tuple[dict[str, str], ...] = ()  # confusable other-paper records
 
     def values_for(self, slot: FieldSlot) -> list[str]:
-        values = []
-        for version in self.versions:
-            v = version.get(slot)
-            if v is not None and v.strip():
-                values.append(v)
-        return values
+        return [v for version in self.versions if (v := version.fields.get(slot)) and v.strip()]
 
 
 @dataclass
@@ -150,13 +142,10 @@ def clear_memo() -> None:
     _table_free_normalized.cache_clear()
 
 
-_VENUE = FieldSlot.VENUE  # read once: an enum attribute lookup is slow next to a memo hit
-
-
 def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) -> str | None:
     """Per-slot normalization; None when the value cannot be normalized."""
     norm = _table_free_normalized(slot, value)
-    if slot is _VENUE and table is not None:
+    if slot is FieldSlot.VENUE and table is not None:
         return table.canonical(norm)  # the rest of normalize_venue(value, table)
     return norm
 
@@ -315,7 +304,7 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
 
 def _matches_alias(entry_value: str, tokens: frozenset[str], slot: FieldSlot, gt: GroundTruth, table) -> bool:
     """Value traces to a known confusable record for a different paper."""
-    alias_values = [v for alias in gt.known_aliases if (v := alias.get(slot.value))]
+    alias_values = [v for alias in gt.known_aliases if (v := alias.get(slot))]
     if not alias_values:
         return False
     mine = _normalized(slot, entry_value, table)
@@ -375,7 +364,6 @@ def verify_entry(
 
 
 EVALUABLE_SLOTS = tuple(s for s in ALL_SLOTS if s is not FieldSlot.ENTRY_KEY)
-_EVALUABLE_NAMES = tuple((s, name) for s, name in SLOT_NAMES if s is not FieldSlot.ENTRY_KEY)
 
 
 def co_error_matrix(
@@ -424,7 +412,7 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
     """Accuracy tables and label distribution; X slots never enter denominators."""
     C, X = FieldLabel.C, FieldLabel.X
     overall = _bucket()
-    per_field: dict[str, dict] = {name: _bucket() for _, name in _EVALUABLE_NAMES}
+    per_field: dict[FieldSlot, dict] = {slot: _bucket() for slot in EVALUABLE_SLOTS}
     per_tag: dict[str, dict[str, dict]] = {"model": {}, "tier": {}, "domain": {}}
     labels_seen = {label: 0 for label in (C, FieldLabel.M, FieldLabel.F, FieldLabel.P, FieldLabel.S)}
     fully_correct = 0
@@ -434,12 +422,12 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
             fully_correct += 1
         labels = tv.verdict.labels
         evaluable = correct = 0
-        for slot, name in _EVALUABLE_NAMES:
+        for slot in EVALUABLE_SLOTS:
             label = labels[slot]
             if label is X:
                 continue
             labels_seen[label] += 1
-            bucket = per_field[name]
+            bucket = per_field[slot]
             bucket["evaluable"] += 1
             evaluable += 1
             if label is C:
@@ -464,8 +452,8 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
             "count": fully_correct,
             "pct": round(100.0 * fully_correct / len(tagged), 1) if tagged else None,
         },
-        "label_distribution": {LABEL_NAMES[label]: n for label, n in labels_seen.items()},
-        "per_field": {name: _pct(b) for name, b in sorted(per_field.items())},
+        "label_distribution": labels_seen,
+        "per_field": {slot: _pct(b) for slot, b in sorted(per_field.items())},
     }
     for kind, buckets in per_tag.items():
         report[f"per_{kind}"] = {tag: _pct(b) for tag, b in sorted(buckets.items())}

@@ -315,6 +315,34 @@ def test_verify_writes_bundle(tmp_path, capsys):
     assert (out_dir / "labels.tsv").is_file()
 
 
+def golden_corpus_with(tmp_path, **first_record):
+    """The golden corpus, its first record's keys and first candidate's tag replaced."""
+    header, first, *rest = (FIXTURES / "golden_corpus.jsonl").read_text("utf-8").splitlines()
+    doc = json.loads(first)
+    doc["candidates"][0]["tag"] = first_record.pop("tag", doc["candidates"][0]["tag"])
+    doc.update(first_record)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([header, json.dumps(doc)] + rest) + "\n", "utf-8")
+    return str(corpus), len(doc["candidates"])
+
+
+@pytest.mark.parametrize("field,value", [("paper_id", "mc\tauley"), ("tag", "gpt\n1"), ("tag", "gpt\r1")])
+def test_verify_id_holding_a_separator_is_a_corpus_error(tmp_path, capsys, field, value):
+    corpus, candidates = golden_corpus_with(tmp_path, **{field: value})
+    bundle = tmp_path / "bundle"
+    code, out, err = run(["verify", "--corpus", corpus, "--out", str(bundle)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("corpus error: line 2: ")
+    assert err.endswith(f"{value!r} holds a tab or line break\n")
+    assert not bundle.exists()
+    # --permissive skips the record, and its labels file reads back
+    code, _, _ = run(["verify", "--corpus", corpus, "--permissive", "--out", str(bundle)], capsys)
+    assert code == 0
+    code, out, _ = run(["report", "--labels", str(bundle / "labels.tsv")], capsys)
+    assert code == 0
+    assert json.loads(out)["entries"] == 20 - candidates
+
+
 def test_verify_bad_corpus_exits_2(tmp_path, capsys):
     bad = tmp_path / "corpus.jsonl"
     bad.write_text('{"format_version": 7}\n', "utf-8")
@@ -683,6 +711,42 @@ def reconcile_args(bib, meta, fixture, tmp_path):
     return ["reconcile", "--bib", str(bib), "--meta", str(meta), "--fixtures", fixture] + out + SERVER
 
 
+def test_reconcile_blank_meta_title_reads_as_absent(tmp_path, capsys):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    fixture = str(FIXTURES / "replay_doi_found.json")
+    logs = []
+    for row in ("p1\t\t10.1111/iju.13054\t   ", "p1\t\t10.1111/iju.13054"):
+        meta.write_text(f"format_version\t1\n{row}\n", "utf-8")
+        code, _, err = run(reconcile_args(bib, meta, fixture, tmp_path), capsys)
+        assert code == 0, err
+        logs.append((tmp_path / "actions.tsv").read_text("utf-8"))
+    assert logs[0].splitlines()[1].split("\t")[:4] == ["p1", "mine", "merged", ""]
+    assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_reconcile_meta_title_holding_a_unicode_line_break_is_one_row(tmp_path, capsys, newline):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    rows = ["format_version\t1", "p1\t\t10.1111/iju.13054\tRelapse\x85site"]
+    meta.write_bytes((newline.join(rows) + newline).encode())
+    code, _, err = run(reconcile_args(bib, meta, str(FIXTURES / "replay_doi_found.json"), tmp_path), capsys)
+    assert code == 0, err
+    log = (tmp_path / "actions.tsv").read_text("utf-8").split("\n")
+    assert [row.split("\t")[:2] for row in log[1:-1]] == [["p1", "mine"]]
+
+
+@pytest.mark.parametrize("key", ["a\tb", "a\nb"])
+def test_reconcile_key_holding_a_separator_exits_2_and_writes_nothing(tmp_path, capsys, key):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    bib.write_text(f"@article{{{key}, title={{Some Working Title}}, year={{2015}}}}\n", "utf-8")
+    # the replay holds no exchange: a request would fail with another error
+    fixture = write_exchanges(tmp_path / "none.json")
+    code, out, err = run(reconcile_args(bib, meta, fixture, tmp_path), capsys)
+    assert_input_error(code, out, err, "--bib")
+    assert err.endswith(f"key {key!r} holds a tab or line break\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.tsv", "none.json", "refs.bib"]
+
+
 def test_reconcile_resolves_a_shared_query_once(tmp_path, capsys):
     # the replay holds one lookup, so a second request for the DOI would fail
     bib = tmp_path / "refs.bib"
@@ -967,6 +1031,22 @@ def test_report_rejects_malformed_entries(tmp_path, capsys, rows):
     code, _, err = run(["report", "--labels", str(labels)], capsys)
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_report_reads_ids_holding_unicode_line_breaks(tmp_path, capsys, newline):
+    corpus, _ = golden_corpus_with(tmp_path, paper_id="mc\u2028auley", tag="gpt\x851")
+    bundle = tmp_path / "bundle"
+    assert run(["verify", "--corpus", corpus, "--out", str(bundle)], capsys)[0] == 0
+    labels = bundle / "labels.tsv"
+    assert "\u2028" in labels.read_text("utf-8")
+    labels.write_bytes(labels.read_bytes().replace(b"\n", newline.encode()))
+    code, out, err = run(["report", "--labels", str(labels)], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    aggregate = json.loads((bundle / "report.json").read_text("utf-8"))["aggregate"]
+    for key in ("entries", "overall", "fully_correct", "label_distribution", "per_field"):
+        assert report[key] == aggregate[key], key
 
 
 def test_report_bad_labels_file_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -196,6 +197,37 @@ def test_load_repeated_candidate_tag_rejected(tmp_path):
     assert [r.paper_id for r in load_corpus(path, permissive=True)] == ["ok"]
 
 
+@pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+@pytest.mark.parametrize("field", ["paper_id", "tag"])
+def test_load_separator_in_an_id_rejected(tmp_path, field, char):
+    """An id is a field of its labels.tsv row, so it cannot hold a tab or line break."""
+    value = f"a{char}b"
+    if field == "paper_id":
+        line = record_line(paper_id=value)
+    else:
+        line = record_line(candidates=[{"tag": value, "model": "m", "bibtex": "@article{k, title={T}}"}])
+    with pytest.raises(CorpusParseError, match=f"line 2: .*{re.escape(repr(value))} holds a tab or line break"):
+        load_corpus(write_corpus(tmp_path, [HEADER, line]))
+    path = write_corpus(tmp_path, [HEADER, line, record_line(paper_id="ok")])
+    assert [r.paper_id for r in load_corpus(path, permissive=True)] == ["ok"]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("char", ["\u2028", "\u0085"])
+def test_load_splits_only_at_newlines(tmp_path, char, newline):
+    """A raw U+2028 or U+0085 in a JSON string reads as its escape does."""
+    doc = json.loads(record_line(paper_id=f"p{char}1", description=f"a{char}b"))
+    doc["ground_truth"]["versions"][0]["fields"]["title"] = f"Ti{char}tle"
+    doc["candidates"][0]["bibtex"] = f"@article{{k, title={{Ti{char}tle}}, year={{2021}}}}"
+    escaped, raw = tmp_path / "escaped.jsonl", tmp_path / "raw.jsonl"
+    escaped.write_text(f"{HEADER}\n{json.dumps(doc)}\n", "utf-8")
+    raw.write_bytes(f"{HEADER}{newline}{json.dumps(doc, ensure_ascii=False)}{newline}".encode())
+    assert char in raw.read_text("utf-8")
+    labels = [run_benchmark(load_corpus(path))["labels"] for path in (escaped, raw)]
+    assert labels[0] == labels[1]
+    assert {row[0] for row in labels[1]} == {f"p{char}1"}
+
+
 # -- reconcile metadata -------------------------------------------------------------
 
 
@@ -218,6 +250,17 @@ def test_load_meta_handles_missing_slots(tmp_path):
     versions = [{"version_type": "journal", "fields": {"entry_type": "misc", "author": "A"}}]
     record = load_one(tmp_path, ground_truth=_ground_truth(versions=versions))
     assert record.meta == PaperMeta("p1")
+
+
+@pytest.mark.parametrize("title", ["", "   "])
+def test_blank_meta_title_merges_like_a_missing_one(tmp_path, title):
+    found = ResolutionResult("found", bibtex=parse_entry("@article{a, title={Relapse Sites}, doi={10.1000/x}}"))
+    actions = [
+        run_benchmark([load_one(tmp_path, meta=meta)], "reconcile_then_verify", lambda q: found)["actions"]
+        for meta in ({"doi": "10.1000/x", "title": title}, {"doi": "10.1000/x"})
+    ]
+    assert [row[2] for row in actions[0]] == ["merged"]
+    assert actions[0] == actions[1]
 
 
 @pytest.mark.parametrize(
@@ -503,6 +546,16 @@ def test_write_bundle_files(tmp_path):
     labels = (tmp_path / "labels.tsv").read_text("utf-8").splitlines()
     assert labels[0] == "format_version\t1"
     assert len(labels) == 1 + 20 * 10
+
+
+@pytest.mark.parametrize("mode", ["verify", "reconcile_then_verify"])
+def test_write_bundle_matches_the_golden_snapshot(tmp_path, mode):
+    # tests/fixtures/golden_bundle/<mode> holds the bytes an earlier release
+    # wrote for these calls; a refactor must leave every file unchanged
+    corpus = load_corpus(CORPUS_PATH)
+    resolver = perfect_resolver(corpus) if mode == "reconcile_then_verify" else None
+    write_bundle(run_benchmark(corpus, mode=mode, resolver=resolver), tmp_path)
+    assert read_tree(tmp_path) == read_tree(FIXTURES / "golden_bundle" / mode)
 
 
 def test_write_bundle_overwrites_atomically(tmp_path):

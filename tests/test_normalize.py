@@ -227,6 +227,15 @@ def test_venue_file_skips_comment_lines(tmp_path):
     assert set(table._canonical_of.values()) == {"alpha conference"}
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\x85"])
+def test_venue_file_line_holding_a_unicode_line_break_is_one_line(tmp_path, char):
+    path = tmp_path / "venues.tsv"
+    path.write_bytes(f"Alpha{char}Conference\tAC|Alpha Conf\r\n".encode())
+    table = VenueSynonymTable.from_file(path)
+    assert normalize_venue("Alpha Conf", table) == "alpha conference"
+    assert normalize_venue("AC", table) == "alpha conference"
+
+
 # -- jaccard properties ------------------------------------------------------
 
 

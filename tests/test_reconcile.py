@@ -116,6 +116,18 @@ def test_build_query_priority():
     assert build_query(PaperMeta("p")) is None
 
 
+@pytest.mark.parametrize("title", ["", "   "])
+def test_blank_meta_title_reads_as_absent(title):
+    """A blank title is no query and no gate input: the DOI's record merges unchecked."""
+    baseline = parse_entry("@article{mine, title={Some Working Title}, year={2015}}")
+    found = ResolutionResult(status="found", bibtex=parse_entry("@article{a, title={Relapse Sites}, doi={10.1000/x}}"))
+    assert build_query(PaperMeta("p", title=title)) is None
+    blank = reconcile(PaperMeta("p", doi="10.1000/x", title=title), baseline, lambda q: found)
+    absent = reconcile(PaperMeta("p", doi="10.1000/x"), baseline, lambda q: found)
+    assert (blank.action, blank.gate_score) == ("merged", None)
+    assert blank == absent
+
+
 # -- title gate -----------------------------------------------------------------
 
 

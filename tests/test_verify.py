@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bibkit import verify
-from bibkit.harness import load_corpus, read_labels, tsv_text
+from bibkit.harness import _labels_rows, load_corpus, read_labels, tsv_text
 from bibkit.model import BibEntry, FieldLabel, FieldSlot, parse_entry
 from bibkit.normalize import VenueSynonymTable
 from bibkit.verify import (
@@ -665,13 +665,15 @@ def test_label_totality():
 
 
 def test_labels_file_round_trip(tmp_path):
-    rows = [
-        ("mcauley2012", "cand1", "title", "C", "1"),
-        ("mcauley2012", "cand1", "pages", "F", "2"),
+    tagged = [
+        TaggedVerdict("isolated", "cand1", verify_entry(ISOLATED_ENTRY, isolated_ground_truth(), TABLE)),
+        TaggedVerdict("wholesale", "cand1", verify_entry(WHOLESALE_ENTRY, wholesale_ground_truth(), TABLE)),
+        TaggedVerdict("wholesale", "cand2", verify_entry(ARXIV_MATCHING_ENTRY, wholesale_ground_truth(), TABLE)),
     ]
+    assert any(tv.verdict.stage2_slots for tv in tagged)
     path = tmp_path / "labels.tsv"
-    path.write_text(tsv_text(rows), "utf-8")
-    assert read_labels(path) == rows
+    path.write_text(tsv_text(_labels_rows(tagged)), "utf-8")
+    assert read_labels(path) == tagged
 
 
 def test_labels_file_rejects_unknown_format(tmp_path):

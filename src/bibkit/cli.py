@@ -18,9 +18,10 @@ argument parser reports a usage error and exits 1.
   ``--log`` path that cannot be written, is an ``InputError`` naming the
   option and the path; a corpus header or record that is not valid is a
   ``CorpusParseError`` naming the line.
-- ``reconcile``: a meta row whose query is empty or malformed, a ``.bib``
-  key holding a tab or line break, and a ``.bib`` and meta file of
-  different lengths, are input errors too. It writes nothing on any error.
+- ``reconcile``: a meta row whose query is empty or malformed or that has
+  more than four fields, a ``.bib`` key holding a tab or line break, and a
+  ``.bib`` and meta file of different lengths, are input errors too. It
+  writes nothing on any error.
 - ``bench`` and ``verify`` list a paper whose processing fails under
   ``incomplete``, still write or print the bundle, and then exit 3 when
   ``incomplete`` is not empty.
@@ -147,8 +148,12 @@ def cmd_lookup(args) -> int:
 
 
 def _read_meta_file(path: str) -> list[PaperMeta]:
-    """One ``PaperMeta`` per row; ``reconcile`` reads a blank field as absent."""
-    return [PaperMeta(*(row + ["", "", ""])[:4]) for row in read_tsv(path)]
+    """One ``PaperMeta`` per row of at most 4 fields; ``reconcile`` reads a blank field as absent."""
+    rows = read_tsv(path)
+    for row in rows:
+        if len(row) > 4:
+            raise ValueError(f"meta row {row[0]!r} has {len(row)} fields, more than 4")
+    return [PaperMeta(*row) for row in rows]
 
 
 def cmd_reconcile(args) -> int:
@@ -184,10 +189,8 @@ def cmd_bench(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:  # a CorpusParseError goes to main
         raise InputError(f"--corpus {args.corpus}: {exc}") from None
     resolver = _build_resolver(args).resolve if args.mode == "reconcile_then_verify" else None
-    table = VenueSynonymTable.default()
-    if args.venues:
-        table = _use_file("--venues", args.venues, VenueSynonymTable.from_file)
-    bundle = run_benchmark(corpus, mode=args.mode, resolver=resolver, table=table)
+    table = _use_file("--venues", args.venues, VenueSynonymTable.from_file) if args.venues else None
+    bundle = run_benchmark(corpus, resolver=resolver, table=table)
     if args.out:
         _use_file("--out", args.out, lambda p: write_bundle(bundle, p))
         print(f"wrote report bundle to {args.out}")

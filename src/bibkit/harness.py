@@ -223,25 +223,20 @@ def _field_deltas(before: list[TaggedVerdict], after: list[TaggedVerdict]) -> di
 
 def run_benchmark(
     corpus: list[PaperRecord],
-    mode: str = "verify",
     resolver: Callable[[str], ResolutionResult] | None = None,
     table: VenueSynonymTable | None = None,
 ) -> dict:
-    """Label every candidate entry; optionally reconcile first.
+    """Label every candidate entry; reconcile it first when given a ``resolver``.
 
     Records run one by one in ``paper_id`` order. Returns the report bundle
     as a dict; a failing record adds no rows, is listed under "incomplete"
     and never aborts the run. The run asks ``resolver`` once per distinct
     query and reuses its result for every candidate that sends the same
     query; an exception is not kept, so the next candidate with that query
-    asks again. The normalization memo of ``verify`` is emptied when the
-    run returns or raises.
+    asks again. ``table`` None is the shipped venue table. The normalization
+    memo of ``verify`` is emptied when the run returns or raises.
     """
-    if mode not in ("verify", "reconcile_then_verify"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "reconcile_then_verify":
-        if resolver is None:
-            raise ValueError("reconcile_then_verify requires a resolver")
+    if resolver is not None:
         # Keyed on the exact query string build_query sends, not on the
         # classified query: the CrossRef fallback searches the original
         # string, so "10.1000/x" and "https://doi.org/10.1000/x" can differ.
@@ -254,7 +249,7 @@ def run_benchmark(
         for tag, model, entry in record.candidates:
             before = verify_entry(entry, record.ground_truth, table)
             outcome = after = None
-            if mode == "reconcile_then_verify":
+            if resolver is not None:
                 outcome = reconcile(record.meta, entry, resolver)
                 after = verify_entry(outcome.result, record.ground_truth, table)
             out.append((tag, model, before, after, outcome))
@@ -285,14 +280,14 @@ def run_benchmark(
     verdicts = [tv.verdict for tv in tagged]
     bundle: dict = {
         "format_version": 1,
-        "mode": mode,
+        "mode": "verify" if resolver is None else "reconcile_then_verify",
         "aggregate": aggregate_stats(tagged),
         "error_modes": dict(sorted(Counter(v.error_mode for v in verdicts).items())),
         "co_error": _matrix_json(co_error_matrix(verdicts)) if verdicts else {},
         "incomplete": incomplete,
         "labels": _labels_rows(tagged),
     }
-    if mode == "reconcile_then_verify":
+    if resolver is not None:
         bundle["aggregate_before"] = aggregate_stats(tagged_before)
         bundle["labels_before"] = _labels_rows(tagged_before)
         bundle["deltas"] = _field_deltas(tagged_before, tagged)

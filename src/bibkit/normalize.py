@@ -198,10 +198,9 @@ class VenueSynonymTable:
             return cls.from_file(p)
 
 
-def normalize_venue(value: str, table: VenueSynonymTable | None = None) -> str:
-    """Canonical venue name via the synonym table, else the folded input."""
-    folded = VenueSynonymTable._fold(value)
-    return folded if table is None else table.canonical(folded)
+def normalize_venue(value: str) -> str:
+    """The folded venue; ``VenueSynonymTable.canonical`` maps it to its canonical name."""
+    return VenueSynonymTable._fold(value)
 
 
 _DOI_PREFIX_RE = re.compile(r"^(?:https?://(?:dx\.)?doi\.org/|doi:\s*)", re.IGNORECASE)

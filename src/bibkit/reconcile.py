@@ -62,8 +62,12 @@ def merge_fields(
     over booktitle) in place of the baseline's first journal/booktitle field
     and drops the others; slots the baseline lacked are appended in slot
     order. The citation key stays with the baseline (downstream documents
-    already reference it); non-standard baseline fields pass through.
+    already reference it); non-standard baseline fields pass through. An
+    authoritative field that is empty or only whitespace is silence: it
+    replaces nothing.
     """
+    fields = {name: value for name, value in authoritative.fields.items() if value.strip()}
+    authoritative = BibEntry(authoritative.entry_type, authoritative.citation_key, fields)
     auth = {s: v for s in VALUE_SLOTS if (v := slot_of(authoritative, s)) is not None}
     venue_field = "journal" if authoritative.get("journal") is not None else "booktitle"
     merged: dict[str, str] = {}

@@ -65,20 +65,12 @@ class MalformedUrl(ResolveError):
     pass
 
 
-class NoCandidates(ResolveError):
-    pass
-
-
 class UpstreamUnavailable(ResolveError):
     pass
 
 
 class ExportFailure(ResolveError):
-    """Server export answered other than 200, or with unparseable BibTeX; the body is retained."""
-
-    def __init__(self, message: str, raw: str):
-        super().__init__(message)
-        self.raw = raw
+    """Server export answered other than 200, or with unparseable BibTeX."""
 
 
 @dataclass(frozen=True)
@@ -171,8 +163,6 @@ def normalize_url(url: str) -> str:
 
 def rank_candidates(query_text: str, candidates: list[str]) -> list[tuple[str, float]]:
     """Jaccard-scored ranking with a substring tiebreaker."""
-    if not candidates:
-        raise NoCandidates("no candidates to rank")
     query_tokens = tokenize_filtered(query_text)
     q_lower = query_text.lower()
     scored = []
@@ -378,13 +368,12 @@ class Resolver:
             body="[" + encoded_item + "]",
             headers={"Content-Type": "application/json"},
         )
-        raw = resp.body
         if resp.status != 200:
-            raise ExportFailure(f"export returned {resp.status}", raw=raw)
+            raise ExportFailure(f"export returned {resp.status}")
         try:
-            entry = parse_entry(raw)
+            entry = parse_entry(resp.body)
         except BibParseError as exc:
-            raise ExportFailure(f"unparseable BibTeX from export: {exc}", raw=raw) from exc
+            raise ExportFailure(f"unparseable BibTeX from export: {exc}") from exc
         return BibEntry(entry.entry_type, sanitize_citation_key(entry.citation_key), entry.fields)
 
     # -- public ------------------------------------------------------------
@@ -417,7 +406,7 @@ class Resolver:
                 pass
 
         if items:
-            titles = [str(item.get("title", "")) for item, _ in items]
+            titles = [t if isinstance(t := item.get("title"), str) else "" for item, _ in items]
             return _select(q, titles, lambda i: self._export_bibtex(items[i][1]), source)
 
         if endpoint == "web":

@@ -146,7 +146,7 @@ def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) ->
     """Per-slot normalization; None when the value cannot be normalized."""
     norm = _table_free_normalized(slot, value)
     if slot is FieldSlot.VENUE and table is not None:
-        return table.canonical(norm)  # the rest of normalize_venue(value, table)
+        return table.canonical(norm)
     return norm
 
 

@@ -413,6 +413,7 @@ def reference_merge(
     the authoritative value when there is one; everything else is kept.
     Phase 2 appends, in slot order, each standard slot the baseline lacked.
     """
+    auth_fields = {name: value for name, value in auth_fields.items() if value.strip()}  # blank is silence
     standard = ["author", "title", "year", "volume", "number", "pages", "doi"]
     slot_order = ["author", "title", "year", "venue", "volume", "number", "pages", "doi"]
     if "journal" in auth_fields:

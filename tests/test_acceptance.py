@@ -131,7 +131,7 @@ def test_calibration_triple():
 NORMALIZERS = {
     "author": normalize_author,
     "title": normalize_title,
-    "venue": lambda v: normalize_venue(v, TABLE),
+    "venue": lambda v: TABLE.canonical(normalize_venue(v)),
     "doi": normalize_doi,
     "pages": normalize_pages,
     "year": normalize_year,
@@ -222,7 +222,7 @@ def test_reconciliation_with_ground_truth_source_has_zero_regressions():
     from test_harness import perfect_resolver
 
     corpus = load_corpus(FIXTURES / "golden_corpus.jsonl")
-    bundle = run_benchmark(corpus, mode="reconcile_then_verify", resolver=perfect_resolver(corpus))
+    bundle = run_benchmark(corpus, resolver=perfect_resolver(corpus))
     for field, delta in bundle["deltas"].items():
         assert delta["regressions"] == 0, field
 
@@ -356,7 +356,7 @@ def test_benchmark_determinism_and_golden_aggregate(tmp_path):
 
     bundles = []
     for name in ("run1", "run2"):
-        bundle = run_benchmark(corpus, mode="verify")
+        bundle = run_benchmark(corpus)
         write_bundle(bundle, tmp_path / name)
         bundles.append(bundle)
 

@@ -854,6 +854,15 @@ def test_reconcile_bad_meta_header_exits_2(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_reconcile_meta_row_of_more_than_four_fields_exits_2_and_writes_nothing(tmp_path, capsys):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    meta.write_text("format_version\t1\np1\t\t10.1111/iju.13054\tRelapse\textra words\n", "utf-8")
+    code, out, err = run(reconcile_args(bib, meta, str(FIXTURES / "replay_doi_found.json"), tmp_path), capsys)
+    assert_input_error(code, out, err, "--meta")
+    assert err.endswith(": meta row 'p1' has 5 fields, more than 4\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.tsv", "refs.bib"]
+
+
 def test_reconcile_unparseable_bib_exits_2(tmp_path, capsys):
     _, meta = write_reconcile_inputs(tmp_path)
     bib = tmp_path / "broken.bib"

@@ -256,7 +256,7 @@ def test_load_meta_handles_missing_slots(tmp_path):
 def test_blank_meta_title_merges_like_a_missing_one(tmp_path, title):
     found = ResolutionResult("found", bibtex=parse_entry("@article{a, title={Relapse Sites}, doi={10.1000/x}}"))
     actions = [
-        run_benchmark([load_one(tmp_path, meta=meta)], "reconcile_then_verify", lambda q: found)["actions"]
+        run_benchmark([load_one(tmp_path, meta=meta)], lambda q: found)["actions"]
         for meta in ({"doi": "10.1000/x", "title": title}, {"doi": "10.1000/x"})
     ]
     assert [row[2] for row in actions[0]] == ["merged"]
@@ -296,7 +296,7 @@ def labels_by_entry(bundle):
 
 
 def test_golden_corpus_labels_match_hand_labels():
-    bundle = run_benchmark(load_corpus(CORPUS_PATH), mode="verify")
+    bundle = run_benchmark(load_corpus(CORPUS_PATH))
     got = labels_by_entry(bundle)
     assert set(got) == set(GOLDEN_LABELS)
     for key, expected in GOLDEN_LABELS.items():
@@ -314,24 +314,14 @@ def test_golden_corpus_error_modes_match_hand_labels():
 
 
 def test_golden_corpus_aggregate_matches_hand_tally():
-    bundle = run_benchmark(load_corpus(CORPUS_PATH), mode="verify")
+    bundle = run_benchmark(load_corpus(CORPUS_PATH))
     assert bundle["aggregate"] == GOLDEN_AGGREGATE["aggregate"]
     assert bundle["error_modes"] == GOLDEN_AGGREGATE["error_modes"]
     assert bundle["incomplete"] == []
 
 
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        run_benchmark([], mode="nonsense")
-
-
-def test_reconcile_mode_requires_resolver():
-    with pytest.raises(ValueError):
-        run_benchmark([], mode="reconcile_then_verify")
-
-
 def test_empty_corpus_benchmark():
-    bundle = run_benchmark([], mode="verify")
+    bundle = run_benchmark([])
     assert bundle["aggregate"]["entries"] == 0
     assert bundle["labels"] == []
     assert bundle["co_error"] == {}
@@ -368,9 +358,7 @@ def perfect_resolver(corpus):
 
 def test_perfect_reconciliation_has_zero_regressions():
     corpus = load_corpus(CORPUS_PATH)
-    bundle = run_benchmark(
-        corpus, mode="reconcile_then_verify", resolver=perfect_resolver(corpus)
-    )
+    bundle = run_benchmark(corpus, resolver=perfect_resolver(corpus))
     assert all(row[2] == "merged" for row in bundle["actions"])
     for field, delta in bundle["deltas"].items():
         assert delta["regressions"] == 0, field
@@ -381,9 +369,7 @@ def test_perfect_reconciliation_has_zero_regressions():
 
 def test_delta_accounting_invariant():
     corpus = load_corpus(CORPUS_PATH)
-    bundle = run_benchmark(
-        corpus, mode="reconcile_then_verify", resolver=perfect_resolver(corpus)
-    )
+    bundle = run_benchmark(corpus, resolver=perfect_resolver(corpus))
     for field, delta in bundle["deltas"].items():
         assert (
             delta["corrections"] - delta["regressions"] == delta["after_c"] - delta["before_c"]
@@ -399,7 +385,7 @@ def test_failing_record_is_recorded_not_fatal():
             raise RuntimeError("boom")
         return resolver(query)
 
-    bundle = run_benchmark(sorted(corpus, key=lambda r: r.paper_id), mode="reconcile_then_verify", resolver=flaky)
+    bundle = run_benchmark(sorted(corpus, key=lambda r: r.paper_id), resolver=flaky)
     failed = sorted(corpus, key=lambda r: r.paper_id)
     assert [d["paper_id"] for d in bundle["incomplete"]] == [corpus[0].paper_id]
     assert bundle["aggregate"]["entries"] == 20 - len(corpus[0].candidates)
@@ -414,7 +400,7 @@ def test_each_distinct_query_is_resolved_once():
         calls.append(query)
         return resolver(query)
 
-    bundle = run_benchmark(corpus, mode="reconcile_then_verify", resolver=counting)
+    bundle = run_benchmark(corpus, resolver=counting)
     assert len(bundle["actions"]) == 20
     assert sorted(calls) == sorted(r.meta.title for r in corpus)  # 8 distinct queries
 
@@ -431,7 +417,7 @@ def test_failing_records_are_listed_in_paper_id_order_and_add_no_rows(tmp_path):
         entry = parse_entry("@article{a, title={T}, year={2020}, doi={10.1000/p2}}")
         return ResolutionResult(status="found", bibtex=entry)
 
-    bundle = run_benchmark(corpus[::-1], mode="reconcile_then_verify", resolver=resolver)
+    bundle = run_benchmark(corpus[::-1], resolver=resolver)
     assert bundle["incomplete"] == [
         {"paper_id": "p1", "error": "no answer for 10.1000/p1"},
         {"paper_id": "p3", "error": "no answer for 10.1000/p3"},
@@ -453,7 +439,7 @@ def test_failed_lookup_is_not_reused(tmp_path):
         entry = parse_entry("@article{a, title={T}, year={2020}, doi={10.1000/shared}}")
         return ResolutionResult(status="found", bibtex=entry)
 
-    bundle = run_benchmark(corpus, mode="reconcile_then_verify", resolver=resolver)
+    bundle = run_benchmark(corpus, resolver=resolver)
     assert bundle["incomplete"] == [{"paper_id": "p1", "error": "upstream returned 503"}]
     assert [list(row[:3]) for row in bundle["actions"]] == [["p2", "c1", "merged"]]
     assert calls == ["10.1000/shared", "10.1000/shared"]
@@ -475,7 +461,7 @@ def test_memo_is_filled_during_a_run_and_empty_after(monkeypatch):
         return verdict
 
     monkeypatch.setattr(harness, "verify_entry", recording)
-    bundle = run_benchmark(load_corpus(CORPUS_PATH), mode="verify")
+    bundle = run_benchmark(load_corpus(CORPUS_PATH))
     assert bundle["aggregate"] == GOLDEN_AGGREGATE["aggregate"]
     assert max(sizes) > 0
     assert memo_size() == 0
@@ -490,7 +476,7 @@ def test_memo_is_empty_after_a_failing_record():
             raise RuntimeError("boom")
         return resolver(query)
 
-    bundle = run_benchmark(corpus, mode="reconcile_then_verify", resolver=flaky)
+    bundle = run_benchmark(corpus, resolver=flaky)
     assert [d["paper_id"] for d in bundle["incomplete"]] == [corpus[0].paper_id]
     assert memo_size() == 0
 
@@ -510,7 +496,7 @@ def test_memo_is_empty_after_a_run_that_raises():
         return resolver(query)
 
     with pytest.raises(Abort):
-        run_benchmark(corpus, mode="reconcile_then_verify", resolver=aborting)
+        run_benchmark(corpus, resolver=aborting)
     assert memo_size() == 0
 
 
@@ -523,8 +509,8 @@ def read_tree(out_dir):
 
 def test_write_bundle_deterministic(tmp_path):
     corpus = load_corpus(CORPUS_PATH)
-    bundle1 = run_benchmark(corpus, mode="verify")
-    bundle2 = run_benchmark(corpus, mode="verify")
+    bundle1 = run_benchmark(corpus)
+    bundle2 = run_benchmark(corpus)
     write_bundle(bundle1, tmp_path / "a")
     write_bundle(bundle2, tmp_path / "b")
     assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
@@ -532,9 +518,7 @@ def test_write_bundle_deterministic(tmp_path):
 
 def test_write_bundle_files(tmp_path):
     corpus = load_corpus(CORPUS_PATH)
-    bundle = run_benchmark(
-        corpus, mode="reconcile_then_verify", resolver=perfect_resolver(corpus)
-    )
+    bundle = run_benchmark(corpus, resolver=perfect_resolver(corpus))
     write_bundle(bundle, tmp_path)
     names = {p.name for p in tmp_path.iterdir()}
     assert names == {"report.json", "labels.tsv", "labels_before.tsv", "actions.tsv"}
@@ -554,12 +538,12 @@ def test_write_bundle_matches_the_golden_snapshot(tmp_path, mode):
     # wrote for these calls; a refactor must leave every file unchanged
     corpus = load_corpus(CORPUS_PATH)
     resolver = perfect_resolver(corpus) if mode == "reconcile_then_verify" else None
-    write_bundle(run_benchmark(corpus, mode=mode, resolver=resolver), tmp_path)
+    write_bundle(run_benchmark(corpus, resolver=resolver), tmp_path)
     assert read_tree(tmp_path) == read_tree(FIXTURES / "golden_bundle" / mode)
 
 
 def test_write_bundle_overwrites_atomically(tmp_path):
-    bundle = run_benchmark(load_corpus(CORPUS_PATH), mode="verify")
+    bundle = run_benchmark(load_corpus(CORPUS_PATH))
     write_bundle(bundle, tmp_path)
     first = read_tree(tmp_path)
     write_bundle(bundle, tmp_path)

@@ -30,7 +30,7 @@ TABLE = VenueSynonymTable.default()
 NORMALIZERS = {
     "author": normalize_author,
     "title": normalize_title,
-    "venue": lambda v: normalize_venue(v, TABLE),
+    "venue": lambda v: TABLE.canonical(normalize_venue(v)),
     "doi": normalize_doi,
     "pages": normalize_pages,
     "year": normalize_year,
@@ -114,19 +114,19 @@ def test_normalize_title(raw, expected):
 
 
 def test_normalize_venue_synonym_hit():
-    assert normalize_venue("Proc. NeurIPS", TABLE) == (
+    assert TABLE.canonical(normalize_venue("Proc. NeurIPS")) == (
         "advances in neural information processing systems"
     )
 
 
 def test_normalize_venue_canonical_self_map():
-    assert normalize_venue("Advances in Neural Information Processing Systems", TABLE) == (
+    assert TABLE.canonical(normalize_venue("Advances in Neural Information Processing Systems")) == (
         "advances in neural information processing systems"
     )
 
 
 def test_normalize_venue_miss_folds_input():
-    assert normalize_venue("BMJ: British Medical Journal", TABLE) == (
+    assert TABLE.canonical(normalize_venue("BMJ: British Medical Journal")) == (
         "bmj: british medical journal"
     )
 
@@ -134,7 +134,7 @@ def test_normalize_venue_miss_folds_input():
 def test_venue_table_every_canonical_maps_to_itself():
     canonicals = set(TABLE._canonical_of.values())
     for canonical in canonicals:
-        assert normalize_venue(canonical, TABLE) == canonical
+        assert TABLE.canonical(normalize_venue(canonical)) == canonical
 
 
 def test_venue_table_variant_uniqueness_enforced():
@@ -222,8 +222,8 @@ def test_venue_file_skips_comment_lines(tmp_path):
     path = tmp_path / "venues.tsv"
     path.write_text("# Comment Venue\tCV\nAlpha Conference\tAC\n", "utf-8")
     table = VenueSynonymTable.from_file(path)
-    assert normalize_venue("AC", table) == "alpha conference"
-    assert normalize_venue("CV", table) == "cv"
+    assert table.canonical(normalize_venue("AC")) == "alpha conference"
+    assert table.canonical(normalize_venue("CV")) == "cv"
     assert set(table._canonical_of.values()) == {"alpha conference"}
 
 
@@ -232,8 +232,8 @@ def test_venue_file_line_holding_a_unicode_line_break_is_one_line(tmp_path, char
     path = tmp_path / "venues.tsv"
     path.write_bytes(f"Alpha{char}Conference\tAC|Alpha Conf\r\n".encode())
     table = VenueSynonymTable.from_file(path)
-    assert normalize_venue("Alpha Conf", table) == "alpha conference"
-    assert normalize_venue("AC", table) == "alpha conference"
+    assert table.canonical(normalize_venue("Alpha Conf")) == "alpha conference"
+    assert table.canonical(normalize_venue("AC")) == "alpha conference"
 
 
 # -- jaccard properties ------------------------------------------------------

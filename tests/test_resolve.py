@@ -11,7 +11,6 @@ from bibkit.resolve import (
     EmptyQuery,
     HttpTransport,
     MalformedUrl,
-    NoCandidates,
     RateLimiter,
     ReplayTransport,
     Resolver,
@@ -145,8 +144,7 @@ def test_rank_single_candidate_pass_through():
 
 
 def test_rank_empty_raises():
-    with pytest.raises(NoCandidates):
-        rank_candidates("q", [])
+    assert rank_candidates("q", []) == []
 
 
 # -- replay resolution -------------------------------------------------------
@@ -503,6 +501,46 @@ def test_crossref_blank_author_names_never_replace_baseline_author():
     assert outcome.result.get("author") == "Smith, Jane"
     assert FieldSlot.AUTHOR not in outcome.replaced_slots
     assert outcome.result.get("doi") == "10.9999/blank.3"
+
+
+@pytest.mark.parametrize("source", ["export", "crossref"])
+def test_blank_authoritative_field_never_replaces_a_baseline_value(source):
+    doi = "10.9999/blank.5"
+    if source == "export":
+        hit = {"title": "Real Title", "DOI": doi}
+        export = {"method": "POST", "url": "http://server.test/export", "params": {"format": "bibtex"}}
+        resolver = make_resolver([
+            {
+                "request": {"method": "POST", "url": "http://server.test/search", "body": doi},
+                "response": {"status": 200, "body": json.dumps([hit])},
+            },
+            {
+                "request": dict(export, body=json.dumps([hit], sort_keys=True)),
+                "response": {"status": 200, "body": f"@article{{x, title = {{}}, pages = {{ }}, doi = {{{doi}}}}}"},
+            },
+        ])
+    else:
+        resolver = single_hit_fallback(doi, {"title": ["   "], "DOI": doi})
+    baseline = parse_entry("@article{k, title={Real Title}, pages={1--2}}")
+    outcome = reconcile(PaperMeta("p", doi=doi), baseline, resolver.resolve)
+    assert outcome.action == "merged"
+    assert outcome.result.fields == {"title": "Real Title", "pages": "1--2", "doi": doi}
+    assert not {FieldSlot.TITLE, FieldSlot.PAGES} & outcome.replaced_slots
+
+
+@pytest.mark.parametrize("title", [["Attention Is All You Need"], None], ids=["list", "null"])
+def test_search_title_of_wrong_type_ranks_as_untitled(title):
+    query = "Attention Is All You Need"
+    # the replay holds no /export: a found result would fail asking for one
+    resolver = make_resolver([
+        {
+            "request": {"method": "POST", "url": "http://server.test/search", "body": query},
+            "response": {"status": 200, "body": json.dumps([{"title": title}])},
+        },
+    ])
+    result = resolver.resolve(query)
+    assert result.status == "title_mismatch"
+    assert result.candidates == [("", 0.0)]
 
 
 def test_crossref_author_names_are_stripped():

@@ -130,6 +130,7 @@ def _build_resolver(args) -> Resolver:
         absolute = False
     if not absolute:
         raise InputError(f"{source} {config.base_url!r}: not an absolute http(s) URL")
+    config.base_url = config.base_url.rstrip("/")  # endpoints are joined with a "/"
     if not args.fixtures:
         return Resolver(config)
     transport = _use_file("--fixtures", args.fixtures, _replay_transport)

@@ -33,6 +33,7 @@ from .verify import (
     EntryVerdict,
     GroundTruth,
     GroundTruthVersion,
+    STAGE2_LABELS,
     TaggedVerdict,
     aggregate_stats,
     clear_memo,
@@ -361,26 +362,26 @@ def read_tsv(path: str | Path) -> list[list[str]]:
 
 def read_labels(path: str | Path) -> list[TaggedVerdict]:
     """The verdicts ``_labels_rows`` wrote to a labels file; each entry needs one label per slot."""
-    entries: dict[tuple[str, str], tuple[dict[FieldSlot, FieldLabel], set[FieldSlot]]] = {}
+    entries: dict[tuple[str, str], dict[FieldSlot, FieldLabel]] = {}
     for row in read_tsv(path):
         if len(row) != 5:
             line = "\t".join(row)
             raise ValueError(f"malformed labels row: {line!r}")
-        paper_id, tag, slot_name, label, stage = row
-        labels, stage2 = entries.setdefault((paper_id, tag), ({}, set()))
+        paper_id, tag, slot_name, label_name, stage = row
+        labels = entries.setdefault((paper_id, tag), {})
         slot = FieldSlot(slot_name)
         if slot in labels:
             raise ValueError(f"{paper_id}/{tag}: duplicate {slot_name} label")
-        labels[slot] = FieldLabel(label)
+        labels[slot] = label = FieldLabel(label_name)
         if stage not in ("1", "2"):
             raise ValueError(f"{paper_id}/{tag}: unknown stage {stage!r}")
-        if stage == "2":
-            stage2.add(slot)
+        if (stage == "2") != (label in STAGE2_LABELS):
+            raise ValueError(f"{paper_id}/{tag}: stage {stage} cannot give {slot_name} label {label_name}")
     tagged = []
-    for (paper_id, tag), (labels, stage2) in entries.items():
+    for (paper_id, tag), labels in entries.items():
         if len(labels) != len(FieldSlot):
             raise ValueError(f"{paper_id}/{tag}: labels missing for some slots")
-        tagged.append(TaggedVerdict(paper_id, tag, EntryVerdict(labels, frozenset(stage2))))
+        tagged.append(TaggedVerdict(paper_id, tag, EntryVerdict(labels)))
     return tagged
 
 
@@ -391,7 +392,10 @@ def report_text(bundle: dict) -> str:
 
 
 def write_bundle(bundle: dict, out_dir: str | Path) -> None:
-    """Materialize a report bundle: report.json plus labels/actions files."""
+    """Materialize a report bundle: report.json plus labels/actions files.
+
+    A labels or actions file the bundle lacks is removed, once every file is staged.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _write_atomic() as stage:
@@ -399,6 +403,9 @@ def write_bundle(bundle: dict, out_dir: str | Path) -> None:
             if key in bundle:
                 stage(out / name, tsv_text(bundle[key]))
         stage(out / "report.json", report_text(bundle))
+        for key, name in TSV_FILES.items():
+            if key not in bundle:  # an earlier bundle of the other mode wrote it
+                (out / name).unlink(missing_ok=True)
 
 
 def bib_text(entries: list[BibEntry]) -> str:

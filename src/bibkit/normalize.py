@@ -1,8 +1,10 @@
 """Per-field normalization rules and token-similarity primitives.
 
-Every normalizer is idempotent and pure. The stopword list and the default
-venue synonym table are shipped as data files so gate decisions stay
-reproducible across runs.
+Every normalizer is idempotent and pure. A value with no normal form (an
+author field without a last name, pages or a year that do not parse) is
+not an error: its normalizer returns None, and ``author_lastname_list``
+returns ``[]``. The stopword list and the default venue synonym table are
+shipped as data files so gate decisions stay reproducible across runs.
 """
 
 from __future__ import annotations
@@ -13,18 +15,6 @@ from importlib import resources
 from pathlib import Path
 
 from .model import _scan
-
-
-class EmptyAuthor(ValueError):
-    pass
-
-
-class MalformedPages(ValueError):
-    pass
-
-
-class MalformedYear(ValueError):
-    pass
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -82,7 +72,7 @@ def _split_authors(value: str) -> list[str]:
     """
     value = _ET_AL_RE.sub("", value).strip().rstrip(",")
     if not value:
-        raise EmptyAuthor("empty author field")
+        return []
     parts = _split_and(value)
     if len(parts) > 1:
         return parts
@@ -120,22 +110,15 @@ def _last_name(name: str) -> str:
     return re.sub(r"[^a-z0-9]", "", folded)
 
 
-def normalize_author(value: str) -> str:
-    """First-author last name, lowercase, diacritics stripped."""
+def normalize_author(value: str) -> str | None:
+    """First-author last name, lowercase, diacritics stripped; None without one."""
     names = _split_authors(value)
-    last = _last_name(names[0])
-    if not last:
-        raise EmptyAuthor("could not extract a first-author last name")
-    return last
+    return (_last_name(names[0]) or None) if names else None
 
 
 def author_lastname_list(value: str) -> list[str]:
-    """Ordered lowercase last names, one per author."""
-    names = _split_authors(value)
-    result = [ln for ln in (_last_name(n) for n in names) if ln]
-    if not result:
-        raise EmptyAuthor("no author last names found")
-    return result
+    """Ordered lowercase last names of the authors that have one."""
+    return [ln for ln in (_last_name(n) for n in _split_authors(value)) if ln]
 
 
 _LATEX_CMD_RE = re.compile(r"\\[a-zA-Z]+\*?")
@@ -221,20 +204,18 @@ _PAGE_SEP_RE = re.compile(r"\s*(?:-{1,3}|\u2013|\u2014)\s*")
 _PAGE_PART_RE = re.compile(r"^[A-Za-z0-9_.:]+$")
 
 
-def normalize_pages(value: str) -> str:
-    """Canonical "start--end" (or a single page), any dash style accepted."""
+def normalize_pages(value: str) -> str | None:
+    """Canonical "start--end" (or a single page), any dash style accepted; None if unparseable."""
     s = value.strip()
     if not s:
-        raise MalformedPages("empty pages value")
+        return None
     parts = [p for p in _PAGE_SEP_RE.split(s)]
     if len(parts) == 1:
-        if not _PAGE_PART_RE.match(parts[0]):
-            raise MalformedPages(f"unparseable pages value: {value!r}")
-        return parts[0]
+        return parts[0] if _PAGE_PART_RE.match(parts[0]) else None
     if len(parts) != 2 or not all(parts):
-        raise MalformedPages(f"unparseable pages value: {value!r}")
+        return None
     if not any(_PAGE_PART_RE.match(p) for p in parts):
-        raise MalformedPages(f"unparseable pages value: {value!r}")
+        return None
     if parts[0] == parts[1]:
         # degenerate ranges ("426--426") are the same citation as the bare page
         return parts[0]
@@ -244,9 +225,7 @@ def normalize_pages(value: str) -> str:
 _YEAR_RE = re.compile(r"^\d{4}$")
 
 
-def normalize_year(value: str) -> str:
-    """The 4-digit year, or MalformedYear."""
+def normalize_year(value: str) -> str | None:
+    """The 4-digit year, or None."""
     s = value.strip()
-    if not _YEAR_RE.match(s):
-        raise MalformedYear(f"not a 4-digit year: {value!r}")
-    return s
+    return s if _YEAR_RE.match(s) else None

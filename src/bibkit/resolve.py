@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 from urllib.parse import urlparse, urlunparse
 
-from .model import BibEntry, BibParseError, parse_entry, sanitize_citation_key
+from .model import _BRACE_RE, BibEntry, BibParseError, _scan, parse_entry, sanitize_citation_key
 from .normalize import jaccard, normalize_doi, tokenize_filtered
 
 #: Jaccard threshold validating a title-query winner against the query.
@@ -226,6 +226,8 @@ class HttpTransport:
             )
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
+        if "charset" not in resp.headers.get("Content-Type", "").lower():
+            resp.encoding = "utf-8"  # not requests' ISO-8859-1 for text/*, nor its guess
         return TransportResponse(resp.status_code, resp.text, dict(resp.headers))
 
 
@@ -440,14 +442,25 @@ def _list(value) -> list:
     return value if isinstance(value, list) else []
 
 
+def _text(value) -> str | None:
+    """``value`` when it is a string whose braces nest, else None.
+
+    A ``}`` before its ``{`` or an unclosed ``{`` would end or swallow the
+    braced BibTeX value the string is serialized into.
+    """
+    if not isinstance(value, str) or value.count("{") != value.count("}"):
+        return None
+    return value if all(depth == 0 for _, depth in _scan(value, _BRACE_RE)) else None
+
+
 def _str(value) -> str:
-    return value.strip() if isinstance(value, str) else ""
+    return (_text(value) or "").strip()
 
 
 def _first_str(value) -> str | None:
-    """The first element of a JSON array when it is a string, else None."""
+    """The first element of a JSON array when it is a string whose braces nest, else None."""
     first = _list(value)[:1]
-    return first[0] if first and isinstance(first[0], str) else None
+    return _text(first[0]) if first else None
 
 
 def _issued_year(issued) -> str:
@@ -496,6 +509,8 @@ def _select(
 def _entry_from_work(work) -> BibEntry | None:
     """The entry a CrossRef work states, or None when it has no string title.
 
+    A string whose braces do not nest reads as absent, like a value of
+    another type, so the entry serializes to text that parses back to it.
     A ``type`` outside ``CROSSREF_ENTRY_TYPES`` claims no entry type (""). The
     venue is the ``booktitle`` of an inproceedings or incollection entry,
     else the ``journal``.
@@ -510,8 +525,8 @@ def _entry_from_work(work) -> BibEntry | None:
     year = _issued_year(work.get("issued"))
     venue_field = "booktitle" if entry_type in ("inproceedings", "incollection") else "journal"
     venue = _first_str(work.get("container-title"))
-    stated = [("author", authors), (venue_field, venue), ("year", year), ("doi", work.get("DOI"))]
-    fields = {"title": title} | {name: v for name, v in stated if isinstance(v, str) and v}
+    stated = [("author", authors), (venue_field, venue), ("year", year), ("doi", _text(work.get("DOI")))]
+    fields = {"title": title} | {name: v for name, v in stated if v}
     words = (authors or title).split(",")[0].split()
     key_seed = words[-1] + year if words else ""
     return BibEntry(entry_type, sanitize_citation_key(key_seed), fields)

@@ -16,9 +16,6 @@ from difflib import SequenceMatcher
 
 from .model import ALL_SLOTS, BibEntry, FieldLabel, FieldSlot, slot_of
 from .normalize import (
-    EmptyAuthor,
-    MalformedPages,
-    MalformedYear,
     VenueSynonymTable,
     author_lastname_list,
     jaccard,
@@ -39,6 +36,9 @@ UNMET = "unmet"
 CANNOT_ASSESS = "cannot_assess"
 
 ERROR_LABELS = frozenset({FieldLabel.M, FieldLabel.F, FieldLabel.P, FieldLabel.S})
+
+#: The labels stage 2 gives; stage 1 gives none of them.
+STAGE2_LABELS = frozenset({FieldLabel.P, FieldLabel.S, FieldLabel.F})
 
 #: Stage-2 frozen constants.
 TOKEN_OVERLAP_THRESHOLD = 0.5
@@ -97,7 +97,11 @@ class CriterionVerdict:
 @dataclass
 class EntryVerdict:
     labels: dict[FieldSlot, FieldLabel]
-    stage2_slots: frozenset[FieldSlot] = frozenset()
+
+    @property
+    def stage2_slots(self) -> frozenset[FieldSlot]:
+        """The slots stage 2 labelled: those labelled P, S or F."""
+        return frozenset(s for s, l in self.labels.items() if l in STAGE2_LABELS)
 
     @property
     def fully_correct(self) -> bool:
@@ -117,24 +121,21 @@ def _table_free_normalized(slot: FieldSlot, value: str) -> str | None:
     Most values recur across candidates and ground-truth versions. A venue
     is only folded here, so the memo stays valid whatever the table holds.
     """
-    try:
-        if slot is FieldSlot.AUTHOR:
-            return normalize_author(value)
-        if slot is FieldSlot.TITLE:
-            return normalize_title(value)
-        if slot is FieldSlot.VENUE:
-            return normalize_venue(value)
-        if slot is FieldSlot.DOI:
-            return normalize_doi(value)
-        if slot is FieldSlot.PAGES:
-            return normalize_pages(value)
-        if slot is FieldSlot.YEAR:
-            return normalize_year(value)
-        if slot is FieldSlot.ENTRY_TYPE:
-            return value.strip().lower()
-        return value.strip()
-    except (EmptyAuthor, MalformedPages, MalformedYear):
-        return None
+    if slot is FieldSlot.AUTHOR:
+        return normalize_author(value)
+    if slot is FieldSlot.TITLE:
+        return normalize_title(value)
+    if slot is FieldSlot.VENUE:
+        return normalize_venue(value)
+    if slot is FieldSlot.DOI:
+        return normalize_doi(value)
+    if slot is FieldSlot.PAGES:
+        return normalize_pages(value)
+    if slot is FieldSlot.YEAR:
+        return normalize_year(value)
+    if slot is FieldSlot.ENTRY_TYPE:
+        return value.strip().lower()
+    return value.strip()
 
 
 def clear_memo() -> None:
@@ -257,15 +258,9 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
         if any(overlap(v) >= TOKEN_OVERLAP_THRESHOLD for v in gt_values):
             return True
         if slot is FieldSlot.AUTHOR:
-            try:
-                mine = set(author_lastname_list(entry_value))
-            except EmptyAuthor:
-                return False
+            mine = set(author_lastname_list(entry_value))
             for gt_value in gt_values:
-                try:
-                    theirs = set(author_lastname_list(gt_value))
-                except EmptyAuthor:
-                    continue
+                theirs = set(author_lastname_list(gt_value))
                 smaller = min(len(mine), len(theirs))
                 if smaller and len(mine & theirs) / smaller >= TOKEN_OVERLAP_THRESHOLD:
                     return True
@@ -348,15 +343,12 @@ def verify_entry(
         slot: classify_stage1(entry, slot, gt, table) for slot in ALL_SLOTS
     }
     labels: dict[FieldSlot, FieldLabel] = {}
-    stage2_slots = set()
     for slot, result in stage1.items():
         if result is PENDING:
             cv = classify_stage2(slot_of(entry, slot) or "", slot, gt, stage1, table)
-            labels[slot] = verdict_from_criteria(cv)
-            stage2_slots.add(slot)
-        else:
-            labels[slot] = result
-    return EntryVerdict(labels, frozenset(stage2_slots))
+            result = verdict_from_criteria(cv)
+        labels[slot] = result
+    return EntryVerdict(labels)
 
 
 # --------------------------------------------------------------------------

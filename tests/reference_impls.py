@@ -2,9 +2,10 @@
 
 Each routine here is deliberately written from scratch in the most obvious
 way possible (explicit loops, no shared helpers with the package under
-test) so agreement between the two is meaningful evidence. The one copy is
-the earlier ``bibkit.model`` parser, kept as the oracle for its error
-classes and messages.
+test) so agreement between the two is meaningful evidence. The two copies
+are the earlier ``bibkit.model`` parser, kept as the oracle for its error
+classes and messages, and the earlier normalizers that raised for a value
+with no normal form, kept as the oracle for where that is.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from bibkit.model import (
     UnbalancedBraces,
     UnsupportedConcatenation,
 )
+from bibkit.normalize import _ET_AL_RE, _PAGE_PART_RE, _PAGE_SEP_RE, _YEAR_RE, _last_name, _split_and
 
 
 def reference_parse(text: str):
@@ -303,6 +305,95 @@ def reference_split_top_level_and(value: str) -> list[str]:
         i += 1
     parts.append(value[start:])
     return [p.strip() for p in parts if p.strip()]
+
+
+# -- the raising normalizers --------------------------------------------------------
+#
+# ``bibkit.normalize`` before a value with no normal form became None (or
+# ``[]``): the four public normalizers, the author splitter and the three
+# exception classes, copied verbatim except for the public names. Helpers
+# that did not change are imported.
+
+
+class EmptyAuthor(ValueError):
+    pass
+
+
+class MalformedPages(ValueError):
+    pass
+
+
+class MalformedYear(ValueError):
+    pass
+
+
+def _split_authors(value: str) -> list[str]:
+    """Author names from a raw field.
+
+    The BibTeX convention separates authors with " and ". Generated entries
+    sometimes use a plain comma-separated display list instead
+    ("Julian McAuley, Jure Leskovec"); we detect that case by checking that
+    every comma-separated segment looks like a full name (more than one word
+    and no braces), since a single comma in "Last, First" has a one-word
+    surname segment.
+    """
+    value = _ET_AL_RE.sub("", value).strip().rstrip(",")
+    if not value:
+        raise EmptyAuthor("empty author field")
+    parts = _split_and(value)
+    if len(parts) > 1:
+        return parts
+    segments = [s.strip() for s in value.split(",") if s.strip()]
+    if len(segments) > 1 and all("{" not in s and len(s.split()) > 1 for s in segments):
+        return segments
+    return [value]
+
+
+def parent_normalize_author(value: str) -> str:
+    """First-author last name, lowercase, diacritics stripped."""
+    names = _split_authors(value)
+    last = _last_name(names[0])
+    if not last:
+        raise EmptyAuthor("could not extract a first-author last name")
+    return last
+
+
+def parent_author_lastname_list(value: str) -> list[str]:
+    """Ordered lowercase last names, one per author."""
+    names = _split_authors(value)
+    result = [ln for ln in (_last_name(n) for n in names) if ln]
+    if not result:
+        raise EmptyAuthor("no author last names found")
+    return result
+
+
+def parent_normalize_pages(value: str) -> str:
+    """Canonical "start--end" (or a single page), any dash style accepted."""
+    s = value.strip()
+    if not s:
+        raise MalformedPages("empty pages value")
+    parts = [p for p in _PAGE_SEP_RE.split(s)]
+    if len(parts) == 1:
+        if not _PAGE_PART_RE.match(parts[0]):
+            raise MalformedPages(f"unparseable pages value: {value!r}")
+        return parts[0]
+    if len(parts) != 2 or not all(parts):
+        raise MalformedPages(f"unparseable pages value: {value!r}")
+    if not any(_PAGE_PART_RE.match(p) for p in parts):
+        raise MalformedPages(f"unparseable pages value: {value!r}")
+    if parts[0] == parts[1]:
+        # degenerate ranges ("426--426") are the same citation as the bare page
+        return parts[0]
+    return f"{parts[0]}--{parts[1]}"
+
+
+def parent_normalize_year(value: str) -> str:
+    """The 4-digit year, or MalformedYear."""
+    s = value.strip()
+    if not _YEAR_RE.match(s):
+        raise MalformedYear(f"not a 4-digit year: {value!r}")
+    return s
+
 
 def brute_jaccard(a, b) -> float:
     """Membership-counting Jaccard, no set operators."""

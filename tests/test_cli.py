@@ -56,6 +56,14 @@ def test_lookup_doi_found(capsys):
     assert "10.1111/iju.13054" in out
 
 
+def test_lookup_server_with_a_trailing_slash_joins_endpoints_with_one(capsys):
+    replay = ["lookup", "10.1111/iju.13054", "--fixtures", str(FIXTURES / "replay_doi_found.json")]
+    code, out, err = run(replay + ["--server", "http://server.test/"], capsys)
+    assert (code, err) == (0, "")
+    assert out == run(replay + SERVER, capsys)[1]
+    assert out.startswith("@article{yamashita2016,")
+
+
 def test_lookup_title_mismatch_status(capsys):
     code, out, _ = run(
         ["lookup", "alpha beta gamma delta", "--fixtures", str(FIXTURES / "replay_title_mismatch.json")]
@@ -1031,8 +1039,18 @@ FULL_ENTRY = [f"p\tc\t{slot.value}\tC\t1" for slot in FieldSlot]
         FULL_ENTRY[:-1] + ["p\tc\tissn\tC\t1"],  # unknown slot
         FULL_ENTRY[:-1] + ["p\tc\tdoi\tQ\t1"],  # unknown label
         FULL_ENTRY[:-1] + ["p\tc\tdoi\tC\t3"],  # unknown stage
+        FULL_ENTRY[:-1] + ["p\tc\tdoi\tC\t2"],  # stage 2 never gives C
+        FULL_ENTRY[:-1] + ["p\tc\tdoi\tF\t1"],  # stage 1 never gives F
     ],
-    ids=["missing_slots", "duplicate_slot", "unknown_slot", "unknown_label", "unknown_stage"],
+    ids=[
+        "missing_slots",
+        "duplicate_slot",
+        "unknown_slot",
+        "unknown_label",
+        "unknown_stage",
+        "stage_2_label_C",
+        "stage_1_label_F",
+    ],
 )
 def test_report_rejects_malformed_entries(tmp_path, capsys, rows):
     labels = tmp_path / "labels.tsv"

@@ -542,6 +542,13 @@ def test_write_bundle_matches_the_golden_snapshot(tmp_path, mode):
     assert read_tree(tmp_path) == read_tree(FIXTURES / "golden_bundle" / mode)
 
 
+def test_verify_bundle_over_a_reconcile_bundle_leaves_only_its_own_files(tmp_path):
+    corpus = load_corpus(CORPUS_PATH)
+    write_bundle(run_benchmark(corpus, resolver=perfect_resolver(corpus)), tmp_path)
+    write_bundle(run_benchmark(corpus), tmp_path)
+    assert read_tree(tmp_path) == read_tree(FIXTURES / "golden_bundle" / "verify")
+
+
 def test_write_bundle_overwrites_atomically(tmp_path):
     bundle = run_benchmark(load_corpus(CORPUS_PATH))
     write_bundle(bundle, tmp_path)

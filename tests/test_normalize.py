@@ -5,9 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from bibkit.normalize import (
     _split_and,
-    EmptyAuthor,
-    MalformedPages,
-    MalformedYear,
     STOPWORDS,
     VenueSynonymTable,
     author_lastname_list,
@@ -23,7 +20,17 @@ from bibkit.normalize import (
 )
 
 from conftest import load_fixture
-from reference_impls import brute_jaccard, reference_split_top_level_and
+from reference_impls import (
+    EmptyAuthor,
+    MalformedPages,
+    MalformedYear,
+    brute_jaccard,
+    parent_author_lastname_list,
+    parent_normalize_author,
+    parent_normalize_pages,
+    parent_normalize_year,
+    reference_split_top_level_and,
+)
 
 TABLE = VenueSynonymTable.default()
 
@@ -70,8 +77,7 @@ def test_normalize_author(raw, expected):
 
 
 def test_normalize_author_empty():
-    with pytest.raises(EmptyAuthor):
-        normalize_author("   ")
+    assert normalize_author("   ") is None
 
 
 @pytest.mark.parametrize("case", NAME_CASES, ids=[c["input"][:25] for c in NAME_CASES])
@@ -173,8 +179,7 @@ def test_normalize_pages(raw, expected):
 
 @pytest.mark.parametrize("raw", ["", "a b c", "--", "1--2--3"])
 def test_normalize_pages_malformed(raw):
-    with pytest.raises(MalformedPages):
-        normalize_pages(raw)
+    assert normalize_pages(raw) is None
 
 
 @pytest.mark.parametrize("raw,expected", [("2012", "2012"), (" 2016 ", "2016")])
@@ -184,8 +189,7 @@ def test_normalize_year(raw, expected):
 
 @pytest.mark.parametrize("raw", ["16", "20123", "MMXII", ""])
 def test_normalize_year_malformed(raw):
-    with pytest.raises(MalformedYear):
-        normalize_year(raw)
+    assert normalize_year(raw) is None
 
 
 def test_stopword_list_is_30_words():
@@ -206,16 +210,49 @@ def test_fold_diacritics():
 
 
 @pytest.mark.parametrize(
-    "normalizer,raw,error",
+    "normalizer,raw,absent",
     [
-        (normalize_author, "{}", EmptyAuthor),
-        (author_lastname_list, "{} and {}", EmptyAuthor),
-        (normalize_pages, "a b--c d", MalformedPages),
+        (normalize_author, "{}", None),
+        (author_lastname_list, "{} and {}", []),
+        (normalize_pages, "a b--c d", None),
     ],
+    ids=["normalize_author", "author_lastname_list", "normalize_pages"],
 )
-def test_normalizer_error_branches(normalizer, raw, error):
-    with pytest.raises(error):
-        normalizer(raw)
+def test_normalizer_no_normal_form_branches(normalizer, raw, absent):
+    assert normalizer(raw) == absent
+
+
+#: Each normalizer, its parent that raised for a value with no normal form,
+#: and what it returns for such a value now.
+NO_NORMAL_FORM = [
+    (normalize_author, parent_normalize_author, None),
+    (author_lastname_list, parent_author_lastname_list, []),
+    (normalize_pages, parent_normalize_pages, None),
+    (normalize_year, parent_normalize_year, None),
+]
+
+
+def _examples(values):
+    def decorate(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+
+    return decorate
+
+
+@settings(max_examples=500)
+@given(st.text(max_size=20) | st.text(alphabet=" -\u2013\u2014,{}.:a1", max_size=12))
+@_examples([c["input"] for c in CASES] + [c["input"] for c in NAME_CASES] + ["et al.", "{}, et al"])
+def test_no_normal_form_is_none_exactly_where_the_parent_raised(value):
+    for normalizer, parent, absent in NO_NORMAL_FORM:
+        try:
+            expected = parent(value)
+        except (EmptyAuthor, MalformedPages, MalformedYear):
+            expected = absent
+        else:
+            assert expected != absent  # so ``absent`` marks exactly the values the parent raised for
+        assert normalizer(value) == expected, normalizer.__name__
 
 
 def test_venue_file_skips_comment_lines(tmp_path):

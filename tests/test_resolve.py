@@ -1,8 +1,11 @@
+import http.server
 import json
 import socket
+import threading
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bibkit.resolve import (
     CROSSREF_ENTRY_TYPES,
@@ -23,7 +26,7 @@ from bibkit.resolve import (
     rank_candidates,
 )
 
-from bibkit.model import BibEntry, FieldSlot, parse_entry
+from bibkit.model import BibEntry, FieldSlot, parse_entry, serialize_entry
 from bibkit.reconcile import PaperMeta, reconcile
 
 from conftest import load_fixture
@@ -442,6 +445,45 @@ def test_http_transport_connection_refused_is_transport_error(monkeypatch):
         HttpTransport(timeout=5.0).request("GET", f"http://127.0.0.1:{port}/")
 
 
+@pytest.mark.parametrize(
+    "content_type,encoding",
+    [
+        ("text/plain", "utf-8"),
+        ("application/json", "utf-8"),
+        ("text/plain; charset=ISO-8859-1", "latin-1"),
+    ],
+)
+def test_http_transport_reads_a_body_without_a_charset_as_utf8(monkeypatch, content_type, encoding):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    text = '"Sánchez, María"'
+    body = text.encode(encoding)
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            self.send_response(200)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{server.server_port}/export"
+        response = HttpTransport(timeout=5.0).request("POST", url, body="[]")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert response.body == text
+
+
 def single_hit_fallback(doi: str, hit: dict) -> Resolver:
     """Resolver whose server finds nothing for ``doi`` and CrossRef returns one hit."""
     return crossref_body_fallback(doi, {"message": {"items": [hit]}})
@@ -688,7 +730,9 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8,
 )
-TEXT = st.text(max_size=8) | JSON_VALUES
+# strings whose braces nest and strings whose braces do not
+BRACED = st.text(alphabet="{}a ,", max_size=8) | st.sampled_from(["Robust {Set cover", "Doe}", "}{", "{A}"])
+TEXT = st.text(max_size=8) | BRACED | JSON_VALUES
 # besides any JSON value, each key gets values of about the right shape, so
 # that works do reach the entry
 SHAPED = {
@@ -704,6 +748,9 @@ WORKS = st.fixed_dictionaries({}, optional={k: JSON_VALUES | v for k, v in SHAPE
 
 @settings(max_examples=200, deadline=None)
 @given(works=st.lists(WORKS | JSON_VALUES, max_size=4))
+@example(works=[{"title": ["Robust {Set cover"]}])  # an unclosed brace
+@example(works=[{"title": ["Robust {Set cover"], "author": [{"family": "Doe}"}]}])
+@example(works=[{"title": ["A"], "container-title": ["}{"], "DOI": "10.1/{"}])
 def test_crossref_fallback_never_raises_on_arbitrary_json(works):
     query = "10.9999/fuzz.1"
     entries = crossref_body_fallback(query, {"message": {"items": works}}).crossref_fallback(query)
@@ -712,3 +759,6 @@ def test_crossref_fallback_never_raises_on_arbitrary_json(works):
         assert entry.entry_type in ("", "article", "inproceedings", "incollection", "misc")
         assert isinstance(entry.fields["title"], str)
         assert all(isinstance(v, str) for v in entry.fields.values())
+        # as ``lookup`` prints it, and as a merge writes it into a .bib file
+        printed = replace(entry, entry_type=entry.entry_type or "misc")
+        assert parse_entry(serialize_entry(printed)) == printed

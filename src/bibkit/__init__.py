@@ -1,102 +1,2 @@
 """bibkit: deterministic resolution, verification, and reconciliation of
 bibliographic records."""
-
-from .model import (
-    ALL_SLOTS,
-    BibEntry,
-    BibParseError,
-    FieldLabel,
-    FieldSlot,
-    VALUE_SLOTS,
-    parse_bib_file,
-    parse_entry,
-    sanitize_citation_key,
-    serialize_entry,
-    slot_of,
-)
-from .normalize import (
-    VenueSynonymTable,
-    jaccard,
-    normalize_author,
-    normalize_doi,
-    normalize_pages,
-    normalize_title,
-    normalize_venue,
-    normalize_year,
-    tokenize_filtered,
-)
-from .reconcile import PaperMeta, ReconcileOutcome, merge_fields, reconcile, title_gate
-from .resolve import (
-    HttpTransport,
-    Query,
-    RateLimiter,
-    ReplayTransport,
-    ResolutionResult,
-    Resolver,
-    ResolverConfig,
-    UpstreamUnavailable,
-    classify_query,
-    normalize_url,
-    rank_candidates,
-)
-from .verify import (
-    CriterionVerdict,
-    EntryVerdict,
-    GroundTruth,
-    GroundTruthVersion,
-    aggregate_stats,
-    classify_error_mode,
-    co_error_matrix,
-    verdict_from_criteria,
-    verify_entry,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ALL_SLOTS",
-    "BibEntry",
-    "BibParseError",
-    "CriterionVerdict",
-    "EntryVerdict",
-    "FieldLabel",
-    "FieldSlot",
-    "GroundTruth",
-    "GroundTruthVersion",
-    "HttpTransport",
-    "PaperMeta",
-    "Query",
-    "RateLimiter",
-    "ReconcileOutcome",
-    "ReplayTransport",
-    "ResolutionResult",
-    "Resolver",
-    "ResolverConfig",
-    "UpstreamUnavailable",
-    "VALUE_SLOTS",
-    "VenueSynonymTable",
-    "aggregate_stats",
-    "classify_error_mode",
-    "classify_query",
-    "co_error_matrix",
-    "jaccard",
-    "merge_fields",
-    "normalize_author",
-    "normalize_doi",
-    "normalize_pages",
-    "normalize_title",
-    "normalize_url",
-    "normalize_venue",
-    "normalize_year",
-    "parse_bib_file",
-    "parse_entry",
-    "rank_candidates",
-    "reconcile",
-    "sanitize_citation_key",
-    "serialize_entry",
-    "slot_of",
-    "title_gate",
-    "tokenize_filtered",
-    "verdict_from_criteria",
-    "verify_entry",
-]

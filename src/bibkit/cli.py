@@ -26,7 +26,8 @@ argument parser reports a usage error and exits 1.
   ``incomplete``, still write or print the bundle, and then exit 3 when
   ``incomplete`` is not empty.
 - A ``--server`` or ``BIBKIT_SERVER_URL`` value that is not an absolute
-  http(s) URL is an input error, raised before any request.
+  http(s) URL, or that holds a query or fragment (a ``?`` or ``#``), is an
+  input error, raised before any request.
 - A ``--fixtures`` replay waits neither for the rate limiter nor a retry.
 """
 
@@ -130,6 +131,8 @@ def _build_resolver(args) -> Resolver:
         absolute = False
     if not absolute:
         raise InputError(f"{source} {config.base_url!r}: not an absolute http(s) URL")
+    if "?" in config.base_url or "#" in config.base_url:  # an endpoint path would follow it
+        raise InputError(f"{source} {config.base_url!r}: holds a query or fragment")
     config.base_url = config.base_url.rstrip("/")  # endpoints are joined with a "/"
     if not args.fixtures:
         return Resolver(config)
@@ -206,7 +209,7 @@ def cmd_bench(args) -> int:
 def cmd_report(args) -> int:
     """The bundle aggregate of a labels file; it carries no model, tier or domain."""
     tagged = _use_file("--labels", args.labels, read_labels)
-    report = aggregate_stats(tagged)
+    report = aggregate_stats(tagged)["aggregate"]
     for kind in ("model", "tier", "domain"):
         del report[f"per_{kind}"]
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -11,7 +11,6 @@ import contextlib
 import functools
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -37,7 +36,6 @@ from .verify import (
     TaggedVerdict,
     aggregate_stats,
     clear_memo,
-    co_error_matrix,
     verify_entry,
 )
 
@@ -188,13 +186,6 @@ def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]
 # benchmark
 
 
-def _matrix_json(matrix) -> dict:
-    return {
-        i: {j: (None if v is None else round(v, 6)) for j, v in row.items()}
-        for i, row in matrix.items()
-    }
-
-
 def _labels_rows(tagged: list[TaggedVerdict]) -> list[tuple[str, ...]]:
     return [
         (tv.paper_id, tv.entry_tag, slot, labels[slot], "2" if slot in stage2 else "1")
@@ -278,18 +269,15 @@ def run_benchmark(
     finally:
         clear_memo()  # the normalization memo lives for one run
 
-    verdicts = [tv.verdict for tv in tagged]
     bundle: dict = {
         "format_version": 1,
         "mode": "verify" if resolver is None else "reconcile_then_verify",
-        "aggregate": aggregate_stats(tagged),
-        "error_modes": dict(sorted(Counter(v.error_mode for v in verdicts).items())),
-        "co_error": _matrix_json(co_error_matrix(verdicts)) if verdicts else {},
+        **aggregate_stats(tagged),  # "aggregate", "error_modes" and "co_error"
         "incomplete": incomplete,
         "labels": _labels_rows(tagged),
     }
     if resolver is not None:
-        bundle["aggregate_before"] = aggregate_stats(tagged_before)
+        bundle["aggregate_before"] = aggregate_stats(tagged_before)["aggregate"]
         bundle["labels_before"] = _labels_rows(tagged_before)
         bundle["deltas"] = _field_deltas(tagged_before, tagged)
         bundle["actions"] = actions

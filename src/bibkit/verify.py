@@ -103,16 +103,6 @@ class EntryVerdict:
         """The slots stage 2 labelled: those labelled P, S or F."""
         return frozenset(s for s, l in self.labels.items() if l in STAGE2_LABELS)
 
-    @property
-    def fully_correct(self) -> bool:
-        """Every evaluable slot is C."""
-        return all(l is FieldLabel.C for l in self.labels.values() if l is not FieldLabel.X)
-
-    @property
-    def error_mode(self) -> str:
-        """``none``, ``isolated``, ``wholesale`` or ``mixed``; see ``classify_error_mode``."""
-        return classify_error_mode(self.labels)
-
 
 @functools.lru_cache(maxsize=NORMALIZED_MEMO_SIZE)
 def _table_free_normalized(slot: FieldSlot, value: str) -> str | None:
@@ -358,29 +348,6 @@ def verify_entry(
 EVALUABLE_SLOTS = tuple(s for s in ALL_SLOTS if s is not FieldSlot.ENTRY_KEY)
 
 
-def co_error_matrix(
-    verdicts: list[EntryVerdict],
-) -> dict[FieldSlot, dict[FieldSlot, float | None]]:
-    """Conditional probability P(slot j wrong | slot i wrong).
-
-    Cells with zero denominator are None (undefined), never 0.
-    """
-    if not verdicts:
-        raise ValueError("need at least one verdict")
-    matrix: dict[FieldSlot, dict[FieldSlot, float | None]] = {}
-    for i in EVALUABLE_SLOTS:
-        row: dict[FieldSlot, float | None] = {}
-        conditioning = [v for v in verdicts if v.labels[i] in ERROR_LABELS]
-        for j in EVALUABLE_SLOTS:
-            if not conditioning:
-                row[j] = None
-            else:
-                wrong = sum(1 for v in conditioning if v.labels[j] in ERROR_LABELS)
-                row[j] = wrong / len(conditioning)
-        matrix[i] = row
-    return matrix
-
-
 @dataclass(frozen=True)
 class TaggedVerdict:
     paper_id: str
@@ -401,20 +368,30 @@ def _pct(bucket: dict) -> dict:
 
 
 def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
-    """Accuracy tables and label distribution; X slots never enter denominators."""
+    """The bundle's "aggregate", "error_modes" and "co_error" sections, from one pass.
+
+    X slots never enter accuracy denominators. Every label is C, X or one of
+    ``ERROR_LABELS``, so an entry is fully correct, every non-X slot C,
+    exactly when its error mode is ``none``. ``co_error[i][j]`` is
+    P(slot j wrong | slot i wrong), None when slot i is never wrong; no
+    entries give an empty matrix.
+    """
     C, X = FieldLabel.C, FieldLabel.X
     overall = _bucket()
     per_field: dict[FieldSlot, dict] = {slot: _bucket() for slot in EVALUABLE_SLOTS}
     per_tag: dict[str, dict[str, dict]] = {"model": {}, "tier": {}, "domain": {}}
     labels_seen = {label: 0 for label in (C, FieldLabel.M, FieldLabel.F, FieldLabel.P, FieldLabel.S)}
-    fully_correct = 0
+    modes: dict[str, int] = {}
+    # co[i][j]: entries with slots i and j both wrong; co[i][i] is row i's denominator
+    co = [[0] * len(EVALUABLE_SLOTS) for _ in EVALUABLE_SLOTS]
 
     for tv in tagged:
-        if tv.verdict.fully_correct:
-            fully_correct += 1
         labels = tv.verdict.labels
+        mode = classify_error_mode(labels)
+        modes[mode] = modes.get(mode, 0) + 1
         evaluable = correct = 0
-        for slot in EVALUABLE_SLOTS:
+        errors = []
+        for i, slot in enumerate(EVALUABLE_SLOTS):
             label = labels[slot]
             if label is X:
                 continue
@@ -425,6 +402,12 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
             if label is C:
                 bucket["correct"] += 1
                 correct += 1
+            else:
+                errors.append(i)
+        for i in errors:
+            row = co[i]
+            for j in errors:
+                row[j] += 1
         if not evaluable:
             continue  # an all-X entry opens no model, tier or domain bucket
         for bucket in (
@@ -436,7 +419,8 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
             bucket["evaluable"] += evaluable
             bucket["correct"] += correct
 
-    report = {
+    fully_correct = modes.get("none", 0)
+    aggregate = {
         "format_version": 1,
         "entries": len(tagged),
         "overall": _pct(overall),
@@ -448,5 +432,13 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
         "per_field": {slot: _pct(b) for slot, b in sorted(per_field.items())},
     }
     for kind, buckets in per_tag.items():
-        report[f"per_{kind}"] = {tag: _pct(b) for tag, b in sorted(buckets.items())}
-    return report
+        aggregate[f"per_{kind}"] = {tag: _pct(b) for tag, b in sorted(buckets.items())}
+    co_error = {
+        si: {sj: round(co[i][j] / co[i][i], 6) if co[i][i] else None for j, sj in enumerate(EVALUABLE_SLOTS)}
+        for i, si in enumerate(EVALUABLE_SLOTS)
+    }
+    return {
+        "aggregate": aggregate,
+        "error_modes": dict(sorted(modes.items())),
+        "co_error": co_error if tagged else {},
+    }

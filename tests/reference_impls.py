@@ -444,7 +444,7 @@ def brute_co_error(label_rows: list[dict[str, str]]) -> dict[str, dict[str, floa
 
 
 def brute_tally(label_rows: list[tuple[str, str, dict[str, str]]]) -> dict:
-    """Spreadsheet-style aggregate over (paper_id, tag, slot->label) rows."""
+    """Spreadsheet-style aggregate and error-mode count over (paper_id, tag, slot->label) rows."""
     slots = [
         "entry_type",
         "author",
@@ -459,7 +459,19 @@ def brute_tally(label_rows: list[tuple[str, str, dict[str, str]]]) -> dict:
     per_field = {s: {"evaluable": 0, "correct": 0} for s in slots}
     dist = {"C": 0, "M": 0, "F": 0, "P": 0, "S": 0}
     fully = 0
+    modes: dict[str, int] = {}
     for _pid, _tag, labels in label_rows:
+        wrong = sum(1 for s in slots if labels[s] in WRONG)
+        substituted = sum(1 for s in slots if labels[s] == "S")
+        if wrong == 0:
+            mode = "none"
+        elif substituted >= 3:
+            mode = "wholesale"
+        elif wrong <= 2:
+            mode = "isolated"
+        else:
+            mode = "mixed"
+        modes[mode] = modes.get(mode, 0) + 1
         entry_ok = True
         for s in slots:
             lab = labels[s]
@@ -481,6 +493,7 @@ def brute_tally(label_rows: list[tuple[str, str, dict[str, str]]]) -> dict:
         "correct": correct,
         "pct_c": round(100.0 * correct / evaluable, 1) if evaluable else None,
         "fully_correct": fully,
+        "error_modes": dict(sorted(modes.items())),
         "label_distribution": dist,
         "per_field": {
             s: {

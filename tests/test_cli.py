@@ -105,6 +105,15 @@ def test_lookup_server_that_is_not_an_absolute_http_url_exits_2(tmp_path, capsys
     assert err == f"input error: --server {server!r}: not an absolute http(s) URL\n"
 
 
+@pytest.mark.parametrize("server", ["http://server.test?x=1", "http://server.test#f", "http://server.test/?"])
+def test_lookup_server_with_a_query_or_fragment_exits_2(capsys, server):
+    # the fixture answers the lookup at http://server.test, so only the check stops it
+    replay = ["lookup", "10.1111/iju.13054", "--fixtures", str(FIXTURES / "replay_doi_found.json")]
+    code, out, err = run(replay + ["--server", server], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"input error: --server {server!r}: holds a query or fragment\n"
+
+
 def test_server_url_variable_that_is_not_an_absolute_http_url_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BIBKIT_SERVER_URL", "localhost:1969")
     bib, meta = write_reconcile_inputs(tmp_path)

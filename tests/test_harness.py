@@ -310,7 +310,7 @@ def test_golden_corpus_error_modes_match_hand_labels():
         record = records[paper_id]
         entry = next(e for t, _, e in record.candidates if t == tag)
         verdict = verify_entry(entry, record.ground_truth, VenueSynonymTable.default())
-        assert verdict.error_mode == expected["error_mode"], (paper_id, tag)
+        assert verify.classify_error_mode(verdict.labels) == expected["error_mode"], (paper_id, tag)
 
 
 def test_golden_corpus_aggregate_matches_hand_tally():

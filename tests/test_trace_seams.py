@@ -46,7 +46,6 @@ EXPECTED_CALLS = {
     "harness.run_benchmark": 1,
     "harness.write_bundle": 1,
     "verify.aggregate_stats": 1,
-    "verify.co_error_matrix": 1,
 }
 
 

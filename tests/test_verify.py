@@ -22,7 +22,6 @@ from bibkit.verify import (
     classify_error_mode,
     classify_stage1,
     classify_stage2,
-    co_error_matrix,
     verdict_from_criteria,
     verify_entry,
 )
@@ -187,8 +186,7 @@ def test_isolated_entry_labels():
     assert verdict.labels[FieldSlot.VENUE] is FieldLabel.C
     assert verdict.labels[FieldSlot.PAGES] is FieldLabel.F
     assert verdict.labels[FieldSlot.ENTRY_KEY] is FieldLabel.X
-    assert verdict.error_mode == "isolated"
-    assert not verdict.fully_correct
+    assert classify_error_mode(verdict.labels) == "isolated"
     assert verdict.stage2_slots == {FieldSlot.PAGES}
 
 
@@ -206,7 +204,7 @@ def test_wholesale_entry_labels():
     assert labels[FieldSlot.ENTRY_TYPE] is FieldLabel.C
     substituted = sum(1 for l in labels.values() if l is FieldLabel.S)
     assert substituted >= 3
-    assert verdict.error_mode == "wholesale"
+    assert classify_error_mode(labels) == "wholesale"
 
 
 # -- calibration triple --------------------------------------------------------
@@ -256,8 +254,7 @@ def test_arxiv_version_match_scores_all_correct():
     verdict = verify_entry(ARXIV_MATCHING_ENTRY, two_version_ground_truth(), TABLE)
     for slot, label in verdict.labels.items():
         assert label in (FieldLabel.C, FieldLabel.X), (slot, label)
-    assert verdict.fully_correct
-    assert verdict.error_mode == "none"
+    assert classify_error_mode(verdict.labels) == "none"
     # year 2017 only exists in the arXiv version; 2018 is the journal year
     assert verdict.labels[FieldSlot.YEAR] is FieldLabel.C
 
@@ -511,24 +508,28 @@ def make_verdict(labels: dict) -> EntryVerdict:
     return EntryVerdict(labels=full)
 
 
+def co_error(verdicts: list[EntryVerdict]) -> dict:
+    """The "co_error" section the tally gives for ``verdicts``."""
+    return aggregate_stats([TaggedVerdict(f"p{i}", "t", v) for i, v in enumerate(verdicts)])["co_error"]
+
+
 def test_co_error_perfect_coupling():
     verdicts = [make_verdict({"title": "F", "author": "F"}) for _ in range(3)]
-    matrix = co_error_matrix(verdicts)
+    matrix = co_error(verdicts)
     assert matrix[FieldSlot.TITLE][FieldSlot.AUTHOR] == 1.0
     assert matrix[FieldSlot.AUTHOR][FieldSlot.TITLE] == 1.0
 
 
 def test_co_error_zero_denominator_is_undefined():
     verdicts = [make_verdict({"pages": "F"})]
-    matrix = co_error_matrix(verdicts)
+    matrix = co_error(verdicts)
     assert matrix[FieldSlot.PAGES][FieldSlot.PAGES] == 1.0
     assert matrix[FieldSlot.TITLE][FieldSlot.TITLE] is None
     assert matrix[FieldSlot.TITLE][FieldSlot.PAGES] is None
 
 
-def test_co_error_empty_input_raises():
-    with pytest.raises(ValueError):
-        co_error_matrix([])
+def test_co_error_of_no_entries_is_empty():
+    assert co_error([]) == {}
 
 
 def test_co_error_matches_brute_force_on_50_synthetic_verdicts():
@@ -538,7 +539,7 @@ def test_co_error_matches_brute_force_on_50_synthetic_verdicts():
     for _ in range(50):
         rows.append({name: rng.choice(["C", "M", "F", "P", "S", "X"]) for name in slot_names})
     verdicts = [make_verdict(row) for row in rows]
-    matrix = co_error_matrix(verdicts)
+    matrix = co_error(verdicts)
     expected = brute_co_error(rows)
     for i in FieldSlot:
         if i is FieldSlot.ENTRY_KEY:
@@ -546,7 +547,8 @@ def test_co_error_matches_brute_force_on_50_synthetic_verdicts():
         for j in FieldSlot:
             if j is FieldSlot.ENTRY_KEY:
                 continue
-            assert matrix[i][j] == expected[i.value][j.value], (i, j)
+            want = expected[i.value][j.value]
+            assert matrix[i][j] == (None if want is None else round(want, 6)), (i, j)
 
 
 def test_co_error_cells_are_probabilities():
@@ -556,7 +558,7 @@ def test_co_error_cells_are_probabilities():
         make_verdict({n: rng.choice(["C", "M", "F", "P", "S"]) for n in slot_names})
         for _ in range(20)
     ]
-    matrix = co_error_matrix(verdicts)
+    matrix = co_error(verdicts)
     for i, row in matrix.items():
         for value in row.values():
             if value is not None:
@@ -575,14 +577,14 @@ def test_aggregate_arithmetic():
         make_verdict({n: "F" for n in ["entry_type", "author", "title", "year", "venue", "volume", "number", "pages", "doi"]})
     )
     tagged = [TaggedVerdict(f"p{i}", "t", v, "m", "popular", "ai") for i, v in enumerate(verdicts)]
-    report = aggregate_stats(tagged)
+    report = aggregate_stats(tagged)["aggregate"]
     assert report["overall"] == {"evaluable": 90, "correct": 81, "pct_c": 90.0}
     assert report["fully_correct"] == {"count": 9, "pct": 90.0}
 
 
 def test_aggregate_excludes_x_from_denominator():
     tagged = [TaggedVerdict("p", "t", make_verdict({"volume": "X", "number": "X"}))]
-    report = aggregate_stats(tagged)
+    report = aggregate_stats(tagged)["aggregate"]
     assert report["overall"]["evaluable"] == 7
     assert report["per_field"]["volume"]["evaluable"] == 0
     assert report["per_field"]["volume"]["pct_c"] is None
@@ -608,9 +610,10 @@ def test_aggregate_permutation_invariant():
 
 
 def test_aggregate_empty_input():
-    report = aggregate_stats([])
-    assert report["entries"] == 0
-    assert report["overall"]["pct_c"] is None
+    tally = aggregate_stats([])
+    assert tally["aggregate"]["entries"] == 0
+    assert tally["aggregate"]["overall"]["pct_c"] is None
+    assert tally["error_modes"] == {}
 
 
 ENTRY_LABELS = st.one_of(
@@ -631,23 +634,29 @@ def test_aggregate_matches_brute_tally(entries):
     want = brute_tally(
         [(f"p{i}", "t", {s.value: l.value for s, l in labels.items()}) for i, labels in enumerate(entries)]
     )
-    report = aggregate_stats(tagged)
+    tally = aggregate_stats(tagged)
+    report = tally["aggregate"]
     assert report["entries"] == want["entries"]
     assert report["overall"] == {k: want[k] for k in ("evaluable", "correct", "pct_c")}
     assert report["fully_correct"]["count"] == want["fully_correct"]
     assert report["label_distribution"] == want["label_distribution"]
     assert report["per_field"] == want["per_field"]
+    assert tally["error_modes"] == want["error_modes"]
+    assert report["fully_correct"]["count"] == tally["error_modes"].get("none", 0)
+    brute = brute_co_error([{s.value: l.value for s, l in labels.items()} for labels in entries])
+    rounded = {i: {j: None if v is None else round(v, 6) for j, v in row.items()} for i, row in brute.items()}
+    assert tally["co_error"] == (rounded if entries else {})
 
 
 def test_monotonicity_fixing_one_error_never_lowers_accuracy():
     wrong = make_verdict({"pages": "F", "doi": "M"})
     fixed = make_verdict({"doi": "M"})
-    before = aggregate_stats([TaggedVerdict("p", "t", wrong)])
-    after = aggregate_stats([TaggedVerdict("p", "t", fixed)])
+    before = aggregate_stats([TaggedVerdict("p", "t", wrong)])["aggregate"]
+    after = aggregate_stats([TaggedVerdict("p", "t", fixed)])["aggregate"]
     assert after["overall"]["pct_c"] >= before["overall"]["pct_c"]
     clean = make_verdict({})
-    assert clean.fully_correct
-    assert aggregate_stats([TaggedVerdict("p", "t", clean)])["fully_correct"]["count"] == 1
+    assert classify_error_mode(clean.labels) == "none"
+    assert aggregate_stats([TaggedVerdict("p", "t", clean)])["aggregate"]["fully_correct"]["count"] == 1
 
 
 # -- label totality and file I/O -------------------------------------------------
@@ -722,7 +731,7 @@ def _golden_direct_labels(table):
         for tag, _, entry in record.candidates:
             v = verify_entry(entry, record.ground_truth, table)
             labels = {slot.value: label.value for slot, label in v.labels.items()}
-            out[(record.paper_id, tag)] = (labels, sorted(s.value for s in v.stage2_slots), v.error_mode)
+            out[(record.paper_id, tag)] = (labels, sorted(s.value for s in v.stage2_slots), classify_error_mode(v.labels))
     return out
 
 

@@ -6,7 +6,7 @@ its exit code and one stderr line by the first matching row of ``FAILURES``:
 
     InputError                  2  "input error: "
     CorpusParseError            2  "corpus error: "
-    EmptyQuery, MalformedUrl    1  "error: "
+    QueryError                  1  "error: "
     UpstreamUnavailable         3  "error: upstream unavailable: "
     ExportFailure               3  "error: "
 
@@ -60,9 +60,8 @@ from .model import parse_bib_file, serialize_entry
 from .normalize import VenueSynonymTable
 from .reconcile import PaperMeta, reconcile
 from .resolve import (
-    EmptyQuery,
     ExportFailure,
-    MalformedUrl,
+    QueryError,
     RateLimiter,
     ReplayTransport,
     Resolver,
@@ -85,8 +84,7 @@ class InputError(Exception):
 FAILURES = {
     InputError: (EXIT_CORPUS, "input error: "),
     CorpusParseError: (EXIT_CORPUS, "corpus error: "),
-    EmptyQuery: (EXIT_USAGE, "error: "),
-    MalformedUrl: (EXIT_USAGE, "error: "),
+    QueryError: (EXIT_USAGE, "error: "),
     UpstreamUnavailable: (EXIT_UPSTREAM, "error: upstream unavailable: "),
     ExportFailure: (EXIT_UPSTREAM, "error: "),
 }
@@ -174,7 +172,7 @@ def cmd_reconcile(args) -> int:
     for meta, baseline in zip(metas, entries):
         try:
             outcome = reconcile(meta, baseline, resolve)
-        except (EmptyQuery, MalformedUrl) as exc:  # a bad row is bad input, not a usage error
+        except QueryError as exc:  # a bad row is bad input, not a usage error
             raise InputError(f"meta row {meta.paper_id!r}: {exc}") from None
         revised.append(outcome.result)
         log_rows.append(action_row(meta.paper_id, baseline.citation_key, outcome))
@@ -188,10 +186,7 @@ def cmd_reconcile(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        corpus = load_corpus(args.corpus, permissive=args.permissive)
-    except (OSError, UnicodeDecodeError) as exc:  # a CorpusParseError goes to main
-        raise InputError(f"--corpus {args.corpus}: {exc}") from None
+    corpus = _use_file("--corpus", args.corpus, lambda p: load_corpus(p, permissive=args.permissive))
     resolver = _build_resolver(args).resolve if args.mode == "reconcile_then_verify" else None
     table = _use_file("--venues", args.venues, VenueSynonymTable.from_file) if args.venues else None
     bundle = run_benchmark(corpus, resolver=resolver, table=table)

@@ -42,11 +42,8 @@ from .verify import (
 TIERS = frozenset({"popular", "low_citation", "recent"})
 
 
-class CorpusParseError(ValueError):
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
+class CorpusParseError(Exception):
+    """A corpus header or record that is not valid; the message starts with ``line N: ``."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ def _holds_separator(value: str) -> bool:
 
 def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
     def fail(reason: str):
-        raise CorpusParseError(line_no, reason)
+        raise CorpusParseError(f"line {line_no}: {reason}")
 
     def typed(obj: dict, key: str, kind, default):
         value = obj.get(key, default)
@@ -155,22 +152,22 @@ def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]
     seen_ids: set[str] = set()
     lines = _read_lines(path)
     if not lines:
-        raise CorpusParseError(1, "empty corpus file")
+        raise CorpusParseError("line 1: empty corpus file")
     try:
         header = json.loads(lines[0])
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise CorpusParseError(1, f"bad header: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also an integer of over 4300 digits, or nesting too deep
+        raise CorpusParseError(f"line 1: bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format_version") != 1:
-        raise CorpusParseError(1, "unsupported corpus format version")
+        raise CorpusParseError("line 1: unsupported corpus format version")
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             if permissive:
                 continue
-            raise CorpusParseError(line_no, f"bad JSON: {exc}") from None
+            raise CorpusParseError(f"line {line_no}: bad JSON: {exc}") from None
         try:
             record = _parse_record(doc, line_no, seen_ids)
         except CorpusParseError:

@@ -16,27 +16,7 @@ from dataclasses import dataclass, field
 
 
 class BibParseError(ValueError):
-    """Base class for entry parse failures."""
-
-
-class UnbalancedBraces(BibParseError):
-    pass
-
-
-class DuplicateField(BibParseError):
-    pass
-
-
-class EmptyKey(BibParseError):
-    pass
-
-
-class MultipleEntries(BibParseError):
-    pass
-
-
-class UnsupportedConcatenation(BibParseError):
-    pass
+    """An entry or ``.bib`` text that does not parse; the message says why."""
 
 
 class FieldSlot(str, enum.Enum):
@@ -124,7 +104,7 @@ def parse_entry(text: str) -> BibEntry:
         raise BibParseError("malformed entry header")
     entry_type = m.group(1).lower()
     if entry_type == "string":
-        raise UnsupportedConcatenation("@string macros are not supported")
+        raise BibParseError("@string macros are not supported")
     if entry_type == "preamble":
         raise BibParseError("@preamble is not supported")
 
@@ -148,18 +128,18 @@ def parse_entry(text: str) -> BibEntry:
         elif seg[1] < 0:
             seg[1] = sep.start()
     else:
-        raise UnbalancedBraces("entry braces are not balanced")
+        raise BibParseError("entry braces are not balanced")
     end = sep.start()
     trailing = s[end + 1 :].strip()
     if trailing:
         if "@" in trailing:
-            raise MultipleEntries("more than one entry in input")
+            raise BibParseError("more than one entry in input")
         raise BibParseError(f"trailing content after entry: {trailing[:30]!r}")
 
     segments.append([end + 1])  # the closing brace ends the last segment
     key = s[m.end() : segments[1][0] - 1].strip()
     if not key:
-        raise EmptyKey("entry has no citation key")
+        raise BibParseError("entry has no citation key")
 
     fields: dict[str, str] = {}
     for (start, eq, close), (next_start, *_) in zip(segments[1:], segments[2:]):
@@ -175,7 +155,7 @@ def parse_entry(text: str) -> BibEntry:
             raise BibParseError("field with empty name")
         value = _parse_value(s, eq + 1, next_start - 1, close)
         if name in fields:
-            raise DuplicateField(f"duplicate field {name!r}")
+            raise BibParseError(f"duplicate field {name!r}")
         fields[name] = value
 
     return BibEntry(entry_type=entry_type, citation_key=key, fields=fields)
@@ -192,12 +172,12 @@ def _parse_value(s: str, start: int, stop: int, close: int) -> str:
             raise BibParseError("unterminated quoted value")
         value, rest, kind = raw[1:end], raw[end + 1 :], "quoted"
     elif "#" in raw:
-        raise UnsupportedConcatenation("'#' concatenation is not supported")
+        raise BibParseError("'#' concatenation is not supported")
     else:
         return raw  # bare, or empty
     rest = rest.strip()
     if rest.startswith("#"):
-        raise UnsupportedConcatenation("'#' concatenation is not supported")
+        raise BibParseError("'#' concatenation is not supported")
     if rest:
         raise BibParseError(f"junk after {kind} value: {rest[:20]!r}")
     return value
@@ -259,7 +239,7 @@ def split_entries(text: str) -> list[str]:
             break
         close = next(_scan(text, _BRACE_RE, open_brace), None)
         if close is None:
-            raise UnbalancedBraces("unbalanced braces in .bib input")
+            raise BibParseError("unbalanced braces in .bib input")
         i = close[0].end()
         if not (opener == "{" and name.lower() == "comment"):
             chunks.append(text[at:i])

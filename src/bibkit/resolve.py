@@ -16,6 +16,7 @@ no translator for the payload or finds no identifier in it.
 
 from __future__ import annotations
 
+import ipaddress
 import json
 import os
 import re
@@ -53,23 +54,15 @@ RETRY_DELAY = 1.0
 MAX_RETRY_AFTER = 60.0
 
 
-class ResolveError(Exception):
+class QueryError(Exception):
+    """A query that is empty, names no DOI, or is a URL that is not absolute http(s)."""
+
+
+class UpstreamUnavailable(Exception):
     pass
 
 
-class EmptyQuery(ResolveError):
-    pass
-
-
-class MalformedUrl(ResolveError):
-    pass
-
-
-class UpstreamUnavailable(ResolveError):
-    pass
-
-
-class ExportFailure(ResolveError):
+class ExportFailure(Exception):
     """Server export answered other than 200, or with unparseable BibTeX."""
 
 
@@ -103,19 +96,20 @@ def classify_query(raw: str) -> Query:
     """Classify raw input; DOI-style URLs are rerouted as DOI queries."""
     s = raw.strip()
     if not s:
-        raise EmptyQuery("empty query")
+        raise QueryError("empty query")
     m = _DOI_RE.match(s)
     if m:
         return Query("doi", normalize_doi(m.group(1)), raw)
     if s.lower().startswith(("http://", "https://")):
-        parsed = urlparse(s)
+        url = normalize_url(s)  # a doi.org link comes back unchanged
+        parsed = urlparse(url)
         host = parsed.netloc.lower().removeprefix("www.")
         if host in ("doi.org", "dx.doi.org"):
             doi = normalize_doi(parsed.path.lstrip("/"))
             if not doi:
-                raise EmptyQuery(f"no DOI in {s!r}")
+                raise QueryError(f"no DOI in {s!r}")
             return Query("doi", doi, raw)
-        return Query("url", normalize_url(s), raw)
+        return Query("url", url, raw)
     m = _ARXIV_NEW_RE.match(s) or _ARXIV_OLD_RE.match(s)
     if m:
         return Query("arxiv_id", m.group(1), raw)
@@ -138,11 +132,18 @@ _HF_PAPER_RE = re.compile(r"^/papers/([^/]+)/?$")
 def normalize_url(url: str) -> str:
     """Rewrite arXiv PDF/HTML, alphaxiv, and HuggingFace paper links.
 
-    All rewrites are pure string transformations; no network calls.
+    All rewrites are pure string transformations; no network calls. A URL
+    that is not absolute http(s), or whose host does not parse, is a ``QueryError``.
     """
-    parsed = urlparse(url.strip())
-    if parsed.scheme not in ("http", "https") or not parsed.netloc:
-        raise MalformedUrl(f"not an absolute http(s) URL: {url!r}")
+    try:
+        parsed = urlparse(url.strip())
+        bracketed = parsed.netloc.partition("[")[2].partition("]")[0]  # urlsplit checks it from Python 3.11.4
+        if "[" in parsed.netloc and not bracketed.startswith("v"):  # v: an IPvFuture address
+            ipaddress.IPv6Address(bracketed)
+    except ValueError:  # an unclosed bracket, or a host in brackets that is not an IPv6 address
+        parsed = None
+    if parsed is None or parsed.scheme not in ("http", "https") or not parsed.netloc:
+        raise QueryError(f"not an absolute http(s) URL: {url!r}")
     host = parsed.netloc.lower().removeprefix("www.")
 
     if host == "alphaxiv.org" or host.endswith(".alphaxiv.org"):
@@ -430,7 +431,7 @@ def _json(body: str):
     """The JSON value of an upstream body, or None when it is not JSON."""
     try:
         return json.loads(body)
-    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deeply
+    except (ValueError, RecursionError):  # also an integer of over 4300 digits, or nesting too deep
         return None
 
 

@@ -167,13 +167,13 @@ def classify_stage1(
     return PENDING
 
 
-def _page_range(value: str) -> tuple[int, int] | None:
-    nums = re.findall(r"\d+", value)
-    if not nums:
-        return None
-    if len(nums) == 1:
-        return int(nums[0]), int(nums[0])
-    return int(nums[0]), int(nums[1])
+def _page_range(value: str) -> tuple[tuple[int, str], tuple[int, str]] | None:
+    """Keys of the first two digit runs (one run: itself twice), or None without digits.
+
+    A key, (length without leading zeros, those digits), orders runs as the numbers they write.
+    """
+    keys = [(len(d), d) for d in (n.lstrip("0") for n in re.findall(r"\d+", value)[:2])]
+    return (keys[0], keys[-1]) if keys else None
 
 
 _ARXIV_DOI_RE = re.compile(r"^10\.48550/arxiv\.(.+)$")
@@ -289,7 +289,7 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
 
 def _matches_alias(entry_value: str, tokens: frozenset[str], slot: FieldSlot, gt: GroundTruth, table) -> bool:
     """Value traces to a known confusable record for a different paper."""
-    alias_values = [v for alias in gt.known_aliases if (v := alias.get(slot))]
+    alias_values = [v for alias in gt.known_aliases if (v := alias.get(slot)) and v.strip()]
     if not alias_values:
         return False
     mine = _normalized(slot, entry_value, table)

@@ -4,23 +4,16 @@ Each routine here is deliberately written from scratch in the most obvious
 way possible (explicit loops, no shared helpers with the package under
 test) so agreement between the two is meaningful evidence. The two copies
 are the earlier ``bibkit.model`` parser, kept as the oracle for its error
-classes and messages, and the earlier normalizers that raised for a value
-with no normal form, kept as the oracle for where that is.
+messages and for the error classes the grammar fixture names, and the
+earlier normalizers that raised for a value with no normal form, kept as
+the oracle for where that is.
 """
 
 from __future__ import annotations
 
 import re
 
-from bibkit.model import (
-    BibEntry,
-    BibParseError,
-    DuplicateField,
-    EmptyKey,
-    MultipleEntries,
-    UnbalancedBraces,
-    UnsupportedConcatenation,
-)
+from bibkit.model import BibEntry, BibParseError
 from bibkit.normalize import _ET_AL_RE, _PAGE_PART_RE, _PAGE_SEP_RE, _YEAR_RE, _last_name, _split_and
 
 
@@ -134,7 +127,28 @@ def reference_parse(text: str):
 #
 # ``bibkit.model`` before it parsed each entry in one scan, copied verbatim
 # except for the two public names: four brace scans per entry, but the
-# error classes and messages every later parser must keep.
+# error messages every later parser must keep. Its five ``BibParseError``
+# subclasses, which ``bibkit.model`` no longer has, are defined here.
+
+
+class UnbalancedBraces(BibParseError):
+    pass
+
+
+class DuplicateField(BibParseError):
+    pass
+
+
+class EmptyKey(BibParseError):
+    pass
+
+
+class MultipleEntries(BibParseError):
+    pass
+
+
+class UnsupportedConcatenation(BibParseError):
+    pass
 
 
 def parent_parse_entry(text: str) -> BibEntry:

@@ -13,11 +13,11 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bibkit.cli import main
 from bibkit.model import FieldLabel, FieldSlot
-from bibkit.resolve import CROSSREF_URL, ResolveError, classify_query
+from bibkit.resolve import CROSSREF_URL, QueryError, classify_query
 
 from conftest import FIXTURES
 
@@ -35,6 +35,7 @@ PREFIXES = ("input error: ", "corpus error: ", "error: ")
 
 GOLDEN = (FIXTURES / "golden_corpus.jsonl").read_text("utf-8").splitlines()
 DEEP = "[" * 100000  # deeper than the JSON parser's recursion limit
+BIG = "1" * 5000  # an integer longer than Python's int-string limit (4300 digits)
 
 text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
 json_values = st.recursive(
@@ -91,6 +92,7 @@ QUERIES = [
     "2510.16227",
     "Learning to Discover Social Circles in Ego Networks",
     "",
+    "http://[::1",  # a host urlparse cannot parse
 ]
 query = st.sampled_from(QUERIES) | text
 bib_entry = st.one_of(
@@ -145,7 +147,7 @@ def replay(draw, queries):
     for raw in queries:
         try:
             q = classify_query(raw)
-        except ResolveError:
+        except QueryError:
             continue
         endpoint = "web" if q.kind == "url" else "search"
         found = draw(items)
@@ -192,10 +194,20 @@ cases = st.one_of(
 )
 
 
+BIG_CORPUS = {"corpus": f'{GOLDEN[0]}\n{{"paper_id": {BIG}}}'}
+BIG_SEARCH_BODY = {"fixtures": json.dumps({"exchanges": [{
+    "request": {"method": "POST", "url": f"{SERVER}/search", "body": QUERIES[5]},
+    "response": {"status": 200, "body": BIG},
+}]})}
+
+
 @settings(max_examples=300, deadline=None)
 @given(cases)
-def test_cli_exits_with_a_documented_code(example):
-    argv, files = example
+@example((["verify", "--corpus", "{corpus}"], BIG_CORPUS))
+@example((["verify", "--permissive", "--corpus", "{corpus}"], BIG_CORPUS))
+@example((["lookup", QUERIES[5]], BIG_SEARCH_BODY))
+def test_cli_exits_with_a_documented_code(drawn):
+    argv, files = drawn
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, content in files.items():

@@ -11,9 +11,8 @@ from bibkit.resolve import (
     CROSSREF_ENTRY_TYPES,
     CROSSREF_URL,
     RETRY_DELAY,
-    EmptyQuery,
     HttpTransport,
-    MalformedUrl,
+    QueryError,
     RateLimiter,
     ReplayTransport,
     Resolver,
@@ -68,7 +67,7 @@ def test_classify_query(raw, kind, value):
 
 
 def test_classify_query_empty():
-    with pytest.raises(EmptyQuery):
+    with pytest.raises(QueryError):
         classify_query("   ")
 
 
@@ -76,7 +75,7 @@ def test_classify_query_empty():
     "raw", ["https://doi.org/", "https://dx.doi.org/", "http://www.doi.org", "https://doi.org/doi:"]
 )
 def test_classify_query_doi_url_without_doi(raw):
-    with pytest.raises(EmptyQuery):
+    with pytest.raises(QueryError):
         classify_query(raw)
 
 
@@ -107,8 +106,13 @@ def test_normalize_url(raw, expected):
 
 
 def test_normalize_url_malformed():
-    with pytest.raises(MalformedUrl):
-        normalize_url("not a url")
+    # the last two: an unclosed bracket, and a host in brackets that is not an IPv6 address
+    for raw in ["not a url", "https://", "http://[::1", "https://[x]/"]:
+        with pytest.raises(QueryError, match=r"^not an absolute http\(s\) URL: "):
+            normalize_url(raw)
+        if raw.startswith("http"):  # classify_query sends only these to normalize_url
+            with pytest.raises(QueryError, match=r"^not an absolute http\(s\) URL: "):
+                classify_query(raw)
 
 
 # -- candidate ranking -------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bibkit import verify
 from bibkit.harness import _labels_rows, load_corpus, read_labels, tsv_text
-from bibkit.model import BibEntry, FieldLabel, FieldSlot, parse_entry
+from bibkit.model import BibEntry, FieldLabel, FieldSlot, parse_entry, serialize_entry
 from bibkit.normalize import VenueSynonymTable
 from bibkit.verify import (
     CANNOT_ASSESS,
@@ -316,6 +316,25 @@ def test_stage2_pages_overlap_is_partial():
     assert cv.partial_match == MET  # 540-550 overlaps 548-556
 
 
+def test_stage2_pages_past_the_int_string_limit_get_a_label():
+    # 5000 digits, past Python's int-string limit (4300): page numbers compare as digit runs
+    big = "1" * 5000
+    gt = isolated_ground_truth()
+    entry = parse_entry(serialize_entry(ISOLATED_ENTRY).replace("539--547", big))
+    assert verify_entry(entry, gt, TABLE).labels[FieldSlot.PAGES] is FieldLabel.F
+    gt = GroundTruth("p", (GroundTruthVersion("journal", {"pages": f"1{big}--3{big}"}),))
+    assert classify_stage2(f"2{big}--4{big}", FieldSlot.PAGES, gt).partial_match == MET
+    assert classify_stage2(f"0004{big}", FieldSlot.PAGES, gt).partial_match == UNMET
+    assert classify_stage2(f"{big}--{big}", FieldSlot.PAGES, gt).partial_match == UNMET
+
+
+@given(st.integers(0, 10**30), st.integers(0, 10**30), st.integers(0, 2), st.integers(0, 2))
+def test_page_numbers_order_as_the_integers_they_write(a, b, zeros_a, zeros_b):
+    first = verify._page_range("0" * zeros_a + str(a))[0]
+    last = verify._page_range(f"p. {'0' * zeros_b}{b}")[1]  # one number: its own range end
+    assert (first <= last) == (a <= b)
+
+
 def test_stage2_year_off_by_one_is_partial():
     gt = isolated_ground_truth()
     assert classify_stage2("2013", FieldSlot.YEAR, gt).partial_match == MET
@@ -402,6 +421,17 @@ def test_stage2_alias_without_the_slot_is_skipped():
     assert _criteria("Smith, John", FieldSlot.AUTHOR, gt) == (UNMET, UNMET, FieldLabel.F)
     context = {FieldSlot.TITLE: FieldLabel.S, FieldSlot.VENUE: FieldLabel.S}
     assert _criteria("Smith, John", FieldSlot.AUTHOR, gt, context) == (UNMET, MET, FieldLabel.S)
+
+
+@pytest.mark.parametrize("alias_title", ["", "   "])
+def test_stage2_blank_alias_value_is_absent(alias_title):
+    # "A" has no tokens; a blank alias value is absent, as a blank ground-truth value is
+    gt = GroundTruth(
+        "p",
+        (GroundTruthVersion("journal", {"title": "Deep Residual Learning"}),),
+        known_aliases=({"title": alias_title},),
+    )
+    assert _criteria("A", FieldSlot.TITLE, gt) == (UNMET, UNMET, FieldLabel.F)
 
 
 def test_stage2_doi_alias_needs_equal_doi_not_token_overlap():

@@ -25,9 +25,9 @@ argument parser reports a usage error and exits 1.
 - ``bench`` and ``verify`` list a paper whose processing fails under
   ``incomplete``, still write or print the bundle, and then exit 3 when
   ``incomplete`` is not empty.
-- A ``--server`` or ``BIBKIT_SERVER_URL`` value that is not an absolute
-  http(s) URL, or that holds a query or fragment (a ``?`` or ``#``), is an
-  input error, raised before any request.
+- A ``--server`` or ``BIBKIT_SERVER_URL`` value that ``resolve.http_url``
+  rejects (the rule a query URL passes too), or that holds a query or
+  fragment (a ``?`` or ``#``), is an input error, raised before any request.
 - A ``--fixtures`` replay waits neither for the rate limiter nor a retry.
 """
 
@@ -40,7 +40,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
-from urllib.parse import urlsplit
 
 from .harness import (
     CorpusParseError,
@@ -67,6 +66,7 @@ from .resolve import (
     Resolver,
     ResolverConfig,
     UpstreamUnavailable,
+    http_url,
 )
 from .verify import aggregate_stats
 
@@ -122,12 +122,7 @@ def _build_resolver(args) -> Resolver:
     config, source = ResolverConfig.from_env(), "BIBKIT_SERVER_URL"
     if args.server:
         config.base_url, source = args.server, "--server"
-    try:
-        url = urlsplit(config.base_url)
-        absolute = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
-    except ValueError:  # an unclosed IPv6 bracket, or a port that is not a number up to 65535
-        absolute = False
-    if not absolute:
+    if http_url(config.base_url) is None:
         raise InputError(f"{source} {config.base_url!r}: not an absolute http(s) URL")
     if "?" in config.base_url or "#" in config.base_url:  # an endpoint path would follow it
         raise InputError(f"{source} {config.base_url!r}: holds a query or fragment")

@@ -157,7 +157,8 @@ def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]
         header = json.loads(lines[0])
     except (ValueError, RecursionError) as exc:  # also an integer of over 4300 digits, or nesting too deep
         raise CorpusParseError(f"line 1: bad header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format_version") != 1:
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if type(version) is not int or version != 1:  # not true, nor 1.0
         raise CorpusParseError("line 1: unsupported corpus format version")
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():

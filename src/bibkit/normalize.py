@@ -20,10 +20,11 @@ from .model import _scan
 def _read_lines(path: str | Path) -> list[str]:
     """A UTF-8 file split at "\\n", which ``read_text`` makes of "\\r\\n" and "\\r" too.
 
-    Not ``str.splitlines``: it also splits at U+2028, U+0085 and the other
-    Unicode line breaks, which a JSON string or a TSV field may hold.
+    A leading byte order mark is not data. Not ``str.splitlines``: it also
+    splits at U+2028, U+0085 and the other Unicode line breaks, which a JSON
+    string or a TSV field may hold.
     """
-    text = Path(path).read_text("utf-8")
+    text = Path(path).read_text("utf-8-sig")
     return text.removesuffix("\n").split("\n") if text else []
 
 

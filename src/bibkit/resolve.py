@@ -23,7 +23,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
-from urllib.parse import urlparse, urlunparse
+from urllib.parse import ParseResult, urlparse, urlunparse
 
 from .model import _BRACE_RE, BibEntry, BibParseError, _scan, parse_entry, sanitize_citation_key
 from .normalize import jaccard, normalize_doi, tokenize_filtered
@@ -101,15 +101,13 @@ def classify_query(raw: str) -> Query:
     if m:
         return Query("doi", normalize_doi(m.group(1)), raw)
     if s.lower().startswith(("http://", "https://")):
-        url = normalize_url(s)  # a doi.org link comes back unchanged
-        parsed = urlparse(url)
-        host = parsed.netloc.lower().removeprefix("www.")
-        if host in ("doi.org", "dx.doi.org"):
+        parsed = http_url(s)  # None: normalize_url below raises the QueryError
+        if parsed and parsed.hostname.removeprefix("www.") in ("doi.org", "dx.doi.org"):
             doi = normalize_doi(parsed.path.lstrip("/"))
             if not doi:
                 raise QueryError(f"no DOI in {s!r}")
             return Query("doi", doi, raw)
-        return Query("url", url, raw)
+        return Query("url", normalize_url(s), raw)
     m = _ARXIV_NEW_RE.match(s) or _ARXIV_OLD_RE.match(s)
     if m:
         return Query("arxiv_id", m.group(1), raw)
@@ -129,22 +127,34 @@ _ARXIV_HTML_RE = re.compile(r"^/html/(.+)$")
 _HF_PAPER_RE = re.compile(r"^/papers/([^/]+)/?$")
 
 
+def http_url(url: str) -> ParseResult | None:
+    """The parse of ``url`` when it is an absolute http(s) URL, else None.
+
+    That is: the scheme is http or https, the host name is not empty, a
+    port (if one is given) is 1-65535, and a host in brackets is an IPv6 or
+    IPvFuture address. This is the one test of a server URL and a query URL.
+    """
+    try:
+        parsed = urlparse(url)
+        bracketed = parsed.netloc.partition("[")[2].partition("]")[0]  # urlsplit checks it from Python 3.11.4
+        if "[" in parsed.netloc and not bracketed.startswith("v"):  # v: an IPvFuture address
+            ipaddress.IPv6Address(bracketed)
+        port = parsed.port
+    except ValueError:  # an unclosed bracket, a bracketed host not IPv6, or a port not a number up to 65535
+        return None
+    return parsed if parsed.scheme in ("http", "https") and parsed.hostname and port != 0 else None
+
+
 def normalize_url(url: str) -> str:
     """Rewrite arXiv PDF/HTML, alphaxiv, and HuggingFace paper links.
 
     All rewrites are pure string transformations; no network calls. A URL
-    that is not absolute http(s), or whose host does not parse, is a ``QueryError``.
+    that ``http_url`` rejects is a ``QueryError``.
     """
-    try:
-        parsed = urlparse(url.strip())
-        bracketed = parsed.netloc.partition("[")[2].partition("]")[0]  # urlsplit checks it from Python 3.11.4
-        if "[" in parsed.netloc and not bracketed.startswith("v"):  # v: an IPvFuture address
-            ipaddress.IPv6Address(bracketed)
-    except ValueError:  # an unclosed bracket, or a host in brackets that is not an IPv6 address
-        parsed = None
-    if parsed is None or parsed.scheme not in ("http", "https") or not parsed.netloc:
+    parsed = http_url(url.strip())
+    if parsed is None:
         raise QueryError(f"not an absolute http(s) URL: {url!r}")
-    host = parsed.netloc.lower().removeprefix("www.")
+    host = parsed.hostname.removeprefix("www.")
 
     if host == "alphaxiv.org" or host.endswith(".alphaxiv.org"):
         parsed = parsed._replace(netloc="arxiv.org")

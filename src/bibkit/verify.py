@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
+import unicodedata
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 
@@ -170,9 +171,13 @@ def classify_stage1(
 def _page_range(value: str) -> tuple[tuple[int, str], tuple[int, str]] | None:
     """Keys of the first two digit runs (one run: itself twice), or None without digits.
 
-    A key, (length without leading zeros, those digits), orders runs as the numbers they write.
+    A key, (length without leading zeros, those digits in ASCII), orders runs
+    as the numbers they write. A digit of any script counts as ``int()`` reads it.
     """
-    keys = [(len(d), d) for d in (n.lstrip("0") for n in re.findall(r"\d+", value)[:2])]
+    keys = []
+    for run in re.findall(r"\d+", value)[:2]:
+        digits = "".join(str(unicodedata.decimal(c)) for c in run).lstrip("0")
+        keys.append((len(digits), digits))
     return (keys[0], keys[-1]) if keys else None
 
 

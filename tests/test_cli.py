@@ -95,7 +95,10 @@ def test_lookup_upstream_unavailable_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "server",
-    ["localhost:1969", "http://:1969", "ftp://server.test", "http://[::1", "http://127.0.0.1:99999", "http://h:0"],
+    [
+        "localhost:1969", "http://:1969", "ftp://server.test", "http://[::1", "http://127.0.0.1:99999", "http://h:0",
+        "http://[x]",  # a host in brackets that is not an IPv6 address, which urlsplit passes before Python 3.11.4
+    ],
 )
 def test_lookup_server_that_is_not_an_absolute_http_url_exits_2(tmp_path, capsys, server):
     empty = tmp_path / "empty.json"
@@ -178,6 +181,22 @@ def test_lookup_malformed_url_exits_1(capsys):
     )
     assert code == 1
     assert "not an absolute http(s) URL" in err
+
+
+@pytest.mark.parametrize("url", ["http://:1969", "http://h:0", "http://127.0.0.1:99999"])
+def test_lookup_url_without_a_host_or_with_a_bad_port_exits_1(capsys, url):
+    # the rule a --server URL passes; the fixture records no /web exchange, so a URL sent would exit 3
+    code, out, err = run(["lookup", url, "--fixtures", str(FIXTURES / "replay_doi_found.json")] + SERVER, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: not an absolute http(s) URL: {url!r}\n"
+
+
+def test_lookup_doi_link_with_a_port_is_a_doi_query(capsys):
+    fixture = str(FIXTURES / "replay_doi_found.json")
+    code, out, err = run(["lookup", "https://doi.org:443/10.1111/iju.13054", "--fixtures", fixture] + SERVER, capsys)
+    assert (code, err) == (0, "")
+    assert out == run(["lookup", "10.1111/iju.13054", "--fixtures", fixture] + SERVER, capsys)[1]
+    assert out.startswith("@article{yamashita2016,")
 
 
 def test_lookup_doi_url_without_a_doi_exits_1(capsys):
@@ -830,7 +849,7 @@ def test_written_files_take_their_mode_from_the_umask(tmp_path, capsys, umask, m
     assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == {p.name: mode for p in written}
 
 
-@pytest.mark.parametrize("url", ["https://", "https://doi.org/"])
+@pytest.mark.parametrize("url", ["https://", "https://doi.org/", "http://h:0"])
 def test_reconcile_bad_query_in_meta_row_exits_2(tmp_path, capsys, url):
     bib = tmp_path / "refs.bib"
     bib.write_text("@article{a, title={A}}\n@article{b, title={B}}\n", "utf-8")
@@ -1083,6 +1102,16 @@ def test_report_reads_ids_holding_unicode_line_breaks(tmp_path, capsys, newline)
     aggregate = json.loads((bundle / "report.json").read_text("utf-8"))["aggregate"]
     for key in ("entries", "overall", "fully_correct", "label_distribution", "per_field"):
         assert report[key] == aggregate[key], key
+
+
+def test_report_reads_a_labels_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    assert run(["verify", "--corpus", CORPUS, "--out", str(bundle)], capsys)[0] == 0
+    labels = bundle / "labels.tsv"
+    expected = run(["report", "--labels", str(labels)], capsys)
+    labels.write_bytes(b"\xef\xbb\xbf" + labels.read_bytes())
+    assert run(["report", "--labels", str(labels)], capsys) == expected
+    assert expected[0] == 0
 
 
 def test_report_bad_labels_file_exits_2(tmp_path, capsys):

@@ -93,6 +93,7 @@ QUERIES = [
     "Learning to Discover Social Circles in Ego Networks",
     "",
     "http://[::1",  # a host urlparse cannot parse
+    "http://h:0",  # a port outside 1-65535
 ]
 query = st.sampled_from(QUERIES) | text
 bib_entry = st.one_of(

@@ -78,9 +78,10 @@ def test_load_bad_header_rejected(tmp_path):
         load_corpus(write_corpus(tmp_path, ["not json", record_line()]))
 
 
-def test_load_wrong_format_version_rejected(tmp_path):
-    header = json.dumps({"format_version": 99, "kind": "bibkit-corpus"})
-    with pytest.raises(CorpusParseError):
+@pytest.mark.parametrize("version", [99, True, 1.0])  # True == 1 == 1.0, but only the integer 1 is the version
+def test_load_wrong_format_version_rejected(tmp_path, version):
+    header = json.dumps({"format_version": version, "kind": "bibkit-corpus"})
+    with pytest.raises(CorpusParseError, match="^line 1: unsupported corpus format version$"):
         load_corpus(write_corpus(tmp_path, [header, record_line()]))
 
 

@@ -264,6 +264,17 @@ def test_venue_file_skips_comment_lines(tmp_path):
     assert set(table._canonical_of.values()) == {"alpha conference"}
 
 
+def test_venue_file_byte_order_mark_is_not_data(tmp_path):
+    text = "NeurIPS\tNIPS|Neural Information Processing Systems\n"
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_text(text, "utf-8")
+    marked.write_text(text, "utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    tables = [VenueSynonymTable.from_file(path) for path in (plain, marked)]
+    for name in ("NeurIPS", "NIPS", "Neural Information Processing Systems"):
+        assert [table.canonical(normalize_venue(name)) for table in tables] == ["neurips", "neurips"]
+
+
 @pytest.mark.parametrize("char", ["\u2028", "\x85"])
 def test_venue_file_line_holding_a_unicode_line_break_is_one_line(tmp_path, char):
     path = tmp_path / "venues.tsv"

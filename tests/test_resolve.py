@@ -3,6 +3,7 @@ import json
 import socket
 import threading
 from dataclasses import replace
+from urllib.parse import urlparse
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +22,7 @@ from bibkit.resolve import (
     TransportResponse,
     UpstreamUnavailable,
     classify_query,
+    http_url,
     normalize_url,
     rank_candidates,
 )
@@ -58,6 +60,9 @@ def make_resolver(fixture: str | list) -> Resolver:
         ("0-13-468599-5", "isbn", "0134685995"),
         ("https://arxiv.org/pdf/2510.16227", "url", "https://arxiv.org/abs/2510.16227"),
         ("Learning to Discover Social Circles in Ego Networks", "title", "Learning to Discover Social Circles in Ego Networks"),
+        # a link's host is tested by its name, without a port or userinfo
+        ("https://doi.org:443/10.1111/iju.13054", "doi", "10.1111/iju.13054"),
+        ("https://user@arxiv.org/pdf/2510.16227", "url", "https://arxiv.org/abs/2510.16227"),
     ],
 )
 def test_classify_query(raw, kind, value):
@@ -106,13 +111,31 @@ def test_normalize_url(raw, expected):
 
 
 def test_normalize_url_malformed():
-    # the last two: an unclosed bracket, and a host in brackets that is not an IPv6 address
-    for raw in ["not a url", "https://", "http://[::1", "https://[x]/"]:
+    # after the first two: an unclosed bracket, a host in brackets that is not IPv6, no host, two bad ports
+    for raw in ["not a url", "https://", "http://[::1", "https://[x]/", "http://:1969", "http://h:0", "http://h:99999"]:
         with pytest.raises(QueryError, match=r"^not an absolute http\(s\) URL: "):
             normalize_url(raw)
         if raw.startswith("http"):  # classify_query sends only these to normalize_url
             with pytest.raises(QueryError, match=r"^not an absolute http\(s\) URL: "):
                 classify_query(raw)
+
+
+@pytest.mark.parametrize(
+    "url", ["http://h", "HTTPS://h:1/p?q#f", "http://u:p@h:65535", "http://[::1]:80/", "http://[v1.x]/", "http://h:/"]
+)
+def test_http_url_accepts(url):
+    assert http_url(url) == urlparse(url)
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "h", "ftp://h", "http:/h", "http://", "http://:1969", "http://@/", "http://u@:1/",
+        "http://h:0", "http://h:65536", "http://h:x", "http://h:+80", "http://[x]", "http://[]/", "http://[::1",
+    ],
+)
+def test_http_url_rejects(url):
+    assert http_url(url) is None
 
 
 # -- candidate ranking -------------------------------------------------------

@@ -328,10 +328,18 @@ def test_stage2_pages_past_the_int_string_limit_get_a_label():
     assert classify_stage2(f"{big}--{big}", FieldSlot.PAGES, gt).partial_match == UNMET
 
 
-@given(st.integers(0, 10**30), st.integers(0, 10**30), st.integers(0, 2), st.integers(0, 2))
-def test_page_numbers_order_as_the_integers_they_write(a, b, zeros_a, zeros_b):
-    first = verify._page_range("0" * zeros_a + str(a))[0]
-    last = verify._page_range(f"p. {'0' * zeros_b}{b}")[1]  # one number: its own range end
+#: ASCII digits to ASCII, fullwidth or Arabic-Indic ones; ``int()`` reads each script.
+SCRIPTS = [str.maketrans("0123456789", "".join(map(chr, range(zero, zero + 10)))) for zero in (0x30, 0xFF10, 0x660)]
+
+
+@given(
+    st.integers(0, 10**30), st.integers(0, 10**30), st.integers(0, 2), st.integers(0, 2),
+    st.sampled_from(SCRIPTS), st.sampled_from(SCRIPTS),
+)
+@example(1, 2, 0, 0, SCRIPTS[1], SCRIPTS[0])  # fullwidth 1 before ASCII 2
+def test_page_numbers_order_as_the_integers_they_write(a, b, zeros_a, zeros_b, script_a, script_b):
+    first = verify._page_range(("0" * zeros_a + str(a)).translate(script_a))[0]
+    last = verify._page_range(f"p. {'0' * zeros_b}{b}".translate(script_b))[1]  # one number: its own range end
     assert (first <= last) == (a <= b)
 
 
@@ -477,6 +485,8 @@ def test_stage2_equality_rules_hold_on_direct_calls():
         ("pages", "pp. x", {"pages": "548--556"}, FieldLabel.F),  # no digits
         # no last name and no token in common, with every other slot missing
         ("author", "et al.", {"author": "McAuley, Julian", "title": "T", "year": "2012"}, FieldLabel.S),
+        ("pages", "\uff15\uff14\uff10--\uff15\uff15\uff10", {"pages": "540--550"}, FieldLabel.P),  # fullwidth digits
+        ("pages", "\u0665\u0664\u0660--\u0665\u0665\u0660", {"pages": "540--550"}, FieldLabel.P),  # Arabic-Indic
     ],
 )
 def test_malformed_values_are_labelled_in_stage2(slot, value, version, label):

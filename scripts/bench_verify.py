@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Write BENCH_verify.json: perfbench's verify_corpus workload on two checkouts.
+"""Write BENCH_<workload>.json: one perfbench workload on two checkouts.
 
     python3 scripts/bench_verify.py --parent ../bibkit-parent --parent-label 63f8697
+    python3 scripts/bench_verify.py --parent ../bibkit-parent --workload reconcile_bib
 
 Runs each checkout's own ``perfbench/run.py --trace 0`` in alternating pairs
 (both runs of a pair use the same seed; the order flips every pair), then one
 ``--trace 1`` run on each at the trace seed. The change is the checkout this
 script is in. The file records every run, the medians and quartiles of the
 end-to-end metrics, the uncalibrated entries/s, the per-layer metrics, the
-machine and the Python version.
+machine and the Python version. For each end-to-end metric of BENCHMARK.json
+it summarizes, in the metric's ``better`` direction, the pairs where the
+change is better, the median gain, and that gain minus the parent's
+interquartile range. ``verify_corpus`` (the default) writes BENCH_verify.json.
 """
 
 from __future__ import annotations
@@ -29,14 +33,18 @@ PAIRS = 10
 FIRST_SEED = 1
 SECONDS = 10
 TRACE_SEED = 301
-OUT = ROOT / "BENCH_verify.json"
 UNCALIBRATED_RE = re.compile(r"^uncalibrated: entries_per_s ([0-9.]+) 1/s")
 
 
-def run(checkout: Path, seed: int, trace: int) -> dict:
+def out_path(workload: str) -> Path:
+    """BENCH_verify.json for verify_corpus, BENCH_<workload>.json for the others."""
+    return ROOT / ("BENCH_verify.json" if workload == WORKLOAD else f"BENCH_{workload}.json")
+
+
+def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run: its metric values, plus the uncalibrated entries/s."""
     argv = [
-        sys.executable, "perfbench/run.py", "--workload", WORKLOAD, "--seed", str(seed),
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     proc = subprocess.run(
@@ -61,12 +69,44 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Each side's spreads, and how the change compares on each metric ``better`` names.
+
+    ``better`` maps a metric to "higher" or "lower". A gain is signed so that
+    a positive one is better: the relative change for a pair and for the
+    medians, and the medians' difference less the parent's interquartile
+    range in the metric's own unit.
+    """
+    summary = {
+        side: {name: spread([p[side][name] for p in pairs]) for name in pairs[0][side]}
+        for side in ("parent", "change")
+    }
+    for name, direction in better.items():
+        sign = 1 if direction == "higher" else -1
+        parent, change = summary["parent"][name], summary["change"][name]
+        gains = [sign * (p["change"][name] / p["parent"][name] - 1) for p in pairs]
+        summary[name] = {
+            "better": direction,
+            "pairs_change_better": sum(g > 0 for g in gains),
+            "per_pair_gain": gains,
+            "median_gain": sign * (change["median"] / parent["median"] - 1),
+            "median_gain_minus_parent_iqr": sign * (change["median"] - parent["median"])
+            - (parent["q3"] - parent["q1"]),
+        }
+    return summary
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     ap.add_argument("--parent-label", default="parent", help="name of the parent in the file")
+    ap.add_argument("--workload", default=WORKLOAD, help="perfbench workload (default %(default)s)")
     args = ap.parse_args()
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    workload = args.workload
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    better["uncalibrated_entries_per_s"] = "higher"
 
     pairs = []
     for i in range(PAIRS):
@@ -74,34 +114,19 @@ def main() -> int:
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         pair = {"seed": seed, "order": order}
         for side in order:
-            pair[side] = run(checkouts[side], seed, 0)
+            pair[side] = run(checkouts[side], workload, seed, 0)
         pairs.append(pair)
-        print(f"pair {i + 1}/{PAIRS} seed {seed}: entries_per_s "
-              f"{pair['parent']['entries_per_s']:.1f} -> {pair['change']['entries_per_s']:.1f}",
-              file=sys.stderr)
+        print(f"pair {i + 1}/{PAIRS} seed {seed}: " + ", ".join(
+            f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}" for name in better
+        ), file=sys.stderr)
 
-    summary = {}
-    for side in checkouts:
-        summary[side] = {
-            name: spread([p[side][name] for p in pairs]) for name in pairs[0][side]
-        }
-    gains = [p["change"]["entries_per_s"] / p["parent"]["entries_per_s"] - 1 for p in pairs]
-    parent_eps, change_eps = summary["parent"]["entries_per_s"], summary["change"]["entries_per_s"]
-    summary["entries_per_s"] = {
-        "median_gain": change_eps["median"] / parent_eps["median"] - 1,
-        "pairs_change_faster": sum(g > 0 for g in gains),
-        "per_pair_gain": gains,
-        "median_gain_minus_parent_iqr": (change_eps["median"] - parent_eps["median"])
-        - (parent_eps["q3"] - parent_eps["q1"]),
-        "uncalibrated_median_gain": summary["change"]["uncalibrated_entries_per_s"]["median"]
-        / summary["parent"]["uncalibrated_entries_per_s"]["median"] - 1,
-    }
+    summary = summarize(pairs, better)
 
-    traced = {side: run(checkouts[side], TRACE_SEED, 1) for side in checkouts}
+    traced = {side: run(checkouts[side], workload, TRACE_SEED, 1) for side in checkouts}
 
     report = {
         "format_version": 1,
-        "workload": WORKLOAD,
+        "workload": workload,
         "checkouts": {"parent": args.parent_label, "change": "change"},
         "machine": {
             "platform": platform.platform(),
@@ -110,19 +135,20 @@ def main() -> int:
         },
         "python": platform.python_version(),
         "trace_0": {
-            "command": f"python3 perfbench/run.py --workload {WORKLOAD} --seed SEED "
+            "command": f"python3 perfbench/run.py --workload {workload} --seed SEED "
             f"--seconds {SECONDS} --trace 0",
             "pairs": pairs,
             "summary": summary,
         },
         "trace_1": {
-            "command": f"python3 perfbench/run.py --workload {WORKLOAD} --seed {TRACE_SEED} "
+            "command": f"python3 perfbench/run.py --workload {workload} --seed {TRACE_SEED} "
             f"--seconds {SECONDS} --trace 1",
             **traced,
         },
     }
-    OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", "utf-8")
-    print(f"wrote {OUT}", file=sys.stderr)
+    out = out_path(workload)
+    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", "utf-8")
+    print(f"wrote {out}", file=sys.stderr)
     return 0
 
 

@@ -62,7 +62,7 @@ class PaperRecord:
 
 def _holds_separator(value: str) -> bool:
     """Whether ``value`` holds a tab or a line break, which would split its TSV row."""
-    return any(c in value for c in "\t\r\n")
+    return "\t" in value or "\r" in value or "\n" in value
 
 
 def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
@@ -77,13 +77,15 @@ def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
 
     def objects(obj: dict, key: str) -> list[dict]:
         items = typed(obj, key, list, [])
-        if not all(isinstance(item, dict) for item in items):
-            fail(f"{key}: every item must be an object")
+        for item in items:
+            if not isinstance(item, dict):
+                fail(f"{key}: every item must be an object")
         return items
 
     def strings(obj: dict, what: str) -> dict[str, str]:
-        if not all(isinstance(v, str) for v in obj.values()):
-            fail(f"{what}: every value must be a string")
+        for v in obj.values():
+            if not isinstance(v, str):
+                fail(f"{what}: every value must be a string")
         return dict(obj)
 
     if not isinstance(doc, dict):
@@ -241,7 +243,9 @@ def run_benchmark(
             outcome = after = None
             if resolver is not None:
                 outcome = reconcile(record.meta, entry, resolver)
-                after = verify_entry(outcome.result, record.ground_truth, table)
+                after = before  # a kept entry: verify_entry is pure, so its labels stand
+                if outcome.result is not entry:
+                    after = verify_entry(outcome.result, record.ground_truth, table)
             out.append((tag, model, before, after, outcome))
         return out
 

@@ -250,18 +250,21 @@ def parse_bib_file(text: str) -> list[BibEntry]:
     return [parse_entry(chunk) for chunk in split_entries(text)]
 
 
+#: The virtual slots, bound once: reading an enum member costs a class lookup.
+_ENTRY_TYPE, _ENTRY_KEY, _VENUE = FieldSlot.ENTRY_TYPE, FieldSlot.ENTRY_KEY, FieldSlot.VENUE
+
+
 def slot_of(entry: BibEntry, slot: FieldSlot) -> str | None:
     """Raw field value backing a slot, or None.
 
     The venue slot is virtual: journal wins over booktitle when both exist.
     """
-    if slot is FieldSlot.ENTRY_TYPE:
+    if slot is _ENTRY_TYPE:
         return entry.entry_type
-    if slot is FieldSlot.ENTRY_KEY:
+    if slot is _ENTRY_KEY:
         return entry.citation_key
-    if slot is FieldSlot.VENUE:
-        journal = entry.get("journal")
-        if journal is not None:
-            return journal
-        return entry.get("booktitle")
-    return entry.get(slot)
+    fields = entry.fields
+    if slot is _VENUE:
+        journal = fields.get("journal")
+        return fields.get("booktitle") if journal is None else journal
+    return fields.get(slot)

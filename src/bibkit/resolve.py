@@ -132,13 +132,19 @@ def http_url(url: str) -> ParseResult | None:
 
     That is: the scheme is http or https, the host name is not empty, a
     port (if one is given) is 1-65535, and a host in brackets is an IPv6 or
-    IPvFuture address. This is the one test of a server URL and a query URL.
+    IPvFuture address with no other host text around the brackets. This is
+    the one test of a server URL and a query URL.
     """
     try:
         parsed = urlparse(url)
-        bracketed = parsed.netloc.partition("[")[2].partition("]")[0]  # urlsplit checks it from Python 3.11.4
-        if "[" in parsed.netloc and not bracketed.startswith("v"):  # v: an IPvFuture address
-            ipaddress.IPv6Address(bracketed)
+        before, bracket, rest = parsed.netloc.partition("[")
+        bracketed, _, after = rest.partition("]")
+        if bracket:
+            # urlsplit reads the host inside the brackets and drops text around them
+            if before[-1:] not in ("", "@") or after[:1] not in ("", ":"):
+                return None
+            if not bracketed.startswith("v"):  # v: an IPvFuture address
+                ipaddress.IPv6Address(bracketed)  # urlsplit checks it from Python 3.11.4
         port = parsed.port
     except ValueError:  # an unclosed bracket, a bracketed host not IPv6, or a port not a number up to 65535
         return None

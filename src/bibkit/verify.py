@@ -70,6 +70,16 @@ RELATED_ENTRY_TYPES = frozenset({"article", "inproceedings", "misc", "incollecti
 #: never run ``harness.run_benchmark``, which empties it.
 NORMALIZED_MEMO_SIZE = 1 << 16
 
+# Members read on every call, bound once: reading an enum member is a class
+# attribute lookup, several times the cost of reading a module global.
+_ENTRY_TYPE, _ENTRY_KEY = FieldSlot.ENTRY_TYPE, FieldSlot.ENTRY_KEY
+_AUTHOR, _TITLE, _YEAR, _VENUE = FieldSlot.AUTHOR, FieldSlot.TITLE, FieldSlot.YEAR, FieldSlot.VENUE
+_PAGES, _DOI = FieldSlot.PAGES, FieldSlot.DOI
+_C, _M, _S, _X = FieldLabel.C, FieldLabel.M, FieldLabel.S, FieldLabel.X
+#: The slots whose partial match is a token overlap, and those that must be equal.
+_TEXT_SLOTS = (_TITLE, _VENUE, _AUTHOR)
+_COUNT_SLOTS = (FieldSlot.VOLUME, FieldSlot.NUMBER)
+
 
 @dataclass(frozen=True)
 class GroundTruthVersion:
@@ -86,7 +96,14 @@ class GroundTruth:
     known_aliases: tuple[dict[str, str], ...] = ()  # confusable other-paper records
 
     def values_for(self, slot: FieldSlot) -> list[str]:
-        return [v for version in self.versions if (v := version.fields.get(slot)) and v.strip()]
+        # a loop, not a comprehension: before Python 3.12 a comprehension
+        # builds a function object on every call
+        values = []
+        for version in self.versions:
+            v = version.fields.get(slot)
+            if v and v.strip():
+                values.append(v)
+        return values
 
 
 @dataclass
@@ -112,19 +129,19 @@ def _table_free_normalized(slot: FieldSlot, value: str) -> str | None:
     Most values recur across candidates and ground-truth versions. A venue
     is only folded here, so the memo stays valid whatever the table holds.
     """
-    if slot is FieldSlot.AUTHOR:
+    if slot is _AUTHOR:
         return normalize_author(value)
-    if slot is FieldSlot.TITLE:
+    if slot is _TITLE:
         return normalize_title(value)
-    if slot is FieldSlot.VENUE:
+    if slot is _VENUE:
         return normalize_venue(value)
-    if slot is FieldSlot.DOI:
+    if slot is _DOI:
         return normalize_doi(value)
-    if slot is FieldSlot.PAGES:
+    if slot is _PAGES:
         return normalize_pages(value)
-    if slot is FieldSlot.YEAR:
+    if slot is _YEAR:
         return normalize_year(value)
-    if slot is FieldSlot.ENTRY_TYPE:
+    if slot is _ENTRY_TYPE:
         return value.strip().lower()
     return value.strip()
 
@@ -137,7 +154,7 @@ def clear_memo() -> None:
 def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) -> str | None:
     """Per-slot normalization; None when the value cannot be normalized."""
     norm = _table_free_normalized(slot, value)
-    if slot is FieldSlot.VENUE and table is not None:
+    if slot is _VENUE and table is not None:
         return table.canonical(norm)
     return norm
 
@@ -149,22 +166,22 @@ def classify_stage1(
     table: VenueSynonymTable | None = None,
 ):
     """Rule-based labels: X, M, C, or PENDING, in that rule order."""
-    if slot is FieldSlot.ENTRY_KEY:
-        return FieldLabel.X
-    if slot in INAPPLICABLE.get(entry.entry_type, frozenset()):
-        return FieldLabel.X
+    if slot is _ENTRY_KEY:
+        return _X
+    inapplicable = INAPPLICABLE.get(entry.entry_type)
+    if inapplicable is not None and slot in inapplicable:
+        return _X
     gt_values = gt.values_for(slot)
     if not gt_values:
-        return FieldLabel.X
+        return _X
     value = slot_of(entry, slot)
     if value is None or not value.strip():
-        return FieldLabel.M
+        return _M
     norm = _normalized(slot, value, table)
     if norm is not None:
         for gt_value in gt_values:
-            gt_norm = _normalized(slot, gt_value, table)
-            if gt_norm is not None and norm == gt_norm:
-                return FieldLabel.C
+            if norm == _normalized(slot, gt_value, table):  # None never equals a string
+                return _C
     return PENDING
 
 
@@ -249,10 +266,10 @@ def classify_stage2(
 
 
 def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
-    if slot in (FieldSlot.TITLE, FieldSlot.VENUE, FieldSlot.AUTHOR):
+    if slot in _TEXT_SLOTS:
         if any(overlap(v) >= TOKEN_OVERLAP_THRESHOLD for v in gt_values):
             return True
-        if slot is FieldSlot.AUTHOR:
+        if slot is _AUTHOR:
             mine = set(author_lastname_list(entry_value))
             for gt_value in gt_values:
                 theirs = set(author_lastname_list(gt_value))
@@ -260,7 +277,7 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
                 if smaller and len(mine & theirs) / smaller >= TOKEN_OVERLAP_THRESHOLD:
                     return True
         return False
-    if slot is FieldSlot.PAGES:
+    if slot is _PAGES:
         mine = _page_range(entry_value)
         if mine is None:
             return False
@@ -269,7 +286,7 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
             if theirs and mine[0] <= theirs[1] and theirs[0] <= mine[1]:
                 return True
         return False
-    if slot is FieldSlot.YEAR:
+    if slot is _YEAR:
         my_years = re.findall(r"\d{4}", entry_value)
         if not my_years:
             return False
@@ -278,12 +295,12 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
             if gt_years and abs(int(my_years[0]) - int(gt_years[0])) <= YEAR_SLACK:
                 return True
         return False
-    if slot is FieldSlot.DOI:
+    if slot is _DOI:
         return _doi_partial(entry_value, gt_values, gt)
-    if slot in (FieldSlot.VOLUME, FieldSlot.NUMBER):
+    if slot in _COUNT_SLOTS:
         # verify_entry never sends an equal value here (stage 1 labels it C)
         return any(entry_value.strip() == v.strip() for v in gt_values)
-    if slot is FieldSlot.ENTRY_TYPE:
+    if slot is _ENTRY_TYPE:
         mine = entry_value.strip().lower()
         related = mine in RELATED_ENTRY_TYPES and all(
             v.strip().lower() in RELATED_ENTRY_TYPES for v in gt_values
@@ -320,7 +337,7 @@ def classify_error_mode(labels: dict[FieldSlot, FieldLabel]) -> str:
     error_slots = [s for s, l in labels.items() if l in ERROR_LABELS]
     if not error_slots:
         return "none"
-    substituted = sum(1 for s in error_slots if labels[s] is FieldLabel.S)
+    substituted = sum(1 for s in error_slots if labels[s] is _S)
     if substituted >= 3:
         return "wholesale"
     if len(error_slots) <= 2:

@@ -4,17 +4,32 @@ Each routine here is deliberately written from scratch in the most obvious
 way possible (explicit loops, no shared helpers with the package under
 test) so agreement between the two is meaningful evidence. The two copies
 are the earlier ``bibkit.model`` parser, kept as the oracle for its error
-messages and for the error classes the grammar fixture names, and the
-earlier normalizers that raised for a value with no normal form, kept as
-the oracle for where that is.
+messages and for the error classes the grammar fixture names, the earlier
+normalizers that raised for a value with no normal form, kept as the oracle
+for where that is, and the slot reader, stage-1 rules and separator test
+from before their per-call lookups were bound at import.
 """
 
 from __future__ import annotations
 
 import re
 
-from bibkit.model import BibEntry, BibParseError
-from bibkit.normalize import _ET_AL_RE, _PAGE_PART_RE, _PAGE_SEP_RE, _YEAR_RE, _last_name, _split_and
+from bibkit.model import BibEntry, BibParseError, FieldLabel, FieldSlot
+from bibkit.normalize import (
+    _ET_AL_RE,
+    _PAGE_PART_RE,
+    _PAGE_SEP_RE,
+    _YEAR_RE,
+    _last_name,
+    _split_and,
+    normalize_author,
+    normalize_doi,
+    normalize_pages,
+    normalize_title,
+    normalize_venue,
+    normalize_year,
+)
+from bibkit.verify import INAPPLICABLE, PENDING
 
 
 def reference_parse(text: str):
@@ -571,3 +586,79 @@ def reference_merge(
         entry_type = auth_type
         replaced.add("entry_type")
     return entry_type, fields, replaced
+
+
+# -- the stage-1 path before its lookups were bound -----------------------------------
+#
+# ``bibkit.model.slot_of``, ``bibkit.verify.classify_stage1`` with the helpers
+# it calls (``GroundTruth.values_for`` as a function, ``_normalized`` and
+# ``_table_free_normalized`` without the memo) and
+# ``bibkit.harness._holds_separator`` as they were before each read of an
+# enum member, each ``frozenset()`` default and each generator went from
+# their per-call paths; copied verbatim except for the names. The constants
+# they read did not change and are imported.
+
+def parent_slot_of(entry: BibEntry, slot: FieldSlot) -> str | None:
+    if slot is FieldSlot.ENTRY_TYPE:
+        return entry.entry_type
+    if slot is FieldSlot.ENTRY_KEY:
+        return entry.citation_key
+    if slot is FieldSlot.VENUE:
+        journal = entry.get("journal")
+        if journal is not None:
+            return journal
+        return entry.get("booktitle")
+    return entry.get(slot)
+
+
+def parent_values_for(gt, slot: FieldSlot) -> list[str]:
+    return [v for version in gt.versions if (v := version.fields.get(slot)) and v.strip()]
+
+
+def _parent_table_free_normalized(slot: FieldSlot, value: str) -> str | None:
+    if slot is FieldSlot.AUTHOR:
+        return normalize_author(value)
+    if slot is FieldSlot.TITLE:
+        return normalize_title(value)
+    if slot is FieldSlot.VENUE:
+        return normalize_venue(value)
+    if slot is FieldSlot.DOI:
+        return normalize_doi(value)
+    if slot is FieldSlot.PAGES:
+        return normalize_pages(value)
+    if slot is FieldSlot.YEAR:
+        return normalize_year(value)
+    if slot is FieldSlot.ENTRY_TYPE:
+        return value.strip().lower()
+    return value.strip()
+
+
+def _parent_normalized(slot: FieldSlot, value: str, table) -> str | None:
+    norm = _parent_table_free_normalized(slot, value)
+    if slot is FieldSlot.VENUE and table is not None:
+        return table.canonical(norm)
+    return norm
+
+
+def parent_classify_stage1(entry: BibEntry, slot: FieldSlot, gt, table=None):
+    if slot is FieldSlot.ENTRY_KEY:
+        return FieldLabel.X
+    if slot in INAPPLICABLE.get(entry.entry_type, frozenset()):
+        return FieldLabel.X
+    gt_values = parent_values_for(gt, slot)
+    if not gt_values:
+        return FieldLabel.X
+    value = parent_slot_of(entry, slot)
+    if value is None or not value.strip():
+        return FieldLabel.M
+    norm = _parent_normalized(slot, value, table)
+    if norm is not None:
+        for gt_value in gt_values:
+            gt_norm = _parent_normalized(slot, gt_value, table)
+            if gt_norm is not None and norm == gt_norm:
+                return FieldLabel.C
+    return PENDING
+
+
+def parent_holds_separator(value: str) -> bool:
+    return any(c in value for c in "\t\r\n")

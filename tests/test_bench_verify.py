@@ -1,0 +1,71 @@
+"""The summary ``scripts/bench_verify.py`` writes, on synthetic pairs of runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_verify.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_verify", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_verify = _load()
+
+
+def pairs_of(parent: dict[str, list[float]], change: dict[str, list[float]]) -> list[dict]:
+    n = len(next(iter(parent.values())))
+    return [
+        {
+            "seed": i + 1,
+            "parent": {name: values[i] for name, values in parent.items()},
+            "change": {name: values[i] for name, values in change.items()},
+        }
+        for i in range(n)
+    ]
+
+
+def test_summary_reads_each_metric_in_its_better_direction():
+    pairs = pairs_of(
+        # parent quartiles (inclusive): entries_per_s 100/102/104, sim_wall_s 1.0/1.1/1.2
+        {"entries_per_s": [100, 102, 104, 98, 106], "sim_wall_s": [1.0, 1.1, 1.2, 0.9, 1.3]},
+        # the change is better in pairs 1, 2, 4 and 5 on each metric, worse in pair 3
+        {"entries_per_s": [110, 112, 103, 108, 116], "sim_wall_s": [0.8, 0.9, 1.3, 0.7, 1.1]},
+    )
+    summary = bench_verify.summarize(pairs, {"entries_per_s": "higher", "sim_wall_s": "lower"})
+
+    assert summary["parent"]["entries_per_s"] == {"median": 102, "q1": 100, "q3": 104}
+    assert summary["change"]["entries_per_s"] == {"median": 110, "q1": 108, "q3": 112}
+
+    eps = summary["entries_per_s"]
+    assert eps["better"] == "higher"
+    assert eps["pairs_change_better"] == 4
+    assert eps["per_pair_gain"] == pytest.approx([0.1, 10 / 102, -1 / 104, 10 / 98, 10 / 106])
+    assert eps["median_gain"] == pytest.approx(110 / 102 - 1)
+    assert eps["median_gain_minus_parent_iqr"] == pytest.approx((110 - 102) - (104 - 100))
+
+    wall = summary["sim_wall_s"]
+    assert wall["better"] == "lower"
+    assert wall["pairs_change_better"] == 4
+    assert wall["per_pair_gain"] == pytest.approx([0.2, 0.2 / 1.1, -0.1 / 1.2, 0.2 / 0.9, 0.2 / 1.3])
+    assert wall["median_gain"] == pytest.approx(1 - 0.9 / 1.1)  # parent median 1.1, change 0.9
+    assert wall["median_gain_minus_parent_iqr"] == pytest.approx((1.1 - 0.9) - (1.2 - 1.0))
+
+
+def test_summary_counts_an_equal_pair_as_not_better():
+    pairs = pairs_of({"peak_rss_mb": [50.0, 50.0, 52.0]}, {"peak_rss_mb": [50.0, 49.0, 53.0]})
+    summary = bench_verify.summarize(pairs, {"peak_rss_mb": "lower"})
+    assert summary["peak_rss_mb"]["pairs_change_better"] == 1
+    assert summary["peak_rss_mb"]["median_gain"] == pytest.approx(0.0)
+    # a margin below the parent's spread is negative
+    assert summary["peak_rss_mb"]["median_gain_minus_parent_iqr"] == pytest.approx(-1.0)
+
+
+def test_output_file_is_named_after_the_workload():
+    assert bench_verify.out_path("verify_corpus").name == "BENCH_verify.json"
+    assert bench_verify.out_path("reconcile_bib").name == "BENCH_reconcile_bib.json"

@@ -98,6 +98,7 @@ def test_lookup_upstream_unavailable_exits_3(tmp_path, capsys):
     [
         "localhost:1969", "http://:1969", "ftp://server.test", "http://[::1", "http://127.0.0.1:99999", "http://h:0",
         "http://[x]",  # a host in brackets that is not an IPv6 address, which urlsplit passes before Python 3.11.4
+        "http://[::1]x",  # host text after the brackets, which urlsplit drops from hostname
     ],
 )
 def test_lookup_server_that_is_not_an_absolute_http_url_exits_2(tmp_path, capsys, server):

@@ -2,6 +2,7 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bibkit import harness, verify
 from bibkit.harness import (
@@ -20,6 +21,7 @@ from bibkit.resolve import ResolutionResult, UpstreamUnavailable
 from bibkit.verify import verify_entry
 
 from conftest import FIXTURES, load_fixture
+from reference_impls import parent_holds_separator
 
 CORPUS_PATH = FIXTURES / "golden_corpus.jsonl"
 GOLDEN_LABELS = {(e["paper_id"], e["tag"]): e for e in load_fixture("golden_labels.json")["entries"]}
@@ -196,6 +198,14 @@ def test_load_repeated_candidate_tag_rejected(tmp_path):
             load_corpus(write_corpus(tmp_path, [HEADER, line]))
     path = write_corpus(tmp_path, [HEADER, untagged, shared, record_line(paper_id="ok")])
     assert [r.paper_id for r in load_corpus(path, permissive=True)] == ["ok"]
+
+
+@given(st.text(alphabet="\t\r\n\x0b\x0c\x1c\x85\u2028 a", max_size=6) | st.text(max_size=6))
+@example("")
+@example("\u2028")  # a Unicode line break, which splits no TSV row
+@example("a\r\nb")
+def test_holds_separator_agrees_with_parent(value):
+    assert harness._holds_separator(value) == parent_holds_separator(value)
 
 
 @pytest.mark.parametrize("char", ["\t", "\r", "\n"])

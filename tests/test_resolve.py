@@ -111,8 +111,12 @@ def test_normalize_url(raw, expected):
 
 
 def test_normalize_url_malformed():
-    # after the first two: an unclosed bracket, a host in brackets that is not IPv6, no host, two bad ports
-    for raw in ["not a url", "https://", "http://[::1", "https://[x]/", "http://:1969", "http://h:0", "http://h:99999"]:
+    # after the first two: an unclosed bracket, a host in brackets that is not IPv6, host text after the
+    # brackets, no host, two bad ports
+    for raw in [
+        "not a url", "https://", "http://[::1", "https://[x]/", "http://[::1]x/paper", "http://:1969", "http://h:0",
+        "http://h:99999",
+    ]:
         with pytest.raises(QueryError, match=r"^not an absolute http\(s\) URL: "):
             normalize_url(raw)
         if raw.startswith("http"):  # classify_query sends only these to normalize_url
@@ -121,7 +125,11 @@ def test_normalize_url_malformed():
 
 
 @pytest.mark.parametrize(
-    "url", ["http://h", "HTTPS://h:1/p?q#f", "http://u:p@h:65535", "http://[::1]:80/", "http://[v1.x]/", "http://h:/"]
+    "url",
+    [
+        "http://h", "HTTPS://h:1/p?q#f", "http://u:p@h:65535", "http://[::1]:80/", "http://[v1.x]/", "http://h:/",
+        "http://u@[::1]:80/",
+    ],
 )
 def test_http_url_accepts(url):
     assert http_url(url) == urlparse(url)
@@ -132,6 +140,8 @@ def test_http_url_accepts(url):
     [
         "h", "ftp://h", "http:/h", "http://", "http://:1969", "http://@/", "http://u@:1/",
         "http://h:0", "http://h:65536", "http://h:x", "http://h:+80", "http://[x]", "http://[]/", "http://[::1",
+        # host text beside the brackets, which urlsplit drops from hostname
+        "http://[::1]x/", "http://[::1]x:80/", "http://x[::1]/", "http://u@x[::1]:80/",
     ],
 )
 def test_http_url_rejects(url):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bibkit import verify
 from bibkit.harness import _labels_rows, load_corpus, read_labels, tsv_text
-from bibkit.model import BibEntry, FieldLabel, FieldSlot, parse_entry, serialize_entry
+from bibkit.model import BibEntry, FieldLabel, FieldSlot, parse_entry, serialize_entry, slot_of
 from bibkit.normalize import VenueSynonymTable
 from bibkit.verify import (
     CANNOT_ASSESS,
@@ -27,7 +27,13 @@ from bibkit.verify import (
 )
 
 from conftest import FIXTURES, load_fixture
-from reference_impls import brute_co_error, brute_tally
+from reference_impls import (
+    brute_co_error,
+    brute_tally,
+    parent_classify_stage1,
+    parent_slot_of,
+    parent_values_for,
+)
 
 TABLE = VenueSynonymTable.default()
 
@@ -305,6 +311,131 @@ def test_stage1_soundness_c_labels_recheck():
     for slot, label in verdict.labels.items():
         if label is FieldLabel.C and slot not in verdict.stage2_slots:
             assert classify_stage1(ISOLATED_ENTRY, slot, gt, TABLE) is FieldLabel.C
+
+
+# -- stage 1 against its copy from before the lookups were bound --------------------
+
+
+def _gt(*versions: dict[str, str]) -> GroundTruth:
+    return GroundTruth("p", tuple(GroundTruthVersion("journal", fields) for fields in versions))
+
+
+def _entry(entry_type: str, /, **fields: str) -> BibEntry:
+    return BibEntry(entry_type, "k", fields)
+
+
+#: One case per stage-1 rule: (entry, slot, ground truth, table, label).
+STAGE1_RULE_CASES = [
+    # X: the citation key, an inapplicable slot, no ground-truth value
+    (_entry("article", title="A"), FieldSlot.ENTRY_KEY, _gt({"entry_key": "k"}), None, FieldLabel.X),
+    (_entry("inproceedings", volume="5"), FieldSlot.VOLUME, _gt({"volume": "5"}), None, FieldLabel.X),
+    (_entry("misc", pages="1-2"), FieldSlot.PAGES, _gt({"pages": "1-2"}), None, FieldLabel.X),
+    (_entry("article", doi="10.1/x"), FieldSlot.DOI, _gt({"title": "A"}, {"doi": "  "}), None, FieldLabel.X),
+    (_entry("article", title="A"), FieldSlot.TITLE, GroundTruth("p", ()), None, FieldLabel.X),
+    # M: absent, blank, a literal venue field, a blank journal before a booktitle
+    (_entry("article"), FieldSlot.TITLE, _gt({"title": "A"}), None, FieldLabel.M),
+    (_entry("article", title=" "), FieldSlot.TITLE, _gt({"title": "A"}), None, FieldLabel.M),
+    (_entry("article", venue="NeurIPS"), FieldSlot.VENUE, _gt({"venue": "NeurIPS"}), None, FieldLabel.M),
+    (_entry("inproceedings", journal=" ", booktitle="ICML"), FieldSlot.VENUE, _gt({"venue": "ICML"}), None, FieldLabel.M),
+    # C: equal after normalization, through the venue table, in a later version, the entry type
+    (
+        _entry("article", title="Attention Is All You Need"), FieldSlot.TITLE,
+        _gt({"title": "attention is all you need"}), None, FieldLabel.C,
+    ),
+    (
+        _entry("inproceedings", booktitle="NeurIPS"), FieldSlot.VENUE,
+        _gt({"venue": "Advances in Neural Information Processing Systems"}), TABLE, FieldLabel.C,
+    ),
+    (_entry("article", year="2017"), FieldSlot.YEAR, _gt({"year": "2018"}, {"year": "2017"}), None, FieldLabel.C),
+    (_entry("article"), FieldSlot.ENTRY_TYPE, _gt({"entry_type": " Article"}), None, FieldLabel.C),
+    # pending: a value with no normal form equals nothing, even one without a normal form
+    (_entry("article", year="n.d."), FieldSlot.YEAR, _gt({"year": "n.d."}), None, PENDING),
+    (_entry("article", title="A"), FieldSlot.TITLE, _gt({"title": "B"}), None, PENDING),
+]
+
+
+@pytest.mark.parametrize("entry, slot, gt, table, label", STAGE1_RULE_CASES)
+def test_stage1_rule_cases(entry, slot, gt, table, label):
+    assert classify_stage1(entry, slot, gt, table) == label
+
+
+#: Values that entries and ground truths share, so that drawn pairs reach every
+#: rule: blanks, spellings that normalize equal and spellings that do not.
+_VALUES = st.sampled_from(
+    [
+        "", "  ", "Smith, Jane and Doe, John", "Jane Smith and John Doe", "Smith, J.",
+        "Attention Is All You Need", "attention is all you need!", "2017", "2017a", "2018", "n.d.",
+        "NeurIPS", "Advances in Neural Information Processing Systems", "ICML", "10.1000/X",
+        "https://doi.org/10.1000/x", "1--10", "1-10", "pp. 1-10", "5", "05", "article", "inproceedings", "misc",
+    ]
+) | st.text(max_size=6)
+_ENTRY_TYPES = st.sampled_from(["article", "inproceedings", "misc", "incollection", "book"]) | st.text(max_size=4)
+#: The fields an entry may hold: every slot's, both venue fields, the literal
+#: virtual slot names, and one no slot reads.
+_FIELD_NAMES = st.sampled_from(
+    [
+        "author", "title", "year", "journal", "booktitle", "volume", "number", "pages", "doi",
+        "venue", "entry_type", "entry_key", "publisher",
+    ]
+)
+ENTRIES = st.builds(
+    BibEntry,
+    entry_type=_ENTRY_TYPES,
+    citation_key=st.sampled_from(["k", "smith2017"]),
+    fields=st.dictionaries(_FIELD_NAMES, _VALUES, max_size=8),
+)
+GROUND_TRUTHS = st.builds(
+    GroundTruth,
+    paper_id=st.just("p"),
+    versions=st.lists(
+        st.builds(
+            GroundTruthVersion,
+            version_type=st.sampled_from(["arxiv", "proceedings", "journal"]),
+            fields=st.dictionaries(st.sampled_from([slot.value for slot in FieldSlot]), _VALUES, max_size=10),
+        ),
+        max_size=3,
+    ).map(tuple),
+)
+
+
+@settings(max_examples=300)
+@given(ENTRIES)
+@example(_entry("article", venue="V", entry_type="misc", entry_key="x"))
+@example(_entry("inproceedings", journal="J", booktitle="B"))
+@example(_entry("inproceedings", booktitle=""))
+def test_slot_of_agrees_with_parent(entry):
+    for slot in FieldSlot:
+        assert slot_of(entry, slot) == parent_slot_of(entry, slot), slot
+
+
+@st.composite
+def stage1_inputs(draw):
+    """An entry, a slot and a ground truth; often the entry holds a ground-truth value of the slot."""
+    entry, slot, gt = draw(ENTRIES), draw(st.sampled_from(list(FieldSlot))), draw(GROUND_TRUTHS)
+    values = [v for version in gt.versions if (v := version.fields.get(slot)) is not None]
+    if values and draw(st.booleans()):
+        value = draw(st.sampled_from(values))
+        if slot is FieldSlot.ENTRY_TYPE:
+            entry = BibEntry(value, entry.citation_key, entry.fields)
+        else:
+            name = draw(st.sampled_from(["journal", "booktitle"])) if slot is FieldSlot.VENUE else slot.value
+            entry = BibEntry(entry.entry_type, entry.citation_key, {**entry.fields, name: value})
+    return entry, slot, gt
+
+
+def _rule_examples(test):
+    for entry, slot, gt, table, _ in STAGE1_RULE_CASES:
+        test = example((entry, slot, gt), table)(test)
+    return test
+
+
+@settings(max_examples=500, deadline=None)
+@given(stage1_inputs(), st.sampled_from([None, TABLE]))
+@_rule_examples
+def test_classify_stage1_agrees_with_parent(inputs, table):
+    entry, slot, gt = inputs
+    assert gt.values_for(slot) == parent_values_for(gt, slot)
+    assert classify_stage1(entry, slot, gt, table) is parent_classify_stage1(entry, slot, gt, table)
 
 
 # -- stage 2 specifics -----------------------------------------------------------

@@ -20,8 +20,9 @@ argument parser reports a usage error and exits 1.
   ``CorpusParseError`` naming the line.
 - ``reconcile``: a meta row whose query is empty or malformed or that has
   more than four fields, a ``.bib`` key holding a tab or line break, and a
-  ``.bib`` and meta file of different lengths, are input errors too. It
-  writes nothing on any error.
+  ``.bib`` and meta file of different lengths, are input errors too, and
+  so is a ``--log`` path that names the ``--out`` file. It writes nothing
+  on any error.
 - ``bench`` and ``verify`` list a paper whose processing fails under
   ``incomplete``, still write or print the bundle, and then exit 3 when
   ``incomplete`` is not empty.
@@ -154,6 +155,9 @@ def _read_meta_file(path: str) -> list[PaperMeta]:
 
 
 def cmd_reconcile(args) -> int:
+    out = args.out or args.bib + ".revised.bib"
+    if args.log and Path(args.log).resolve() == Path(out).resolve():
+        raise InputError(f"--log {args.log}: the same file as --out {out}")
     entries = _use_file("--bib", args.bib, lambda p: parse_bib_file(Path(p).read_text("utf-8")))
     for entry in entries:  # the key is a field of its --log row
         if _holds_separator(entry.citation_key):
@@ -171,7 +175,6 @@ def cmd_reconcile(args) -> int:
             raise InputError(f"meta row {meta.paper_id!r}: {exc}") from None
         revised.append(outcome.result)
         log_rows.append(action_row(meta.paper_id, baseline.citation_key, outcome))
-    out = args.out or args.bib + ".revised.bib"
     with _write_atomic() as stage:  # both files or neither
         _use_file("--out", out, lambda p: stage(p, bib_text(revised)))
         if args.log:

@@ -188,10 +188,10 @@ def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]
 
 def _labels_rows(tagged: list[TaggedVerdict]) -> list[tuple[str, ...]]:
     return [
-        (tv.paper_id, tv.entry_tag, slot, labels[slot], "2" if slot in stage2 else "1")
+        (tv.paper_id, tv.entry_tag, slot, label, "2" if label in STAGE2_LABELS else "1")
         for tv in tagged
-        for labels, stage2 in [(tv.verdict.labels, tv.verdict.stage2_slots)]
         for slot in ALL_SLOTS
+        for label in [tv.verdict.labels[slot]]
     ]
 
 
@@ -202,7 +202,7 @@ def _field_deltas(before: list[TaggedVerdict], after: list[TaggedVerdict]) -> di
     for slot in EVALUABLE_SLOTS:
         pairs = [(b.verdict.labels[slot], a.verdict.labels[slot]) for b, a in zip(before, after)]
         # (correct before, correct after) of each entry evaluable in both
-        correct = [(lb is C, la is C) for lb, la in pairs if X not in (lb, la)]
+        correct = [(lb == C, la == C) for lb, la in pairs if X not in (lb, la)]
         deltas[slot] = {
             "evaluable": len(correct),
             "before_c": sum(cb for cb, _ in correct),

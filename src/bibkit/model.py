@@ -259,12 +259,12 @@ def slot_of(entry: BibEntry, slot: FieldSlot) -> str | None:
 
     The venue slot is virtual: journal wins over booktitle when both exist.
     """
-    if slot is _ENTRY_TYPE:
+    if slot == _ENTRY_TYPE:
         return entry.entry_type
-    if slot is _ENTRY_KEY:
+    if slot == _ENTRY_KEY:
         return entry.citation_key
     fields = entry.fields
-    if slot is _VENUE:
+    if slot == _VENUE:
         journal = fields.get("journal")
         return fields.get("booktitle") if journal is None else journal
     return fields.get(slot)

@@ -79,7 +79,7 @@ def merge_fields(
         else:
             merged[name] = value
     for slot, value in auth.items():
-        merged.setdefault(venue_field if slot is FieldSlot.VENUE else slot, value)
+        merged.setdefault(venue_field if slot == FieldSlot.VENUE else slot, value)
 
     replaced = set(auth)
     if authoritative.entry_type:

@@ -71,7 +71,8 @@ RELATED_ENTRY_TYPES = frozenset({"article", "inproceedings", "misc", "incollecti
 NORMALIZED_MEMO_SIZE = 1 << 16
 
 # Members read on every call, bound once: reading an enum member is a class
-# attribute lookup, several times the cost of reading a module global.
+# attribute lookup, several times the cost of reading a module global. They
+# are compared with ==, never ``is``: a caller may pass a slot's name.
 _ENTRY_TYPE, _ENTRY_KEY = FieldSlot.ENTRY_TYPE, FieldSlot.ENTRY_KEY
 _AUTHOR, _TITLE, _YEAR, _VENUE = FieldSlot.AUTHOR, FieldSlot.TITLE, FieldSlot.YEAR, FieldSlot.VENUE
 _PAGES, _DOI = FieldSlot.PAGES, FieldSlot.DOI
@@ -116,11 +117,6 @@ class CriterionVerdict:
 class EntryVerdict:
     labels: dict[FieldSlot, FieldLabel]
 
-    @property
-    def stage2_slots(self) -> frozenset[FieldSlot]:
-        """The slots stage 2 labelled: those labelled P, S or F."""
-        return frozenset(s for s, l in self.labels.items() if l in STAGE2_LABELS)
-
 
 @functools.lru_cache(maxsize=NORMALIZED_MEMO_SIZE)
 def _table_free_normalized(slot: FieldSlot, value: str) -> str | None:
@@ -128,20 +124,21 @@ def _table_free_normalized(slot: FieldSlot, value: str) -> str | None:
 
     Most values recur across candidates and ground-truth versions. A venue
     is only folded here, so the memo stays valid whatever the table holds.
+    A slot's name and its member are one key and get one normal form.
     """
-    if slot is _AUTHOR:
+    if slot == _AUTHOR:
         return normalize_author(value)
-    if slot is _TITLE:
+    if slot == _TITLE:
         return normalize_title(value)
-    if slot is _VENUE:
+    if slot == _VENUE:
         return normalize_venue(value)
-    if slot is _DOI:
+    if slot == _DOI:
         return normalize_doi(value)
-    if slot is _PAGES:
+    if slot == _PAGES:
         return normalize_pages(value)
-    if slot is _YEAR:
+    if slot == _YEAR:
         return normalize_year(value)
-    if slot is _ENTRY_TYPE:
+    if slot == _ENTRY_TYPE:
         return value.strip().lower()
     return value.strip()
 
@@ -154,7 +151,7 @@ def clear_memo() -> None:
 def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) -> str | None:
     """Per-slot normalization; None when the value cannot be normalized."""
     norm = _table_free_normalized(slot, value)
-    if slot is _VENUE and table is not None:
+    if slot == _VENUE and table is not None:
         return table.canonical(norm)
     return norm
 
@@ -166,7 +163,7 @@ def classify_stage1(
     table: VenueSynonymTable | None = None,
 ):
     """Rule-based labels: X, M, C, or PENDING, in that rule order."""
-    if slot is _ENTRY_KEY:
+    if slot == _ENTRY_KEY:
         return _X
     inapplicable = INAPPLICABLE.get(entry.entry_type)
     if inapplicable is not None and slot in inapplicable:
@@ -240,7 +237,7 @@ def classify_stage2(
     """
     context = context or {}
     gt_values = gt.values_for(slot)
-    suspects = sum(1 for s in IDENTITY_SLOTS if s is not slot and context.get(s) not in _NOT_SUSPECT)
+    suspects = sum(1 for s in IDENTITY_SLOTS if s != slot and context.get(s) not in _NOT_SUSPECT)
     tokens = tokenize_filtered(entry_value)
     overlaps: dict[str, float] = {}
 
@@ -269,7 +266,7 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
     if slot in _TEXT_SLOTS:
         if any(overlap(v) >= TOKEN_OVERLAP_THRESHOLD for v in gt_values):
             return True
-        if slot is _AUTHOR:
+        if slot == _AUTHOR:
             mine = set(author_lastname_list(entry_value))
             for gt_value in gt_values:
                 theirs = set(author_lastname_list(gt_value))
@@ -277,7 +274,7 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
                 if smaller and len(mine & theirs) / smaller >= TOKEN_OVERLAP_THRESHOLD:
                     return True
         return False
-    if slot is _PAGES:
+    if slot == _PAGES:
         mine = _page_range(entry_value)
         if mine is None:
             return False
@@ -286,7 +283,7 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
             if theirs and mine[0] <= theirs[1] and theirs[0] <= mine[1]:
                 return True
         return False
-    if slot is _YEAR:
+    if slot == _YEAR:
         my_years = re.findall(r"\d{4}", entry_value)
         if not my_years:
             return False
@@ -295,12 +292,12 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
             if gt_years and abs(int(my_years[0]) - int(gt_years[0])) <= YEAR_SLACK:
                 return True
         return False
-    if slot is _DOI:
+    if slot == _DOI:
         return _doi_partial(entry_value, gt_values, gt)
     if slot in _COUNT_SLOTS:
         # verify_entry never sends an equal value here (stage 1 labels it C)
         return any(entry_value.strip() == v.strip() for v in gt_values)
-    if slot is _ENTRY_TYPE:
+    if slot == _ENTRY_TYPE:
         mine = entry_value.strip().lower()
         related = mine in RELATED_ENTRY_TYPES and all(
             v.strip().lower() in RELATED_ENTRY_TYPES for v in gt_values
@@ -319,7 +316,7 @@ def _matches_alias(entry_value: str, tokens: frozenset[str], slot: FieldSlot, gt
         if mine is not None and mine == _normalized(slot, alias_value, table):
             return True
         # a DOI is an identifier: sharing tokens does not make it the alias's
-        if slot is not FieldSlot.DOI and jaccard(tokens, tokenize_filtered(alias_value)) >= TOKEN_OVERLAP_THRESHOLD:
+        if slot != _DOI and jaccard(tokens, tokenize_filtered(alias_value)) >= TOKEN_OVERLAP_THRESHOLD:
             return True
     return False
 
@@ -337,7 +334,7 @@ def classify_error_mode(labels: dict[FieldSlot, FieldLabel]) -> str:
     error_slots = [s for s, l in labels.items() if l in ERROR_LABELS]
     if not error_slots:
         return "none"
-    substituted = sum(1 for s in error_slots if labels[s] is _S)
+    substituted = sum(1 for s in error_slots if labels[s] == _S)
     if substituted >= 3:
         return "wholesale"
     if len(error_slots) <= 2:
@@ -367,7 +364,7 @@ def verify_entry(
 # corpus aggregates
 
 
-EVALUABLE_SLOTS = tuple(s for s in ALL_SLOTS if s is not FieldSlot.ENTRY_KEY)
+EVALUABLE_SLOTS = tuple(s for s in ALL_SLOTS if s != FieldSlot.ENTRY_KEY)
 
 
 @dataclass(frozen=True)
@@ -415,13 +412,13 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
         errors = []
         for i, slot in enumerate(EVALUABLE_SLOTS):
             label = labels[slot]
-            if label is X:
+            if label == X:
                 continue
             labels_seen[label] += 1
             bucket = per_field[slot]
             bucket["evaluable"] += 1
             evaluable += 1
-            if label is C:
+            if label == C:
                 bucket["correct"] += 1
                 correct += 1
             else:

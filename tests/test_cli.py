@@ -573,6 +573,28 @@ def test_reconcile_out_that_is_a_directory_exits_2_and_writes_nothing(tmp_path, 
     assert not any((tmp_path / "revised.bib").iterdir())
 
 
+@pytest.mark.parametrize(
+    "out, log",
+    [
+        ("same.txt", "same.txt"),
+        ("same.txt", "sub/../same.txt"),
+        (None, "refs.bib.revised.bib"),  # the default --out
+    ],
+)
+def test_reconcile_out_and_log_of_one_file_exits_2_before_any_request(tmp_path, capsys, monkeypatch, out, log):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setattr("bibkit.cli.Resolver.resolve", lambda self, query: pytest.fail("a request was made"))
+    args = ["reconcile", "--bib", str(bib), "--meta", str(meta), "--log", str(tmp_path / log)]
+    if out is not None:
+        args += ["--out", str(tmp_path / out)]
+    fixture = str(FIXTURES / "replay_doi_found.json")
+    code, stdout, err = run(args + ["--fixtures", fixture] + SERVER, capsys)
+    assert_input_error(code, stdout, err, "--log")
+    assert "the same file as --out" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.tsv", "refs.bib", "sub"]
+
+
 def test_verify_out_that_is_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "bundle"
     out.write_text("not a directory\n", "utf-8")

@@ -294,7 +294,10 @@ def test_jaccard_golden():
     assert jaccard(frozenset(), frozenset()) == 1.0
 
 
-_token = st.text(alphabet="abcdefgh0123456789", min_size=2, max_size=4)
+#: Tokens of 1-4 characters, letters only (pairs often share tokens) or letters and digits.
+_token = st.text(alphabet="abcdefgh", min_size=1, max_size=4) | st.text(
+    alphabet="abcdefgh0123456789", min_size=1, max_size=4
+)
 _token_set = st.frozensets(_token, max_size=8)
 
 

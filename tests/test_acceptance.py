@@ -14,11 +14,13 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bibkit.harness import load_corpus, run_benchmark, write_bundle
 from bibkit.model import FieldLabel, FieldSlot, parse_entry, serialize_entry
 from bibkit.normalize import (
     VenueSynonymTable,
+    jaccard,
     normalize_author,
     normalize_doi,
     normalize_pages,
@@ -50,7 +52,7 @@ from bibkit.verify import (
 )
 
 from conftest import FIXTURES, load_fixture
-from reference_impls import brute_co_error
+from reference_impls import brute_co_error, brute_jaccard
 from test_reconcile import PAIRS, make_meta, make_resolver
 from test_verify import (
     ARXIV_MATCHING_ENTRY,
@@ -161,7 +163,19 @@ def test_page_string_normalization():
     assert normalize_pages("426--426") == "426"
 
 
-# 5. gate boundary (jaccard itself: test_normalize.py::test_jaccard_against_brute_force) ---
+# 5. jaccard and gate boundary ---------------------------------------------------------
+
+tokens = st.sets(st.text(alphabet="abcdefgh", min_size=1, max_size=3), max_size=8)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(tokens, tokens)
+def test_jaccard_against_brute_force(a, b):
+    score = jaccard(frozenset(a), frozenset(b))
+    assert score == brute_jaccard(a, b)
+    assert score == jaccard(frozenset(b), frozenset(a))
+    assert 0.0 <= score <= 1.0
+    assert (score == 1.0) == (a == b)
 
 
 def test_gate_boundary_inclusive_at_0_3():

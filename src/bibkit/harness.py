@@ -1,8 +1,10 @@
 """Corpus ingestion, benchmarks, and report files.
 
 The corpus is line-delimited JSON (one paper per line) behind a leading
-format-version header, so runs are streamable and reports diffable. All
-output files are written atomically and identically across repeat runs.
+format-version header, so reports are diffable and the format allows a
+run to stream its records; ``load_corpus`` does not stream yet, it holds
+every line and every record. All output files are written atomically and
+identically across repeat runs.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ def _holds_separator(value: str) -> bool:
     return "\t" in value or "\r" in value or "\n" in value
 
 
-def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
+def _parse_record(line: str, line_no: int, seen_ids: set[str]) -> PaperRecord:
+    """The record on corpus line ``line_no``; once it is valid, its ``paper_id`` joins ``seen_ids``."""
+
     def fail(reason: str):
         raise CorpusParseError(f"line {line_no}: {reason}")
 
@@ -88,6 +92,10 @@ def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
                 fail(f"{what}: every value must be a string")
         return dict(obj)
 
+    try:
+        doc = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # also an integer of over 4300 digits, or nesting too deep
+        fail(f"bad JSON: {exc}")
     if not isinstance(doc, dict):
         fail("record is not a JSON object")
     paper_id = typed(doc, "paper_id", (str, type(None)), None)
@@ -139,7 +147,7 @@ def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
         url = None
         doi, title = (next(iter(gt.values_for(s)), None) for s in (FieldSlot.DOI, FieldSlot.TITLE))
 
-    return PaperRecord(
+    record = PaperRecord(
         paper_id=paper_id,
         domain=typed(doc, "domain", str, ""),
         tier=tier,
@@ -147,6 +155,8 @@ def _parse_record(doc, line_no: int, seen_ids: set[str]) -> PaperRecord:
         candidates=tuple(candidates),
         meta=PaperMeta(paper_id, url=url, doi=doi, title=title),
     )
+    seen_ids.add(paper_id)
+    return record
 
 
 def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]:
@@ -166,19 +176,10 @@ def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]
         if not line.strip():
             continue
         try:
-            doc = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            if permissive:
-                continue
-            raise CorpusParseError(f"line {line_no}: bad JSON: {exc}") from None
-        try:
-            record = _parse_record(doc, line_no, seen_ids)
+            records.append(_parse_record(line, line_no, seen_ids))
         except CorpusParseError:
-            if permissive:
-                continue
-            raise
-        seen_ids.add(record.paper_id)
-        records.append(record)
+            if not permissive:
+                raise
     return records
 
 
@@ -236,19 +237,6 @@ def run_benchmark(
     if table is None:
         table = VenueSynonymTable.default()
 
-    def process(record: PaperRecord):
-        out = []
-        for tag, model, entry in record.candidates:
-            before = verify_entry(entry, record.ground_truth, table)
-            outcome = after = None
-            if resolver is not None:
-                outcome = reconcile(record.meta, entry, resolver)
-                after = before  # a kept entry: verify_entry is pure, so its labels stand
-                if outcome.result is not entry:
-                    after = verify_entry(outcome.result, record.ground_truth, table)
-            out.append((tag, model, before, after, outcome))
-        return out
-
     tagged: list[TaggedVerdict] = []
     tagged_before: list[TaggedVerdict] = []
     actions: list[tuple[str, ...]] = []
@@ -256,18 +244,25 @@ def run_benchmark(
 
     try:
         for record in sorted(corpus, key=lambda r: r.paper_id):
+            pid, gt, tier, domain = record.paper_id, record.ground_truth, record.tier, record.domain
+            # the record's rows join the run's only if every candidate succeeds
+            rows, rows_before, record_actions = [], [], []
             try:
-                results = process(record)
+                for tag, model, entry in record.candidates:
+                    verdict = verify_entry(entry, gt, table)
+                    if resolver is not None:
+                        outcome = reconcile(record.meta, entry, resolver)
+                        rows_before.append(TaggedVerdict(pid, tag, verdict, model, tier, domain))
+                        record_actions.append(action_row(pid, tag, outcome))
+                        if outcome.result is not entry:  # a kept entry's labels stand: verify_entry is pure
+                            verdict = verify_entry(outcome.result, gt, table)
+                    rows.append(TaggedVerdict(pid, tag, verdict, model, tier, domain))
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                incomplete.append({"paper_id": record.paper_id, "error": str(exc)})
+                incomplete.append({"paper_id": pid, "error": str(exc)})
                 continue
-            pid, tier, domain = record.paper_id, record.tier, record.domain
-            for tag, model, before, after, outcome in results:
-                final = after if after is not None else before
-                tagged.append(TaggedVerdict(pid, tag, final, model, tier, domain))
-                if after is not None:
-                    tagged_before.append(TaggedVerdict(pid, tag, before, model, tier, domain))
-                    actions.append(action_row(pid, tag, outcome))
+            tagged += rows
+            tagged_before += rows_before
+            actions += record_actions
     finally:
         clear_memo()  # the normalization memo lives for one run
 

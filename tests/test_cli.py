@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import shutil
 import stat
 import time
 
 import pytest
 
+from bibkit import cli
 from bibkit.cli import main
 from bibkit.model import FieldSlot, parse_entry
 
@@ -40,6 +42,21 @@ def test_missing_required_option_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
     assert exc.value.code == 1
+
+
+def test_exit_code_tables_list_failures_in_order():
+    failures = [(kind.__name__, code, prefix) for kind, (code, prefix) in cli.FAILURES.items()]
+    lines = (FIXTURES.parents[1] / "README.md").read_text("utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| exception"))
+    readme = []
+    for line in lines[start + 2 :]:  # past the header and its separator row
+        if not line.startswith("|"):
+            break
+        readme.append(tuple(cell.strip() for cell in line.strip("|").split("|")))
+    # a prefix is backticked, so its trailing space survives the strip
+    assert readme == [(f"`{name}`", str(code), f"`{prefix}`") for name, code, prefix in failures]
+    docstring = re.findall(r'^    (\w+) +(\d) +"(.*)"$', cli.__doc__, re.MULTILINE)
+    assert docstring == [(name, str(code), prefix) for name, code, prefix in failures]
 
 
 # -- lookup ---------------------------------------------------------------------

@@ -132,6 +132,22 @@ def test_load_header_not_an_object_rejected(tmp_path):
         load_corpus(write_corpus(tmp_path, ["[1]", record_line()]))
 
 
+@pytest.mark.parametrize(
+    "lines, error, domain",
+    [
+        # a record skipped for another fault does not reserve its paper_id
+        ([record_line(tier="viral"), record_line(domain="later")], "line 2: unknown tier 'viral'", "later"),
+        # a repeat of a loaded paper_id is skipped
+        ([record_line(), record_line(domain="repeat")], "line 3: duplicate paper_id 'p1'", "ai"),
+    ],
+)
+def test_load_permissive_reserves_only_loaded_paper_ids(tmp_path, lines, error, domain):
+    path = write_corpus(tmp_path, [HEADER] + lines)
+    with pytest.raises(CorpusParseError, match=f"^{re.escape(error)}$"):
+        load_corpus(path)
+    assert [(r.paper_id, r.domain) for r in load_corpus(path, permissive=True)] == [("p1", domain)]
+
+
 #: Two versions: the first carries no DOI, the second a different title.
 GT_VERSIONS = [
     {"version_type": "arxiv", "fields": {"entry_type": "misc", "title": "First"}},
@@ -454,6 +470,32 @@ def test_failed_lookup_is_not_reused(tmp_path):
     assert bundle["incomplete"] == [{"paper_id": "p1", "error": "upstream returned 503"}]
     assert [list(row[:3]) for row in bundle["actions"]] == [["p2", "c1", "merged"]]
     assert calls == ["10.1000/shared", "10.1000/shared"]
+
+
+@pytest.mark.parametrize(
+    "mode, fails",
+    [("verify", "verify_entry"), ("reconcile_then_verify", "verify_entry"), ("reconcile_then_verify", "reconcile")],
+)
+def test_record_failing_at_a_later_candidate_adds_no_rows(monkeypatch, mode, fails):
+    corpus = load_corpus(CORPUS_PATH)
+    failed = next(r for r in corpus if r.paper_id == "goodfellow2014")
+    assert len(failed.candidates) >= 2  # its first candidate succeeds
+    second = failed.candidates[1][2]
+    resolver = perfect_resolver(corpus) if mode == "reconcile_then_verify" else None
+    rest = [r for r in corpus if r is not failed]
+    expected = run_benchmark(rest, resolver=resolver)
+
+    real = getattr(harness, fails)
+
+    def failing(*args):
+        if any(arg is second for arg in args):  # verify_entry's first argument, reconcile's second
+            raise RuntimeError("boom")
+        return real(*args)
+
+    monkeypatch.setattr(harness, fails, failing)
+    bundle = run_benchmark(corpus, resolver=resolver)
+    assert bundle["incomplete"] == [{"paper_id": "goodfellow2014", "error": "boom"}]
+    assert bundle == {**expected, "incomplete": bundle["incomplete"]}  # every row and aggregate as without it
 
 
 # -- normalization memo -------------------------------------------------------------

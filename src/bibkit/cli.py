@@ -184,7 +184,9 @@ def cmd_reconcile(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    corpus = _use_file("--corpus", args.corpus, lambda p: load_corpus(p, permissive=args.permissive))
+    records = _use_file("--corpus", args.corpus, lambda p: load_corpus(p, permissive=args.permissive))
+    # the records, read as the run asks for each: a file error met then is an input error too
+    corpus = iter(lambda: _use_file("--corpus", args.corpus, lambda p: next(records, None)), None)
     resolver = _build_resolver(args).resolve if args.mode == "reconcile_then_verify" else None
     table = _use_file("--venues", args.venues, VenueSynonymTable.from_file) if args.venues else None
     bundle = run_benchmark(corpus, resolver=resolver, table=table)

@@ -1,10 +1,10 @@
 """Corpus ingestion, benchmarks, and report files.
 
 The corpus is line-delimited JSON (one paper per line) behind a leading
-format-version header, so reports are diffable and the format allows a
-run to stream its records; ``load_corpus`` does not stream yet, it holds
-every line and every record. All output files are written atomically and
-identically across repeat runs.
+format-version header, so reports are diffable and a run streams its
+records: ``load_corpus`` reads one line at a time, and ``run_benchmark``
+holds each record's rows, never its records. All output files are
+written atomically and identically across repeat runs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .model import (
     ALL_SLOTS,
@@ -159,28 +159,40 @@ def _parse_record(line: str, line_no: int, seen_ids: set[str]) -> PaperRecord:
     return record
 
 
-def load_corpus(path: str | Path, permissive: bool = False) -> list[PaperRecord]:
-    records: list[PaperRecord] = []
-    seen_ids: set[str] = set()
-    lines = _read_lines(path)
-    if not lines:
-        raise CorpusParseError("line 1: empty corpus file")
-    try:
-        header = json.loads(lines[0])
-    except (ValueError, RecursionError) as exc:  # also an integer of over 4300 digits, or nesting too deep
-        raise CorpusParseError(f"line 1: bad header: {exc}") from exc
-    version = header.get("format_version") if isinstance(header, dict) else None
-    if type(version) is not int or version != 1:  # not true, nor 1.0
-        raise CorpusParseError("line 1: unsupported corpus format version")
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            records.append(_parse_record(line, line_no, seen_ids))
-        except CorpusParseError:
-            if not permissive:
-                raise
+def load_corpus(path: str | Path, permissive: bool = False) -> Iterator[PaperRecord]:
+    """The records of a corpus file, read a line at a time; this call opens it and checks its header.
+
+    The file is closed when the records run out, one raises, or the iterator is dropped.
+    """
+    records = _read_corpus(path, permissive)
+    next(records)  # up to the header check
     return records
+
+
+def _read_corpus(path: str | Path, permissive: bool) -> Iterator[PaperRecord | None]:
+    """``None`` once the header is valid, then each record."""
+    # newline=None makes "\r\n" and "\r" a "\n" and splits only there; utf-8-sig drops a leading BOM
+    with open(path, encoding="utf-8-sig") as lines:
+        header = next(lines, "")
+        if not header:
+            raise CorpusParseError("line 1: empty corpus file")
+        try:
+            header = json.loads(header.removesuffix("\n"))
+        except (ValueError, RecursionError) as exc:  # also an integer of over 4300 digits, or nesting too deep
+            raise CorpusParseError(f"line 1: bad header: {exc}") from exc
+        version = header.get("format_version") if isinstance(header, dict) else None
+        if type(version) is not int or version != 1:  # not true, nor 1.0
+            raise CorpusParseError("line 1: unsupported corpus format version")
+        yield None
+        seen_ids: set[str] = set()
+        for line_no, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            try:
+                yield _parse_record(line.removesuffix("\n"), line_no, seen_ids)
+            except CorpusParseError:
+                if not permissive:
+                    raise
 
 
 # --------------------------------------------------------------------------
@@ -215,19 +227,20 @@ def _field_deltas(before: list[TaggedVerdict], after: list[TaggedVerdict]) -> di
 
 
 def run_benchmark(
-    corpus: list[PaperRecord],
+    corpus: Iterable[PaperRecord],
     resolver: Callable[[str], ResolutionResult] | None = None,
     table: VenueSynonymTable | None = None,
 ) -> dict:
     """Label every candidate entry; reconcile it first when given a ``resolver``.
 
-    Records run one by one in ``paper_id`` order. Returns the report bundle
-    as a dict; a failing record adds no rows, is listed under "incomplete"
-    and never aborts the run. The run asks ``resolver`` once per distinct
-    query and reuses its result for every candidate that sends the same
-    query; an exception is not kept, so the next candidate with that query
-    asks again. ``table`` None is the shipped venue table. The normalization
-    memo of ``verify`` is emptied when the run returns or raises.
+    Records run one by one in ``corpus`` order and are not held once their
+    rows are made. Returns the report bundle as a dict, rows and "incomplete"
+    in ``paper_id`` order; a failing record adds no rows, is listed under
+    "incomplete" and never aborts the run. The run asks ``resolver`` once
+    per distinct query and reuses its result for every candidate that sends
+    the same query; an exception is not kept, so the next candidate with
+    that query asks again. ``table`` None is the shipped venue table. The
+    normalization memo of ``verify`` is emptied when the run returns or raises.
     """
     if resolver is not None:
         # Keyed on the exact query string build_query sends, not on the
@@ -237,13 +250,11 @@ def run_benchmark(
     if table is None:
         table = VenueSynonymTable.default()
 
-    tagged: list[TaggedVerdict] = []
-    tagged_before: list[TaggedVerdict] = []
-    actions: list[tuple[str, ...]] = []
+    chunks: list[tuple] = []  # (paper_id, rows, rows_before, actions) of each complete record
     incomplete: list[dict] = []
 
     try:
-        for record in sorted(corpus, key=lambda r: r.paper_id):
+        for record in corpus:
             pid, gt, tier, domain = record.paper_id, record.ground_truth, record.tier, record.domain
             # the record's rows join the run's only if every candidate succeeds
             rows, rows_before, record_actions = [], [], []
@@ -259,13 +270,15 @@ def run_benchmark(
                     rows.append(TaggedVerdict(pid, tag, verdict, model, tier, domain))
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                 incomplete.append({"paper_id": pid, "error": str(exc)})
-                continue
-            tagged += rows
-            tagged_before += rows_before
-            actions += record_actions
+            else:
+                chunks.append((pid, rows, rows_before, record_actions))
+            del record  # none is held while the next is read
     finally:
         clear_memo()  # the normalization memo lives for one run
 
+    chunks.sort(key=lambda chunk: chunk[0])  # stable, and total over a loaded corpus's unique ids
+    incomplete.sort(key=lambda row: row["paper_id"])
+    tagged, tagged_before, actions = ([row for chunk in chunks for row in chunk[i]] for i in (1, 2, 3))
     bundle: dict = {
         "format_version": 1,
         "mode": "verify" if resolver is None else "reconcile_then_verify",

@@ -6,14 +6,18 @@ test) so agreement between the two is meaningful evidence. The two copies
 are the earlier ``bibkit.model`` parser, kept as the oracle for its error
 messages and for the error classes the grammar fixture names, the earlier
 normalizers that raised for a value with no normal form, kept as the oracle
-for where that is, and the slot reader, stage-1 rules and separator test
-from before their per-call lookups were bound at import.
+for where that is, the slot reader, stage-1 rules and separator test
+from before their per-call lookups were bound at import, and the corpus
+loader from before it streamed, which read every line and then parsed
+every record.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
+from bibkit.harness import CorpusParseError, _parse_record
 from bibkit.model import BibEntry, BibParseError, FieldLabel, FieldSlot
 from bibkit.normalize import (
     _ET_AL_RE,
@@ -21,6 +25,7 @@ from bibkit.normalize import (
     _PAGE_SEP_RE,
     _YEAR_RE,
     _last_name,
+    _read_lines,
     _split_and,
     normalize_author,
     normalize_doi,
@@ -662,3 +667,27 @@ def parent_classify_stage1(entry: BibEntry, slot: FieldSlot, gt, table=None):
 
 def parent_holds_separator(value: str) -> bool:
     return any(c in value for c in "\t\r\n")
+
+
+def parent_load_corpus(path, permissive: bool = False) -> list:
+    records = []
+    seen_ids: set[str] = set()
+    lines = _read_lines(path)
+    if not lines:
+        raise CorpusParseError("line 1: empty corpus file")
+    try:
+        header = json.loads(lines[0])
+    except (ValueError, RecursionError) as exc:
+        raise CorpusParseError(f"line 1: bad header: {exc}") from exc
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if type(version) is not int or version != 1:
+        raise CorpusParseError("line 1: unsupported corpus format version")
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            records.append(_parse_record(line, line_no, seen_ids))
+        except CorpusParseError:
+            if not permissive:
+                raise
+    return records

@@ -223,7 +223,7 @@ def test_reconciliation_pair_fixture_contract():
 def test_reconciliation_with_ground_truth_source_has_zero_regressions():
     from test_harness import perfect_resolver
 
-    corpus = load_corpus(FIXTURES / "golden_corpus.jsonl")
+    corpus = list(load_corpus(FIXTURES / "golden_corpus.jsonl"))
     bundle = run_benchmark(corpus, resolver=perfect_resolver(corpus))
     for field, delta in bundle["deltas"].items():
         assert delta["regressions"] == 0, field
@@ -353,7 +353,7 @@ def test_rate_limiter_live_spacing():
 
 
 def test_benchmark_determinism_and_golden_aggregate(tmp_path):
-    corpus = load_corpus(FIXTURES / "golden_corpus.jsonl")
+    corpus = list(load_corpus(FIXTURES / "golden_corpus.jsonl"))
     golden = load_fixture("golden_aggregate.json")
 
     bundles = []

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from bibkit import cli
+from bibkit import cli, harness
 from bibkit.cli import main
 from bibkit.model import FieldSlot, parse_entry
 
@@ -505,6 +505,46 @@ def assert_input_error(code, out, err, option):
 def test_unreadable_corpus_exits_2(tmp_path, capsys, make, command):
     code, out, err = run([command, "--corpus", str(make(tmp_path))], capsys)
     assert_input_error(code, out, err, "--corpus")
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_corpus_not_utf8_past_its_first_64_kib_exits_2(tmp_path, capsys, command):
+    """The corpus is decoded as it is read, so the run meets the byte after labelling records."""
+    golden = (FIXTURES / "golden_corpus.jsonl").read_bytes()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(golden + b"\n" * 65536 + b'{"paper_id": "caf\xe9"}\n')  # blank lines are skipped
+    bundle = tmp_path / "bundle"
+    code, out, err = run([command, "--corpus", str(corpus), "--out", str(bundle)], capsys)
+    assert_input_error(code, out, err, "--corpus")
+    assert "can't decode byte 0xe9" in err
+    assert not bundle.exists()
+
+
+@pytest.mark.parametrize("mode", ["verify", "reconcile_then_verify"])
+def test_corpus_error_on_the_last_line_exits_2_and_leaves_the_bundle(tmp_path, capsys, mode):
+    bundle = tmp_path / "bundle"
+    assert run(["verify", "--corpus", CORPUS, "--out", str(bundle)], capsys)[0] == 0
+    before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+    lines = (FIXTURES / "golden_corpus.jsonl").read_text("utf-8").splitlines()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines + ["{broken json"]) + "\n", "utf-8")
+    args = ["bench", "--mode", mode, "--corpus", str(corpus), "--out", str(bundle)]
+    if mode == "reconcile_then_verify":  # every lookup fails, and the records before it are incomplete
+        args += SERVER + ["--fixtures", write_exchanges(tmp_path / "none.json")]
+    code, out, err = run(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"corpus error: line {len(lines) + 1}: bad JSON: ")
+    assert err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
+
+
+def test_value_error_of_the_program_during_a_run_stays_a_traceback(monkeypatch):
+    def broken(tagged):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(harness, "aggregate_stats", broken)
+    with pytest.raises(ValueError, match="^a bug$"):
+        main(["verify", "--corpus", CORPUS])
 
 
 @pytest.mark.parametrize("make", [missing_file, not_utf8, conflicting_venues])

@@ -1,5 +1,11 @@
+import gc
 import json
 import re
+import sys
+import tempfile
+import warnings
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -21,7 +27,7 @@ from bibkit.resolve import ResolutionResult, UpstreamUnavailable
 from bibkit.verify import verify_entry
 
 from conftest import FIXTURES, load_fixture
-from reference_impls import parent_holds_separator
+from reference_impls import parent_holds_separator, parent_load_corpus
 
 CORPUS_PATH = FIXTURES / "golden_corpus.jsonl"
 GOLDEN_LABELS = {(e["paper_id"], e["tag"]): e for e in load_fixture("golden_labels.json")["entries"]}
@@ -32,7 +38,7 @@ GOLDEN_AGGREGATE = load_fixture("golden_aggregate.json")
 
 
 def test_load_golden_corpus():
-    records = load_corpus(CORPUS_PATH)
+    records = list(load_corpus(CORPUS_PATH))
     assert len(records) == 8
     assert sum(len(r.candidates) for r in records) == 20
     ids = [r.paper_id for r in records]
@@ -90,32 +96,32 @@ def test_load_wrong_format_version_rejected(tmp_path, version):
 def test_load_duplicate_paper_id_rejected(tmp_path):
     path = write_corpus(tmp_path, [HEADER, record_line(), record_line()])
     with pytest.raises(CorpusParseError, match="duplicate paper_id"):
-        load_corpus(path)
+        list(load_corpus(path))
 
 
 def test_load_missing_description_rejected(tmp_path):
     path = write_corpus(tmp_path, [HEADER, record_line(description="  ")])
     with pytest.raises(CorpusParseError, match="description"):
-        load_corpus(path)
+        list(load_corpus(path))
 
 
 def test_load_unknown_tier_rejected(tmp_path):
     path = write_corpus(tmp_path, [HEADER, record_line(tier="viral")])
     with pytest.raises(CorpusParseError, match="tier"):
-        load_corpus(path)
+        list(load_corpus(path))
 
 
 def test_load_versionless_ground_truth_rejected(tmp_path):
     path = write_corpus(tmp_path, [HEADER, record_line(ground_truth={"versions": []})])
     with pytest.raises(CorpusParseError, match="version"):
-        load_corpus(path)
+        list(load_corpus(path))
 
 
 def test_load_bad_candidate_bibtex_rejected(tmp_path):
     bad = [{"tag": "c1", "model": "m", "bibtex": "@article{k, title={T}"}]
     path = write_corpus(tmp_path, [HEADER, record_line(candidates=bad)])
     with pytest.raises(CorpusParseError, match="candidate"):
-        load_corpus(path)
+        list(load_corpus(path))
 
 
 def test_load_permissive_skips_bad_lines(tmp_path):
@@ -123,7 +129,7 @@ def test_load_permissive_skips_bad_lines(tmp_path):
     bad_json = "{truncated"
     bad_record = record_line(paper_id="p2", tier="viral")
     path = write_corpus(tmp_path, [HEADER, good, bad_json, bad_record])
-    records = load_corpus(path, permissive=True)
+    records = list(load_corpus(path, permissive=True))
     assert [r.paper_id for r in records] == ["p1"]
 
 
@@ -144,7 +150,7 @@ def test_load_header_not_an_object_rejected(tmp_path):
 def test_load_permissive_reserves_only_loaded_paper_ids(tmp_path, lines, error, domain):
     path = write_corpus(tmp_path, [HEADER] + lines)
     with pytest.raises(CorpusParseError, match=f"^{re.escape(error)}$"):
-        load_corpus(path)
+        list(load_corpus(path))
     assert [(r.paper_id, r.domain) for r in load_corpus(path, permissive=True)] == [("p1", domain)]
 
 
@@ -195,14 +201,14 @@ def _ground_truth(**overrides):
 )
 def test_load_value_of_wrong_type_rejected(tmp_path, line):
     with pytest.raises(CorpusParseError, match="line 2"):
-        load_corpus(write_corpus(tmp_path, [HEADER, line]))
+        list(load_corpus(write_corpus(tmp_path, [HEADER, line])))
     path = write_corpus(tmp_path, [HEADER, line, record_line(paper_id="ok")])
     assert [r.paper_id for r in load_corpus(path, permissive=True)] == ["ok"]
 
 
 def test_load_skips_blank_lines(tmp_path):
     path = write_corpus(tmp_path, [HEADER, "", record_line(), ""])
-    assert len(load_corpus(path)) == 1
+    assert len(list(load_corpus(path))) == 1
 
 
 def test_load_repeated_candidate_tag_rejected(tmp_path):
@@ -211,7 +217,7 @@ def test_load_repeated_candidate_tag_rejected(tmp_path):
     shared = record_line(paper_id="p2", candidates=[{"tag": "c1", "bibtex": bibtex}] * 2)
     for line, tag in ((untagged, "candidate"), (shared, "c1")):
         with pytest.raises(CorpusParseError, match=f"line 2: duplicate candidate tag '{tag}'"):
-            load_corpus(write_corpus(tmp_path, [HEADER, line]))
+            list(load_corpus(write_corpus(tmp_path, [HEADER, line])))
     path = write_corpus(tmp_path, [HEADER, untagged, shared, record_line(paper_id="ok")])
     assert [r.paper_id for r in load_corpus(path, permissive=True)] == ["ok"]
 
@@ -234,7 +240,7 @@ def test_load_separator_in_an_id_rejected(tmp_path, field, char):
     else:
         line = record_line(candidates=[{"tag": value, "model": "m", "bibtex": "@article{k, title={T}}"}])
     with pytest.raises(CorpusParseError, match=f"line 2: .*{re.escape(repr(value))} holds a tab or line break"):
-        load_corpus(write_corpus(tmp_path, [HEADER, line]))
+        list(load_corpus(write_corpus(tmp_path, [HEADER, line])))
     path = write_corpus(tmp_path, [HEADER, line, record_line(paper_id="ok")])
     assert [r.paper_id for r in load_corpus(path, permissive=True)] == ["ok"]
 
@@ -253,6 +259,49 @@ def test_load_splits_only_at_newlines(tmp_path, char, newline):
     labels = [run_benchmark(load_corpus(path))["labels"] for path in (escaped, raw)]
     assert labels[0] == labels[1]
     assert {row[0] for row in labels[1]} == {f"p{char}1"}
+
+
+def corpus_line(paper_id, text, tier="popular"):
+    """A record whose description and title hold ``text``, written as raw UTF-8."""
+    doc = json.loads(record_line(paper_id=paper_id, tier=tier, description=f"d{text}"))
+    doc["ground_truth"]["versions"][0]["fields"]["title"] = f"T{text}"
+    return json.dumps(doc, ensure_ascii=False)
+
+
+#: Corpus lines: blank, bad JSON (one ends where its error is), a record of
+#: an unknown tier, and records whose strings hold Unicode line breaks, with
+#: paper_ids that repeat.
+CORPUS_LINES = st.one_of(
+    st.sampled_from(["", "  ", "\t", "{bad json", '{"paper_id": ']),
+    st.builds(
+        corpus_line, st.sampled_from(["p1", "p2", "p3"]), st.sampled_from(["", "\u2028", "\u0085", "a\u2028b"])
+    ),
+    st.builds(corpus_line, st.sampled_from(["p1", "p4"]), st.just(""), st.just("viral")),
+)
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@given(
+    bom=st.booleans(),
+    header=st.sampled_from([HEADER] * 4 + ["", '{"format_version": ']),
+    lines=st.lists(st.tuples(LINE_BREAKS, CORPUS_LINES), max_size=6),
+    tail=st.sampled_from(["", "\n", "\r", "\n\n", "\r\n \r\n"]),
+    permissive=st.booleans(),
+)
+@example(bom=True, header="", lines=[], tail="", permissive=False)  # a BOM alone is an empty file
+def test_load_corpus_agrees_with_the_list_based_loader(bom, header, lines, tail, permissive):
+    text = ("\ufeff" if bom else "") + header + "".join(end + line for end, line in lines) + tail
+
+    def outcome(load, path):
+        try:
+            return list(load(path, permissive=permissive))
+        except CorpusParseError as exc:
+            return f"CorpusParseError: {exc}"
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_corpus, path) == outcome(parent_load_corpus, path)
 
 
 # -- reconcile metadata -------------------------------------------------------------
@@ -384,7 +433,7 @@ def perfect_resolver(corpus):
 
 
 def test_perfect_reconciliation_has_zero_regressions():
-    corpus = load_corpus(CORPUS_PATH)
+    corpus = list(load_corpus(CORPUS_PATH))
     bundle = run_benchmark(corpus, resolver=perfect_resolver(corpus))
     assert all(row[2] == "merged" for row in bundle["actions"])
     for field, delta in bundle["deltas"].items():
@@ -395,7 +444,7 @@ def test_perfect_reconciliation_has_zero_regressions():
 
 
 def test_delta_accounting_invariant():
-    corpus = load_corpus(CORPUS_PATH)
+    corpus = list(load_corpus(CORPUS_PATH))
     bundle = run_benchmark(corpus, resolver=perfect_resolver(corpus))
     for field, delta in bundle["deltas"].items():
         assert (
@@ -404,7 +453,7 @@ def test_delta_accounting_invariant():
 
 
 def test_failing_record_is_recorded_not_fatal():
-    corpus = load_corpus(CORPUS_PATH)
+    corpus = list(load_corpus(CORPUS_PATH))
     resolver = perfect_resolver(corpus)
 
     def flaky(query):
@@ -419,7 +468,7 @@ def test_failing_record_is_recorded_not_fatal():
 
 
 def test_each_distinct_query_is_resolved_once():
-    corpus = load_corpus(CORPUS_PATH)
+    corpus = list(load_corpus(CORPUS_PATH))
     resolver = perfect_resolver(corpus)
     calls = []
 
@@ -436,7 +485,7 @@ def test_failing_records_are_listed_in_paper_id_order_and_add_no_rows(tmp_path):
     lines = [HEADER] + [
         record_line(paper_id=p, meta={"doi": f"10.1000/{p}"}) for p in ("p1", "p2", "p3")
     ]
-    corpus = load_corpus(write_corpus(tmp_path, lines))
+    corpus = list(load_corpus(write_corpus(tmp_path, lines)))
 
     def resolver(query):
         if query != "10.1000/p2":
@@ -456,7 +505,7 @@ def test_failing_records_are_listed_in_paper_id_order_and_add_no_rows(tmp_path):
 
 def test_failed_lookup_is_not_reused(tmp_path):
     lines = [HEADER] + [record_line(paper_id=p, meta={"doi": "10.1000/shared"}) for p in ("p1", "p2")]
-    corpus = load_corpus(write_corpus(tmp_path, lines))
+    corpus = list(load_corpus(write_corpus(tmp_path, lines)))
     calls = []
 
     def resolver(query):
@@ -477,7 +526,7 @@ def test_failed_lookup_is_not_reused(tmp_path):
     [("verify", "verify_entry"), ("reconcile_then_verify", "verify_entry"), ("reconcile_then_verify", "reconcile")],
 )
 def test_record_failing_at_a_later_candidate_adds_no_rows(monkeypatch, mode, fails):
-    corpus = load_corpus(CORPUS_PATH)
+    corpus = list(load_corpus(CORPUS_PATH))
     failed = next(r for r in corpus if r.paper_id == "goodfellow2014")
     assert len(failed.candidates) >= 2  # its first candidate succeeds
     second = failed.candidates[1][2]
@@ -496,6 +545,44 @@ def test_record_failing_at_a_later_candidate_adds_no_rows(monkeypatch, mode, fai
     bundle = run_benchmark(corpus, resolver=resolver)
     assert bundle["incomplete"] == [{"paper_id": "goodfellow2014", "error": "boom"}]
     assert bundle == {**expected, "incomplete": bundle["incomplete"]}  # every row and aggregate as without it
+
+
+@pytest.mark.parametrize("mode", ["verify", "reconcile_then_verify"])
+def test_bundle_does_not_depend_on_record_order(tmp_path, monkeypatch, mode):
+    corpus = list(load_corpus(CORPUS_PATH))
+    resolver = perfect_resolver(corpus) if mode == "reconcile_then_verify" else None
+    failing = {"attention2017", "goodfellow2014"}  # two, so the order of "incomplete" shows
+    real = harness.verify_entry
+
+    def verify_or_fail(entry, gt, table):
+        if gt.paper_id in failing:
+            raise RuntimeError(f"boom {gt.paper_id}")
+        return real(entry, gt, table)
+
+    monkeypatch.setattr(harness, "verify_entry", verify_or_fail)
+    by_id = sorted(corpus, key=lambda r: r.paper_id)
+    for name, records in (("by_id", by_id), ("reversed", by_id[::-1])):
+        bundle = run_benchmark(iter(records), resolver=resolver)
+        assert [d["paper_id"] for d in bundle["incomplete"]] == sorted(failing)
+        write_bundle(bundle, tmp_path / name)
+    assert read_tree(tmp_path / "reversed") == read_tree(tmp_path / "by_id")
+
+
+@pytest.mark.parametrize("mode", ["verify", "reconcile_then_verify"])
+def test_a_run_holds_no_record_it_has_labelled(mode):
+    refs = []
+
+    def records():
+        for record in load_corpus(CORPUS_PATH):
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * len(refs), "an earlier record is alive"
+            refs.append(weakref.ref(record))
+            yield record
+
+    resolver = (lambda query: ResolutionResult("not_found")) if mode == "reconcile_then_verify" else None
+    bundle = run_benchmark(records(), resolver=resolver)
+    assert len(refs) == 8
+    assert bundle["aggregate"]["entries"] == 20
 
 
 # -- normalization memo -------------------------------------------------------------
@@ -521,7 +608,7 @@ def test_memo_is_filled_during_a_run_and_empty_after(monkeypatch):
 
 
 def test_memo_is_empty_after_a_failing_record():
-    corpus = load_corpus(CORPUS_PATH)
+    corpus = list(load_corpus(CORPUS_PATH))
     resolver = perfect_resolver(corpus)
 
     def flaky(query):
@@ -539,7 +626,7 @@ class Abort(BaseException):
 
 
 def test_memo_is_empty_after_a_run_that_raises():
-    corpus = load_corpus(CORPUS_PATH)
+    corpus = list(load_corpus(CORPUS_PATH))
     resolver = perfect_resolver(corpus)
     first = min(corpus, key=lambda r: r.paper_id)
 
@@ -553,6 +640,29 @@ def test_memo_is_empty_after_a_run_that_raises():
     assert memo_size() == 0
 
 
+def test_corpus_file_is_closed_when_a_run_stops_early(tmp_path, monkeypatch):
+    unraisable = []  # an unclosed file warns as it is collected; "error" makes that an unraisable error
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    lines = CORPUS_PATH.read_text("utf-8").splitlines()
+    broken = write_corpus(tmp_path, lines + ["{broken json"])
+
+    def aborting(query):
+        raise Abort()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(CorpusParseError, match=f"^line {len(lines) + 1}: bad JSON"):
+            run_benchmark(load_corpus(broken))  # a strict error on the last line
+        with pytest.raises(Abort):
+            run_benchmark(load_corpus(CORPUS_PATH), resolver=aborting)  # the run stops at its first record
+        records = load_corpus(CORPUS_PATH)
+        next(records)
+        del records  # the consumer stops after one record
+        load_corpus(CORPUS_PATH)  # and before the first
+        gc.collect()
+    assert [hook.exc_type for hook in unraisable] == []
+
+
 # -- bundle writing -----------------------------------------------------------------
 
 
@@ -561,7 +671,7 @@ def read_tree(out_dir):
 
 
 def test_write_bundle_deterministic(tmp_path):
-    corpus = load_corpus(CORPUS_PATH)
+    corpus = list(load_corpus(CORPUS_PATH))
     bundle1 = run_benchmark(corpus)
     bundle2 = run_benchmark(corpus)
     write_bundle(bundle1, tmp_path / "a")
@@ -570,7 +680,7 @@ def test_write_bundle_deterministic(tmp_path):
 
 
 def test_write_bundle_files(tmp_path):
-    corpus = load_corpus(CORPUS_PATH)
+    corpus = list(load_corpus(CORPUS_PATH))
     bundle = run_benchmark(corpus, resolver=perfect_resolver(corpus))
     write_bundle(bundle, tmp_path)
     names = {p.name for p in tmp_path.iterdir()}
@@ -589,14 +699,14 @@ def test_write_bundle_files(tmp_path):
 def test_write_bundle_matches_the_golden_snapshot(tmp_path, mode):
     # tests/fixtures/golden_bundle/<mode> holds the bytes an earlier release
     # wrote for these calls; a refactor must leave every file unchanged
-    corpus = load_corpus(CORPUS_PATH)
+    corpus = list(load_corpus(CORPUS_PATH))
     resolver = perfect_resolver(corpus) if mode == "reconcile_then_verify" else None
     write_bundle(run_benchmark(corpus, resolver=resolver), tmp_path)
     assert read_tree(tmp_path) == read_tree(FIXTURES / "golden_bundle" / mode)
 
 
 def test_verify_bundle_over_a_reconcile_bundle_leaves_only_its_own_files(tmp_path):
-    corpus = load_corpus(CORPUS_PATH)
+    corpus = list(load_corpus(CORPUS_PATH))
     write_bundle(run_benchmark(corpus, resolver=perfect_resolver(corpus)), tmp_path)
     write_bundle(run_benchmark(corpus), tmp_path)
     assert read_tree(tmp_path) == read_tree(FIXTURES / "golden_bundle" / "verify")

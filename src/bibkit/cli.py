@@ -21,14 +21,16 @@ argument parser reports a usage error and exits 1.
 - ``reconcile``: a meta row whose query is empty or malformed or that has
   more than four fields, a ``.bib`` key holding a tab or line break, and a
   ``.bib`` and meta file of different lengths, are input errors too, and
-  so is a ``--log`` path that names the ``--out`` file. It writes nothing
-  on any error.
+  so are a ``--log`` that names the ``--out``, ``--bib`` or ``--meta``
+  file and an ``--out`` that names ``--meta`` (one that names ``--bib``
+  revises it in place). It writes nothing on any error.
 - ``bench`` and ``verify`` list a paper whose processing fails under
   ``incomplete``, still write or print the bundle, and then exit 3 when
   ``incomplete`` is not empty.
 - A ``--server`` or ``BIBKIT_SERVER_URL`` value that ``resolve.http_url``
   rejects (the rule a query URL passes too), or that holds a query or
-  fragment (a ``?`` or ``#``), is an input error, raised before any request.
+  fragment (a ``?`` or ``#``), is an input error, raised before any request,
+  and so is a ``BIBKIT_CONTACT`` that an HTTP header cannot carry.
 - A ``--fixtures`` replay waits neither for the rate limiter nor a retry.
 """
 
@@ -128,6 +130,8 @@ def _build_resolver(args) -> Resolver:
     if "?" in config.base_url or "#" in config.base_url:  # an endpoint path would follow it
         raise InputError(f"{source} {config.base_url!r}: holds a query or fragment")
     config.base_url = config.base_url.rstrip("/")  # endpoints are joined with a "/"
+    if any(c in "\r\n" or ord(c) > 0xFF for c in config.contact or ""):  # it goes in the User-Agent
+        raise InputError(f"BIBKIT_CONTACT {config.contact!r}: holds a line break or a non-Latin-1 character")
     if not args.fixtures:
         return Resolver(config)
     transport = _use_file("--fixtures", args.fixtures, _replay_transport)
@@ -156,8 +160,11 @@ def _read_meta_file(path: str) -> list[PaperMeta]:
 
 def cmd_reconcile(args) -> int:
     out = args.out or args.bib + ".revised.bib"
-    if args.log and Path(args.log).resolve() == Path(out).resolve():
-        raise InputError(f"--log {args.log}: the same file as --out {out}")
+    files = {"--bib": args.bib, "--meta": args.meta, "--out": out, "--log": args.log}
+    # an output may not overwrite an input or the other output; an --out that is --bib revises it
+    for flag, other in [("--log", "--out"), ("--log", "--bib"), ("--log", "--meta"), ("--out", "--meta")]:
+        if files[flag] and Path(files[flag]).resolve() == Path(files[other]).resolve():
+            raise InputError(f"{flag} {files[flag]}: the same file as {other} {files[other]}")
     entries = _use_file("--bib", args.bib, lambda p: parse_bib_file(Path(p).read_text("utf-8")))
     for entry in entries:  # the key is a field of its --log row
         if _holds_separator(entry.citation_key):
@@ -184,8 +191,8 @@ def cmd_reconcile(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    records = _use_file("--corpus", args.corpus, lambda p: load_corpus(p, permissive=args.permissive))
-    # the records, read as the run asks for each: a file error met then is an input error too
+    records = load_corpus(args.corpus, permissive=args.permissive)
+    # the records, read as the run asks for each; a file error, also at the open, is an input error
     corpus = iter(lambda: _use_file("--corpus", args.corpus, lambda p: next(records, None)), None)
     resolver = _build_resolver(args).resolve if args.mode == "reconcile_then_verify" else None
     table = _use_file("--venues", args.venues, VenueSynonymTable.from_file) if args.venues else None

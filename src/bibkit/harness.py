@@ -2,9 +2,9 @@
 
 The corpus is line-delimited JSON (one paper per line) behind a leading
 format-version header, so reports are diffable and a run streams its
-records: ``load_corpus`` reads one line at a time, and ``run_benchmark``
-holds each record's rows, never its records. All output files are
-written atomically and identically across repeat runs.
+records: ``load_corpus`` is a generator that reads a line as the run asks
+for its record, and ``run_benchmark`` holds each record's rows, never
+its records. All output files are written atomically and identically.
 """
 
 from __future__ import annotations
@@ -160,36 +160,28 @@ def _parse_record(line: str, line_no: int, seen_ids: set[str]) -> PaperRecord:
 
 
 def load_corpus(path: str | Path, permissive: bool = False) -> Iterator[PaperRecord]:
-    """The records of a corpus file, read a line at a time; this call opens it and checks its header.
+    """The records of a corpus file, read a line at a time.
 
-    The file is closed when the records run out, one raises, or the iterator is dropped.
+    The first ``next()`` opens the file and checks its header. The file is
+    closed when the records run out, one raises, or the generator is dropped.
     """
-    records = _read_corpus(path, permissive)
-    next(records)  # up to the header check
-    return records
-
-
-def _read_corpus(path: str | Path, permissive: bool) -> Iterator[PaperRecord | None]:
-    """``None`` once the header is valid, then each record."""
-    # newline=None makes "\r\n" and "\r" a "\n" and splits only there; utf-8-sig drops a leading BOM
-    with open(path, encoding="utf-8-sig") as lines:
-        header = next(lines, "")
-        if not header:
+    with contextlib.closing(_read_lines(path)) as lines:  # a raise closes the file at once
+        header = next(lines, None)
+        if header is None:
             raise CorpusParseError("line 1: empty corpus file")
         try:
-            header = json.loads(header.removesuffix("\n"))
+            header = json.loads(header)
         except (ValueError, RecursionError) as exc:  # also an integer of over 4300 digits, or nesting too deep
             raise CorpusParseError(f"line 1: bad header: {exc}") from exc
         version = header.get("format_version") if isinstance(header, dict) else None
         if type(version) is not int or version != 1:  # not true, nor 1.0
             raise CorpusParseError("line 1: unsupported corpus format version")
-        yield None
         seen_ids: set[str] = set()
         for line_no, line in enumerate(lines, start=2):
             if not line.strip():
                 continue
             try:
-                yield _parse_record(line.removesuffix("\n"), line_no, seen_ids)
+                yield _parse_record(line, line_no, seen_ids)
             except CorpusParseError:
                 if not permissive:
                     raise
@@ -352,10 +344,10 @@ def tsv_text(rows: list[tuple[str, ...]]) -> str:
 
 def read_tsv(path: str | Path) -> list[list[str]]:
     """The tab-split rows behind the format-version header; blank lines are skipped."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != TSV_HEADER:
-        raise ValueError(f"unrecognized file format: first line is not {TSV_HEADER!r}")
-    return [line.split("\t") for line in lines[1:] if line.strip()]
+    with contextlib.closing(_read_lines(path)) as lines:
+        if next(lines, None) != TSV_HEADER:
+            raise ValueError(f"unrecognized file format: first line is not {TSV_HEADER!r}")
+        return [line.split("\t") for line in lines if line.strip()]
 
 
 def read_labels(path: str | Path) -> list[TaggedVerdict]:

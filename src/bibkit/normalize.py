@@ -9,31 +9,30 @@ shipped as data files so gate decisions stay reproducible across runs.
 
 from __future__ import annotations
 
+import contextlib
 import re
 import unicodedata
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 from .model import _scan
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    """A UTF-8 file split at "\\n", which ``read_text`` makes of "\\r\\n" and "\\r" too.
+def _read_lines(path: str | Path) -> Iterator[str]:
+    """Each line of a UTF-8 file without its "\\n", which text mode makes of "\\r\\n" and "\\r" too.
 
     A leading byte order mark is not data. Not ``str.splitlines``: it also
     splits at U+2028, U+0085 and the other Unicode line breaks, which a JSON
     string or a TSV field may hold.
     """
-    text = Path(path).read_text("utf-8-sig")
-    return text.removesuffix("\n").split("\n") if text else []
+    with open(path, encoding="utf-8-sig") as lines:
+        for line in lines:
+            yield line.removesuffix("\n")
 
 
-def _load_stopwords() -> frozenset[str]:
-    text = resources.files("bibkit.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(w.strip() for w in text.splitlines() if w.strip())
-
-
-STOPWORDS = _load_stopwords()
+with resources.as_file(resources.files("bibkit.data").joinpath("stopwords.txt")) as _path:
+    STOPWORDS = frozenset(w.strip() for w in _read_lines(_path) if w.strip())
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -169,11 +168,12 @@ class VenueSynonymTable:
     @classmethod
     def from_file(cls, path: str | Path) -> "VenueSynonymTable":
         table = cls()
-        for line in _read_lines(path):
-            if not line.strip() or line.startswith("#"):
-                continue
-            canonical, _, variants = line.partition("\t")
-            table.add(canonical, [v for v in variants.split("|") if v.strip()])
+        with contextlib.closing(_read_lines(path)) as lines:  # a conflict raises mid-file
+            for line in lines:
+                if not line.strip() or line.startswith("#"):
+                    continue
+                canonical, _, variants = line.partition("\t")
+                table.add(canonical, [v for v in variants.split("|") if v.strip()])
         return table
 
     @classmethod

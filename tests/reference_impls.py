@@ -8,14 +8,15 @@ messages and for the error classes the grammar fixture names, the earlier
 normalizers that raised for a value with no normal form, kept as the oracle
 for where that is, the slot reader, stage-1 rules and separator test
 from before their per-call lookups were bound at import, and the corpus
-loader from before it streamed, which read every line and then parsed
-every record.
+loader from before it streamed, which read the whole file, split it at
+"\n" and then parsed every record.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 from bibkit.harness import CorpusParseError, _parse_record
 from bibkit.model import BibEntry, BibParseError, FieldLabel, FieldSlot
@@ -25,7 +26,6 @@ from bibkit.normalize import (
     _PAGE_SEP_RE,
     _YEAR_RE,
     _last_name,
-    _read_lines,
     _split_and,
     normalize_author,
     normalize_doi,
@@ -672,7 +672,8 @@ def parent_holds_separator(value: str) -> bool:
 def parent_load_corpus(path, permissive: bool = False) -> list:
     records = []
     seen_ids: set[str] = set()
-    lines = _read_lines(path)
+    text = Path(path).read_text("utf-8-sig")  # the whole-file line rule, not bibkit's reader
+    lines = text.removesuffix("\n").split("\n") if text else []
     if not lines:
         raise CorpusParseError("line 1: empty corpus file")
     try:

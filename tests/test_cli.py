@@ -3,7 +3,10 @@ import os
 import re
 import shutil
 import stat
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from bibkit.model import FieldSlot, parse_entry
 from conftest import FIXTURES
 
 CORPUS = str(FIXTURES / "golden_corpus.jsonl")
+GOLDEN = (FIXTURES / "golden_corpus.jsonl").read_bytes()
 SERVER = ["--server", "http://server.test"]
 
 
@@ -142,6 +146,24 @@ def test_server_url_variable_that_is_not_an_absolute_http_url_exits_2(tmp_path, 
     assert code == 2
     assert "input error: BIBKIT_SERVER_URL 'localhost:1969'" in err
     assert not (tmp_path / "refs.bib.revised.bib").exists()
+
+
+@pytest.mark.parametrize("contact", ["me@example.org\nX-Extra: 1", "me@example.org\r", "例@example.org"])
+def test_contact_that_a_header_cannot_carry_exits_2_before_any_request(capsys, monkeypatch, contact):
+    monkeypatch.setenv("BIBKIT_CONTACT", contact)
+    monkeypatch.setattr("bibkit.cli.Resolver.resolve", lambda self, query: pytest.fail("a request was made"))
+    replay = ["lookup", "10.1111/iju.13054", "--fixtures", str(FIXTURES / "replay_doi_found.json")]
+    code, out, err = run(replay + SERVER, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"input error: BIBKIT_CONTACT {contact!r}: holds a line break or a non-Latin-1 character\n"
+
+
+def test_contact_in_latin_1_is_accepted(capsys, monkeypatch):
+    monkeypatch.setenv("BIBKIT_CONTACT", "José <jose@example.org>")
+    replay = ["lookup", "10.1111/iju.13054", "--fixtures", str(FIXTURES / "replay_doi_found.json")]
+    code, out, err = run(replay + SERVER, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("@article{yamashita2016,")
 
 
 def write_exchanges(path, *exchanges):
@@ -538,6 +560,40 @@ def test_corpus_error_on_the_last_line_exits_2_and_leaves_the_bundle(tmp_path, c
     assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
 
 
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        b"not json\n",  # a bad header
+        GOLDEN + b"{broken json\n",  # a bad last line
+        GOLDEN + b"\n" * 65536 + b'{"paper_id": "caf\xe9"}\n',  # a byte that is not UTF-8 past the first 64 KiB
+    ],
+    ids=["header", "last-line", "not-utf8"],
+)
+def test_no_file_is_left_open_when_the_process_exits(tmp_path, corpus):
+    """An unclosed file warns only as it is collected, so this runs in a process of its own."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(corpus)
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = ["-X", "dev", "-W", "error::ResourceWarning", "-m", "bibkit.cli", "verify", "--corpus", str(path)]
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_corpus_header_is_read_after_the_other_inputs_and_before_any_request(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("not json\n", "utf-8")
+    monkeypatch.setattr("bibkit.cli.Resolver.resolve", lambda self, query: pytest.fail("a request was made"))
+    args = ["bench", "--mode", "reconcile_then_verify", "--corpus", str(corpus)]
+    args += ["--fixtures", str(FIXTURES / "replay_doi_found.json")] + SERVER
+    code, out, err = run(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("corpus error: line 1: bad header: ")
+    code, out, err = run(args + ["--venues", str(missing_file(tmp_path))], capsys)
+    assert_input_error(code, out, err, "--venues")
+
+
 def test_value_error_of_the_program_during_a_run_stays_a_traceback(monkeypatch):
     def broken(tagged):
         raise ValueError("a bug")
@@ -650,6 +706,31 @@ def test_reconcile_out_and_log_of_one_file_exits_2_before_any_request(tmp_path, 
     assert_input_error(code, stdout, err, "--log")
     assert "the same file as --out" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.tsv", "refs.bib", "sub"]
+
+
+@pytest.mark.parametrize(
+    "flag, name, other", [("--log", "refs.bib", "--bib"), ("--log", "meta.tsv", "--meta"), ("--out", "meta.tsv", "--meta")]
+)
+def test_reconcile_output_that_names_an_input_exits_2_before_any_request(tmp_path, capsys, monkeypatch, flag, name, other):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    inputs = {p: p.read_bytes() for p in (bib, meta)}
+    monkeypatch.setattr("bibkit.cli.Resolver.resolve", lambda self, query: pytest.fail("a request was made"))
+    args = reconcile_args(bib, meta, str(FIXTURES / "replay_doi_found.json"), tmp_path)
+    args[args.index(flag) + 1] = str(tmp_path / name)
+    code, stdout, err = run(args, capsys)
+    assert_input_error(code, stdout, err, flag)
+    assert f"the same file as {other} " in err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == inputs
+
+
+def test_reconcile_out_that_names_bib_revises_it_in_place(tmp_path, capsys):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    args = reconcile_args(bib, meta, str(FIXTURES / "replay_doi_found.json"), tmp_path)
+    assert run(args, capsys)[0] == 0
+    revised, log = ((tmp_path / name).read_bytes() for name in ("revised.bib", "actions.tsv"))
+    args[args.index("--out") + 1] = str(bib)
+    assert run(args, capsys)[0] == 0
+    assert (bib.read_bytes(), (tmp_path / "actions.tsv").read_bytes()) == (revised, log)
 
 
 def test_verify_out_that_is_a_file_exits_2(tmp_path, capsys):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bibkit import harness, verify
+from bibkit import harness, normalize, verify
 from bibkit.harness import (
     CorpusParseError,
     bib_text,
@@ -78,19 +78,49 @@ def test_load_empty_file_rejected(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("", "utf-8")
     with pytest.raises(CorpusParseError):
-        load_corpus(path)
+        next(load_corpus(path))
 
 
 def test_load_bad_header_rejected(tmp_path):
     with pytest.raises(CorpusParseError):
-        load_corpus(write_corpus(tmp_path, ["not json", record_line()]))
+        next(load_corpus(write_corpus(tmp_path, ["not json", record_line()])))
 
 
 @pytest.mark.parametrize("version", [99, True, 1.0])  # True == 1 == 1.0, but only the integer 1 is the version
 def test_load_wrong_format_version_rejected(tmp_path, version):
     header = json.dumps({"format_version": version, "kind": "bibkit-corpus"})
     with pytest.raises(CorpusParseError, match="^line 1: unsupported corpus format version$"):
-        load_corpus(write_corpus(tmp_path, [header, record_line()]))
+        next(load_corpus(write_corpus(tmp_path, [header, record_line()])))
+
+
+def test_load_opens_the_file_at_the_first_record(tmp_path):
+    records = load_corpus(tmp_path / "missing.jsonl")  # raises nothing yet
+    with pytest.raises(FileNotFoundError):
+        next(records)
+
+
+@pytest.mark.parametrize(
+    "read, lines, error",
+    [
+        (lambda path: list(load_corpus(path)), [HEADER, record_line(), "{broken json"], CorpusParseError),
+        (lambda path: next(load_corpus(path)), ["[1]", record_line()], CorpusParseError),
+        (read_tsv, ["not a header", "a\tb"], ValueError),
+        (VenueSynonymTable.from_file, ["A\tx", "B\tx", "C\ty"], ValueError),
+    ],
+    ids=["corpus-record", "corpus-header", "tsv-header", "venue-conflict"],
+)
+def test_an_error_closes_the_file_at_once(tmp_path, monkeypatch, read, lines, error):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(normalize, "open", recording_open, raising=False)
+    with pytest.raises(error) as raised:
+        read(write_corpus(tmp_path, lines))
+    assert raised.value.__traceback__ is not None  # which holds the frames of the reader
+    assert [file.closed for file in opened] == [True]
 
 
 def test_load_duplicate_paper_id_rejected(tmp_path):
@@ -135,7 +165,7 @@ def test_load_permissive_skips_bad_lines(tmp_path):
 
 def test_load_header_not_an_object_rejected(tmp_path):
     with pytest.raises(CorpusParseError, match="line 1"):
-        load_corpus(write_corpus(tmp_path, ["[1]", record_line()]))
+        next(load_corpus(write_corpus(tmp_path, ["[1]", record_line()])))
 
 
 @pytest.mark.parametrize(

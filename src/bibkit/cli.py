@@ -11,7 +11,9 @@ its exit code and one stderr line by the first matching row of ``FAILURES``:
     ExportFailure               3  "error: "
 
 Any other exception propagates, so a program bug stays a traceback. The
-argument parser reports a usage error and exits 1.
+argument parser reports a usage error and exits 1, and so does ``main`` for
+a ``bench`` in verify mode (its default) given ``--server`` or ``--fixtures``,
+which that mode would not read.
 
 - A ``--corpus``, ``--bib``, ``--meta``, ``--labels``, ``--venues`` or
   ``--fixtures`` file that cannot be read or parsed, and an ``--out`` or
@@ -21,9 +23,10 @@ argument parser reports a usage error and exits 1.
 - ``reconcile``: a meta row whose query is empty or malformed or that has
   more than four fields, a ``.bib`` key holding a tab or line break, and a
   ``.bib`` and meta file of different lengths, are input errors too, and
-  so are a ``--log`` that names the ``--out``, ``--bib`` or ``--meta``
-  file and an ``--out`` that names ``--meta`` (one that names ``--bib``
-  revises it in place). It writes nothing on any error.
+  so are a ``--log`` that names the ``--out``, ``--bib``, ``--meta`` or
+  ``--fixtures`` file and an ``--out`` that names ``--meta`` or
+  ``--fixtures`` (one that names ``--bib`` revises it in place). It writes
+  nothing on any error.
 - ``bench`` and ``verify`` list a paper whose processing fails under
   ``incomplete``, still write or print the bundle, and then exit 3 when
   ``incomplete`` is not empty.
@@ -160,10 +163,11 @@ def _read_meta_file(path: str) -> list[PaperMeta]:
 
 def cmd_reconcile(args) -> int:
     out = args.out or args.bib + ".revised.bib"
-    files = {"--bib": args.bib, "--meta": args.meta, "--out": out, "--log": args.log}
+    files = {"--bib": args.bib, "--meta": args.meta, "--fixtures": args.fixtures, "--out": out, "--log": args.log}
     # an output may not overwrite an input or the other output; an --out that is --bib revises it
-    for flag, other in [("--log", "--out"), ("--log", "--bib"), ("--log", "--meta"), ("--out", "--meta")]:
-        if files[flag] and Path(files[flag]).resolve() == Path(files[other]).resolve():
+    for flag, other in [("--log", "--out"), ("--log", "--bib"), ("--log", "--meta"), ("--log", "--fixtures"),
+                        ("--out", "--meta"), ("--out", "--fixtures")]:
+        if files[flag] and files[other] and Path(files[flag]).resolve() == Path(files[other]).resolve():
             raise InputError(f"{flag} {files[flag]}: the same file as {other} {files[other]}")
     entries = _use_file("--bib", args.bib, lambda p: parse_bib_file(Path(p).read_text("utf-8")))
     for entry in entries:  # the key is a field of its --log row
@@ -259,7 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "bench" and args.mode == "verify" and (args.server, args.fixtures) != (None, None):
+        parser.error("--server and --fixtures need --mode reconcile_then_verify")
     try:
         return args.func(args)
     except tuple(FAILURES) as exc:

@@ -22,7 +22,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, ClassVar, Protocol
 from urllib.parse import ParseResult, urlparse, urlunparse
 
 from .model import _BRACE_RE, BibEntry, BibParseError, _scan, parse_entry, sanitize_citation_key
@@ -296,7 +296,7 @@ class RateLimiter:
 
     def __init__(
         self,
-        rate_per_sec: float = 2.0,
+        rate_per_sec: float,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] | None = None,
     ):
@@ -317,7 +317,7 @@ class RateLimiter:
 class ResolverConfig:
     base_url: str
     contact: str | None = None
-    rate_per_sec: float = 2.0
+    rate_per_sec: ClassVar[float] = 2.0  # requests per second, the one rate
 
     @classmethod
     def from_env(cls, env: dict[str, str] | None = None) -> "ResolverConfig":
@@ -356,7 +356,7 @@ class Resolver:
                 if resp.status != 429 and (resp.status < 500 or resp.status == 501):
                     return resp
                 reason, cause = f"upstream returned {resp.status}", None
-                delay = _retry_after(resp.headers, RETRY_DELAY) if resp.status == 429 else RETRY_DELAY
+                delay = _retry_after(resp.headers) if resp.status == 429 else RETRY_DELAY
             if attempt == 2:
                 raise UpstreamUnavailable(reason) from cause
             if delay > MAX_RETRY_AFTER:
@@ -487,16 +487,16 @@ def _issued_year(issued) -> str:
     return str(date[0]) if date and type(date[0]) is int else ""  # not a bool or null
 
 
-def _retry_after(headers: dict[str, str], default: float) -> float:
-    """Seconds a 429 asks the client to wait, or ``default`` if not a number."""
+def _retry_after(headers: dict[str, str]) -> float:
+    """Seconds a 429 asks the client to wait, or ``RETRY_DELAY`` if not a number."""
     for name, value in headers.items():
         if name.lower() == "retry-after":
             try:
                 seconds = float(value)
             except (TypeError, ValueError):  # an HTTP-date, or not a value at all
-                return default
-            return seconds if seconds >= 0 else default  # also rejects NaN
-    return default
+                return RETRY_DELAY
+            return seconds if seconds >= 0 else RETRY_DELAY  # also rejects NaN
+    return RETRY_DELAY
 
 
 def _select(

@@ -66,10 +66,6 @@ _NOT_SUSPECT = (None, FieldLabel.C, FieldLabel.X)
 #: Entry types considered semantically related for partial-match purposes.
 RELATED_ENTRY_TYPES = frozenset({"article", "inproceedings", "misc", "incollection"})
 
-#: Entries the normalization memo holds at most; bounds it for callers that
-#: never run ``harness.run_benchmark``, which empties it.
-NORMALIZED_MEMO_SIZE = 1 << 16
-
 # Members read on every call, bound once: reading an enum member is a class
 # attribute lookup, several times the cost of reading a module global. They
 # are compared with ==, never ``is``: a caller may pass a slot's name.
@@ -118,9 +114,9 @@ class EntryVerdict:
     labels: dict[FieldSlot, FieldLabel]
 
 
-@functools.lru_cache(maxsize=NORMALIZED_MEMO_SIZE)
+@functools.cache
 def _table_free_normalized(slot: FieldSlot, value: str) -> str | None:
-    """The part of ``_normalized`` that reads no venue table; memoized.
+    """The part of ``_normalized`` that reads no venue table; memoized until ``clear_memo``.
 
     Most values recur across candidates and ground-truth versions. A venue
     is only folded here, so the memo stays valid whatever the table holds.
@@ -144,7 +140,7 @@ def _table_free_normalized(slot: FieldSlot, value: str) -> str | None:
 
 
 def clear_memo() -> None:
-    """Empty the normalization memo; ``harness.run_benchmark`` does so when a run ends."""
+    """Empty the unbounded normalization memo; ``harness.run_benchmark`` does so when a run ends."""
     _table_free_normalized.cache_clear()
 
 
@@ -233,7 +229,7 @@ def classify_stage2(
 ) -> CriterionVerdict:
     """Deterministic overlap heuristic for slots Stage 1 left pending.
 
-    ``context`` maps slots to their Stage-1 labels; ``slot``'s own is ignored.
+    ``context`` maps slots to their labels so far; ``slot``'s own is ignored.
     """
     context = context or {}
     gt_values = gt.values_for(slot)
@@ -348,15 +344,11 @@ def verify_entry(
     table: VenueSynonymTable | None = None,
 ) -> EntryVerdict:
     """Two-stage labeling of all ten slots."""
-    stage1: dict[FieldSlot, object] = {
-        slot: classify_stage1(entry, slot, gt, table) for slot in ALL_SLOTS
-    }
-    labels: dict[FieldSlot, FieldLabel] = {}
-    for slot, result in stage1.items():
-        if result is PENDING:
-            cv = classify_stage2(slot_of(entry, slot) or "", slot, gt, stage1, table)
-            result = verdict_from_criteria(cv)
-        labels[slot] = result
+    labels = {slot: classify_stage1(entry, slot, gt, table) for slot in ALL_SLOTS}
+    for slot, result in labels.items():
+        if result is PENDING:  # as stage 2's context, a pending slot and a P, S or F are alike suspect
+            cv = classify_stage2(slot_of(entry, slot) or "", slot, gt, labels, table)
+            labels[slot] = verdict_from_criteria(cv)
     return EntryVerdict(labels)
 
 

@@ -7,9 +7,10 @@ are the earlier ``bibkit.model`` parser, kept as the oracle for its error
 messages and for the error classes the grammar fixture names, the earlier
 normalizers that raised for a value with no normal form, kept as the oracle
 for where that is, the slot reader, stage-1 rules and separator test
-from before their per-call lookups were bound at import, and the corpus
+from before their per-call lookups were bound at import, the corpus
 loader from before it streamed, which read the whole file, split it at
-"\n" and then parsed every record.
+"\n" and then parsed every record, and ``verify_entry`` from before it
+filled one dict of labels.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import re
 from pathlib import Path
 
 from bibkit.harness import CorpusParseError, _parse_record
-from bibkit.model import BibEntry, BibParseError, FieldLabel, FieldSlot
+from bibkit.model import ALL_SLOTS, BibEntry, BibParseError, FieldLabel, FieldSlot, slot_of
 from bibkit.normalize import (
+    VenueSynonymTable,
     _ET_AL_RE,
     _PAGE_PART_RE,
     _PAGE_SEP_RE,
@@ -34,7 +36,15 @@ from bibkit.normalize import (
     normalize_venue,
     normalize_year,
 )
-from bibkit.verify import INAPPLICABLE, PENDING
+from bibkit.verify import (
+    INAPPLICABLE,
+    PENDING,
+    EntryVerdict,
+    GroundTruth,
+    classify_stage1,
+    classify_stage2,
+    verdict_from_criteria,
+)
 
 
 def reference_parse(text: str):
@@ -663,6 +673,30 @@ def parent_classify_stage1(entry: BibEntry, slot: FieldSlot, gt, table=None):
             if gt_norm is not None and norm == gt_norm:
                 return FieldLabel.C
     return PENDING
+
+
+# -- verify_entry with a second dict of stage-1 results ---------------------------------
+#
+# ``bibkit.verify.verify_entry`` as it was while it kept stage 1's results in a
+# dict of their own, read as stage 2's context, and filled a second dict with
+# the labels; copied verbatim except for the name.
+
+def parent_verify_entry(
+    entry: BibEntry,
+    gt: GroundTruth,
+    table: VenueSynonymTable | None = None,
+) -> EntryVerdict:
+    """Two-stage labeling of all ten slots."""
+    stage1: dict[FieldSlot, object] = {
+        slot: classify_stage1(entry, slot, gt, table) for slot in ALL_SLOTS
+    }
+    labels: dict[FieldSlot, FieldLabel] = {}
+    for slot, result in stage1.items():
+        if result is PENDING:
+            cv = classify_stage2(slot_of(entry, slot) or "", slot, gt, stage1, table)
+            result = verdict_from_criteria(cv)
+        labels[slot] = result
+    return EntryVerdict(labels)
 
 
 def parent_holds_separator(value: str) -> bool:

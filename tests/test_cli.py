@@ -709,13 +709,22 @@ def test_reconcile_out_and_log_of_one_file_exits_2_before_any_request(tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "flag, name, other", [("--log", "refs.bib", "--bib"), ("--log", "meta.tsv", "--meta"), ("--out", "meta.tsv", "--meta")]
+    "flag, name, other",
+    [
+        ("--log", "refs.bib", "--bib"),
+        ("--log", "meta.tsv", "--meta"),
+        ("--out", "meta.tsv", "--meta"),
+        ("--log", "fixture.json", "--fixtures"),
+        ("--out", "fixture.json", "--fixtures"),
+    ],
 )
 def test_reconcile_output_that_names_an_input_exits_2_before_any_request(tmp_path, capsys, monkeypatch, flag, name, other):
     bib, meta = write_reconcile_inputs(tmp_path)
-    inputs = {p: p.read_bytes() for p in (bib, meta)}
+    fixture = tmp_path / "fixture.json"  # a copy, so a run that writes over it spoils no repo file
+    shutil.copyfile(FIXTURES / "replay_doi_found.json", fixture)
+    inputs = {p: p.read_bytes() for p in (bib, meta, fixture)}
     monkeypatch.setattr("bibkit.cli.Resolver.resolve", lambda self, query: pytest.fail("a request was made"))
-    args = reconcile_args(bib, meta, str(FIXTURES / "replay_doi_found.json"), tmp_path)
+    args = reconcile_args(bib, meta, str(fixture), tmp_path)
     args[args.index(flag) + 1] = str(tmp_path / name)
     code, stdout, err = run(args, capsys)
     assert_input_error(code, stdout, err, flag)
@@ -1163,6 +1172,33 @@ def test_bench_with_incomplete_records_writes_bundle_then_exits_3(tmp_path, caps
     assert report == printed
     assert len(json.loads(report)["incomplete"]) == 8
     assert json.loads(report)["aggregate"]["entries"] == 0
+
+
+@pytest.mark.parametrize(
+    "upstream",
+    [SERVER, ["--fixtures", "/nonexistent.json"], ["--fixtures", "/nonexistent.json", "--server", "not a url"],
+     ["--server", ""]],
+)
+@pytest.mark.parametrize("mode", [[], ["--mode", "verify"]])
+def test_bench_in_verify_mode_given_an_upstream_is_usage_error(tmp_path, capsys, monkeypatch, upstream, mode):
+    monkeypatch.setenv("BIBKIT_SERVER_URL", "not a url")
+    monkeypatch.setattr("bibkit.cli.load_corpus", lambda *a, **k: pytest.fail("the corpus was opened"))
+    out = tmp_path / "bundle"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--corpus", CORPUS, "--out", str(out)] + mode + upstream)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: bibkit ")
+    assert error == "bibkit: error: --server and --fixtures need --mode reconcile_then_verify"
+    assert not out.exists()
+
+
+def test_bench_in_verify_mode_reads_no_server_url(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BIBKIT_SERVER_URL", "not a url")
+    code, out, err = run(["bench", "--corpus", CORPUS, "--out", str(tmp_path / "bundle")], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_bench_invalid_mode_is_usage_error():

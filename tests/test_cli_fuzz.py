@@ -216,7 +216,8 @@ def test_cli_exits_with_a_documented_code(drawn):
             path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
             paths[name] = str(path)
         argv = [paths.get(a.strip("{}"), a) if a.startswith("{") else a for a in argv]
-        if "fixtures" in paths and argv[0] != "verify":  # verify takes no --fixtures
+        if "fixtures" in paths and (argv[0] in ("lookup", "reconcile") or "reconcile_then_verify" in argv):
+            # verify takes no --fixtures, and bench in verify mode refuses them
             argv += ["--fixtures", paths["fixtures"], "--server", SERVER]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

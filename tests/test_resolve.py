@@ -464,7 +464,7 @@ class RecordingTransport:
 )
 def test_crossref_request_names_the_contact(env, user_agent):
     transport = RecordingTransport()
-    limiter = RateLimiter(clock=lambda: 0.0, sleep=lambda s: None)
+    limiter = RateLimiter(ResolverConfig.rate_per_sec, clock=lambda: 0.0, sleep=lambda s: None)
     resolver = Resolver(ResolverConfig.from_env(env), transport, limiter, sleep=lambda s: None)
     assert resolver.crossref_fallback("A Paper") == []
     [(method, url, headers)] = transport.calls

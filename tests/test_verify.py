@@ -35,6 +35,7 @@ from reference_impls import (
     parent_classify_stage1,
     parent_slot_of,
     parent_values_for,
+    parent_verify_entry,
 )
 
 TABLE = VenueSynonymTable.default()
@@ -443,6 +444,19 @@ def test_classify_stage1_agrees_with_parent(inputs, table):
     entry, slot, gt = inputs
     assert gt.values_for(slot) == parent_values_for(gt, slot)
     assert classify_stage1(entry, slot, gt, table) is parent_classify_stage1(entry, slot, gt, table)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ENTRIES, GROUND_TRUTHS, st.sampled_from([None, TABLE]))
+@example(  # the author and title, labelled F before the venue, are two suspects that make it S
+    _entry("article", author="Ann Bell", title="Xylophone Yards", journal="Zebra Letters"),
+    _gt({"author": "Cy Dunn", "title": "Pears Quarry", "venue": "Quantum Review"}),
+    None,
+)
+def test_verify_entry_agrees_with_the_two_dict_parent(entry, gt, table):
+    """One dict, its pending slots replaced by their stage-2 labels, gives the labels of two."""
+    labels = verify_entry(entry, gt, table).labels
+    assert list(labels.items()) == list(parent_verify_entry(entry, gt, table).labels.items())
 
 
 # -- stage 2 specifics -----------------------------------------------------------

@@ -23,10 +23,9 @@ which that mode would not read.
 - ``reconcile``: a meta row whose query is empty or malformed or that has
   more than four fields, a ``.bib`` key holding a tab or line break, and a
   ``.bib`` and meta file of different lengths, are input errors too, and
-  so are a ``--log`` that names the ``--out``, ``--bib``, ``--meta`` or
-  ``--fixtures`` file and an ``--out`` that names ``--meta`` or
-  ``--fixtures`` (one that names ``--bib`` revises it in place). It writes
-  nothing on any error.
+  so is an ``--out`` or ``--log`` that names an input file or the other
+  output, or lies inside an input (``--fixtures``) directory; an ``--out``
+  that names ``--bib`` revises it in place. It writes nothing on any error.
 - ``bench`` and ``verify`` list a paper whose processing fails under
   ``incomplete``, still write or print the bundle, and then exit 3 when
   ``incomplete`` is not empty.
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -52,13 +52,13 @@ from .harness import (
     _holds_separator,
     _write_atomic,
     action_row,
-    bib_text,
+    bib_pieces,
     load_corpus,
     read_labels,
     read_tsv,
     report_text,
     run_benchmark,
-    tsv_text,
+    tsv_lines,
     write_bundle,
 )
 from .model import parse_bib_file, serialize_entry
@@ -163,12 +163,14 @@ def _read_meta_file(path: str) -> list[PaperMeta]:
 
 def cmd_reconcile(args) -> int:
     out = args.out or args.bib + ".revised.bib"
-    files = {"--bib": args.bib, "--meta": args.meta, "--fixtures": args.fixtures, "--out": out, "--log": args.log}
-    # an output may not overwrite an input or the other output; an --out that is --bib revises it
-    for flag, other in [("--log", "--out"), ("--log", "--bib"), ("--log", "--meta"), ("--log", "--fixtures"),
-                        ("--out", "--meta"), ("--out", "--fixtures")]:
-        if files[flag] and files[other] and Path(files[flag]).resolve() == Path(files[other]).resolve():
-            raise InputError(f"{flag} {files[flag]}: the same file as {other} {files[other]}")
+    files = {"--log": args.log, "--out": out, "--bib": args.bib, "--meta": args.meta, "--fixtures": args.fixtures}
+    paths = {flag: Path(path).resolve() for flag, path in files.items() if path}
+    # an output may be neither an input nor the other output, nor lie in an input directory; --out may be --bib
+    for flag, other in itertools.permutations(paths, 2):
+        if flag in ("--log", "--out") and (flag, other) != ("--out", "--bib"):
+            if paths[flag].is_relative_to(paths[other]):
+                where = "the same file as" if paths[flag] == paths[other] else "inside"
+                raise InputError(f"{flag} {files[flag]}: {where} {other} {files[other]}")
     entries = _use_file("--bib", args.bib, lambda p: parse_bib_file(Path(p).read_text("utf-8")))
     for entry in entries:  # the key is a field of its --log row
         if _holds_separator(entry.citation_key):
@@ -187,9 +189,9 @@ def cmd_reconcile(args) -> int:
         revised.append(outcome.result)
         log_rows.append(action_row(meta.paper_id, baseline.citation_key, outcome))
     with _write_atomic() as stage:  # both files or neither
-        _use_file("--out", out, lambda p: stage(p, bib_text(revised)))
+        _use_file("--out", out, lambda p: stage(p, bib_pieces(revised)))
         if args.log:
-            _use_file("--log", args.log, lambda p: stage(p, tsv_text(log_rows)))
+            _use_file("--log", args.log, lambda p: stage(p, tsv_lines(log_rows)))
     print(f"wrote {len(revised)} entries to {out}")
     return EXIT_OK
 

@@ -4,7 +4,8 @@ The corpus is line-delimited JSON (one paper per line) behind a leading
 format-version header, so reports are diffable and a run streams its
 records: ``load_corpus`` is a generator that reads a line as the run asks
 for its record, and ``run_benchmark`` holds each record's rows, never
-its records. All output files are written atomically and identically.
+its records. Output files are written identically and atomically, each
+streamed row by row, so at write time memory holds the rows, not their text.
 """
 
 from __future__ import annotations
@@ -192,11 +193,11 @@ def load_corpus(path: str | Path, permissive: bool = False) -> Iterator[PaperRec
 
 
 def _labels_rows(tagged: list[TaggedVerdict]) -> list[tuple[str, ...]]:
+    # plain-str cells, not members: the collector untracks a row of them
+    cells = {label: (label.value, "2" if label in STAGE2_LABELS else "1") for label in FieldLabel}
+    slots = [(slot, slot.value) for slot in ALL_SLOTS]
     return [
-        (tv.paper_id, tv.entry_tag, slot, label, "2" if label in STAGE2_LABELS else "1")
-        for tv in tagged
-        for slot in ALL_SLOTS
-        for label in [tv.verdict.labels[slot]]
+        (tv.paper_id, tv.entry_tag, name) + cells[tv.verdict.labels[slot]] for tv in tagged for slot, name in slots
     ]
 
 
@@ -305,17 +306,17 @@ def action_row(entry_id: str, key: str, outcome: ReconcileOutcome) -> tuple[str,
 
 @contextlib.contextmanager
 def _write_atomic():
-    """Yield ``stage(path, content)``; staged files replace their targets when the block ends.
+    """Yield ``stage(path, pieces)``; staged files replace their targets when the block ends.
 
-    Each file is written to a temporary file beside its target, and no
-    target is replaced before every file is written. A temporary file is
-    created with mode 0o666 less the process umask, as ``open`` creates a
-    new file, and ``os.replace`` keeps that mode. On an error every
-    temporary file is removed.
+    Each file's pieces are written to a temporary file beside its target,
+    and no target is replaced before every file is written. A temporary
+    file is created with mode 0o666 less the process umask, as ``open``
+    creates a new file, and ``os.replace`` keeps that mode. On an error,
+    also one a piece raises, every temporary file is removed.
     """
     staged: list[tuple[Path, Path]] = []
 
-    def stage(path: str | Path, content: str) -> None:
+    def stage(path: str | Path, pieces: Iterable[str]) -> None:
         path = Path(path)
         if path.is_dir():  # os.replace cannot put a file in its place
             raise IsADirectoryError("is a directory")
@@ -324,7 +325,7 @@ def _write_atomic():
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         staged.append((tmp, path))
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
+            fh.writelines(pieces)
 
     try:
         yield stage
@@ -337,9 +338,11 @@ def _write_atomic():
         raise
 
 
-def tsv_text(rows: list[tuple[str, ...]]) -> str:
-    """Tab-joined rows behind the format-version header."""
-    return "\n".join([TSV_HEADER] + ["\t".join(r) for r in rows]) + "\n"
+def tsv_lines(rows: Iterable[tuple[str, ...]]) -> Iterator[str]:
+    """The format-version header line, then each row tab-joined as one line."""
+    yield TSV_HEADER + "\n"
+    for row in rows:
+        yield "\t".join(row) + "\n"
 
 
 def read_tsv(path: str | Path) -> list[list[str]]:
@@ -391,13 +394,15 @@ def write_bundle(bundle: dict, out_dir: str | Path) -> None:
     with _write_atomic() as stage:
         for key, name in TSV_FILES.items():
             if key in bundle:
-                stage(out / name, tsv_text(bundle[key]))
-        stage(out / "report.json", report_text(bundle))
+                stage(out / name, tsv_lines(bundle[key]))
+        stage(out / "report.json", [report_text(bundle)])
         for key, name in TSV_FILES.items():
             if key not in bundle:  # an earlier bundle of the other mode wrote it
                 (out / name).unlink(missing_ok=True)
 
 
-def bib_text(entries: list[BibEntry]) -> str:
-    """The entries serialized, separated by blank lines."""
-    return "\n\n".join(serialize_entry(e) for e in entries) + "\n"
+def bib_pieces(entries: Iterable[BibEntry]) -> Iterator[str]:
+    """The entries serialized one at a time, separated by blank lines, then a line break."""
+    for i, entry in enumerate(entries):
+        yield ("\n\n" if i else "") + serialize_entry(entry)
+    yield "\n"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -16,3 +17,9 @@ def fixtures_dir() -> Path:
 
 def load_fixture(name: str):
     return json.loads((FIXTURES / name).read_text("utf-8"))
+
+
+def rows_then_fail(rows, k: int):
+    """The first ``k`` of ``rows``, then the error a disk that fills mid-file raises."""
+    yield from itertools.islice(rows, k)
+    raise OSError("No space left on device")

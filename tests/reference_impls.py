@@ -9,8 +9,9 @@ normalizers that raised for a value with no normal form, kept as the oracle
 for where that is, the slot reader, stage-1 rules and separator test
 from before their per-call lookups were bound at import, the corpus
 loader from before it streamed, which read the whole file, split it at
-"\n" and then parsed every record, and ``verify_entry`` from before it
-filled one dict of labels.
+"\n" and then parsed every record, ``verify_entry`` from before it
+filled one dict of labels, and the labels rows from before they held
+plain strings in place of slot and label members.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from bibkit.normalize import (
 from bibkit.verify import (
     INAPPLICABLE,
     PENDING,
+    STAGE2_LABELS,
     EntryVerdict,
     GroundTruth,
     classify_stage1,
@@ -726,3 +728,12 @@ def parent_load_corpus(path, permissive: bool = False) -> list:
             if not permissive:
                 raise
     return records
+
+
+def parent_labels_rows(tagged) -> list[tuple]:
+    return [
+        (tv.paper_id, tv.entry_tag, slot, label, "2" if label in STAGE2_LABELS else "1")
+        for tv in tagged
+        for slot in ALL_SLOTS
+        for label in [tv.verdict.labels[slot]]
+    ]

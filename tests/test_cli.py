@@ -14,7 +14,7 @@ from bibkit import cli, harness
 from bibkit.cli import main
 from bibkit.model import FieldSlot, parse_entry
 
-from conftest import FIXTURES
+from conftest import FIXTURES, rows_then_fail
 
 CORPUS = str(FIXTURES / "golden_corpus.jsonl")
 GOLDEN = (FIXTURES / "golden_corpus.jsonl").read_bytes()
@@ -730,6 +730,42 @@ def test_reconcile_output_that_names_an_input_exits_2_before_any_request(tmp_pat
     assert_input_error(code, stdout, err, flag)
     assert f"the same file as {other} " in err
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == inputs
+
+
+@pytest.mark.parametrize("name", ["fx/spoiled.json", "fx/deeper/spoiled.json", "other/../fx/spoiled.json"])
+@pytest.mark.parametrize("flag", ["--log", "--out"])
+def test_reconcile_output_inside_a_fixtures_directory_exits_2_and_spoils_nothing(tmp_path, capsys, flag, name):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    fixtures = tmp_path / "fx"  # a copy, so a run that writes into it spoils no repo file
+    (fixtures / "deeper").mkdir(parents=True)
+    (tmp_path / "other").mkdir()
+    shutil.copyfile(FIXTURES / "replay_doi_found.json", fixtures / "replay_doi_found.json")
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    args = reconcile_args(bib, meta, str(fixtures), tmp_path)
+    args[args.index(flag) + 1] = str(tmp_path / name)
+    code, stdout, err = run(args, capsys)
+    assert_input_error(code, stdout, err, flag)
+    assert " inside --fixtures " in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+    assert run(reconcile_args(bib, meta, str(fixtures), tmp_path), capsys)[0] == 0  # the fixtures still replay
+
+
+@pytest.mark.parametrize("flag, pieces", [("--out", "bib_pieces"), ("--log", "tsv_lines")])
+def test_reconcile_write_that_fails_mid_file_keeps_both_outputs(tmp_path, capsys, monkeypatch, flag, pieces):
+    bib, meta = write_reconcile_inputs(tmp_path)
+    with bib.open("a", encoding="utf-8") as fh:  # a second entry, so the write fails after one row
+        fh.write("@misc{other, title={Another Title}}\n")
+    with meta.open("a", encoding="utf-8") as fh:
+        fh.write("p2\t\t\t\n")  # no query: kept without a request
+    for name in ("revised.bib", "actions.tsv"):
+        (tmp_path / name).write_text(f"an earlier {name}\n", "utf-8")
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real = getattr(cli, pieces)
+    monkeypatch.setattr(cli, pieces, lambda rows: real(rows_then_fail(rows, 1)))
+    code, stdout, err = run(reconcile_args(bib, meta, str(FIXTURES / "replay_doi_found.json"), tmp_path), capsys)
+    assert_input_error(code, stdout, err, flag)
+    assert err.endswith(": No space left on device\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files  # and no temporary file is left
 
 
 def test_reconcile_out_that_names_bib_revises_it_in_place(tmp_path, capsys):

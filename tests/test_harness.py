@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -13,21 +14,21 @@ from hypothesis import example, given, strategies as st
 from bibkit import harness, normalize, verify
 from bibkit.harness import (
     CorpusParseError,
-    bib_text,
+    bib_pieces,
     load_corpus,
     read_tsv,
     run_benchmark,
-    tsv_text,
+    tsv_lines,
     write_bundle,
 )
-from bibkit.model import BibEntry, parse_entry, serialize_entry
+from bibkit.model import ALL_SLOTS, BibEntry, parse_entry, serialize_entry
 from bibkit.normalize import VenueSynonymTable
 from bibkit.reconcile import PaperMeta
 from bibkit.resolve import ResolutionResult, UpstreamUnavailable
-from bibkit.verify import verify_entry
+from bibkit.verify import TaggedVerdict, verify_entry
 
-from conftest import FIXTURES, load_fixture
-from reference_impls import parent_holds_separator, parent_load_corpus
+from conftest import FIXTURES, load_fixture, rows_then_fail
+from reference_impls import parent_holds_separator, parent_labels_rows, parent_load_corpus
 
 CORPUS_PATH = FIXTURES / "golden_corpus.jsonl"
 GOLDEN_LABELS = {(e["paper_id"], e["tag"]): e for e in load_fixture("golden_labels.json")["entries"]}
@@ -753,7 +754,7 @@ def test_write_bundle_overwrites_atomically(tmp_path):
 def test_read_tsv_round_trips_tsv_text(tmp_path):
     rows = [("p1", "", "10.1111/iju.13054", ""), ("p2", "https://arxiv.org/abs/1", "", "A Title")]
     path = tmp_path / "rows.tsv"
-    path.write_text(tsv_text(rows), "utf-8")
+    path.write_text("".join(tsv_lines(rows)), "utf-8")
     assert read_tsv(path) == [list(row) for row in rows]
     path.write_text(path.read_text("utf-8") + "\n \t \n", "utf-8")  # blank lines are skipped
     assert read_tsv(path) == [list(row) for row in rows]
@@ -772,5 +773,52 @@ def test_bib_text_separates_entries_by_a_blank_line():
         parse_entry("@article{a, title={First}, year={2020}}"),
         parse_entry("@misc{b, title={Second}}"),
     ]
-    text = bib_text(entries)
+    text = "".join(bib_pieces(entries))
     assert text == serialize_entry(entries[0]) + "\n\n" + serialize_entry(entries[1]) + "\n"
+    assert "".join(bib_pieces([])) == "\n"
+
+
+@pytest.mark.parametrize("mode", ["verify", "reconcile_then_verify"])
+def test_label_rows_are_plain_strings_the_collector_untracks(mode):
+    corpus = list(load_corpus(CORPUS_PATH))
+    resolver = perfect_resolver(corpus) if mode == "reconcile_then_verify" else None
+    bundle = run_benchmark(corpus, resolver=resolver)
+    gc.collect()
+    rows = bundle["labels"] + bundle.get("labels_before", [])
+    assert len(rows) == (1 if resolver is None else 2) * 20 * 10
+    for row in rows:
+        assert type(row) is tuple and {type(cell) for cell in row} == {str}, row
+        assert gc.is_tracked(row) is False, row
+    table = VenueSynonymTable.default()
+    tagged = [
+        TaggedVerdict(r.paper_id, tag, verify_entry(entry, r.ground_truth, table))
+        for r in sorted(corpus, key=lambda r: r.paper_id)
+        for tag, _, entry in r.candidates
+    ]
+    assert bundle["labels" if resolver is None else "labels_before"] == parent_labels_rows(tagged)
+
+
+def test_write_bundle_holds_rows_not_their_text(tmp_path):
+    slots = [slot.value for slot in ALL_SLOTS]
+    rows = [(f"paper{i // 10:05d}", "cand1", slots[i % 10], "C", "1") for i in range(60_000)]
+    bundle = {"format_version": 1, "mode": "verify", "incomplete": [], "labels": rows}
+    tracemalloc.start()
+    try:
+        write_bundle(bundle, tmp_path)
+        added = tracemalloc.get_traced_memory()[1]  # the peak above the bundle, traced from here
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "labels.tsv").stat().st_size > 1_500_000
+    assert added < 2**20  # holding the labels text, or its lines, would take more
+
+
+@pytest.mark.parametrize("key", sorted(harness.TSV_FILES))
+def test_write_bundle_that_fails_mid_file_keeps_the_earlier_bundle(tmp_path, key):
+    corpus = list(load_corpus(CORPUS_PATH))
+    write_bundle(run_benchmark(corpus), tmp_path)
+    files = read_tree(tmp_path)
+    bundle = run_benchmark(corpus, resolver=perfect_resolver(corpus))
+    bundle[key] = rows_then_fail(bundle[key], 5)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_bundle(bundle, tmp_path)
+    assert read_tree(tmp_path) == files  # and no temporary file is left

@@ -72,8 +72,8 @@ EXPECTED_RECONCILE_CALLS = {
     "reconcile.merge_fields": 2,
     "resolve.Resolver.resolve": 2,
     "resolve.Resolver.crossref_fallback": 1,
-    "harness.bib_text": 1,
-    "harness.tsv_text": 1,
+    "harness.bib_pieces": 1,
+    "harness.tsv_lines": 1,
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bibkit import verify
-from bibkit.harness import _labels_rows, load_corpus, read_labels, tsv_text
+from bibkit.harness import _labels_rows, load_corpus, read_labels, tsv_lines
 from bibkit.model import BibEntry, FieldLabel, FieldSlot, parse_entry, serialize_entry, slot_of
 from bibkit.normalize import VenueSynonymTable
 from bibkit.verify import (
@@ -873,7 +873,7 @@ def test_labels_file_round_trip(tmp_path):
     ]
     assert any(stage2_slots(tv.verdict) for tv in tagged)
     path = tmp_path / "labels.tsv"
-    path.write_text(tsv_text(_labels_rows(tagged)), "utf-8")
+    path.write_text("".join(tsv_lines(_labels_rows(tagged))), "utf-8")
     assert read_labels(path) == tagged
 
 

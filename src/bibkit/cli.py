@@ -53,6 +53,7 @@ from .harness import (
     _write_atomic,
     action_row,
     bib_pieces,
+    count_vectors,
     load_corpus,
     read_labels,
     read_tsv,
@@ -217,7 +218,7 @@ def cmd_bench(args) -> int:
 def cmd_report(args) -> int:
     """The bundle aggregate of a labels file; it carries no model, tier or domain."""
     tagged = _use_file("--labels", args.labels, read_labels)
-    report = aggregate_stats(tagged)["aggregate"]
+    report = aggregate_stats(count_vectors(tagged))["aggregate"]
     for kind in ("model", "tier", "domain"):
         del report[f"per_{kind}"]
     print(json.dumps(report, indent=2, sort_keys=True))

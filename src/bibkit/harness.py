@@ -3,9 +3,10 @@
 The corpus is line-delimited JSON (one paper per line) behind a leading
 format-version header, so reports are diffable and a run streams its
 records: ``load_corpus`` is a generator that reads a line as the run asks
-for its record, and ``run_benchmark`` holds each record's rows, never
-its records. Output files are written identically and atomically, each
-streamed row by row, so at write time memory holds the rows, not their text.
+for its record, and ``run_benchmark`` holds label vectors (an entry's labels
+in slot order), never records, verdicts or rows: it counts distinct vectors
+and builds rows when the run ends. Output files are written identically and
+atomically, each streamed row by row, so memory holds rows, not their text.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import contextlib
 import functools
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -24,8 +26,10 @@ from .model import (
     BibParseError,
     FieldLabel,
     FieldSlot,
+    VALUE_SLOTS,
     parse_entry,
     serialize_entry,
+    slot_of,
 )
 from .normalize import VenueSynonymTable, _read_lines
 from .reconcile import PaperMeta, ReconcileOutcome, reconcile
@@ -192,29 +196,38 @@ def load_corpus(path: str | Path, permissive: bool = False) -> Iterator[PaperRec
 # benchmark
 
 
-def _labels_rows(tagged: list[TaggedVerdict]) -> list[tuple[str, ...]]:
-    # plain-str cells, not members: the collector untracks a row of them
-    cells = {label: (label.value, "2" if label in STAGE2_LABELS else "1") for label in FieldLabel}
-    slots = [(slot, slot.value) for slot in ALL_SLOTS]
-    return [
-        (tv.paper_id, tv.entry_tag, name) + cells[tv.verdict.labels[slot]] for tv in tagged for slot, name in slots
-    ]
+def _vector(verdict: EntryVerdict) -> tuple[FieldLabel, ...]:
+    """The verdict's labels in ``ALL_SLOTS`` order: its label vector."""
+    return tuple(map(verdict.labels.__getitem__, ALL_SLOTS))
 
 
-def _field_deltas(before: list[TaggedVerdict], after: list[TaggedVerdict]) -> dict:
-    """Per-field correction/regression accounting between two aligned labelings."""
+def _labels_rows(entries: Iterable[tuple[str, str, tuple[FieldLabel, ...]]]) -> list[tuple[str, ...]]:
+    """The labels-file rows of each ``(paper_id, tag, label vector)``; a vector's ten row ends are built once."""
+    ends, rows = {}, []  # each distinct vector's ten row ends, and the rows
+    for paper_id, tag, vector in entries:
+        if vector not in ends:  # plain-str cells, not members: the collector untracks a row of them
+            ends[vector] = [
+                (slot.value, label.value, "2" if label in STAGE2_LABELS else "1")
+                for slot, label in zip(ALL_SLOTS, vector)
+            ]
+        rows.extend(map((paper_id, tag).__add__, ends[vector]))
+    return rows
+
+
+def _field_deltas(pairs: dict[tuple[tuple[FieldLabel, ...], tuple[FieldLabel, ...]], int]) -> dict:
+    """Per-field correction/regression accounting, from counts of (vector before, vector after)."""
     C, X = FieldLabel.C, FieldLabel.X
     deltas: dict[str, dict] = {}
     for slot in EVALUABLE_SLOTS:
-        pairs = [(b.verdict.labels[slot], a.verdict.labels[slot]) for b, a in zip(before, after)]
-        # (correct before, correct after) of each entry evaluable in both
-        correct = [(lb == C, la == C) for lb, la in pairs if X not in (lb, la)]
+        i = ALL_SLOTS.index(slot)
+        # (correct before, correct after, entries) of each pair evaluable in both
+        correct = [(b[i] == C, a[i] == C, n) for (b, a), n in pairs.items() if X not in (b[i], a[i])]
         deltas[slot] = {
-            "evaluable": len(correct),
-            "before_c": sum(cb for cb, _ in correct),
-            "after_c": sum(ca for _, ca in correct),
-            "corrections": sum(ca and not cb for cb, ca in correct),
-            "regressions": sum(cb and not ca for cb, ca in correct),
+            "evaluable": sum(n for _, _, n in correct),
+            "before_c": sum(cb * n for cb, _, n in correct),
+            "after_c": sum(ca * n for _, ca, n in correct),
+            "corrections": sum((ca and not cb) * n for cb, ca, n in correct),
+            "regressions": sum((cb and not ca) * n for cb, ca, n in correct),
         }
     return deltas
 
@@ -227,9 +240,9 @@ def run_benchmark(
     """Label every candidate entry; reconcile it first when given a ``resolver``.
 
     Records run one by one in ``corpus`` order and are not held once their
-    rows are made. Returns the report bundle as a dict, rows and "incomplete"
-    in ``paper_id`` order; a failing record adds no rows, is listed under
-    "incomplete" and never aborts the run. The run asks ``resolver`` once
+    vectors are made. Returns the report bundle as a dict, rows and "incomplete"
+    in ``paper_id`` order; a failing record adds no rows or counts, is listed
+    under "incomplete" and never aborts the run. The run asks ``resolver`` once
     per distinct query and reuses its result for every candidate that sends
     the same query; an exception is not kept, so the next candidate with
     that query asks again. ``table`` None is the shipped venue table. The
@@ -243,47 +256,58 @@ def run_benchmark(
     if table is None:
         table = VenueSynonymTable.default()
 
-    chunks: list[tuple] = []  # (paper_id, rows, rows_before, actions) of each complete record
+    # counted over complete records' entries: (vector, model, tier, domain) after and before, (before, after)
+    counts, counts_before, pairs = Counter(), Counter(), Counter()
+    chunks: list[tuple] = []  # (paper_id, [(tag, model, vector, vector before)], actions) of each complete record
     incomplete: list[dict] = []
 
     try:
         for record in corpus:
-            pid, gt, tier, domain = record.paper_id, record.ground_truth, record.tier, record.domain
-            # the record's rows join the run's only if every candidate succeeds
-            rows, rows_before, record_actions = [], [], []
+            pid, gt = record.paper_id, record.ground_truth
+            # the record's vectors join the run's only if every candidate succeeds
+            entries, record_actions = [], []
+            revised = {}  # merged entries' vectors by all verify_entry reads: type, value slots (the key is X)
             try:
                 for tag, model, entry in record.candidates:
-                    verdict = verify_entry(entry, gt, table)
+                    vector = before = _vector(verify_entry(entry, gt, table))
                     if resolver is not None:
                         outcome = reconcile(record.meta, entry, resolver)
-                        rows_before.append(TaggedVerdict(pid, tag, verdict, model, tier, domain))
                         record_actions.append(action_row(pid, tag, outcome))
-                        if outcome.result is not entry:  # a kept entry's labels stand: verify_entry is pure
-                            verdict = verify_entry(outcome.result, gt, table)
-                    rows.append(TaggedVerdict(pid, tag, verdict, model, tier, domain))
+                        if (merged := outcome.result) is not entry:  # a kept entry's labels stand: verify_entry is pure
+                            signature = (merged.entry_type, *map(functools.partial(slot_of, merged), VALUE_SLOTS))
+                            if signature not in revised:
+                                revised[signature] = _vector(verify_entry(merged, gt, table))
+                            vector = revised[signature]
+                    entries.append((tag, model, vector, before))
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                 incomplete.append({"paper_id": pid, "error": str(exc)})
             else:
-                chunks.append((pid, rows, rows_before, record_actions))
+                chunks.append((pid, entries, record_actions))
+                for _, model, vector, before in entries:
+                    counts[vector, model, record.tier, record.domain] += 1
+                    if resolver is not None:
+                        counts_before[before, model, record.tier, record.domain] += 1
+                        pairs[before, vector] += 1
             del record  # none is held while the next is read
     finally:
         clear_memo()  # the normalization memo lives for one run
 
     chunks.sort(key=lambda chunk: chunk[0])  # stable, and total over a loaded corpus's unique ids
     incomplete.sort(key=lambda row: row["paper_id"])
-    tagged, tagged_before, actions = ([row for chunk in chunks for row in chunk[i]] for i in (1, 2, 3))
     bundle: dict = {
         "format_version": 1,
         "mode": "verify" if resolver is None else "reconcile_then_verify",
-        **aggregate_stats(tagged),  # "aggregate", "error_modes" and "co_error"
+        **aggregate_stats(counts),  # "aggregate", "error_modes" and "co_error"
         "incomplete": incomplete,
-        "labels": _labels_rows(tagged),
+        # rows are built once the run ends, not among each record's parse garbage
+        "labels": _labels_rows((pid, tag, after) for pid, entries, _ in chunks for tag, _, after, _ in entries),
     }
     if resolver is not None:
-        bundle["aggregate_before"] = aggregate_stats(tagged_before)["aggregate"]
-        bundle["labels_before"] = _labels_rows(tagged_before)
-        bundle["deltas"] = _field_deltas(tagged_before, tagged)
-        bundle["actions"] = actions
+        bundle["aggregate_before"] = aggregate_stats(counts_before)["aggregate"]
+        befores = ((pid, tag, before) for pid, entries, _ in chunks for tag, _, _, before in entries)
+        bundle["labels_before"] = _labels_rows(befores)
+        bundle["deltas"] = _field_deltas(pairs)
+        bundle["actions"] = [row for _, _, actions in chunks for row in actions]
     return bundle
 
 
@@ -376,6 +400,11 @@ def read_labels(path: str | Path) -> list[TaggedVerdict]:
             raise ValueError(f"{paper_id}/{tag}: labels missing for some slots")
         tagged.append(TaggedVerdict(paper_id, tag, EntryVerdict(labels)))
     return tagged
+
+
+def count_vectors(tagged: Iterable[TaggedVerdict]) -> Counter:
+    """How many of ``tagged`` have each (label vector, model, tier, domain): what ``aggregate_stats`` takes."""
+    return Counter((_vector(tv.verdict), tv.model, tv.tier, tv.domain) for tv in tagged)
 
 
 def report_text(bundle: dict) -> str:

@@ -58,6 +58,7 @@ def fold_diacritics(value: str) -> str:
 
 _ET_AL_RE = re.compile(r"\bet\.?\s+al\.?\s*$", re.IGNORECASE)
 _AUTHOR_DELIMITER_RE = re.compile(r"[{}]| and ", re.IGNORECASE)
+_NOT_ALNUM_RE = re.compile(r"[^a-z0-9]")
 
 
 def _split_authors(value: str) -> list[str]:
@@ -107,7 +108,7 @@ def _last_name(name: str) -> str:
         # attached only when the name ends with them; last word is enough
         # for the conventions this toolkit evaluates
     folded = fold_diacritics(surname).lower()
-    return re.sub(r"[^a-z0-9]", "", folded)
+    return _NOT_ALNUM_RE.sub("", folded)
 
 
 def normalize_author(value: str) -> str | None:
@@ -122,17 +123,15 @@ def author_lastname_list(value: str) -> list[str]:
 
 
 _LATEX_CMD_RE = re.compile(r"\\[a-zA-Z]+\*?")
+_SPACES_RE = re.compile(r"\s+")
 
 
 def normalize_title(value: str) -> str:
     """Lowercase, LaTeX commands and braces removed, whitespace collapsed."""
     s = _LATEX_CMD_RE.sub(" ", value)
     s = s.replace("{", "").replace("}", "").replace("\\", " ")
-    s = re.sub(r"\s+", " ", s).strip()
+    s = _SPACES_RE.sub(" ", s).strip()
     return s.lower()
-
-
-_SPACES_RE = re.compile(r"\s+")
 
 
 class VenueSynonymTable:

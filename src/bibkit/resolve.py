@@ -89,6 +89,7 @@ _ARXIV_NEW_RE = re.compile(r"^(?:arxiv:\s*)?(\d{4}\.\d{4,5}(?:v\d+)?)$", re.IGNO
 _ARXIV_OLD_RE = re.compile(r"^(?:arxiv:\s*)?([a-z-]+(?:\.[A-Za-z]{2})?/\d{7}(?:v\d+)?)$")
 _PMID_RE = re.compile(r"^(?:pmid:?\s*)?(\d{1,8})$", re.IGNORECASE)
 _ISBN_RE = re.compile(r"^(?:isbn:?\s*)?([\d -]{9,16}[\dXx])$", re.IGNORECASE)
+_ISBN_SEPARATOR_RE = re.compile(r"[ -]")
 _ARXIV_ID_SHAPE_RE = re.compile(r"^\d{4}\.\d{4,5}(?:v\d+)?$")
 
 
@@ -116,7 +117,7 @@ def classify_query(raw: str) -> Query:
         return Query("pmid", m.group(1), raw)
     m = _ISBN_RE.match(s)
     if m:
-        digits = re.sub(r"[ -]", "", m.group(1))
+        digits = _ISBN_SEPARATOR_RE.sub("", m.group(1))
         if len(digits) in (10, 13):
             return Query("isbn", digits.upper(), raw)
     return Query("title", s, raw)

@@ -185,13 +185,15 @@ def _page_range(value: str) -> tuple[tuple[int, str], tuple[int, str]] | None:
     as the numbers they write. A digit of any script counts as ``int()`` reads it.
     """
     keys = []
-    for run in re.findall(r"\d+", value)[:2]:
+    for run in _DIGITS_RE.findall(value)[:2]:
         digits = "".join(str(unicodedata.decimal(c)) for c in run).lstrip("0")
         keys.append((len(digits), digits))
     return (keys[0], keys[-1]) if keys else None
 
 
 _ARXIV_DOI_RE = re.compile(r"^10\.48550/arxiv\.(.+)$")
+_DIGITS_RE = re.compile(r"\d+")
+_FOUR_DIGITS_RE = re.compile(r"\d{4}")
 
 
 def _doi_partial(value: str, gt_values: list[str], gt: GroundTruth) -> bool:
@@ -280,11 +282,11 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
                 return True
         return False
     if slot == _YEAR:
-        my_years = re.findall(r"\d{4}", entry_value)
+        my_years = _FOUR_DIGITS_RE.findall(entry_value)
         if not my_years:
             return False
         for gt_value in gt_values:
-            gt_years = re.findall(r"\d{4}", gt_value)
+            gt_years = _FOUR_DIGITS_RE.findall(gt_value)
             if gt_years and abs(int(my_years[0]) - int(gt_years[0])) <= YEAR_SLACK:
                 return True
         return False
@@ -378,9 +380,11 @@ def _pct(bucket: dict) -> dict:
     return {**bucket, "pct_c": pct}
 
 
-def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
-    """The bundle's "aggregate", "error_modes" and "co_error" sections, from one pass.
+def aggregate_stats(counts: dict[tuple[tuple[FieldLabel, ...], str, str, str], int]) -> dict:
+    """The bundle's "aggregate", "error_modes" and "co_error" sections, from counted label vectors.
 
+    ``counts`` maps (label vector: labels in ``ALL_SLOTS`` order, model, tier,
+    domain) to its entries; each key is read once, weighted by its count.
     X slots never enter accuracy denominators. Every label is C, X or one of
     ``ERROR_LABELS``, so an entry is fully correct, every non-X slot C,
     exactly when its error mode is ``none``. ``co_error[i][j]`` is
@@ -395,37 +399,38 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
     modes: dict[str, int] = {}
     # co[i][j]: entries with slots i and j both wrong; co[i][i] is row i's denominator
     co = [[0] * len(EVALUABLE_SLOTS) for _ in EVALUABLE_SLOTS]
+    entries = sum(counts.values())
 
-    for tv in tagged:
-        labels = tv.verdict.labels
+    for (vector, model, tier, domain), n in counts.items():
+        labels = dict(zip(ALL_SLOTS, vector))
         mode = classify_error_mode(labels)
-        modes[mode] = modes.get(mode, 0) + 1
+        modes[mode] = modes.get(mode, 0) + n
         evaluable = correct = 0
         errors = []
         for i, slot in enumerate(EVALUABLE_SLOTS):
             label = labels[slot]
             if label == X:
                 continue
-            labels_seen[label] += 1
+            labels_seen[label] += n
             bucket = per_field[slot]
-            bucket["evaluable"] += 1
-            evaluable += 1
+            bucket["evaluable"] += n
+            evaluable += n
             if label == C:
-                bucket["correct"] += 1
-                correct += 1
+                bucket["correct"] += n
+                correct += n
             else:
                 errors.append(i)
         for i in errors:
             row = co[i]
             for j in errors:
-                row[j] += 1
+                row[j] += n
         if not evaluable:
             continue  # an all-X entry opens no model, tier or domain bucket
         for bucket in (
             overall,
-            per_tag["model"].setdefault(tv.model, _bucket()),
-            per_tag["tier"].setdefault(tv.tier, _bucket()),
-            per_tag["domain"].setdefault(tv.domain, _bucket()),
+            per_tag["model"].setdefault(model, _bucket()),
+            per_tag["tier"].setdefault(tier, _bucket()),
+            per_tag["domain"].setdefault(domain, _bucket()),
         ):
             bucket["evaluable"] += evaluable
             bucket["correct"] += correct
@@ -433,11 +438,11 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
     fully_correct = modes.get("none", 0)
     aggregate = {
         "format_version": 1,
-        "entries": len(tagged),
+        "entries": entries,
         "overall": _pct(overall),
         "fully_correct": {
             "count": fully_correct,
-            "pct": round(100.0 * fully_correct / len(tagged), 1) if tagged else None,
+            "pct": round(100.0 * fully_correct / entries, 1) if entries else None,
         },
         "label_distribution": labels_seen,
         "per_field": {slot: _pct(b) for slot, b in sorted(per_field.items())},
@@ -451,5 +456,5 @@ def aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
     return {
         "aggregate": aggregate,
         "error_modes": dict(sorted(modes.items())),
-        "co_error": co_error if tagged else {},
+        "co_error": co_error if entries else {},
     }

@@ -10,8 +10,10 @@ for where that is, the slot reader, stage-1 rules and separator test
 from before their per-call lookups were bound at import, the corpus
 loader from before it streamed, which read the whole file, split it at
 "\n" and then parsed every record, ``verify_entry`` from before it
-filled one dict of labels, and the labels rows from before they held
-plain strings in place of slot and label members.
+filled one dict of labels, the labels rows from before they held
+plain strings in place of slot and label members, and the aggregate and
+field deltas from before they counted label vectors, which walked every
+verdict.
 """
 
 from __future__ import annotations
@@ -38,11 +40,16 @@ from bibkit.normalize import (
     normalize_year,
 )
 from bibkit.verify import (
+    EVALUABLE_SLOTS,
     INAPPLICABLE,
     PENDING,
     STAGE2_LABELS,
     EntryVerdict,
     GroundTruth,
+    TaggedVerdict,
+    _bucket,
+    _pct,
+    classify_error_mode,
     classify_stage1,
     classify_stage2,
     verdict_from_criteria,
@@ -737,3 +744,98 @@ def parent_labels_rows(tagged) -> list[tuple]:
         for slot in ALL_SLOTS
         for label in [tv.verdict.labels[slot]]
     ]
+
+
+def parent_aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
+    """The bundle's "aggregate", "error_modes" and "co_error" sections, from one pass.
+
+    X slots never enter accuracy denominators. Every label is C, X or one of
+    ``ERROR_LABELS``, so an entry is fully correct, every non-X slot C,
+    exactly when its error mode is ``none``. ``co_error[i][j]`` is
+    P(slot j wrong | slot i wrong), None when slot i is never wrong; no
+    entries give an empty matrix.
+    """
+    C, X = FieldLabel.C, FieldLabel.X
+    overall = _bucket()
+    per_field: dict[FieldSlot, dict] = {slot: _bucket() for slot in EVALUABLE_SLOTS}
+    per_tag: dict[str, dict[str, dict]] = {"model": {}, "tier": {}, "domain": {}}
+    labels_seen = {label: 0 for label in (C, FieldLabel.M, FieldLabel.F, FieldLabel.P, FieldLabel.S)}
+    modes: dict[str, int] = {}
+    # co[i][j]: entries with slots i and j both wrong; co[i][i] is row i's denominator
+    co = [[0] * len(EVALUABLE_SLOTS) for _ in EVALUABLE_SLOTS]
+
+    for tv in tagged:
+        labels = tv.verdict.labels
+        mode = classify_error_mode(labels)
+        modes[mode] = modes.get(mode, 0) + 1
+        evaluable = correct = 0
+        errors = []
+        for i, slot in enumerate(EVALUABLE_SLOTS):
+            label = labels[slot]
+            if label == X:
+                continue
+            labels_seen[label] += 1
+            bucket = per_field[slot]
+            bucket["evaluable"] += 1
+            evaluable += 1
+            if label == C:
+                bucket["correct"] += 1
+                correct += 1
+            else:
+                errors.append(i)
+        for i in errors:
+            row = co[i]
+            for j in errors:
+                row[j] += 1
+        if not evaluable:
+            continue  # an all-X entry opens no model, tier or domain bucket
+        for bucket in (
+            overall,
+            per_tag["model"].setdefault(tv.model, _bucket()),
+            per_tag["tier"].setdefault(tv.tier, _bucket()),
+            per_tag["domain"].setdefault(tv.domain, _bucket()),
+        ):
+            bucket["evaluable"] += evaluable
+            bucket["correct"] += correct
+
+    fully_correct = modes.get("none", 0)
+    aggregate = {
+        "format_version": 1,
+        "entries": len(tagged),
+        "overall": _pct(overall),
+        "fully_correct": {
+            "count": fully_correct,
+            "pct": round(100.0 * fully_correct / len(tagged), 1) if tagged else None,
+        },
+        "label_distribution": labels_seen,
+        "per_field": {slot: _pct(b) for slot, b in sorted(per_field.items())},
+    }
+    for kind, buckets in per_tag.items():
+        aggregate[f"per_{kind}"] = {tag: _pct(b) for tag, b in sorted(buckets.items())}
+    co_error = {
+        si: {sj: round(co[i][j] / co[i][i], 6) if co[i][i] else None for j, sj in enumerate(EVALUABLE_SLOTS)}
+        for i, si in enumerate(EVALUABLE_SLOTS)
+    }
+    return {
+        "aggregate": aggregate,
+        "error_modes": dict(sorted(modes.items())),
+        "co_error": co_error if tagged else {},
+    }
+
+
+def parent_field_deltas(before: list[TaggedVerdict], after: list[TaggedVerdict]) -> dict:
+    """Per-field correction/regression accounting between two aligned labelings."""
+    C, X = FieldLabel.C, FieldLabel.X
+    deltas: dict[str, dict] = {}
+    for slot in EVALUABLE_SLOTS:
+        pairs = [(b.verdict.labels[slot], a.verdict.labels[slot]) for b, a in zip(before, after)]
+        # (correct before, correct after) of each entry evaluable in both
+        correct = [(lb == C, la == C) for lb, la in pairs if X not in (lb, la)]
+        deltas[slot] = {
+            "evaluable": len(correct),
+            "before_c": sum(cb for cb, _ in correct),
+            "after_c": sum(ca for _, ca in correct),
+            "corrections": sum(ca and not cb for cb, ca in correct),
+            "regressions": sum(cb and not ca for cb, ca in correct),
+        }
+    return deltas

@@ -16,7 +16,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bibkit.harness import load_corpus, run_benchmark, write_bundle
+from bibkit.harness import count_vectors, load_corpus, run_benchmark, write_bundle
 from bibkit.model import FieldLabel, FieldSlot, parse_entry, serialize_entry
 from bibkit.normalize import (
     VenueSynonymTable,
@@ -250,7 +250,7 @@ def test_co_error_matrix_on_50_synthetic_verdicts():
         picked = {slot: rng.choice(labels) for slot in FieldSlot}
         picked[FieldSlot.ENTRY_KEY] = FieldLabel.X
         verdicts.append(EntryVerdict(labels=picked))
-    matrix = aggregate_stats([TaggedVerdict(f"p{i}", "t", v) for i, v in enumerate(verdicts)])["co_error"]
+    matrix = aggregate_stats(count_vectors(TaggedVerdict(f"p{i}", "t", v) for i, v in enumerate(verdicts)))["co_error"]
     rows = [{s.value: v.value for s, v in verdict.labels.items()} for verdict in verdicts]
     expected = brute_co_error(rows)
     for i, row in matrix.items():

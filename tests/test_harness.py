@@ -1,19 +1,23 @@
 import gc
 import json
+import random
 import re
 import sys
 import tempfile
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bibkit import harness, normalize, verify
 from bibkit.harness import (
     CorpusParseError,
+    _field_deltas,
+    _vector,
     bib_pieces,
     load_corpus,
     read_tsv,
@@ -21,14 +25,19 @@ from bibkit.harness import (
     tsv_lines,
     write_bundle,
 )
-from bibkit.model import ALL_SLOTS, BibEntry, parse_entry, serialize_entry
+from bibkit.model import ALL_SLOTS, BibEntry, FieldLabel, parse_entry, serialize_entry
 from bibkit.normalize import VenueSynonymTable
-from bibkit.reconcile import PaperMeta
+from bibkit.reconcile import PaperMeta, reconcile
 from bibkit.resolve import ResolutionResult, UpstreamUnavailable
-from bibkit.verify import TaggedVerdict, verify_entry
+from bibkit.verify import EntryVerdict, TaggedVerdict, verify_entry
 
-from conftest import FIXTURES, load_fixture, rows_then_fail
-from reference_impls import parent_holds_separator, parent_labels_rows, parent_load_corpus
+from conftest import FIXTURES, load_fixture, rows_then_fail, signature
+from reference_impls import (
+    parent_field_deltas,
+    parent_holds_separator,
+    parent_labels_rows,
+    parent_load_corpus,
+)
 
 CORPUS_PATH = FIXTURES / "golden_corpus.jsonl"
 GOLDEN_LABELS = {(e["paper_id"], e["tag"]): e for e in load_fixture("golden_labels.json")["entries"]}
@@ -481,6 +490,48 @@ def test_delta_accounting_invariant():
         assert (
             delta["corrections"] - delta["regressions"] == delta["after_c"] - delta["before_c"]
         ), field
+
+
+_LABELS = st.fixed_dictionaries({slot: st.sampled_from(list(FieldLabel)) for slot in ALL_SLOTS})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_LABELS, _LABELS), max_size=12), st.integers(0, 12), st.randoms(use_true_random=False))
+@example([], 0, random.Random(0))
+@example([({slot: FieldLabel.X for slot in ALL_SLOTS}, {slot: FieldLabel.C for slot in ALL_SLOTS})], 1, random.Random(0))
+def test_counted_deltas_equal_the_parent_over_shuffled_pairs(pairs, repeats, rnd):
+    """Counting each distinct (vector before, vector after) once, weighted, gives the aligned walk's deltas."""
+    pairs = pairs + pairs[:repeats]  # repeated pairs of vectors
+    rnd.shuffle(pairs)
+    before = [TaggedVerdict(f"p{i}", "t", EntryVerdict(b)) for i, (b, _) in enumerate(pairs)]
+    after = [TaggedVerdict(f"p{i}", "t", EntryVerdict(a)) for i, (_, a) in enumerate(pairs)]
+    counted = Counter((_vector(b.verdict), _vector(a.verdict)) for b, a in zip(before, after))
+    assert _field_deltas(counted) == parent_field_deltas(before, after)
+
+
+def test_a_record_labels_each_distinct_revised_entry_once(tmp_path, monkeypatch):
+    """``verify_entry`` runs once per candidate and once per distinct revised signature of a record."""
+    corpus = list(load_corpus(CORPUS_PATH))
+    resolver = perfect_resolver(corpus)
+    expected = 0
+    for record in corpus:
+        revised = set()
+        for _, _, entry in record.candidates:
+            merged = reconcile(record.meta, entry, resolver).result
+            if merged is not entry:
+                revised.add(signature(merged))
+        expected += len(record.candidates) + len(revised)
+    assert expected < 2 * 20  # the golden corpus has revised entries alike within a record
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify_entry(*args)
+
+    monkeypatch.setattr(harness, "verify_entry", counting)
+    write_bundle(run_benchmark(corpus, resolver=resolver), tmp_path)
+    assert len(calls) == expected
+    assert read_tree(tmp_path) == read_tree(FIXTURES / "golden_bundle" / "reconcile_then_verify")
 
 
 def test_failing_record_is_recorded_not_fatal():

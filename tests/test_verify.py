@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bibkit import verify
-from bibkit.harness import _labels_rows, load_corpus, read_labels, tsv_lines
+from bibkit.harness import _labels_rows, _vector, count_vectors, load_corpus, read_labels, tsv_lines
 from bibkit.model import BibEntry, FieldLabel, FieldSlot, parse_entry, serialize_entry, slot_of
 from bibkit.normalize import VenueSynonymTable
 from bibkit.verify import (
@@ -28,10 +28,11 @@ from bibkit.verify import (
     verify_entry,
 )
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, load_fixture, signature
 from reference_impls import (
     brute_co_error,
     brute_tally,
+    parent_aggregate_stats,
     parent_classify_stage1,
     parent_slot_of,
     parent_values_for,
@@ -702,7 +703,7 @@ def make_verdict(labels: dict) -> EntryVerdict:
 
 def co_error(verdicts: list[EntryVerdict]) -> dict:
     """The "co_error" section the tally gives for ``verdicts``."""
-    return aggregate_stats([TaggedVerdict(f"p{i}", "t", v) for i, v in enumerate(verdicts)])["co_error"]
+    return aggregate_stats(count_vectors(TaggedVerdict(f"p{i}", "t", v) for i, v in enumerate(verdicts)))["co_error"]
 
 
 def test_co_error_perfect_coupling():
@@ -769,14 +770,14 @@ def test_aggregate_arithmetic():
         make_verdict({n: "F" for n in ["entry_type", "author", "title", "year", "venue", "volume", "number", "pages", "doi"]})
     )
     tagged = [TaggedVerdict(f"p{i}", "t", v, "m", "popular", "ai") for i, v in enumerate(verdicts)]
-    report = aggregate_stats(tagged)["aggregate"]
+    report = aggregate_stats(count_vectors(tagged))["aggregate"]
     assert report["overall"] == {"evaluable": 90, "correct": 81, "pct_c": 90.0}
     assert report["fully_correct"] == {"count": 9, "pct": 90.0}
 
 
 def test_aggregate_excludes_x_from_denominator():
     tagged = [TaggedVerdict("p", "t", make_verdict({"volume": "X", "number": "X"}))]
-    report = aggregate_stats(tagged)["aggregate"]
+    report = aggregate_stats(count_vectors(tagged))["aggregate"]
     assert report["overall"]["evaluable"] == 7
     assert report["per_field"]["volume"]["evaluable"] == 0
     assert report["per_field"]["volume"]["pct_c"] is None
@@ -798,11 +799,11 @@ def test_aggregate_permutation_invariant():
     ]
     shuffled = tagged[:]
     rng.shuffle(shuffled)
-    assert aggregate_stats(tagged) == aggregate_stats(shuffled)
+    assert aggregate_stats(count_vectors(tagged)) == aggregate_stats(count_vectors(shuffled))
 
 
 def test_aggregate_empty_input():
-    tally = aggregate_stats([])
+    tally = aggregate_stats(count_vectors([]))
     assert tally["aggregate"]["entries"] == 0
     assert tally["aggregate"]["overall"]["pct_c"] is None
     assert tally["error_modes"] == {}
@@ -826,7 +827,7 @@ def test_aggregate_matches_brute_tally(entries):
     want = brute_tally(
         [(f"p{i}", "t", {s.value: l.value for s, l in labels.items()}) for i, labels in enumerate(entries)]
     )
-    tally = aggregate_stats(tagged)
+    tally = aggregate_stats(count_vectors(tagged))
     report = tally["aggregate"]
     assert report["entries"] == want["entries"]
     assert report["overall"] == {k: want[k] for k in ("evaluable", "correct", "pct_c")}
@@ -840,15 +841,51 @@ def test_aggregate_matches_brute_tally(entries):
     assert tally["co_error"] == (rounded if entries else {})
 
 
+_TAGS = st.tuples(
+    st.sampled_from(["", "m1", "m2"]), st.sampled_from(["", "popular", "recent"]), st.sampled_from(["", "ai", "bio"])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(ENTRY_LABELS, st.sampled_from(list(FieldLabel)), _TAGS), max_size=12),
+    st.integers(0, 12),
+    st.randoms(use_true_random=False),
+)
+@example([], 0, random.Random(0))
+@example([({slot: FieldLabel.X for slot in EVALUABLE_SLOTS}, FieldLabel.X, ("m1", "popular", "ai"))], 1, random.Random(0))
+@example(
+    [
+        ({slot: FieldLabel.S for slot in EVALUABLE_SLOTS}, FieldLabel.X, ("m1", "recent", "bio")),
+        ({slot: FieldLabel.C for slot in EVALUABLE_SLOTS}, FieldLabel.M, ("m2", "popular", "ai")),
+    ],
+    2,
+    random.Random(1),
+)
+def test_counted_aggregate_equals_the_parent_over_shuffled_verdicts(entries, repeats, rnd):
+    """Counting each distinct label vector once, weighted, gives what walking every verdict gave.
+
+    The first ``repeats`` verdicts appear twice, so vectors repeat; the
+    citation key's label is drawn too, as a labels file may state any.
+    """
+    tagged = [
+        TaggedVerdict(f"p{i}", "t", EntryVerdict(labels | {FieldSlot.ENTRY_KEY: key}), *tags)
+        for i, (labels, key, tags) in enumerate(entries)
+    ]
+    tagged += tagged[:repeats]
+    rnd.shuffle(tagged)
+    assert aggregate_stats(count_vectors(tagged)) == parent_aggregate_stats(tagged)
+
+
 def test_monotonicity_fixing_one_error_never_lowers_accuracy():
     wrong = make_verdict({"pages": "F", "doi": "M"})
     fixed = make_verdict({"doi": "M"})
-    before = aggregate_stats([TaggedVerdict("p", "t", wrong)])["aggregate"]
-    after = aggregate_stats([TaggedVerdict("p", "t", fixed)])["aggregate"]
+    before = aggregate_stats(count_vectors([TaggedVerdict("p", "t", wrong)]))["aggregate"]
+    after = aggregate_stats(count_vectors([TaggedVerdict("p", "t", fixed)]))["aggregate"]
     assert after["overall"]["pct_c"] >= before["overall"]["pct_c"]
     clean = make_verdict({})
     assert classify_error_mode(clean.labels) == "none"
-    assert aggregate_stats([TaggedVerdict("p", "t", clean)])["aggregate"]["fully_correct"]["count"] == 1
+    assert aggregate_stats(count_vectors([TaggedVerdict("p", "t", clean)]))["aggregate"]["fully_correct"]["count"] == 1
 
 
 # -- label totality and file I/O -------------------------------------------------
@@ -873,7 +910,8 @@ def test_labels_file_round_trip(tmp_path):
     ]
     assert any(stage2_slots(tv.verdict) for tv in tagged)
     path = tmp_path / "labels.tsv"
-    path.write_text("".join(tsv_lines(_labels_rows(tagged))), "utf-8")
+    rows = _labels_rows((tv.paper_id, tv.entry_tag, _vector(tv.verdict)) for tv in tagged)
+    path.write_text("".join(tsv_lines(rows)), "utf-8")
     assert read_labels(path) == tagged
 
 
@@ -940,6 +978,48 @@ def test_direct_verify_entry_calls_give_the_hand_labels(monkeypatch):
     assert _golden_direct_labels(TABLE) == expected  # no memo
 
 
+# -- one labelling per signature ----------------------------------------------------
+
+
+#: Fields no slot reads, literal slot names among them.
+_UNREAD_FIELDS = st.sampled_from(["publisher", "note", "url", "venue", "entry_type", "entry_key"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ENTRIES,
+    GROUND_TRUTHS,
+    st.sampled_from([None, TABLE]),
+    st.dictionaries(_UNREAD_FIELDS, _VALUES, max_size=3),
+    _VALUES,
+    st.booleans(),
+)
+@example(
+    _entry("article", title="T", journal="J", booktitle="J", publisher="P"),
+    _gt({"title": "T", "venue": "Other"}),
+    None,
+    {"note": "n"},
+    "Other",
+    True,
+)
+def test_entries_with_one_signature_get_one_labelling(entry, gt, table, unread, booktitle, reverse):
+    """Two entries alike in type and value slots get equal labels, whatever else differs.
+
+    The twin has another key, other unread fields, its fields in another
+    order, and beside a ``journal`` another ``booktitle``, which the venue
+    slot does not read.
+    """
+    read = ("author", "title", "year", "journal", "booktitle", "volume", "number", "pages", "doi")
+    fields = {name: value for name, value in entry.fields.items() if name in read} | unread
+    if "journal" in fields:
+        fields["booktitle"] = booktitle
+    if reverse:
+        fields = dict(reversed(fields.items()))
+    twin = BibEntry(entry.entry_type, entry.citation_key + "twin", fields)
+    assert signature(twin) == signature(entry)
+    assert verify_entry(twin, gt, table).labels == verify_entry(entry, gt, table).labels
+
+
 # -- a slot or a label as its name --------------------------------------------------
 
 
@@ -1001,6 +1081,6 @@ def test_a_name_gets_the_result_of_its_member(entry, gt, table, label_sets, orde
         alike(classify_error_mode, (verdict.labels,), (_named(verdict.labels),))
     alike(
         aggregate_stats,
-        ([TaggedVerdict(f"p{i}", "t", v) for i, v in enumerate(verdicts)],),
-        ([TaggedVerdict(f"p{i}", "t", EntryVerdict(_named(v.labels))) for i, v in enumerate(verdicts)],),
+        (count_vectors(TaggedVerdict(f"p{i}", "t", v) for i, v in enumerate(verdicts)),),
+        (count_vectors(TaggedVerdict(f"p{i}", "t", EntryVerdict(_named(v.labels))) for i, v in enumerate(verdicts)),),
     )

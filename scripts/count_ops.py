@@ -2,15 +2,16 @@
 """Count the Python opcodes one pass of a perfbench workload executes, per entry and by function.
 
     python3 scripts/count_ops.py --workload reconcile_then_verify
-    python3 scripts/count_ops.py --workload verify_corpus --seed 3 --copies 20 --out ops.json
+    python3 scripts/count_ops.py --workload verify_corpus --copies 40 > ops.json
 
-The inputs come from perfbench's own generator at a fixed seed, scaled down
-to ``--copies`` copies of the golden corpus (a multiple of 20 for
-``reconcile_then_verify``, of 25 for ``reconcile_bib``). The pass runs in
-this process through ``bibkit.cli.main``, the reconcile workloads against
-perfbench's fake upstream. One untraced pass warms the interpreter first
-(imports, compiled patterns, the venue table); the next runs under
-``sys.settrace`` with opcode events on. The JSON written holds
+The inputs come from perfbench's own generator at seed 3, scaled down to
+``--copies`` copies of the golden corpus (a multiple of 20 for
+``reconcile_then_verify``, of 25 for ``reconcile_bib``). Each pass is
+perfbench's own (``workload.Runner.run_pass``: fake upstream, outputs
+checked), run in this process. One untraced pass warms the interpreter
+first (imports, compiled patterns, the venue table); the next runs under
+``sys.settrace``, with opcode events on inside ``bibkit.cli.main`` only, so
+perfbench's timing and checks are not counted. The JSON printed holds
 ``sys.version``, the total opcodes, those in bibkit's own functions, and
 each function's opcodes per entry.
 
@@ -25,9 +26,7 @@ across two checkouts compare ``bibkit_opcodes_per_entry``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
-import io
 import json
 import random
 import sys
@@ -41,30 +40,43 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import bibkit  # noqa: E402
 import bibkit.cli as cli  # noqa: E402
 import gen  # noqa: E402  (perfbench's generator)
-from upstream import Session, resolver_class  # noqa: E402
+from workload import Runner  # noqa: E402
 
 COPIES = {"verify_corpus": 20, "reconcile_then_verify": 20, "reconcile_bib": 25}
 SEED = 3
 BIBKIT = Path(bibkit.__file__).resolve().parent
 
 
-def count_opcodes(call: Callable[[], object]) -> Counter:
-    """The opcodes ``call()`` executes, per code object, in every function it calls too."""
+def count_opcodes(call: Callable[[], object], within=None) -> Counter:
+    """The opcodes ``call()`` executes, per code object, in every function it calls too.
+
+    Given the code object ``within``, only the opcodes run inside a call of it count.
+    """
     counts: Counter = Counter()
+    inside = within is None
 
     def trace(frame, event, arg):
+        nonlocal inside
         if event == "opcode":
             counts[frame.f_code] += 1
-        elif event == "call":
-            frame.f_trace_lines = False
-            frame.f_trace_opcodes = True
+        elif event == "return" and frame.f_code is within:
+            inside = False
+        return trace
+
+    def on_call(frame, event, arg):
+        nonlocal inside
+        inside = inside or frame.f_code is within
+        if not inside:
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
         return trace
 
     # no collection while counting: it could run finalizers of garbage made before the call
     collecting = gc.isenabled()
     gc.collect()
     gc.disable()
-    sys.settrace(trace)
+    sys.settrace(on_call)
     try:
         call()
     finally:
@@ -81,30 +93,24 @@ def function_name(code) -> str:
     return f"{where}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
-def make_plan(workload: str, seed: int, copies: int, out: Path) -> dict:
+def make_plan(workload: str, copies: int, out: Path) -> dict:
     """The workload's inputs under ``out``, as perfbench's ``generate`` writes them, at ``copies`` copies."""
     make, _ = gen.WORKLOADS[workload]
     out.mkdir(parents=True, exist_ok=True)
-    return make(gen.Fixtures(ROOT), random.Random(seed), out, copies)
+    return {**make(gen.Fixtures(ROOT), random.Random(SEED), out, copies), "workload": workload}
 
 
 def count_pass(plan: dict) -> Counter:
-    """Opcodes per function name of one traced pass of ``plan``, after one untraced pass."""
-    session = Session(plan["upstream"])
-
-    def one_pass() -> None:
-        session.reset()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(plan["argv"])
-        if code != 0:
-            raise SystemExit(f"bibkit exited {code} on {plan['argv']}")
-
-    resolver, cli.Resolver = cli.Resolver, resolver_class(session)  # the fake upstream, for this pass only
+    """Opcodes per function name of ``bibkit.cli.main`` in one traced perfbench pass, after an untraced one."""
+    resolver = cli.Resolver
     try:
-        one_pass()
-        by_code = count_opcodes(one_pass)
+        runner = Runner(plan)  # points cli.Resolver at perfbench's fake upstream
+        runner.run_pass()
+        by_code = count_opcodes(runner.run_pass, within=cli.main.__code__)
     finally:
         cli.Resolver = resolver
+    if runner.failures:
+        raise SystemExit(f"perfbench pass failed: {runner.failures[0]}")
     counts: Counter = Counter()
     for code, n in by_code.items():
         counts[function_name(code)] += n
@@ -128,19 +134,13 @@ def report(counts: Counter, entries: int, **about) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(gen.WORKLOADS), default="verify_corpus")
-    parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--copies", type=int, help="golden-corpus copies (default: 20, 25 for reconcile_bib)")
     parser.add_argument("--work", type=Path, default=ROOT / ".perfbench_work" / "count_ops")
-    parser.add_argument("--out", type=Path, help="write the JSON here (default: stdout)")
     args = parser.parse_args(argv)
     copies = args.copies or COPIES[args.workload]
-    plan = make_plan(args.workload, args.seed, copies, args.work / args.workload)
+    plan = make_plan(args.workload, copies, args.work / args.workload)
     counts = count_pass(plan)
-    text = json.dumps(report(counts, plan["entries"], workload=args.workload, seed=args.seed, copies=copies), indent=2)
-    if args.out:
-        args.out.write_text(text + "\n", "utf-8")
-    else:
-        print(text)
+    print(json.dumps(report(counts, plan["entries"], workload=args.workload, seed=SEED, copies=copies), indent=2))
     return 0
 
 

@@ -26,10 +26,8 @@ from .model import (
     BibParseError,
     FieldLabel,
     FieldSlot,
-    VALUE_SLOTS,
     parse_entry,
     serialize_entry,
-    slot_of,
 )
 from .normalize import VenueSynonymTable, _read_lines
 from .reconcile import PaperMeta, ReconcileOutcome, reconcile
@@ -266,18 +264,14 @@ def run_benchmark(
             pid, gt = record.paper_id, record.ground_truth
             # the record's vectors join the run's only if every candidate succeeds
             entries, record_actions = [], []
-            revised = {}  # merged entries' vectors by all verify_entry reads: type, value slots (the key is X)
             try:
                 for tag, model, entry in record.candidates:
                     vector = before = _vector(verify_entry(entry, gt, table))
                     if resolver is not None:
                         outcome = reconcile(record.meta, entry, resolver)
                         record_actions.append(action_row(pid, tag, outcome))
-                        if (merged := outcome.result) is not entry:  # a kept entry's labels stand: verify_entry is pure
-                            signature = (merged.entry_type, *map(functools.partial(slot_of, merged), VALUE_SLOTS))
-                            if signature not in revised:
-                                revised[signature] = _vector(verify_entry(merged, gt, table))
-                            vector = revised[signature]
+                        if outcome.result is not entry:  # a kept entry's labels stand: verify_entry is pure
+                            vector = _vector(verify_entry(outcome.result, gt, table))
                     entries.append((tag, model, vector, before))
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                 incomplete.append({"paper_id": pid, "error": str(exc)})

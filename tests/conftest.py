@@ -5,8 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from bibkit.model import VALUE_SLOTS, BibEntry, slot_of
-
 FIXTURES = Path(__file__).parent / "fixtures"
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -25,8 +23,3 @@ def rows_then_fail(rows, k: int):
     """The first ``k`` of ``rows``, then the error a disk that fills mid-file raises."""
     yield from itertools.islice(rows, k)
     raise OSError("No space left on device")
-
-
-def signature(entry: BibEntry) -> tuple:
-    """All ``verify_entry`` reads of an entry: its type and value slots (the key is X by rule 1)."""
-    return (entry.entry_type, *(slot_of(entry, slot) for slot in VALUE_SLOTS))

@@ -40,7 +40,7 @@ def test_two_runs_give_equal_counts(tmp_path):
 
 
 def test_one_call_per_entry_moves_the_count_by_exactly_its_opcodes(tmp_path, monkeypatch):
-    plan = count_ops.make_plan("verify_corpus", 3, 2, tmp_path)
+    plan = count_ops.make_plan("verify_corpus", 2, tmp_path)
     before = count_ops.count_pass(plan)
     monkeypatch.setattr(harness, "verify_entry", _verify_entry_with_a_loop)
     after = count_ops.count_pass(plan)

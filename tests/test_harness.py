@@ -27,11 +27,11 @@ from bibkit.harness import (
 )
 from bibkit.model import ALL_SLOTS, BibEntry, FieldLabel, parse_entry, serialize_entry
 from bibkit.normalize import VenueSynonymTable
-from bibkit.reconcile import PaperMeta, reconcile
+from bibkit.reconcile import PaperMeta
 from bibkit.resolve import ResolutionResult, UpstreamUnavailable
 from bibkit.verify import EntryVerdict, TaggedVerdict, verify_entry
 
-from conftest import FIXTURES, load_fixture, rows_then_fail, signature
+from conftest import FIXTURES, load_fixture, rows_then_fail
 from reference_impls import (
     parent_field_deltas,
     parent_holds_separator,
@@ -507,31 +507,6 @@ def test_counted_deltas_equal_the_parent_over_shuffled_pairs(pairs, repeats, rnd
     after = [TaggedVerdict(f"p{i}", "t", EntryVerdict(a)) for i, (_, a) in enumerate(pairs)]
     counted = Counter((_vector(b.verdict), _vector(a.verdict)) for b, a in zip(before, after))
     assert _field_deltas(counted) == parent_field_deltas(before, after)
-
-
-def test_a_record_labels_each_distinct_revised_entry_once(tmp_path, monkeypatch):
-    """``verify_entry`` runs once per candidate and once per distinct revised signature of a record."""
-    corpus = list(load_corpus(CORPUS_PATH))
-    resolver = perfect_resolver(corpus)
-    expected = 0
-    for record in corpus:
-        revised = set()
-        for _, _, entry in record.candidates:
-            merged = reconcile(record.meta, entry, resolver).result
-            if merged is not entry:
-                revised.add(signature(merged))
-        expected += len(record.candidates) + len(revised)
-    assert expected < 2 * 20  # the golden corpus has revised entries alike within a record
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return verify_entry(*args)
-
-    monkeypatch.setattr(harness, "verify_entry", counting)
-    write_bundle(run_benchmark(corpus, resolver=resolver), tmp_path)
-    assert len(calls) == expected
-    assert read_tree(tmp_path) == read_tree(FIXTURES / "golden_bundle" / "reconcile_then_verify")
 
 
 def test_failing_record_is_recorded_not_fatal():

@@ -28,7 +28,7 @@ from bibkit.verify import (
     verify_entry,
 )
 
-from conftest import FIXTURES, load_fixture, signature
+from conftest import FIXTURES, load_fixture
 from reference_impls import (
     brute_co_error,
     brute_tally,
@@ -976,48 +976,6 @@ def test_direct_verify_entry_calls_give_the_hand_labels(monkeypatch):
     assert _golden_direct_labels(TABLE) == expected  # memo filled by the first pass
     monkeypatch.setattr(verify, "_table_free_normalized", verify._table_free_normalized.__wrapped__)
     assert _golden_direct_labels(TABLE) == expected  # no memo
-
-
-# -- one labelling per signature ----------------------------------------------------
-
-
-#: Fields no slot reads, literal slot names among them.
-_UNREAD_FIELDS = st.sampled_from(["publisher", "note", "url", "venue", "entry_type", "entry_key"])
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    ENTRIES,
-    GROUND_TRUTHS,
-    st.sampled_from([None, TABLE]),
-    st.dictionaries(_UNREAD_FIELDS, _VALUES, max_size=3),
-    _VALUES,
-    st.booleans(),
-)
-@example(
-    _entry("article", title="T", journal="J", booktitle="J", publisher="P"),
-    _gt({"title": "T", "venue": "Other"}),
-    None,
-    {"note": "n"},
-    "Other",
-    True,
-)
-def test_entries_with_one_signature_get_one_labelling(entry, gt, table, unread, booktitle, reverse):
-    """Two entries alike in type and value slots get equal labels, whatever else differs.
-
-    The twin has another key, other unread fields, its fields in another
-    order, and beside a ``journal`` another ``booktitle``, which the venue
-    slot does not read.
-    """
-    read = ("author", "title", "year", "journal", "booktitle", "volume", "number", "pages", "doi")
-    fields = {name: value for name, value in entry.fields.items() if name in read} | unread
-    if "journal" in fields:
-        fields["booktitle"] = booktitle
-    if reverse:
-        fields = dict(reversed(fields.items()))
-    twin = BibEntry(entry.entry_type, entry.citation_key + "twin", fields)
-    assert signature(twin) == signature(entry)
-    assert verify_entry(twin, gt, table).labels == verify_entry(entry, gt, table).labels
 
 
 # -- a slot or a label as its name --------------------------------------------------

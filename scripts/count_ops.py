@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the Python opcodes one pass of a perfbench workload executes, per entry and by function.
+"""Count the Python opcodes and C calls one pass of a perfbench workload makes, per entry.
 
     python3 scripts/count_ops.py --workload reconcile_then_verify
     python3 scripts/count_ops.py --workload verify_corpus --copies 40 > ops.json
@@ -9,18 +9,25 @@ The inputs come from perfbench's own generator at seed 3, scaled down to
 ``reconcile_then_verify``, of 25 for ``reconcile_bib``). Each pass is
 perfbench's own (``workload.Runner.run_pass``: fake upstream, outputs
 checked), run in this process. One untraced pass warms the interpreter
-first (imports, compiled patterns, the venue table); the next runs under
+first (imports, compiled patterns, the venue table). The next runs under
 ``sys.settrace``, with opcode events on inside ``bibkit.cli.main`` only, so
-perfbench's timing and checks are not counted. The JSON printed holds
-``sys.version``, the total opcodes, those in bibkit's own functions, and
-each function's opcodes per entry.
+perfbench's timing and checks are not counted; the one after runs under
+``sys.setprofile`` and counts the ``c_call`` events inside
+``bibkit.cli.main``: each call of a C function or method, by callee
+(``str.find``, ``re.Pattern.match``, ``len``). The JSON printed holds
+``sys.version``, the total opcodes, those in bibkit's own functions, each
+function's opcodes per entry, and the C calls per entry, in total and by
+callee.
 
 Bytecode differs between Python versions: compare counts of one version
-only. A count says exactly how much Python work a change adds or removes,
-but C code (``json.loads``, ``re`` and ``str`` methods) runs no opcodes and
-is not seen, so counts explain a timed result and never replace one. The
-standard library's path handling runs more opcodes for a longer path, so
-across two checkouts compare ``bibkit_opcodes_per_entry``.
+only. An opcode count says exactly how much Python work a change adds or
+removes; the C-call count says how often it hands work to C, but not how
+much work each call does (a ``str.find`` over 10 or 10,000 characters is
+one call). A C type called directly, such as ``json``'s scanner, raises no
+``c_call`` event: ``json.loads`` shows by the opcodes of its Python frames.
+So counts explain a timed result and never replace one. The standard
+library's path handling runs more opcodes for a longer path, so across two
+checkouts compare ``bibkit_opcodes_per_entry``.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import random
 import sys
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,18 +80,50 @@ def count_opcodes(call: Callable[[], object], within=None) -> Counter:
         frame.f_trace_opcodes = True
         return trace
 
+    _run_hooked(call, sys.settrace, on_call)
+    return counts
+
+
+def count_c_calls(call: Callable[[], object], within) -> Counter:
+    """The C functions and methods called inside a call of the code object ``within``, by callee name."""
+    counts: Counter = Counter()
+    inside = False
+
+    def profile(frame, event, arg):
+        nonlocal inside
+        if event == "c_call":
+            if inside:
+                counts[callee_name(arg)] += 1
+        elif event in ("call", "return") and frame.f_code is within:
+            inside = event == "call"
+
+    _run_hooked(call, sys.setprofile, profile)
+    return counts
+
+
+def _run_hooked(call: Callable[[], object], install: Callable, hook) -> None:
+    """``call()`` with ``hook`` installed by ``sys.settrace`` or ``sys.setprofile``."""
     # no collection while counting: it could run finalizers of garbage made before the call
     collecting = gc.isenabled()
     gc.collect()
     gc.disable()
-    sys.settrace(on_call)
+    install(hook)
     try:
         call()
     finally:
-        sys.settrace(None)
+        install(None)
         if collecting:
             gc.enable()
-    return counts
+
+
+def callee_name(function) -> str:
+    """``str.find``, ``re.Pattern.match`` or ``len``: a C callable by its module and qualified name."""
+    owner = getattr(function, "__self__", None)
+    if owner is None or isinstance(owner, ModuleType):
+        module = function.__module__ or ""
+    else:
+        module = type(owner).__module__
+    return function.__qualname__ if module == "builtins" else f"{module}.{function.__qualname__}"
 
 
 def function_name(code) -> str:
@@ -100,13 +140,17 @@ def make_plan(workload: str, copies: int, out: Path) -> dict:
     return {**make(gen.Fixtures(ROOT), random.Random(SEED), out, copies), "workload": workload}
 
 
-def count_pass(plan: dict) -> Counter:
-    """Opcodes per function name of ``bibkit.cli.main`` in one traced perfbench pass, after an untraced one."""
+def count_pass(plan: dict) -> tuple[Counter, Counter]:
+    """Opcodes per function name, and C calls per callee, of ``bibkit.cli.main`` in one perfbench pass each.
+
+    Both counted passes follow an untraced one.
+    """
     resolver = cli.Resolver
     try:
         runner = Runner(plan)  # points cli.Resolver at perfbench's fake upstream
         runner.run_pass()
         by_code = count_opcodes(runner.run_pass, within=cli.main.__code__)
+        c_calls = count_c_calls(runner.run_pass, within=cli.main.__code__)
     finally:
         cli.Resolver = resolver
     if runner.failures:
@@ -114,10 +158,10 @@ def count_pass(plan: dict) -> Counter:
     counts: Counter = Counter()
     for code, n in by_code.items():
         counts[function_name(code)] += n
-    return counts
+    return counts, c_calls
 
 
-def report(counts: Counter, entries: int, **about) -> dict:
+def report(counts: Counter, c_calls: Counter, entries: int, **about) -> dict:
     total = sum(counts.values())
     own = sum(n for name, n in counts.items() if name.startswith("bibkit/"))
     return {
@@ -128,6 +172,8 @@ def report(counts: Counter, entries: int, **about) -> dict:
         "opcodes_per_entry": round(total / entries, 1),
         "bibkit_opcodes_per_entry": round(own / entries, 1),
         "by_function_per_entry": {name: round(n / entries, 2) for name, n in counts.most_common()},
+        "c_calls_per_entry": round(sum(c_calls.values()) / entries, 1),
+        "c_calls_by_callee_per_entry": {name: round(n / entries, 2) for name, n in c_calls.most_common()},
     }
 
 
@@ -139,8 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     copies = args.copies or COPIES[args.workload]
     plan = make_plan(args.workload, copies, args.work / args.workload)
-    counts = count_pass(plan)
-    print(json.dumps(report(counts, plan["entries"], workload=args.workload, seed=SEED, copies=copies), indent=2))
+    counts, c_calls = count_pass(plan)
+    print(json.dumps(report(counts, c_calls, plan["entries"], workload=args.workload, seed=SEED, copies=copies), indent=2))
     return 0
 
 

@@ -388,6 +388,8 @@ def read_labels(path: str | Path) -> list[TaggedVerdict]:
             raise ValueError(f"{paper_id}/{tag}: unknown stage {stage!r}")
         if (stage == "2") != (label in STAGE2_LABELS):
             raise ValueError(f"{paper_id}/{tag}: stage {stage} cannot give {slot_name} label {label_name}")
+        if slot == FieldSlot.ENTRY_KEY and label != FieldLabel.X:  # verify never evaluates the key
+            raise ValueError(f"{paper_id}/{tag}: entry_key label {label_name} is not X")
     tagged = []
     for (paper_id, tag), labels in entries.items():
         if len(labels) != len(FieldSlot):

@@ -2,16 +2,20 @@
 
 The parser handles exactly one entry per input string. Values may be
 brace-delimited, quote-delimited, or bare tokens; string concatenation
-with ``#``, ``@string`` macros and ``@preamble`` are rejected. One
-brace-depth scan, ``_scan``, finds every separator: braces count inside
-quotes too, and a quote toggles only at depth 0.
+with ``#``, ``@string`` macros and ``@preamble`` are rejected. Its loop
+takes one step per depth-0 segment of the body: one match of
+``_SEGMENT_RE`` runs to the next ``,``, ``"`` or ``}`` and passes over
+brace-free ``{...}`` groups inside the regex engine. A ``{`` whose group
+holds braces is passed over by ``_close``, the one brace matcher, which
+finds each ``}`` and counts the ``{`` before it; ``split_entries``, the
+author splitter and the check on upstream strings use it too. Braces
+count inside quotes, and a quote toggles only at depth 0.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 
@@ -108,52 +112,70 @@ def parse_entry(text: str) -> BibEntry:
     if entry_type == "preamble":
         raise BibParseError("@preamble is not supported")
 
-    # One scan of the body. Each segment is [start, its first '=', the first
-    # '}' after that '=' back at depth 0]; a comma outside quotes starts the next.
-    segments = [[m.end(), -1, -1]]
-    in_quote = False
-    for sep, depth in _scan(s, _ENTRY_RE, m.end()):
-        c, seg = sep.group(), segments[-1]
-        if depth < 0:
-            break
+    # One step per depth-0 segment of the body. Each field is (start, its
+    # first '=' outside quotes and groups); a comma outside quotes starts the next.
+    start = pos = m.end()
+    eq, segments, in_quote = -1, [], False
+    while True:
+        step = _SEGMENT_RE.match(s, pos)
+        if eq < 0 and not in_quote:
+            eq = step.start(1)
+        pos = step.end()
+        c = s[pos : pos + 1]
         if c == "}":
-            if seg[1] >= 0 and seg[2] < 0:
-                seg[2] = sep.start()
+            break
+        if c == ",":
+            if not in_quote:
+                segments.append((start, eq))
+                start, eq = pos + 1, -1
         elif c == '"':
             in_quote = not in_quote
-        elif in_quote:
-            continue
-        elif c == ",":
-            segments.append([sep.end(), -1, -1])
-        elif seg[1] < 0:
-            seg[1] = sep.start()
-    else:
-        raise BibParseError("entry braces are not balanced")
-    end = sep.start()
+        elif c != "{" or (pos := _close(s, pos)) < 0:  # the text ended, or a group holding braces never closed
+            raise BibParseError("entry braces are not balanced")
+        pos += 1
+    end = pos
     trailing = s[end + 1 :].strip()
     if trailing:
         if "@" in trailing:
             raise BibParseError("more than one entry in input")
         raise BibParseError(f"trailing content after entry: {trailing[:30]!r}")
 
-    segments.append([end + 1])  # the closing brace ends the last segment
+    segments += (start, eq), (end + 1, -1)  # the closing brace ends the last segment
     key = s[m.end() : segments[1][0] - 1].strip()
     if not key:
         raise BibParseError("entry has no citation key")
 
     fields: dict[str, str] = {}
-    for (start, eq, close), (next_start, *_) in zip(segments[1:], segments[2:]):
-        seg = s[start : next_start - 1].strip()
-        if not seg:
+    for (start, eq), (next_start, _) in zip(segments[1:], segments[2:]):
+        stop = next_start - 1
+        if eq < 0:
+            seg = s[start:stop].strip()
+            if seg:
+                raise BibParseError(f"field without '=': {seg[:30]!r}")
             if next_start > end:
                 continue  # tolerate a trailing comma
             raise BibParseError("empty field segment")
-        if eq < 0:
-            raise BibParseError(f"field without '=': {seg[:30]!r}")
         name = s[start:eq].strip().lower()
         if not name:
             raise BibParseError("field with empty name")
-        value = _parse_value(s, eq + 1, next_start - 1, close)
+        raw = s[eq + 1 : stop].strip()
+        if raw[:1] == "{":  # the segment ends at depth 0, so this group closes inside it
+            open_at = s.find("{", eq)
+            close = _close(s, open_at)
+            value, rest, kind = s[open_at + 1 : close], s[close + 1 : stop], "braced"
+        elif raw[:1] == '"':
+            close = raw.find('"', 1)
+            if close < 0:
+                raise BibParseError("unterminated quoted value")
+            value, rest, kind = raw[1:close], raw[close + 1 :], "quoted"
+        elif "#" in raw:
+            raise BibParseError("'#' concatenation is not supported")
+        else:
+            value, rest = raw, ""  # bare, or empty
+        if rest and (rest := rest.strip()):
+            if rest[0] == "#":
+                raise BibParseError("'#' concatenation is not supported")
+            raise BibParseError(f"junk after {kind} value: {rest[:20]!r}")
         if name in fields:
             raise BibParseError(f"duplicate field {name!r}")
         fields[name] = value
@@ -161,54 +183,31 @@ def parse_entry(text: str) -> BibEntry:
     return BibEntry(entry_type=entry_type, citation_key=key, fields=fields)
 
 
-def _parse_value(s: str, start: int, stop: int, close: int) -> str:
-    """The value in ``s[start:stop]``; ``close`` is its first ``}`` back at depth 0."""
-    raw = s[start:stop].strip()
-    if raw[:1] == "{":  # the segment ends at depth 0, so this brace closes at ``close``
-        value, rest, kind = s[s.find("{", start) + 1 : close], s[close + 1 : stop], "braced"
-    elif raw[:1] == '"':
-        end = raw.find('"', 1)
-        if end < 0:
-            raise BibParseError("unterminated quoted value")
-        value, rest, kind = raw[1:end], raw[end + 1 :], "quoted"
-    elif "#" in raw:
-        raise BibParseError("'#' concatenation is not supported")
-    else:
-        return raw  # bare, or empty
-    rest = rest.strip()
-    if rest.startswith("#"):
-        raise BibParseError("'#' concatenation is not supported")
-    if rest:
-        raise BibParseError(f"junk after {kind} value: {rest[:20]!r}")
-    return value
-
-
 _HEADER_RE = re.compile(r"@\s*([A-Za-z]+)\s*\{")
-#: What ``parse_entry`` scans for: braces, quotes and the two separators.
-_ENTRY_RE = re.compile(r'[{}",=]')
-_BRACE_RE = re.compile(r"[{}]")
+#: One step of ``parse_entry``: text up to the next ``,``, ``"``, ``}`` or a
+#: ``{`` whose group holds braces (or is unclosed), passing over brace-free
+#: groups. Group 1 is its first ``=`` outside those groups.
+_SEGMENT_RE = re.compile(r'[^{}",=]*(?:\{[^{}]*\}[^{}",=]*)*(=)?[^{}",]*(?:\{[^{}]*\}[^{}",]*)*')
 #: The name after an ``@`` and the ``{`` or ``(`` that follows it, if one does.
 _AT_NAME_RE = re.compile(r"@\s*([^\s\"#%'(),={}@]*)\s*([{(]?)")
 
 
-def _scan(s: str, pattern: re.Pattern, pos: int = 0) -> Iterator[tuple[re.Match, int]]:
-    """The one brace-depth scan: yield ``(match, depth)`` over ``s[pos:]``.
+def _close(s: str, i: int) -> int:
+    """The one brace matcher: where the brace at ``s[i]`` is matched, or -1.
 
-    ``pattern`` matches ``{``, ``}`` and the separators. Depth starts at 0
-    and counts every brace; the scan yields each separator met at depth 0
-    and each ``}`` that leaves the depth at 0 or below.
+    A ``{`` is matched by the ``}`` that closes it; a ``}`` that takes the
+    depth below 0 is matched by the ``{`` that brings it back. Every brace
+    counts, inside quotes too.
     """
-    depth = 0
-    for m in pattern.finditer(s, pos):
-        c = m.group()
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth <= 0:
-                yield m, depth
-        elif depth == 0:
-            yield m, 0
+    opener = s[i]
+    closer = "}" if opener == "{" else "{"
+    depth, j = 0, i
+    while (k := s.find(closer, j)) >= 0:
+        depth += s.count(opener, j, k) - 1
+        if not depth:
+            return k
+        j = k + 1
+    return -1
 
 
 def serialize_entry(entry: BibEntry) -> str:
@@ -237,10 +236,9 @@ def split_entries(text: str) -> list[str]:
         open_brace = text.find("{", at)
         if open_brace < 0:
             break
-        close = next(_scan(text, _BRACE_RE, open_brace), None)
-        if close is None:
+        i = _close(text, open_brace) + 1
+        if not i:
             raise BibParseError("unbalanced braces in .bib input")
-        i = close[0].end()
         if not (opener == "{" and name.lower() == "comment"):
             chunks.append(text[at:i])
     return chunks

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
-from .model import _scan
+from .model import _close
 
 
 def _read_lines(path: str | Path) -> Iterator[str]:
@@ -85,11 +85,15 @@ def _split_authors(value: str) -> list[str]:
 
 def _split_and(value: str) -> list[str]:
     """The non-blank pieces of ``value`` between the " and "s at brace depth 0."""
-    parts, start = [], 0
-    for sep, _ in _scan(value, _AUTHOR_DELIMITER_RE):
-        if sep.group() != "}":
+    parts, start, pos = [], 0, 0
+    while sep := _AUTHOR_DELIMITER_RE.search(value, pos):
+        if sep.group() in "{}":  # jump to depth 0 again; a '}' below 0 waits for a '{'
+            pos = _close(value, sep.start()) + 1
+            if not pos:
+                break  # the rest never comes back to depth 0
+        else:
             parts.append(value[start : sep.start()])
-            start = sep.end()
+            start = pos = sep.end()
     return [p.strip() for p in [*parts, value[start:]] if p.strip()]
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Protocol
 from urllib.parse import ParseResult, urlparse, urlunparse
 
-from .model import _BRACE_RE, BibEntry, BibParseError, _scan, parse_entry, sanitize_citation_key
+from .model import BibEntry, BibParseError, _close, parse_entry, sanitize_citation_key
 from .normalize import jaccard, normalize_doi, tokenize_filtered
 
 #: Jaccard threshold validating a title-query winner against the query.
@@ -468,7 +468,12 @@ def _text(value) -> str | None:
     """
     if not isinstance(value, str) or value.count("{") != value.count("}"):
         return None
-    return value if all(depth == 0 for _, depth in _scan(value, _BRACE_RE)) else None
+    end = 0
+    while (start := value.find("{", end)) >= 0:
+        if value.find("}", end, start) >= 0:
+            return None  # a '}' at depth 0
+        end = _close(value, start) + 1  # it closes: what is left holds as many '}' as '{'
+    return value
 
 
 def _str(value) -> str:

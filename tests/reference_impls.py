@@ -13,7 +13,8 @@ loader from before it streamed, which read the whole file, split it at
 filled one dict of labels, the labels rows from before they held
 plain strings in place of slot and label members, and the aggregate and
 field deltas from before they counted label vectors, which walked every
-verdict.
+verdict, and the author splitter and upstream-string brace check from
+before they jumped over brace groups, which stepped over every brace.
 """
 
 from __future__ import annotations
@@ -331,6 +332,36 @@ def parent_split_entries(text: str) -> list[str]:
         chunks.append(text[at : j + 1])
         i = j + 1
     return chunks
+
+
+def parent_split_and(value: str) -> list[str]:
+    """``normalize._split_and`` from before it jumped over brace groups.
+
+    One scan over every brace and " and ": depth counts each brace and may
+    go below 0, and an " and " splits only at depth 0.
+    """
+    parts, start, depth = [], 0, 0
+    for m in re.finditer(r"[{}]| and ", value, re.IGNORECASE):
+        if m.group() == "{":
+            depth += 1
+        elif m.group() == "}":
+            depth -= 1
+        elif depth == 0:
+            parts.append(value[start : m.start()])
+            start = m.end()
+    return [p.strip() for p in [*parts, value[start:]] if p.strip()]
+
+
+def parent_text(value) -> str | None:
+    """``resolve._text`` from before it jumped over brace groups: a string whose braces nest, else None."""
+    if not isinstance(value, str) or value.count("{") != value.count("}"):
+        return None
+    depth = 0
+    for m in re.finditer(r"[{}]", value):
+        depth += 1 if m.group() == "{" else -1
+        if depth < 0:
+            return None
+    return value
 
 
 def reference_split_top_level_and(value: str) -> list[str]:

@@ -1289,7 +1289,27 @@ def test_report_equals_bundle_aggregate_with_all_x_entry(tmp_path, capsys):
         assert report[key] == aggregate[key], key
 
 
-FULL_ENTRY = [f"p\tc\t{slot.value}\tC\t1" for slot in FieldSlot]
+#: One entry's rows as ``verify`` writes them: the citation key is never evaluated.
+FULL_ENTRY = [f"p\tc\t{slot.value}\t{'X' if slot == FieldSlot.ENTRY_KEY else 'C'}\t1" for slot in FieldSlot]
+
+
+def test_report_reads_a_full_entry(tmp_path, capsys):
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("\n".join(["format_version\t1"] + FULL_ENTRY) + "\n", "utf-8")
+    code, out, _ = run(["report", "--labels", str(labels)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["overall"]["pct_c"], report["fully_correct"]["count"]) == (100.0, 1)
+
+
+@pytest.mark.parametrize("label", ["C", "M"])
+def test_report_rejects_an_evaluated_citation_key(tmp_path, capsys, label):
+    labels = tmp_path / "labels.tsv"
+    rows = [row.replace("\tentry_key\tX\t", f"\tentry_key\t{label}\t") for row in FULL_ENTRY]
+    labels.write_text("\n".join(["format_version\t1"] + rows) + "\n", "utf-8")
+    code, out, err = run(["report", "--labels", str(labels)], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"p/c: entry_key label {label} is not X\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The opcode counts ``scripts/count_ops.py`` writes are exact and repeatable."""
+"""The opcode and C-call counts ``scripts/count_ops.py`` writes are exact and repeatable."""
 
 import importlib.util
 import json
@@ -37,13 +37,15 @@ def test_two_runs_give_equal_counts(tmp_path):
     assert first == second
     assert first["entries"] == 40 and first["python"] == sys.version
     assert first["bibkit_opcodes_per_entry"] < first["opcodes_per_entry"]
+    by_callee = first["c_calls_by_callee_per_entry"]
+    assert by_callee["str.find"] > 0 and by_callee["re.Pattern.match"] > 0
 
 
 def test_one_call_per_entry_moves_the_count_by_exactly_its_opcodes(tmp_path, monkeypatch):
     plan = count_ops.make_plan("verify_corpus", 2, tmp_path)
-    before = count_ops.count_pass(plan)
+    before, c_calls_before = count_ops.count_pass(plan)
     monkeypatch.setattr(harness, "verify_entry", _verify_entry_with_a_loop)
-    after = count_ops.count_pass(plan)
+    after, c_calls_after = count_ops.count_pass(plan)
 
     record = next(harness.load_corpus(plan["argv"][2]))
     _, _, entry = record.candidates[0]
@@ -53,3 +55,17 @@ def test_one_call_per_entry_moves_the_count_by_exactly_its_opcodes(tmp_path, mon
     injected = after.pop(count_ops.function_name(code))
     assert injected == plan["entries"] * one_call  # verify mode labels each entry once
     assert after == before
+    assert c_calls_after == c_calls_before  # the loop calls no C function
+
+
+def test_c_calls_are_counted_by_callee_inside_the_given_function_only():
+    text = "a {b} c"
+
+    def outside():
+        return text.find("{")
+
+    def within():
+        return text.find("{"), text.count("}"), len(text), outside()
+
+    counts = count_ops.count_c_calls(lambda: (outside(), within(), outside()), within=within.__code__)
+    assert counts == {"str.find": 2, "str.count": 1, "len": 1}

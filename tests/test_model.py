@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -214,7 +215,10 @@ def _outcome(parse, text):
 
 
 _HEADERS = st.sampled_from(["", "@article{", "@misc{k,", " @Book { key, t = ", "@string{"])
-_BIB_PIECES = st.lists(st.sampled_from([*'{}",=#@ \n\taZk1', "{x}", '"y"', "k=", " and "]), max_size=20)
+_BIB_PIECES = st.lists(
+    st.sampled_from([*'{}",=#@ \n\taZk1', "{x}", '"y"', "k=", " and ", "{a{b}c}", "{{", "}}", "\u3000"]),
+    max_size=20,
+)
 
 
 @settings(max_examples=1000)
@@ -240,9 +244,30 @@ _BIB_PIECES = st.lists(st.sampled_from([*'{}",=#@ \n\taZk1', "{x}", '"y"', "k=",
 @example("@article{k,,}")  # an empty segment before the trailing comma
 @example("@article{k, {x}={y}}")  # a brace closes before the '='
 @example("@article{a, t={x}}\n@misc{b, t={y}")  # second entry unbalanced
+@example("@a{k, {x=y}z = {v}}")  # an '=' inside a brace-free group before the real one
+@example("@a{k{a{b}c}, t = {v}}")  # a nested group in the key
+@example('@a{k, t = "{x}{y{z}}", u = {v}}')  # a quote holding braces
+@example('@a{k, t = "x}y"}')  # a stray '}' inside quotes closes the entry
 def test_parse_agrees_with_parent_parser(text):
     assert _outcome(parse_entry, text) == _outcome(parent_parse_entry, text)
     assert _outcome(split_entries, text) == _outcome(masked_parent_split_entries, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "@misc{k, title = {" + "{a}" * 70_000 + "}}",  # about 200 KB of brace-free groups
+        "@misc{k, title = {" + "{" * 50_000,  # 50,000 unclosed groups
+        "@misc{k, title = " + "{" * 50 + "x" + "}" * 50 + "}",  # 50 groups deep
+    ],
+    ids=["brace_free_groups", "unclosed_groups", "deep_nest"],
+)
+def test_parse_takes_linear_time(text):
+    for parse in (parse_entry, split_entries):
+        started = time.perf_counter()
+        _outcome(parse, text)
+        # a brace matcher that recounts from the opening brace takes some 10 times as long
+        assert time.perf_counter() - started < 2.0
 
 
 _NAME_END = set('"#%\'(),={}@')  # and whitespace

@@ -29,6 +29,7 @@ from reference_impls import (
     parent_normalize_author,
     parent_normalize_pages,
     parent_normalize_year,
+    parent_split_and,
     reference_split_top_level_and,
 )
 
@@ -105,6 +106,19 @@ AUTHOR_PIECES = st.sampled_from(["{", "}", " and ", " AND ", " And ", " an", "d 
 @example("{a and b} and c")
 def test_split_top_level_and_agrees_with_character_loop(value):
     assert _split_and(value) == reference_split_top_level_and(value)
+
+
+@settings(max_examples=1000)
+@given(
+    st.lists(AUTHOR_PIECES | st.sampled_from(["{{", "}}", "\u0130", "\u3000"]) | st.text(max_size=3), max_size=12)
+    .map("".join)
+)
+@example("A} and {B and C")  # below depth 0 until the '{', then an " and " at depth 0
+@example("}} and {x{ and y")  # two below, back to 0 only at the second '{'
+@example("{A and B")  # an unclosed group hides every later " and "
+@example("A } and B")  # never back to depth 0
+def test_split_and_agrees_with_parent_brace_scan(value):
+    assert _split_and(value) == parent_split_and(value)
 
 
 @pytest.mark.parametrize(

@@ -25,12 +25,14 @@ from bibkit.resolve import (
     http_url,
     normalize_url,
     rank_candidates,
+    _text,
 )
 
 from bibkit.model import BibEntry, FieldSlot, parse_entry, serialize_entry
 from bibkit.reconcile import PaperMeta, reconcile
 
 from conftest import load_fixture
+from reference_impls import parent_text
 
 
 def make_resolver(fixture: str | list) -> Resolver:
@@ -781,6 +783,16 @@ SHAPED = {
     "DOI": TEXT,
 }
 WORKS = st.fixed_dictionaries({}, optional={k: JSON_VALUES | v for k, v in SHAPED.items()})
+
+
+@settings(max_examples=1000)
+@given(st.text(alphabet="{}a ,", max_size=12) | TEXT)
+@example("A} and {B and C")  # equal counts, but a '}' comes before its '{'
+@example("{a}}{")  # a '}' at depth 0 after a closed group
+@example("{{a}{b}}c{d}")  # nested groups
+@example("Robust {Set cover")  # an unclosed brace
+def test_text_agrees_with_parent_brace_scan(value):
+    assert _text(value) == parent_text(value)
 
 
 @settings(max_examples=200, deadline=None)

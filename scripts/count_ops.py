@@ -16,8 +16,11 @@ perfbench's timing and checks are not counted; the one after runs under
 ``bibkit.cli.main``: each call of a C function or method, by callee
 (``str.find``, ``re.Pattern.match``, ``len``). The JSON printed holds
 ``sys.version``, the total opcodes, those in bibkit's own functions, each
-function's opcodes per entry, and the C calls per entry, in total and by
-callee.
+function's opcodes per entry, the C calls per entry, in total and by
+callee, and the opcode-counted pass's upstream requests per endpoint and
+retries (all 0 on ``verify_corpus``, which asks no upstream). The fake
+upstream answers at once, so request counts, not time, show the resolve
+path's work beside the opcodes.
 
 Bytecode differs between Python versions: compare counts of one version
 only. An opcode count says exactly how much Python work a change adds or
@@ -48,6 +51,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import bibkit  # noqa: E402
 import bibkit.cli as cli  # noqa: E402
 import gen  # noqa: E402  (perfbench's generator)
+import upstream  # noqa: E402  (perfbench's fake upstream)
 from workload import Runner  # noqa: E402
 
 COPIES = {"verify_corpus": 20, "reconcile_then_verify": 20, "reconcile_bib": 25}
@@ -140,28 +144,34 @@ def make_plan(workload: str, copies: int, out: Path) -> dict:
     return {**make(gen.Fixtures(ROOT), random.Random(SEED), out, copies), "workload": workload}
 
 
-def count_pass(plan: dict) -> tuple[Counter, Counter]:
+def count_pass(plan: dict) -> tuple[Counter, Counter, dict]:
     """Opcodes per function name, and C calls per callee, of ``bibkit.cli.main`` in one perfbench pass each.
 
-    Both counted passes follow an untraced one.
+    Both counted passes follow an untraced one. The dict is the
+    opcode-counted pass's ``counts`` (``Runner.run_pass``). The limiter runs
+    on virtual time only: on perfbench's clock, real time plus the virtual
+    offset, whether a CrossRef start waits microseconds for its own slot
+    varies from run to run, and with it the opcodes of the limiter.
     """
-    resolver = cli.Resolver
+    resolver, now = cli.Resolver, upstream.VirtualClock.now
+    upstream.VirtualClock.now = lambda clock: clock.offset
+    passes = []
     try:
         runner = Runner(plan)  # points cli.Resolver at perfbench's fake upstream
         runner.run_pass()
-        by_code = count_opcodes(runner.run_pass, within=cli.main.__code__)
+        by_code = count_opcodes(lambda: passes.append(runner.run_pass()), within=cli.main.__code__)
         c_calls = count_c_calls(runner.run_pass, within=cli.main.__code__)
     finally:
-        cli.Resolver = resolver
+        cli.Resolver, upstream.VirtualClock.now = resolver, now
     if runner.failures:
         raise SystemExit(f"perfbench pass failed: {runner.failures[0]}")
     counts: Counter = Counter()
     for code, n in by_code.items():
         counts[function_name(code)] += n
-    return counts, c_calls
+    return counts, c_calls, passes[0]["counts"]
 
 
-def report(counts: Counter, c_calls: Counter, entries: int, **about) -> dict:
+def report(counts: Counter, c_calls: Counter, pass_counts: dict, entries: int, **about) -> dict:
     total = sum(counts.values())
     own = sum(n for name, n in counts.items() if name.startswith("bibkit/"))
     return {
@@ -174,6 +184,8 @@ def report(counts: Counter, c_calls: Counter, entries: int, **about) -> dict:
         "by_function_per_entry": {name: round(n / entries, 2) for name, n in counts.most_common()},
         "c_calls_per_entry": round(sum(c_calls.values()) / entries, 1),
         "c_calls_by_callee_per_entry": {name: round(n / entries, 2) for name, n in c_calls.most_common()},
+        "requests": pass_counts["requests"],
+        "retries": pass_counts["retries"],
     }
 
 
@@ -185,8 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     copies = args.copies or COPIES[args.workload]
     plan = make_plan(args.workload, copies, args.work / args.workload)
-    counts, c_calls = count_pass(plan)
-    print(json.dumps(report(counts, c_calls, plan["entries"], workload=args.workload, seed=SEED, copies=copies), indent=2))
+    counts, c_calls, pass_counts = count_pass(plan)
+    print(json.dumps(report(counts, c_calls, pass_counts, plan["entries"], workload=args.workload, seed=SEED, copies=copies), indent=2))
     return 0
 
 

@@ -103,7 +103,7 @@ def _last_name(name: str) -> str:
     if "," in name and not name.startswith("{"):
         surname = name.split(",", 1)[0]
     elif name.startswith("{"):
-        end = name.find("}")
+        end = _close(name, 0)
         surname = name[1:end] if end > 0 else name.strip("{}")
     else:
         words = name.split()

@@ -7,11 +7,15 @@ candidates). Identifier queries must yield exactly one record; title
 queries are validated against the winner with a 0.85 token-overlap gate.
 
 All upstream traffic goes through a transport seam so the module can be
-exercised offline against recorded fixtures. A network error, a 5xx other
-than 501 or a 429 is retried once (a 429 after its numeric ``Retry-After``)
-and then raises ``UpstreamUnavailable``: an upstream that could not be asked
-never reads as "not found". A 501 is an answer: the translation server has
-no translator for the payload or finds no identifier in it.
+exercised offline against recorded fixtures. Request starts are spaced per
+upstream (the translation server, CrossRef) at the one rate: each sees at
+most ``ResolverConfig.rate_per_sec`` starts in any one-second window, and N
+requests to one upstream take at least (N-1)/rate seconds. A network
+error, a 5xx other than 501 or a 429 is retried once (a 429 after its
+numeric ``Retry-After``) and then raises ``UpstreamUnavailable``: an
+upstream that could not be asked never reads as "not found". A 501 is an
+answer: the translation server has no translator for the payload or finds
+no identifier in it.
 """
 
 from __future__ import annotations
@@ -287,12 +291,14 @@ class ReplayTransport:
 
 
 class RateLimiter:
-    """Serializes request starts at a fixed minimum spacing.
+    """Serializes request starts to each upstream at a fixed minimum spacing.
 
-    Strict spacing (1/rate seconds between consecutive starts) guarantees
-    both properties the client promises: at most ``rate`` starts in any
-    one-second window, and N sequential requests take at least
-    (N-1)/rate seconds. A bursty bucket would violate the window bound.
+    An upstream is named by its base URL. Strict spacing (1/rate seconds
+    between consecutive starts to one upstream) guarantees both properties
+    the client promises, per upstream: at most ``rate`` starts in any
+    one-second window, and N sequential requests take at least (N-1)/rate
+    seconds. A bursty bucket would violate the window bound. Requests to
+    different upstreams never wait on each other.
     """
 
     def __init__(
@@ -304,12 +310,12 @@ class RateLimiter:
         self.min_interval = 1.0 / rate_per_sec
         self._clock = clock
         self._sleep = sleep or time.sleep  # looked up per instance, so a patched one is seen
-        self._next_start: float | None = None
+        self._next_start: dict[str, float] = {}  # upstream -> earliest start of its next request
 
-    def acquire(self) -> None:
+    def acquire(self, upstream: str) -> None:
         now = self._clock()
-        start = now if self._next_start is None else max(now, self._next_start)
-        self._next_start = start + self.min_interval
+        start = max(now, self._next_start.get(upstream, now))
+        self._next_start[upstream] = start + self.min_interval
         if start > now:
             self._sleep(start - now)
 
@@ -344,9 +350,11 @@ class Resolver:
 
     # -- low-level ---------------------------------------------------------
 
-    def _request(self, method, url, *, params=None, body=None, headers=None) -> TransportResponse:
+    def _request(self, method, base, path, *, params=None, body=None, headers=None) -> TransportResponse:
+        """Send ``method`` to ``base + path``, spaced on ``base``'s slot of the rate limiter."""
+        url = base + path
         for attempt in (1, 2):
-            self.rate_limiter.acquire()
+            self.rate_limiter.acquire(base)
             try:
                 resp = self.transport.request(method, url, params=params, body=body, headers=headers)
             except TransportError as exc:
@@ -368,7 +376,8 @@ class Resolver:
         """POST to /search or /web; returns candidate items ([] when none)."""
         resp = self._request(
             "POST",
-            f"{self.config.base_url}/{endpoint}",
+            self.config.base_url,
+            f"/{endpoint}",
             body=payload,
             headers={"Content-Type": "text/plain"},
         )
@@ -383,7 +392,8 @@ class Resolver:
         """The entry ``/export`` makes of one item, given as ``json.dumps(item, sort_keys=True)``."""
         resp = self._request(
             "POST",
-            f"{self.config.base_url}/export",
+            self.config.base_url,
+            "/export",
             params={"format": "bibtex"},
             body="[" + encoded_item + "]",
             headers={"Content-Type": "application/json"},
@@ -405,7 +415,8 @@ class Resolver:
             headers["User-Agent"] = f"bibkit/0.1 (mailto:{self.config.contact})"
         resp = self._request(
             "GET",
-            f"{CROSSREF_URL}/works",
+            CROSSREF_URL,
+            "/works",
             params={"query": text, "rows": str(CROSSREF_MAX_CANDIDATES)},
             headers=headers or None,
         )

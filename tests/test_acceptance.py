@@ -319,34 +319,80 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-def test_rate_limiter_live_spacing():
+def _serve_stub() -> http.server.ThreadingHTTPServer:
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def _stop(*servers) -> None:
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _timed_starts(resolver: Resolver) -> list[tuple[str, float]]:
+    """(upstream, start time) of each request, recorded as the limiter lets it go."""
+    starts = []
+    acquire = resolver.rate_limiter.acquire
+
+    def timed_acquire(upstream):
+        acquire(upstream)
+        starts.append((upstream, time.monotonic()))
+
+    resolver.rate_limiter.acquire = timed_acquire
+    return starts
+
+
+def _assert_window_bound(starts):
+    for t in starts:
+        in_window = [s for s in starts if t <= s < t + 1.0 - 0.05]
+        assert len(in_window) <= 2, in_window
+
+
+def test_rate_limiter_live_spacing():
+    server = _serve_stub()
     try:
         config = ResolverConfig(base_url=f"http://127.0.0.1:{server.server_port}")
         resolver = Resolver(config, transport=HttpTransport(timeout=5.0))
-        starts = []
-        acquire = resolver.rate_limiter.acquire
-
-        def timed_acquire():
-            acquire()
-            starts.append(time.monotonic())
-
-        resolver.rate_limiter.acquire = timed_acquire
+        starts = _timed_starts(resolver)
         begin = time.monotonic()
         for i in range(6):
             resolver._server_lookup("search", f"10.9999/q{i}")
         elapsed = time.monotonic() - begin
     finally:
-        server.shutdown()
-        server.server_close()
+        _stop(server)
+    starts = [t for _, t in starts]
 
     assert elapsed >= 2.5 - 0.05
     assert len(starts) == 6
-    for t in starts:
-        in_window = [s for s in starts if t <= s < t + 1.0 - 0.05]
-        assert len(in_window) <= 2, in_window
+    _assert_window_bound(starts)
+
+
+def test_rate_limiter_live_crossref_fallback_takes_its_own_slot(monkeypatch):
+    server, crossref = _serve_stub(), _serve_stub()
+    try:
+        crossref_url = f"http://127.0.0.1:{crossref.server_port}"
+        monkeypatch.setattr("bibkit.resolve.CROSSREF_URL", crossref_url)
+        config = ResolverConfig(base_url=f"http://127.0.0.1:{server.server_port}")
+        resolver = Resolver(config, transport=HttpTransport(timeout=5.0))
+        starts = _timed_starts(resolver)
+        for i in range(3):  # each title finds nothing on the server and falls back
+            resolver.resolve(f"A Paper Nobody Indexed {i}")
+    finally:
+        _stop(server, crossref)
+
+    assert [upstream for upstream, _ in starts] == [config.base_url, crossref_url] * 3
+    by_upstream = {config.base_url: [], crossref_url: []}
+    for upstream, t in starts:
+        by_upstream[upstream].append(t)
+    for i, t in enumerate(by_upstream[crossref_url]):
+        assert t - by_upstream[config.base_url][i] < 0.25  # no wait for the server's slot
+    for upstream_starts in by_upstream.values():
+        assert len(upstream_starts) == 3
+        for a, b in zip(upstream_starts, upstream_starts[1:]):
+            assert b - a >= 0.5 - 0.05
+        _assert_window_bound(upstream_starts)
 
 
 # 11. benchmark determinism vs the hand-tallied golden report ---------------------------------

@@ -31,21 +31,35 @@ def _verify_entry_with_a_loop(entry, gt, table=None):
     return _real_verify_entry(entry, gt, table)
 
 
+def _count_twice(tmp_path, *args):
+    argv = [sys.executable, str(SCRIPT), *args, "--work", str(tmp_path / "work")]
+    return [json.loads(subprocess.run(argv, capture_output=True, check=True).stdout) for _ in range(2)]
+
+
 def test_two_runs_give_equal_counts(tmp_path):
-    argv = [sys.executable, str(SCRIPT), "--copies", "2", "--work", str(tmp_path / "work")]
-    first, second = (json.loads(subprocess.run(argv, capture_output=True, check=True).stdout) for _ in range(2))
+    first, second = _count_twice(tmp_path, "--copies", "2")
     assert first == second
     assert first["entries"] == 40 and first["python"] == sys.version
     assert first["bibkit_opcodes_per_entry"] < first["opcodes_per_entry"]
     by_callee = first["c_calls_by_callee_per_entry"]
     assert by_callee["str.find"] > 0 and by_callee["re.Pattern.match"] > 0
+    assert first["requests"] == {"search": 0, "web": 0, "export": 0, "crossref": 0}  # verify asks no upstream
+    assert first["retries"] == 0
+
+
+def test_two_runs_give_equal_request_counts(tmp_path):
+    first, second = _count_twice(tmp_path, "--workload", "reconcile_then_verify")
+    assert first == second
+    assert first["entries"] == 400
+    assert all(n > 0 for n in first["requests"].values())  # every endpoint, the fallback too
+    assert first["retries"] > 0  # the workload's flaky payloads are retried once each
 
 
 def test_one_call_per_entry_moves_the_count_by_exactly_its_opcodes(tmp_path, monkeypatch):
     plan = count_ops.make_plan("verify_corpus", 2, tmp_path)
-    before, c_calls_before = count_ops.count_pass(plan)
+    before, c_calls_before, _ = count_ops.count_pass(plan)
     monkeypatch.setattr(harness, "verify_entry", _verify_entry_with_a_loop)
-    after, c_calls_after = count_ops.count_pass(plan)
+    after, c_calls_after, _ = count_ops.count_pass(plan)
 
     record = next(harness.load_corpus(plan["argv"][2]))
     _, _, entry = record.candidates[0]

@@ -77,6 +77,12 @@ def test_normalize_author(raw, expected):
     assert normalize_author(raw) == expected
 
 
+def test_braced_corporate_author_with_inner_group_matches_its_plain_form():
+    # the surname ends at the brace closing the outer group, not at the first '}'
+    assert normalize_author("{The {ACM} Group}") == normalize_author("{The ACM Group}") == "theacmgroup"
+    assert author_lastname_list("{The {ACM} Group} and Smith, J.") == ["theacmgroup", "smith"]
+
+
 def test_normalize_author_empty():
     assert normalize_author("   ") is None
 

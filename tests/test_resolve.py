@@ -396,13 +396,19 @@ class FakeClock:
         self.now += seconds
 
 
-def acquire_starts(limiter, clock, n):
+def acquire_starts(limiter, clock, n, upstream="http://server.test"):
     """Start time of each of n acquires: the fake clock stands at it on return."""
     starts = []
     for _ in range(n):
-        limiter.acquire()
+        limiter.acquire(upstream)
         starts.append(clock.now)
     return starts
+
+
+def assert_window_bound(starts):
+    for i, t in enumerate(starts):
+        in_window = [s for s in starts if t <= s < t + 1.0]
+        assert len(in_window) <= 2, (i, in_window)
 
 
 def test_rate_limiter_spacing():
@@ -418,18 +424,53 @@ def test_rate_limiter_spacing():
 def test_rate_limiter_window_bound():
     clock = FakeClock()
     limiter = RateLimiter(rate_per_sec=2.0, clock=clock, sleep=clock.sleep)
-    starts = acquire_starts(limiter, clock, 10)
-    for i, t in enumerate(starts):
-        in_window = [s for s in starts if t <= s < t + 1.0]
-        assert len(in_window) <= 2, (i, in_window)
+    assert_window_bound(acquire_starts(limiter, clock, 10))
 
 
 def test_rate_limiter_no_delay_when_idle():
     clock = FakeClock()
     limiter = RateLimiter(rate_per_sec=2.0, clock=clock, sleep=clock.sleep)
-    limiter.acquire()
+    limiter.acquire("http://server.test")
     clock.now = 10.0
     assert acquire_starts(limiter, clock, 1) == [10.0]
+
+
+def test_rate_limiter_spaces_each_upstream_on_its_own():
+    clock = FakeClock()
+    limiter = RateLimiter(rate_per_sec=2.0, clock=clock, sleep=clock.sleep)
+    starts = {"http://server.test": [], CROSSREF_URL: []}
+    for _ in range(6):
+        for upstream, seen in starts.items():
+            limiter.acquire(upstream)
+            seen.append(clock.now)
+    # the CrossRef start right after each server start waits for no slot
+    spaced = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+    assert starts == {"http://server.test": spaced, CROSSREF_URL: spaced}
+    for seen in starts.values():
+        assert_window_bound(seen)
+
+
+class ClockedTransport:
+    """Answers every request with an empty list and records (endpoint, start time)."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.starts: list[tuple[str, float]] = []
+
+    def request(self, method, url, *, params=None, body=None, headers=None):
+        endpoint = url.rsplit("/", 1)[-1]
+        self.starts.append((endpoint, self.clock.now))
+        return TransportResponse(200, '{"message": {"items": []}}' if endpoint == "works" else "[]")
+
+
+def test_crossref_fallback_does_not_wait_for_the_server_slot():
+    clock = FakeClock()
+    transport = ClockedTransport(clock)
+    limiter = RateLimiter(ResolverConfig.rate_per_sec, clock=clock, sleep=clock.sleep)
+    resolver = Resolver(ResolverConfig(base_url="http://server.test"), transport, limiter, sleep=lambda s: None)
+    assert resolver.resolve("A Paper Nobody Indexed").source == "crossref_fallback"
+    resolver.resolve("Another Paper")
+    assert transport.starts == [("search", 0.0), ("works", 0.0), ("search", 0.5), ("works", 0.5)]
 
 
 # -- crossref candidate mapping ----------------------------------------------

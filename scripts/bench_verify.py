@@ -1,18 +1,28 @@
 #!/usr/bin/env python3
 """Write BENCH_<workload>.json: one perfbench workload on two checkouts.
 
-    python3 scripts/bench_verify.py --parent ../bibkit-parent --parent-label 63f8697
-    python3 scripts/bench_verify.py --parent ../bibkit-parent --workload reconcile_bib
+    python3 change/scripts/bench_verify.py --parent parent --parent-label 63f8697
+    python3 change/scripts/bench_verify.py --parent parent --workload reconcile_bib
 
 Runs each checkout's own ``perfbench/run.py --trace 0`` in alternating pairs
 (both runs of a pair use the same seed; the order flips every pair), then one
-``--trace 1`` run on each at the trace seed. The change is the checkout this
+``--trace 1`` run on each at the trace seed, then each checkout's own
+``scripts/count_ops.py --workload W`` once. The change is the checkout this
 script is in. The file records every run, the medians and quartiles of the
-end-to-end metrics, the uncalibrated entries/s, the per-layer metrics, the
-machine and the Python version. For each end-to-end metric of BENCHMARK.json
-it summarizes, in the metric's ``better`` direction, the pairs where the
-change is better, the median gain, and that gain minus the parent's
-interquartile range. ``verify_corpus`` (the default) writes BENCH_verify.json.
+end-to-end metrics, the uncalibrated entries/s, the per-layer metrics, each
+side's ``bibkit_opcodes_per_entry``, ``c_calls_per_entry`` and upstream
+``requests`` under ``count_ops``, the machine and the Python version. For
+each end-to-end metric of BENCHMARK.json it summarizes, in the metric's
+``better`` direction, the pairs where the change is better, the median gain,
+and that gain minus the parent's interquartile range. ``verify_corpus`` (the
+default) writes BENCH_verify.json.
+
+Run both checkouts from fresh copies side by side, such as ``git archive``
+of each commit into sibling directories ``parent`` and ``change``, as in the
+commands above. Results depend on which directory a checkout sits in, not
+only on its code: one change, run from its working repository against a
+parent copy elsewhere, read ``reconcile_bib``'s ``setup_s`` 27% better in 10
+of 10 pairs, and from a copy beside the parent's, no better.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ FIRST_SEED = 1
 SECONDS = 10
 TRACE_SEED = 301
 UNCALIBRATED_RE = re.compile(r"^uncalibrated: entries_per_s ([0-9.]+) 1/s")
+#: The keys of ``scripts/count_ops.py``'s report that the file records.
+COUNTED = ("bibkit_opcodes_per_entry", "c_calls_per_entry", "requests")
 
 
 def out_path(workload: str) -> Path:
@@ -62,6 +74,16 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         if m:
             out["uncalibrated_entries_per_s"] = float(m.group(1))
     return out
+
+
+def count_ops(checkout: Path, workload: str) -> dict:
+    """The checkout's own ``scripts/count_ops.py`` report on ``workload``, cut to ``COUNTED``."""
+    argv = [sys.executable, "scripts/count_ops.py", "--workload", workload]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=SECONDS * 30 + 120)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: count_ops.py exited {proc.returncode}: {proc.stderr.strip()}")
+    counted = json.loads(proc.stdout)
+    return {key: counted[key] for key in COUNTED}
 
 
 def spread(values: list[float]) -> dict:
@@ -123,6 +145,7 @@ def main() -> int:
     summary = summarize(pairs, better)
 
     traced = {side: run(checkouts[side], workload, TRACE_SEED, 1) for side in checkouts}
+    counted = {side: count_ops(checkouts[side], workload) for side in checkouts}
 
     report = {
         "format_version": 1,
@@ -145,6 +168,7 @@ def main() -> int:
             f"--seconds {SECONDS} --trace 1",
             **traced,
         },
+        "count_ops": {"command": f"python3 scripts/count_ops.py --workload {workload}", **counted},
     }
     out = out_path(workload)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", "utf-8")

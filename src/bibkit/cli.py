@@ -43,6 +43,7 @@ import functools
 import itertools
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
@@ -53,7 +54,6 @@ from .harness import (
     _write_atomic,
     action_row,
     bib_pieces,
-    count_vectors,
     load_corpus,
     read_labels,
     read_tsv,
@@ -217,8 +217,8 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     """The bundle aggregate of a labels file; it carries no model, tier or domain."""
-    tagged = _use_file("--labels", args.labels, read_labels)
-    report = aggregate_stats(count_vectors(tagged))["aggregate"]
+    triples = _use_file("--labels", args.labels, read_labels)
+    report = aggregate_stats(Counter((vector, "", "", "") for _, _, vector in triples))["aggregate"]
     for kind in ("model", "tier", "domain"):
         del report[f"per_{kind}"]
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -3,10 +3,13 @@
 The corpus is line-delimited JSON (one paper per line) behind a leading
 format-version header, so reports are diffable and a run streams its
 records: ``load_corpus`` is a generator that reads a line as the run asks
-for its record, and ``run_benchmark`` holds label vectors (an entry's labels
-in slot order), never records, verdicts or rows: it counts distinct vectors
-and builds rows when the run ends. Output files are written identically and
-atomically, each streamed row by row, so memory holds rows, not their text.
+for its record. An entry's labels are its label vector (its labels in
+``ALL_SLOTS`` order), as ``verify_entry`` returns them. ``run_benchmark``
+holds vectors, never records or rows: it counts distinct vectors and builds
+rows when the run ends. ``read_labels`` reads a labels file back into the
+``(paper_id, tag, vector)`` triples that ``_labels_rows`` writes. Output
+files are written identically and atomically, each streamed row by row, so
+memory holds rows, not their text.
 """
 
 from __future__ import annotations
@@ -34,11 +37,9 @@ from .reconcile import PaperMeta, ReconcileOutcome, reconcile
 from .resolve import ResolutionResult
 from .verify import (
     EVALUABLE_SLOTS,
-    EntryVerdict,
     GroundTruth,
     GroundTruthVersion,
     STAGE2_LABELS,
-    TaggedVerdict,
     aggregate_stats,
     clear_memo,
     verify_entry,
@@ -194,11 +195,6 @@ def load_corpus(path: str | Path, permissive: bool = False) -> Iterator[PaperRec
 # benchmark
 
 
-def _vector(verdict: EntryVerdict) -> tuple[FieldLabel, ...]:
-    """The verdict's labels in ``ALL_SLOTS`` order: its label vector."""
-    return tuple(map(verdict.labels.__getitem__, ALL_SLOTS))
-
-
 def _labels_rows(entries: Iterable[tuple[str, str, tuple[FieldLabel, ...]]]) -> list[tuple[str, ...]]:
     """The labels-file rows of each ``(paper_id, tag, label vector)``; a vector's ten row ends are built once."""
     ends, rows = {}, []  # each distinct vector's ten row ends, and the rows
@@ -266,12 +262,12 @@ def run_benchmark(
             entries, record_actions = [], []
             try:
                 for tag, model, entry in record.candidates:
-                    vector = before = _vector(verify_entry(entry, gt, table))
+                    vector = before = verify_entry(entry, gt, table)
                     if resolver is not None:
                         outcome = reconcile(record.meta, entry, resolver)
                         record_actions.append(action_row(pid, tag, outcome))
                         if outcome.result is not entry:  # a kept entry's labels stand: verify_entry is pure
-                            vector = _vector(verify_entry(outcome.result, gt, table))
+                            vector = verify_entry(outcome.result, gt, table)
                     entries.append((tag, model, vector, before))
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                 incomplete.append({"paper_id": pid, "error": str(exc)})
@@ -371,8 +367,11 @@ def read_tsv(path: str | Path) -> list[list[str]]:
         return [line.split("\t") for line in lines if line.strip()]
 
 
-def read_labels(path: str | Path) -> list[TaggedVerdict]:
-    """The verdicts ``_labels_rows`` wrote to a labels file; each entry needs one label per slot."""
+def read_labels(path: str | Path) -> list[tuple[str, str, tuple[FieldLabel, ...]]]:
+    """The ``(paper_id, tag, label vector)`` of each entry ``_labels_rows`` wrote to a labels file.
+
+    Each entry needs one label per slot, in any row order.
+    """
     entries: dict[tuple[str, str], dict[FieldSlot, FieldLabel]] = {}
     for row in read_tsv(path):
         if len(row) != 5:
@@ -390,17 +389,12 @@ def read_labels(path: str | Path) -> list[TaggedVerdict]:
             raise ValueError(f"{paper_id}/{tag}: stage {stage} cannot give {slot_name} label {label_name}")
         if slot == FieldSlot.ENTRY_KEY and label != FieldLabel.X:  # verify never evaluates the key
             raise ValueError(f"{paper_id}/{tag}: entry_key label {label_name} is not X")
-    tagged = []
+    triples = []
     for (paper_id, tag), labels in entries.items():
         if len(labels) != len(FieldSlot):
             raise ValueError(f"{paper_id}/{tag}: labels missing for some slots")
-        tagged.append(TaggedVerdict(paper_id, tag, EntryVerdict(labels)))
-    return tagged
-
-
-def count_vectors(tagged: Iterable[TaggedVerdict]) -> Counter:
-    """How many of ``tagged`` have each (label vector, model, tier, domain): what ``aggregate_stats`` takes."""
-    return Counter((_vector(tv.verdict), tv.model, tv.tier, tv.domain) for tv in tagged)
+        triples.append((paper_id, tag, tuple(map(labels.__getitem__, ALL_SLOTS))))
+    return triples
 
 
 def report_text(bundle: dict) -> str:

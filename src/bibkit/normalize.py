@@ -213,7 +213,7 @@ def normalize_pages(value: str) -> str | None:
     s = value.strip()
     if not s:
         return None
-    parts = [p for p in _PAGE_SEP_RE.split(s)]
+    parts = _PAGE_SEP_RE.split(s)
     if len(parts) == 1:
         return parts[0] if _PAGE_PART_RE.match(parts[0]) else None
     if len(parts) != 2 or not all(parts):

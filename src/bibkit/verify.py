@@ -14,6 +14,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from difflib import SequenceMatcher
+from typing import Iterable
 
 from .model import ALL_SLOTS, BibEntry, FieldLabel, FieldSlot, slot_of
 from .normalize import (
@@ -107,11 +108,6 @@ class GroundTruth:
 class CriterionVerdict:
     partial_match: str  # met | unmet | cannot_assess
     different_paper: str
-
-
-@dataclass
-class EntryVerdict:
-    labels: dict[FieldSlot, FieldLabel]
 
 
 @functools.cache
@@ -328,14 +324,14 @@ def verdict_from_criteria(cv: CriterionVerdict) -> FieldLabel:
     return FieldLabel.F
 
 
-def classify_error_mode(labels: dict[FieldSlot, FieldLabel]) -> str:
-    error_slots = [s for s, l in labels.items() if l in ERROR_LABELS]
-    if not error_slots:
+def classify_error_mode(labels: Iterable[FieldLabel]) -> str:
+    """The error mode of an entry's labels, given in any order (such as its label vector)."""
+    errors = [label for label in labels if label in ERROR_LABELS]
+    if not errors:
         return "none"
-    substituted = sum(1 for s in error_slots if labels[s] == _S)
-    if substituted >= 3:
+    if errors.count(_S) >= 3:
         return "wholesale"
-    if len(error_slots) <= 2:
+    if len(errors) <= 2:
         return "isolated"
     return "mixed"
 
@@ -344,14 +340,14 @@ def verify_entry(
     entry: BibEntry,
     gt: GroundTruth,
     table: VenueSynonymTable | None = None,
-) -> EntryVerdict:
-    """Two-stage labeling of all ten slots."""
+) -> tuple[FieldLabel, ...]:
+    """Two-stage labeling of all ten slots: the entry's label vector, its labels in ``ALL_SLOTS`` order."""
     labels = {slot: classify_stage1(entry, slot, gt, table) for slot in ALL_SLOTS}
     for slot, result in labels.items():
         if result is PENDING:  # as stage 2's context, a pending slot and a P, S or F are alike suspect
             cv = classify_stage2(slot_of(entry, slot) or "", slot, gt, labels, table)
             labels[slot] = verdict_from_criteria(cv)
-    return EntryVerdict(labels)
+    return tuple(labels.values())
 
 
 # --------------------------------------------------------------------------
@@ -359,16 +355,6 @@ def verify_entry(
 
 
 EVALUABLE_SLOTS = tuple(s for s in ALL_SLOTS if s != FieldSlot.ENTRY_KEY)
-
-
-@dataclass(frozen=True)
-class TaggedVerdict:
-    paper_id: str
-    entry_tag: str
-    verdict: EntryVerdict
-    model: str = ""
-    tier: str = ""
-    domain: str = ""
 
 
 def _bucket() -> dict:
@@ -401,18 +387,19 @@ def aggregate_stats(counts: dict[tuple[tuple[FieldLabel, ...], str, str, str], i
     co = [[0] * len(EVALUABLE_SLOTS) for _ in EVALUABLE_SLOTS]
     entries = sum(counts.values())
 
+    # (row of co, position in a vector, per-field bucket) of each evaluable slot
+    fields = [(i, ALL_SLOTS.index(slot), per_field[slot]) for i, slot in enumerate(EVALUABLE_SLOTS)]
+
     for (vector, model, tier, domain), n in counts.items():
-        labels = dict(zip(ALL_SLOTS, vector))
-        mode = classify_error_mode(labels)
+        mode = classify_error_mode(vector)
         modes[mode] = modes.get(mode, 0) + n
         evaluable = correct = 0
         errors = []
-        for i, slot in enumerate(EVALUABLE_SLOTS):
-            label = labels[slot]
+        for i, k, bucket in fields:
+            label = vector[k]
             if label == X:
                 continue
             labels_seen[label] += n
-            bucket = per_field[slot]
             bucket["evaluable"] += n
             evaluable += n
             if label == C:

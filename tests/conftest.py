@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from bibkit.model import ALL_SLOTS
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -23,3 +25,8 @@ def rows_then_fail(rows, k: int):
     """The first ``k`` of ``rows``, then the error a disk that fills mid-file raises."""
     yield from itertools.islice(rows, k)
     raise OSError("No space left on device")
+
+
+def slot_labels(vector) -> dict:
+    """A label vector as a dict from each slot to its label."""
+    return dict(zip(ALL_SLOTS, vector))

@@ -11,10 +11,12 @@ from before their per-call lookups were bound at import, the corpus
 loader from before it streamed, which read the whole file, split it at
 "\n" and then parsed every record, ``verify_entry`` from before it
 filled one dict of labels, the labels rows from before they held
-plain strings in place of slot and label members, and the aggregate and
+plain strings in place of slot and label members, the aggregate and
 field deltas from before they counted label vectors, which walked every
-verdict, and the author splitter and upstream-string brace check from
-before they jumped over brace groups, which stepped over every brace.
+entry's labels, the error-mode classifier from before it took labels in
+any order, which read a dict from slots to labels, and the author splitter
+and upstream-string brace check from before they jumped over brace groups,
+which stepped over every brace.
 """
 
 from __future__ import annotations
@@ -41,13 +43,12 @@ from bibkit.normalize import (
     normalize_year,
 )
 from bibkit.verify import (
+    ERROR_LABELS,
     EVALUABLE_SLOTS,
     INAPPLICABLE,
     PENDING,
     STAGE2_LABELS,
-    EntryVerdict,
     GroundTruth,
-    TaggedVerdict,
     _bucket,
     _pct,
     classify_error_mode,
@@ -725,7 +726,7 @@ def parent_verify_entry(
     entry: BibEntry,
     gt: GroundTruth,
     table: VenueSynonymTable | None = None,
-) -> EntryVerdict:
+) -> dict[FieldSlot, FieldLabel]:
     """Two-stage labeling of all ten slots."""
     stage1: dict[FieldSlot, object] = {
         slot: classify_stage1(entry, slot, gt, table) for slot in ALL_SLOTS
@@ -736,7 +737,7 @@ def parent_verify_entry(
             cv = classify_stage2(slot_of(entry, slot) or "", slot, gt, stage1, table)
             result = verdict_from_criteria(cv)
         labels[slot] = result
-    return EntryVerdict(labels)
+    return labels
 
 
 def parent_holds_separator(value: str) -> bool:
@@ -768,16 +769,16 @@ def parent_load_corpus(path, permissive: bool = False) -> list:
     return records
 
 
-def parent_labels_rows(tagged) -> list[tuple]:
+def parent_labels_rows(entries) -> list[tuple]:
     return [
-        (tv.paper_id, tv.entry_tag, slot, label, "2" if label in STAGE2_LABELS else "1")
-        for tv in tagged
+        (paper_id, tag, slot, label, "2" if label in STAGE2_LABELS else "1")
+        for paper_id, tag, labels in entries
         for slot in ALL_SLOTS
-        for label in [tv.verdict.labels[slot]]
+        for label in [labels[slot]]
     ]
 
 
-def parent_aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
+def parent_aggregate_stats(tagged: list[tuple[dict, str, str, str]]) -> dict:
     """The bundle's "aggregate", "error_modes" and "co_error" sections, from one pass.
 
     X slots never enter accuracy denominators. Every label is C, X or one of
@@ -795,9 +796,8 @@ def parent_aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
     # co[i][j]: entries with slots i and j both wrong; co[i][i] is row i's denominator
     co = [[0] * len(EVALUABLE_SLOTS) for _ in EVALUABLE_SLOTS]
 
-    for tv in tagged:
-        labels = tv.verdict.labels
-        mode = classify_error_mode(labels)
+    for labels, model, tier, domain in tagged:
+        mode = classify_error_mode(labels.values())
         modes[mode] = modes.get(mode, 0) + 1
         evaluable = correct = 0
         errors = []
@@ -822,9 +822,9 @@ def parent_aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
             continue  # an all-X entry opens no model, tier or domain bucket
         for bucket in (
             overall,
-            per_tag["model"].setdefault(tv.model, _bucket()),
-            per_tag["tier"].setdefault(tv.tier, _bucket()),
-            per_tag["domain"].setdefault(tv.domain, _bucket()),
+            per_tag["model"].setdefault(model, _bucket()),
+            per_tag["tier"].setdefault(tier, _bucket()),
+            per_tag["domain"].setdefault(domain, _bucket()),
         ):
             bucket["evaluable"] += evaluable
             bucket["correct"] += correct
@@ -854,12 +854,30 @@ def parent_aggregate_stats(tagged: list[TaggedVerdict]) -> dict:
     }
 
 
-def parent_field_deltas(before: list[TaggedVerdict], after: list[TaggedVerdict]) -> dict:
+# -- classify_error_mode on a dict from slots to labels --------------------------------
+#
+# ``bibkit.verify.classify_error_mode`` as it was while it took a dict from
+# slots to labels; copied verbatim except for the name and ``FieldLabel.S``
+# in place of the module's bound ``_S``.
+
+def parent_classify_error_mode(labels: dict[FieldSlot, FieldLabel]) -> str:
+    error_slots = [s for s, l in labels.items() if l in ERROR_LABELS]
+    if not error_slots:
+        return "none"
+    substituted = sum(1 for s in error_slots if labels[s] == FieldLabel.S)
+    if substituted >= 3:
+        return "wholesale"
+    if len(error_slots) <= 2:
+        return "isolated"
+    return "mixed"
+
+
+def parent_field_deltas(before: list[dict], after: list[dict]) -> dict:
     """Per-field correction/regression accounting between two aligned labelings."""
     C, X = FieldLabel.C, FieldLabel.X
     deltas: dict[str, dict] = {}
     for slot in EVALUABLE_SLOTS:
-        pairs = [(b.verdict.labels[slot], a.verdict.labels[slot]) for b, a in zip(before, after)]
+        pairs = [(b[slot], a[slot]) for b, a in zip(before, after)]
         # (correct before, correct after) of each entry evaluable in both
         correct = [(lb == C, la == C) for lb, la in pairs if X not in (lb, la)]
         deltas[slot] = {

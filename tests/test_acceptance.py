@@ -12,11 +12,12 @@ import json
 import random
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bibkit.harness import count_vectors, load_corpus, run_benchmark, write_bundle
+from bibkit.harness import load_corpus, run_benchmark, write_bundle
 from bibkit.model import FieldLabel, FieldSlot, parse_entry, serialize_entry
 from bibkit.normalize import (
     VenueSynonymTable,
@@ -40,9 +41,7 @@ from bibkit.resolve import (
 from bibkit.verify import (
     CANNOT_ASSESS,
     CriterionVerdict,
-    EntryVerdict,
     MET,
-    TaggedVerdict,
     UNMET,
     aggregate_stats,
     classify_error_mode,
@@ -51,7 +50,7 @@ from bibkit.verify import (
     verify_entry,
 )
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, load_fixture, slot_labels
 from reference_impls import brute_co_error, brute_jaccard
 from test_reconcile import PAIRS, make_meta, make_resolver
 from test_verify import (
@@ -92,7 +91,7 @@ def test_verdict_mapping_table(partial, different, label):
 
 
 def test_isolated_fixture_labels_and_mode():
-    verdict = verify_entry(ISOLATED_ENTRY, isolated_ground_truth(), TABLE)
+    vector = verify_entry(ISOLATED_ENTRY, isolated_ground_truth(), TABLE)
     expected = {
         FieldSlot.TITLE: FieldLabel.C,
         FieldSlot.AUTHOR: FieldLabel.C,
@@ -101,15 +100,15 @@ def test_isolated_fixture_labels_and_mode():
         FieldSlot.PAGES: FieldLabel.F,
     }
     for slot, label in expected.items():
-        assert verdict.labels[slot] is label, slot
-    assert classify_error_mode(verdict.labels) == "isolated"
+        assert slot_labels(vector)[slot] is label, slot
+    assert classify_error_mode(vector) == "isolated"
 
 
 def test_wholesale_fixture_labels_and_mode():
-    verdict = verify_entry(WHOLESALE_ENTRY, wholesale_ground_truth(), TABLE)
-    substituted = [s for s, l in verdict.labels.items() if l is FieldLabel.S]
+    vector = verify_entry(WHOLESALE_ENTRY, wholesale_ground_truth(), TABLE)
+    substituted = [s for s, l in slot_labels(vector).items() if l is FieldLabel.S]
     assert len(substituted) >= 3
-    assert classify_error_mode(verdict.labels) == "wholesale"
+    assert classify_error_mode(vector) == "wholesale"
 
 
 # 3. calibration triple ------------------------------------------------------------
@@ -233,10 +232,10 @@ def test_reconciliation_with_ground_truth_source_has_zero_regressions():
 
 
 def test_arxiv_version_entry_scores_all_correct():
-    verdict = verify_entry(ARXIV_MATCHING_ENTRY, two_version_ground_truth(), TABLE)
-    for slot, label in verdict.labels.items():
+    vector = verify_entry(ARXIV_MATCHING_ENTRY, two_version_ground_truth(), TABLE)
+    for slot, label in slot_labels(vector).items():
         assert label in (FieldLabel.C, FieldLabel.X), (slot, label)
-    assert classify_error_mode(verdict.labels) == "none"
+    assert classify_error_mode(vector) == "none"
 
 
 # 8. co-error matrix vs brute force --------------------------------------------------------
@@ -245,13 +244,13 @@ def test_arxiv_version_entry_scores_all_correct():
 def test_co_error_matrix_on_50_synthetic_verdicts():
     rng = random.Random(50)
     labels = [FieldLabel.C, FieldLabel.M, FieldLabel.F, FieldLabel.P, FieldLabel.S, FieldLabel.X]
-    verdicts = []
+    vectors = []
     for _ in range(50):
         picked = {slot: rng.choice(labels) for slot in FieldSlot}
         picked[FieldSlot.ENTRY_KEY] = FieldLabel.X
-        verdicts.append(EntryVerdict(labels=picked))
-    matrix = aggregate_stats(count_vectors(TaggedVerdict(f"p{i}", "t", v) for i, v in enumerate(verdicts)))["co_error"]
-    rows = [{s.value: v.value for s, v in verdict.labels.items()} for verdict in verdicts]
+        vectors.append(tuple(picked.values()))  # in slot order: the key's label stays in its place
+    matrix = aggregate_stats(Counter((v, "", "", "") for v in vectors))["co_error"]
+    rows = [{s.value: v.value for s, v in slot_labels(vector).items()} for vector in vectors]
     expected = brute_co_error(rows)
     for i, row in matrix.items():
         for j, value in row.items():

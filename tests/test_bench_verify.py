@@ -1,6 +1,8 @@
 """The summary ``scripts/bench_verify.py`` writes, on synthetic pairs of runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,26 @@ def test_summary_counts_an_equal_pair_as_not_better():
 def test_output_file_is_named_after_the_workload():
     assert bench_verify.out_path("verify_corpus").name == "BENCH_verify.json"
     assert bench_verify.out_path("reconcile_bib").name == "BENCH_reconcile_bib.json"
+
+
+def test_count_ops_runs_the_checkouts_own_script_and_keeps_the_counted_keys(monkeypatch, tmp_path):
+    calls = []
+    report = {"bibkit_opcodes_per_entry": 4000.5, "c_calls_per_entry": 900.1, "requests": {"search": 0}, "entries": 400}
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append((argv[1:], cwd))
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(report), stderr="")
+
+    monkeypatch.setattr(bench_verify.subprocess, "run", fake_run)
+    counted = bench_verify.count_ops(tmp_path, "verify_corpus")
+    assert calls == [(["scripts/count_ops.py", "--workload", "verify_corpus"], tmp_path)]
+    assert counted == {"bibkit_opcodes_per_entry": 4000.5, "c_calls_per_entry": 900.1, "requests": {"search": 0}}
+
+
+def test_count_ops_that_fails_stops_the_run(monkeypatch, tmp_path):
+    def fake_run(argv, cwd, **kwargs):
+        return subprocess.CompletedProcess(argv, 1, stdout="", stderr="no such workload")
+
+    monkeypatch.setattr(bench_verify.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit, match="count_ops.py exited 1: no such workload"):
+        bench_verify.count_ops(tmp_path, "verify_corpus")

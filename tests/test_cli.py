@@ -1289,6 +1289,24 @@ def test_report_equals_bundle_aggregate_with_all_x_entry(tmp_path, capsys):
         assert report[key] == aggregate[key], key
 
 
+@pytest.mark.parametrize(
+    "mode,labels,key",
+    [
+        ("verify", "labels.tsv", "aggregate"),
+        ("reconcile_then_verify", "labels.tsv", "aggregate"),
+        ("reconcile_then_verify", "labels_before.tsv", "aggregate_before"),
+    ],
+)
+def test_report_of_a_golden_labels_file_equals_its_bundle_aggregate(capsys, mode, labels, key):
+    bundle = FIXTURES / "golden_bundle" / mode
+    code, out, _ = run(["report", "--labels", str(bundle / labels)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    aggregate = json.loads((bundle / "report.json").read_text("utf-8"))[key]
+    for field in ("entries", "overall", "fully_correct", "label_distribution", "per_field"):
+        assert report[field] == aggregate[field], field
+
+
 #: One entry's rows as ``verify`` writes them: the citation key is never evaluated.
 FULL_ENTRY = [f"p\tc\t{slot.value}\t{'X' if slot == FieldSlot.ENTRY_KEY else 'C'}\t1" for slot in FieldSlot]
 

@@ -17,9 +17,10 @@ from bibkit import harness, normalize, verify
 from bibkit.harness import (
     CorpusParseError,
     _field_deltas,
-    _vector,
+    _labels_rows,
     bib_pieces,
     load_corpus,
+    read_labels,
     read_tsv,
     run_benchmark,
     tsv_lines,
@@ -29,9 +30,9 @@ from bibkit.model import ALL_SLOTS, BibEntry, FieldLabel, parse_entry, serialize
 from bibkit.normalize import VenueSynonymTable
 from bibkit.reconcile import PaperMeta
 from bibkit.resolve import ResolutionResult, UpstreamUnavailable
-from bibkit.verify import EntryVerdict, TaggedVerdict, verify_entry
+from bibkit.verify import verify_entry
 
-from conftest import FIXTURES, load_fixture, rows_then_fail
+from conftest import FIXTURES, load_fixture, rows_then_fail, slot_labels
 from reference_impls import (
     parent_field_deltas,
     parent_holds_separator,
@@ -425,8 +426,8 @@ def test_golden_corpus_error_modes_match_hand_labels():
     for (paper_id, tag), expected in GOLDEN_LABELS.items():
         record = records[paper_id]
         entry = next(e for t, _, e in record.candidates if t == tag)
-        verdict = verify_entry(entry, record.ground_truth, VenueSynonymTable.default())
-        assert verify.classify_error_mode(verdict.labels) == expected["error_mode"], (paper_id, tag)
+        vector = verify_entry(entry, record.ground_truth, VenueSynonymTable.default())
+        assert verify.classify_error_mode(vector) == expected["error_mode"], (paper_id, tag)
 
 
 def test_golden_corpus_aggregate_matches_hand_tally():
@@ -503,9 +504,8 @@ def test_counted_deltas_equal_the_parent_over_shuffled_pairs(pairs, repeats, rnd
     """Counting each distinct (vector before, vector after) once, weighted, gives the aligned walk's deltas."""
     pairs = pairs + pairs[:repeats]  # repeated pairs of vectors
     rnd.shuffle(pairs)
-    before = [TaggedVerdict(f"p{i}", "t", EntryVerdict(b)) for i, (b, _) in enumerate(pairs)]
-    after = [TaggedVerdict(f"p{i}", "t", EntryVerdict(a)) for i, (_, a) in enumerate(pairs)]
-    counted = Counter((_vector(b.verdict), _vector(a.verdict)) for b, a in zip(before, after))
+    before, after = [b for b, _ in pairs], [a for _, a in pairs]
+    counted = Counter((tuple(map(b.__getitem__, ALL_SLOTS)), tuple(map(a.__getitem__, ALL_SLOTS))) for b, a in pairs)
     assert _field_deltas(counted) == parent_field_deltas(before, after)
 
 
@@ -653,9 +653,9 @@ def test_memo_is_filled_during_a_run_and_empty_after(monkeypatch):
     sizes = []
 
     def recording(*args):
-        verdict = verify_entry(*args)
+        vector = verify_entry(*args)
         sizes.append(memo_size())
-        return verdict
+        return vector
 
     monkeypatch.setattr(harness, "verify_entry", recording)
     bundle = run_benchmark(load_corpus(CORPUS_PATH))
@@ -762,6 +762,15 @@ def test_write_bundle_matches_the_golden_snapshot(tmp_path, mode):
     assert read_tree(tmp_path) == read_tree(FIXTURES / "golden_bundle" / mode)
 
 
+@pytest.mark.parametrize(
+    "name", ["verify/labels.tsv", "reconcile_then_verify/labels.tsv", "reconcile_then_verify/labels_before.tsv"]
+)
+def test_golden_labels_files_read_back_to_their_rows(name):
+    """``read_labels`` gives the triples ``_labels_rows`` takes: writing them back gives the file's rows."""
+    path = FIXTURES / "golden_bundle" / name
+    assert _labels_rows(read_labels(path)) == [tuple(row) for row in read_tsv(path)]
+
+
 def test_verify_bundle_over_a_reconcile_bundle_leaves_only_its_own_files(tmp_path):
     corpus = list(load_corpus(CORPUS_PATH))
     write_bundle(run_benchmark(corpus, resolver=perfect_resolver(corpus)), tmp_path)
@@ -816,12 +825,12 @@ def test_label_rows_are_plain_strings_the_collector_untracks(mode):
         assert type(row) is tuple and {type(cell) for cell in row} == {str}, row
         assert gc.is_tracked(row) is False, row
     table = VenueSynonymTable.default()
-    tagged = [
-        TaggedVerdict(r.paper_id, tag, verify_entry(entry, r.ground_truth, table))
+    entries = [
+        (r.paper_id, tag, slot_labels(verify_entry(entry, r.ground_truth, table)))
         for r in sorted(corpus, key=lambda r: r.paper_id)
         for tag, _, entry in r.candidates
     ]
-    assert bundle["labels" if resolver is None else "labels_before"] == parent_labels_rows(tagged)
+    assert bundle["labels" if resolver is None else "labels_before"] == parent_labels_rows(entries)
 
 
 def test_write_bundle_holds_rows_not_their_text(tmp_path):

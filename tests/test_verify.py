@@ -1,24 +1,23 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bibkit import verify
-from bibkit.harness import _labels_rows, _vector, count_vectors, load_corpus, read_labels, tsv_lines
-from bibkit.model import BibEntry, FieldLabel, FieldSlot, parse_entry, serialize_entry, slot_of
+from bibkit.harness import _labels_rows, load_corpus, read_labels, tsv_lines
+from bibkit.model import ALL_SLOTS, BibEntry, FieldLabel, FieldSlot, parse_entry, serialize_entry, slot_of
 from bibkit.normalize import VenueSynonymTable
 from bibkit.verify import (
     CANNOT_ASSESS,
     CriterionVerdict,
     EVALUABLE_SLOTS,
-    EntryVerdict,
     GroundTruth,
     GroundTruthVersion,
     MET,
     PENDING,
     STAGE2_LABELS,
-    TaggedVerdict,
     UNMET,
     aggregate_stats,
     classify_error_mode,
@@ -28,11 +27,12 @@ from bibkit.verify import (
     verify_entry,
 )
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, load_fixture, slot_labels
 from reference_impls import (
     brute_co_error,
     brute_tally,
     parent_aggregate_stats,
+    parent_classify_error_mode,
     parent_classify_stage1,
     parent_slot_of,
     parent_values_for,
@@ -42,9 +42,9 @@ from reference_impls import (
 TABLE = VenueSynonymTable.default()
 
 
-def stage2_slots(verdict: EntryVerdict) -> set[FieldSlot]:
+def stage2_slots(vector: tuple[FieldLabel, ...]) -> set[FieldSlot]:
     """The slots stage 2 labelled: those whose label is one of ``STAGE2_LABELS``."""
-    return {slot for slot, label in verdict.labels.items() if label in STAGE2_LABELS}
+    return {slot for slot, label in zip(ALL_SLOTS, vector) if label in STAGE2_LABELS}
 
 
 # -- fixture papers ----------------------------------------------------------
@@ -194,20 +194,21 @@ def test_verdict_mapping_met_any_is_p():
 
 
 def test_isolated_entry_labels():
-    verdict = verify_entry(ISOLATED_ENTRY, isolated_ground_truth(), TABLE)
-    assert verdict.labels[FieldSlot.TITLE] is FieldLabel.C
-    assert verdict.labels[FieldSlot.AUTHOR] is FieldLabel.C
-    assert verdict.labels[FieldSlot.YEAR] is FieldLabel.C
-    assert verdict.labels[FieldSlot.VENUE] is FieldLabel.C
-    assert verdict.labels[FieldSlot.PAGES] is FieldLabel.F
-    assert verdict.labels[FieldSlot.ENTRY_KEY] is FieldLabel.X
-    assert classify_error_mode(verdict.labels) == "isolated"
-    assert stage2_slots(verdict) == {FieldSlot.PAGES}
+    vector = verify_entry(ISOLATED_ENTRY, isolated_ground_truth(), TABLE)
+    labels = slot_labels(vector)
+    assert labels[FieldSlot.TITLE] is FieldLabel.C
+    assert labels[FieldSlot.AUTHOR] is FieldLabel.C
+    assert labels[FieldSlot.YEAR] is FieldLabel.C
+    assert labels[FieldSlot.VENUE] is FieldLabel.C
+    assert labels[FieldSlot.PAGES] is FieldLabel.F
+    assert labels[FieldSlot.ENTRY_KEY] is FieldLabel.X
+    assert classify_error_mode(vector) == "isolated"
+    assert stage2_slots(vector) == {FieldSlot.PAGES}
 
 
 def test_wholesale_entry_labels():
-    verdict = verify_entry(WHOLESALE_ENTRY, wholesale_ground_truth(), TABLE)
-    labels = verdict.labels
+    vector = verify_entry(WHOLESALE_ENTRY, wholesale_ground_truth(), TABLE)
+    labels = slot_labels(vector)
     assert labels[FieldSlot.TITLE] is FieldLabel.S
     assert labels[FieldSlot.VENUE] is FieldLabel.S
     assert labels[FieldSlot.DOI] is FieldLabel.S
@@ -219,7 +220,7 @@ def test_wholesale_entry_labels():
     assert labels[FieldSlot.ENTRY_TYPE] is FieldLabel.C
     substituted = sum(1 for l in labels.values() if l is FieldLabel.S)
     assert substituted >= 3
-    assert classify_error_mode(labels) == "wholesale"
+    assert classify_error_mode(vector) == "wholesale"
 
 
 # -- calibration triple --------------------------------------------------------
@@ -266,12 +267,12 @@ def test_calibration_fabricated_doi_is_fabrication():
 
 
 def test_arxiv_version_match_scores_all_correct():
-    verdict = verify_entry(ARXIV_MATCHING_ENTRY, two_version_ground_truth(), TABLE)
-    for slot, label in verdict.labels.items():
+    vector = verify_entry(ARXIV_MATCHING_ENTRY, two_version_ground_truth(), TABLE)
+    for slot, label in slot_labels(vector).items():
         assert label in (FieldLabel.C, FieldLabel.X), (slot, label)
-    assert classify_error_mode(verdict.labels) == "none"
+    assert classify_error_mode(vector) == "none"
     # year 2017 only exists in the arXiv version; 2018 is the journal year
-    assert verdict.labels[FieldSlot.YEAR] is FieldLabel.C
+    assert slot_labels(vector)[FieldSlot.YEAR] is FieldLabel.C
 
 
 # -- stage 1 rules --------------------------------------------------------------
@@ -316,9 +317,9 @@ def test_stage1_mismatch_is_pending():
 
 def test_stage1_soundness_c_labels_recheck():
     gt = isolated_ground_truth()
-    verdict = verify_entry(ISOLATED_ENTRY, gt, TABLE)
-    for slot, label in verdict.labels.items():
-        if label is FieldLabel.C and slot not in stage2_slots(verdict):
+    vector = verify_entry(ISOLATED_ENTRY, gt, TABLE)
+    for slot, label in slot_labels(vector).items():
+        if label is FieldLabel.C and slot not in stage2_slots(vector):
             assert classify_stage1(ISOLATED_ENTRY, slot, gt, TABLE) is FieldLabel.C
 
 
@@ -456,8 +457,9 @@ def test_classify_stage1_agrees_with_parent(inputs, table):
 )
 def test_verify_entry_agrees_with_the_two_dict_parent(entry, gt, table):
     """One dict, its pending slots replaced by their stage-2 labels, gives the labels of two."""
-    labels = verify_entry(entry, gt, table).labels
-    assert list(labels.items()) == list(parent_verify_entry(entry, gt, table).labels.items())
+    parent = parent_verify_entry(entry, gt, table)
+    assert list(parent) == list(ALL_SLOTS)
+    assert verify_entry(entry, gt, table) == tuple(parent.values())
 
 
 # -- stage 2 specifics -----------------------------------------------------------
@@ -474,7 +476,7 @@ def test_stage2_pages_past_the_int_string_limit_get_a_label():
     big = "1" * 5000
     gt = isolated_ground_truth()
     entry = parse_entry(serialize_entry(ISOLATED_ENTRY).replace("539--547", big))
-    assert verify_entry(entry, gt, TABLE).labels[FieldSlot.PAGES] is FieldLabel.F
+    assert slot_labels(verify_entry(entry, gt, TABLE))[FieldSlot.PAGES] is FieldLabel.F
     gt = GroundTruth("p", (GroundTruthVersion("journal", {"pages": f"1{big}--3{big}"}),))
     assert classify_stage2(f"2{big}--4{big}", FieldSlot.PAGES, gt).partial_match == MET
     assert classify_stage2(f"0004{big}", FieldSlot.PAGES, gt).partial_match == UNMET
@@ -645,9 +647,9 @@ def test_stage2_equality_rules_hold_on_direct_calls():
 def test_malformed_values_are_labelled_in_stage2(slot, value, version, label):
     entry = parse_entry("@inproceedings{k, %s={%s}}" % (slot, value))
     gt = GroundTruth("p", (GroundTruthVersion("proceedings", version),))
-    verdict = verify_entry(entry, gt, TABLE)
-    assert verdict.labels[FieldSlot(slot)] is label
-    assert FieldSlot(slot) in stage2_slots(verdict)
+    vector = verify_entry(entry, gt, TABLE)
+    assert slot_labels(vector)[FieldSlot(slot)] is label
+    assert FieldSlot(slot) in stage2_slots(vector)
 
 
 # -- error-mode classification ----------------------------------------------------
@@ -675,7 +677,7 @@ def _labels(**overrides) -> dict:
     ],
 )
 def test_error_mode_partition(overrides, mode):
-    assert classify_error_mode(_labels(**overrides)) == mode
+    assert classify_error_mode(_labels(**overrides).values()) == mode
 
 
 @given(
@@ -689,33 +691,53 @@ def test_error_mode_total_partition(overrides):
     labels = _labels()
     labels.update(overrides)
     labels[FieldSlot.ENTRY_KEY] = FieldLabel.X
-    assert classify_error_mode(labels) in ("none", "isolated", "wholesale", "mixed")
+    assert classify_error_mode(labels.values()) in ("none", "isolated", "wholesale", "mixed")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fixed_dictionaries({slot: st.sampled_from(list(FieldLabel)) for slot in ALL_SLOTS}),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+@example(_labels(title="S", venue="S", doi="S", pages="F"), True, random.Random(0))
+def test_error_mode_of_a_vector_equals_the_dict_parent(labels, by_name, rnd):
+    """The labels in any order, as members or names, give the mode their dict gave."""
+    vector = tuple(map(labels.__getitem__, ALL_SLOTS))
+    if by_name:
+        labels, vector = _named(labels), tuple(map(str, vector))
+    want = parent_classify_error_mode(labels)
+    assert classify_error_mode(vector) == want
+    shuffled = list(vector)
+    rnd.shuffle(shuffled)
+    assert classify_error_mode(shuffled) == want
 
 
 # -- co-error matrix ----------------------------------------------------------
 
 
-def make_verdict(labels: dict) -> EntryVerdict:
+def make_vector(labels: dict) -> tuple[FieldLabel, ...]:
+    """The label vector of ``labels``, labels by slot name: C for a slot it omits, X for the citation key."""
     full = {slot: FieldLabel(labels.get(slot.value, "C")) for slot in FieldSlot}
     full[FieldSlot.ENTRY_KEY] = FieldLabel.X
-    return EntryVerdict(labels=full)
+    return tuple(full.values())
 
 
-def co_error(verdicts: list[EntryVerdict]) -> dict:
-    """The "co_error" section the tally gives for ``verdicts``."""
-    return aggregate_stats(count_vectors(TaggedVerdict(f"p{i}", "t", v) for i, v in enumerate(verdicts)))["co_error"]
+def co_error(vectors: list[tuple[FieldLabel, ...]]) -> dict:
+    """The "co_error" section the tally gives for ``vectors``."""
+    return aggregate_stats(Counter((v, "", "", "") for v in vectors))["co_error"]
 
 
 def test_co_error_perfect_coupling():
-    verdicts = [make_verdict({"title": "F", "author": "F"}) for _ in range(3)]
-    matrix = co_error(verdicts)
+    vectors = [make_vector({"title": "F", "author": "F"}) for _ in range(3)]
+    matrix = co_error(vectors)
     assert matrix[FieldSlot.TITLE][FieldSlot.AUTHOR] == 1.0
     assert matrix[FieldSlot.AUTHOR][FieldSlot.TITLE] == 1.0
 
 
 def test_co_error_zero_denominator_is_undefined():
-    verdicts = [make_verdict({"pages": "F"})]
-    matrix = co_error(verdicts)
+    vectors = [make_vector({"pages": "F"})]
+    matrix = co_error(vectors)
     assert matrix[FieldSlot.PAGES][FieldSlot.PAGES] == 1.0
     assert matrix[FieldSlot.TITLE][FieldSlot.TITLE] is None
     assert matrix[FieldSlot.TITLE][FieldSlot.PAGES] is None
@@ -731,8 +753,8 @@ def test_co_error_matches_brute_force_on_50_synthetic_verdicts():
     rows = []
     for _ in range(50):
         rows.append({name: rng.choice(["C", "M", "F", "P", "S", "X"]) for name in slot_names})
-    verdicts = [make_verdict(row) for row in rows]
-    matrix = co_error(verdicts)
+    vectors = [make_vector(row) for row in rows]
+    matrix = co_error(vectors)
     expected = brute_co_error(rows)
     for i in FieldSlot:
         if i is FieldSlot.ENTRY_KEY:
@@ -747,11 +769,11 @@ def test_co_error_matches_brute_force_on_50_synthetic_verdicts():
 def test_co_error_cells_are_probabilities():
     rng = random.Random(7)
     slot_names = [s.value for s in FieldSlot if s is not FieldSlot.ENTRY_KEY]
-    verdicts = [
-        make_verdict({n: rng.choice(["C", "M", "F", "P", "S"]) for n in slot_names})
+    vectors = [
+        make_vector({n: rng.choice(["C", "M", "F", "P", "S"]) for n in slot_names})
         for _ in range(20)
     ]
-    matrix = co_error(verdicts)
+    matrix = co_error(vectors)
     for i, row in matrix.items():
         for value in row.values():
             if value is not None:
@@ -765,19 +787,17 @@ def test_co_error_cells_are_probabilities():
 
 def test_aggregate_arithmetic():
     # 10 entries, 9 evaluable slots each, 81 C out of 90
-    verdicts = [make_verdict({}) for _ in range(9)]
-    verdicts.append(
-        make_verdict({n: "F" for n in ["entry_type", "author", "title", "year", "venue", "volume", "number", "pages", "doi"]})
+    vectors = [make_vector({}) for _ in range(9)]
+    vectors.append(
+        make_vector({n: "F" for n in ["entry_type", "author", "title", "year", "venue", "volume", "number", "pages", "doi"]})
     )
-    tagged = [TaggedVerdict(f"p{i}", "t", v, "m", "popular", "ai") for i, v in enumerate(verdicts)]
-    report = aggregate_stats(count_vectors(tagged))["aggregate"]
+    report = aggregate_stats(Counter((v, "m", "popular", "ai") for v in vectors))["aggregate"]
     assert report["overall"] == {"evaluable": 90, "correct": 81, "pct_c": 90.0}
     assert report["fully_correct"] == {"count": 9, "pct": 90.0}
 
 
 def test_aggregate_excludes_x_from_denominator():
-    tagged = [TaggedVerdict("p", "t", make_verdict({"volume": "X", "number": "X"}))]
-    report = aggregate_stats(count_vectors(tagged))["aggregate"]
+    report = aggregate_stats(Counter([(make_vector({"volume": "X", "number": "X"}), "", "", "")]))["aggregate"]
     assert report["overall"]["evaluable"] == 7
     assert report["per_field"]["volume"]["evaluable"] == 0
     assert report["per_field"]["volume"]["pct_c"] is None
@@ -787,23 +807,21 @@ def test_aggregate_permutation_invariant():
     rng = random.Random(3)
     slot_names = [s.value for s in FieldSlot if s is not FieldSlot.ENTRY_KEY]
     tagged = [
-        TaggedVerdict(
-            f"p{i}",
-            "t",
-            make_verdict({n: rng.choice(["C", "M", "F", "P", "S", "X"]) for n in slot_names}),
+        (
+            make_vector({n: rng.choice(["C", "M", "F", "P", "S", "X"]) for n in slot_names}),
             rng.choice(["m1", "m2"]),
             rng.choice(["popular", "recent"]),
             rng.choice(["ai", "medicine"]),
         )
-        for i in range(25)
+        for _ in range(25)
     ]
     shuffled = tagged[:]
     rng.shuffle(shuffled)
-    assert aggregate_stats(count_vectors(tagged)) == aggregate_stats(count_vectors(shuffled))
+    assert aggregate_stats(Counter(tagged)) == aggregate_stats(Counter(shuffled))
 
 
 def test_aggregate_empty_input():
-    tally = aggregate_stats(count_vectors([]))
+    tally = aggregate_stats(Counter())
     assert tally["aggregate"]["entries"] == 0
     assert tally["aggregate"]["overall"]["pct_c"] is None
     assert tally["error_modes"] == {}
@@ -820,14 +838,12 @@ ENTRY_LABELS = st.one_of(
 @example([])
 @example([{slot: FieldLabel.X for slot in EVALUABLE_SLOTS}])
 def test_aggregate_matches_brute_tally(entries):
-    tagged = [
-        TaggedVerdict(f"p{i}", "t", EntryVerdict(labels | {FieldSlot.ENTRY_KEY: FieldLabel.X}))
-        for i, labels in enumerate(entries)
-    ]
+    # the citation key, which no entry here labels, is X
+    vectors = [tuple(labels.get(slot, FieldLabel.X) for slot in ALL_SLOTS) for labels in entries]
     want = brute_tally(
         [(f"p{i}", "t", {s.value: l.value for s, l in labels.items()}) for i, labels in enumerate(entries)]
     )
-    tally = aggregate_stats(count_vectors(tagged))
+    tally = aggregate_stats(Counter((v, "", "", "") for v in vectors))
     report = tally["aggregate"]
     assert report["entries"] == want["entries"]
     assert report["overall"] == {k: want[k] for k in ("evaluable", "correct", "pct_c")}
@@ -863,29 +879,27 @@ _TAGS = st.tuples(
     random.Random(1),
 )
 def test_counted_aggregate_equals_the_parent_over_shuffled_verdicts(entries, repeats, rnd):
-    """Counting each distinct label vector once, weighted, gives what walking every verdict gave.
+    """Counting each distinct label vector once, weighted, gives what walking every entry's labels gave.
 
-    The first ``repeats`` verdicts appear twice, so vectors repeat; the
+    The first ``repeats`` entries appear twice, so vectors repeat; the
     citation key's label is drawn too, as a labels file may state any.
     """
-    tagged = [
-        TaggedVerdict(f"p{i}", "t", EntryVerdict(labels | {FieldSlot.ENTRY_KEY: key}), *tags)
-        for i, (labels, key, tags) in enumerate(entries)
-    ]
+    tagged = [(labels | {FieldSlot.ENTRY_KEY: key}, *tags) for labels, key, tags in entries]
     tagged += tagged[:repeats]
     rnd.shuffle(tagged)
-    assert aggregate_stats(count_vectors(tagged)) == parent_aggregate_stats(tagged)
+    counts = Counter((tuple(map(labels.__getitem__, ALL_SLOTS)), *tags) for labels, *tags in tagged)
+    assert aggregate_stats(counts) == parent_aggregate_stats(tagged)
 
 
 def test_monotonicity_fixing_one_error_never_lowers_accuracy():
-    wrong = make_verdict({"pages": "F", "doi": "M"})
-    fixed = make_verdict({"doi": "M"})
-    before = aggregate_stats(count_vectors([TaggedVerdict("p", "t", wrong)]))["aggregate"]
-    after = aggregate_stats(count_vectors([TaggedVerdict("p", "t", fixed)]))["aggregate"]
+    wrong = make_vector({"pages": "F", "doi": "M"})
+    fixed = make_vector({"doi": "M"})
+    before = aggregate_stats(Counter([(wrong, "", "", "")]))["aggregate"]
+    after = aggregate_stats(Counter([(fixed, "", "", "")]))["aggregate"]
     assert after["overall"]["pct_c"] >= before["overall"]["pct_c"]
-    clean = make_verdict({})
-    assert classify_error_mode(clean.labels) == "none"
-    assert aggregate_stats(count_vectors([TaggedVerdict("p", "t", clean)]))["aggregate"]["fully_correct"]["count"] == 1
+    clean = make_vector({})
+    assert classify_error_mode(clean) == "none"
+    assert aggregate_stats(Counter([(clean, "", "", "")]))["aggregate"]["fully_correct"]["count"] == 1
 
 
 # -- label totality and file I/O -------------------------------------------------
@@ -897,22 +911,25 @@ def test_label_totality():
         (WHOLESALE_ENTRY, wholesale_ground_truth()),
         (ARXIV_MATCHING_ENTRY, two_version_ground_truth()),
     ]:
-        verdict = verify_entry(entry, gt, TABLE)
-        assert set(verdict.labels) == set(FieldSlot)
-        assert verdict.labels[FieldSlot.ENTRY_KEY] is FieldLabel.X
+        vector = verify_entry(entry, gt, TABLE)
+        assert type(vector) is tuple and len(vector) == len(ALL_SLOTS)
+        assert all(type(label) is FieldLabel for label in vector)
+        assert slot_labels(vector)[FieldSlot.ENTRY_KEY] is FieldLabel.X
 
 
 def test_labels_file_round_trip(tmp_path):
-    tagged = [
-        TaggedVerdict("isolated", "cand1", verify_entry(ISOLATED_ENTRY, isolated_ground_truth(), TABLE)),
-        TaggedVerdict("wholesale", "cand1", verify_entry(WHOLESALE_ENTRY, wholesale_ground_truth(), TABLE)),
-        TaggedVerdict("wholesale", "cand2", verify_entry(ARXIV_MATCHING_ENTRY, wholesale_ground_truth(), TABLE)),
+    triples = [
+        ("isolated", "cand1", verify_entry(ISOLATED_ENTRY, isolated_ground_truth(), TABLE)),
+        ("wholesale", "cand1", verify_entry(WHOLESALE_ENTRY, wholesale_ground_truth(), TABLE)),
+        ("wholesale", "cand2", verify_entry(ARXIV_MATCHING_ENTRY, wholesale_ground_truth(), TABLE)),
     ]
-    assert any(stage2_slots(tv.verdict) for tv in tagged)
+    assert any(stage2_slots(vector) for _, _, vector in triples)
     path = tmp_path / "labels.tsv"
-    rows = _labels_rows((tv.paper_id, tv.entry_tag, _vector(tv.verdict)) for tv in tagged)
-    path.write_text("".join(tsv_lines(rows)), "utf-8")
-    assert read_labels(path) == tagged
+    path.write_text("".join(tsv_lines(_labels_rows(triples))), "utf-8")
+    assert read_labels(path) == triples
+    # in any row order, each vector holds its labels in slot order
+    path.write_text("".join(tsv_lines(reversed(_labels_rows(triples)))), "utf-8")
+    assert read_labels(path) == triples[::-1]
 
 
 def test_labels_file_rejects_unknown_format(tmp_path):
@@ -929,9 +946,9 @@ def test_changing_the_venue_table_changes_the_labels():
     gt = GroundTruth("p", (GroundTruthVersion("proceedings", {"venue": "Alpha Conference"}),))
     entry = parse_entry("@inproceedings{k, booktitle={AC}}")
     table = VenueSynonymTable()
-    assert verify_entry(entry, gt, table).labels[FieldSlot.VENUE] is FieldLabel.F
+    assert slot_labels(verify_entry(entry, gt, table))[FieldSlot.VENUE] is FieldLabel.F
     table.add("Alpha Conference", ["AC"])
-    assert verify_entry(entry, gt, table).labels[FieldSlot.VENUE] is FieldLabel.C
+    assert slot_labels(verify_entry(entry, gt, table))[FieldSlot.VENUE] is FieldLabel.C
     assert verify_entry(entry, gt, table) == verify_entry(
         entry, gt, VenueSynonymTable({"Alpha Conference": {"AC"}})
     )
@@ -960,8 +977,8 @@ def _golden_direct_labels(table):
     for record in load_corpus(FIXTURES / "golden_corpus.jsonl"):
         for tag, _, entry in record.candidates:
             v = verify_entry(entry, record.ground_truth, table)
-            labels = {slot.value: label.value for slot, label in v.labels.items()}
-            out[(record.paper_id, tag)] = (labels, sorted(s.value for s in stage2_slots(v)), classify_error_mode(v.labels))
+            labels = {slot.value: label.value for slot, label in slot_labels(v).items()}
+            out[(record.paper_id, tag)] = (labels, sorted(s.value for s in stage2_slots(v)), classify_error_mode(v))
     return out
 
 
@@ -1033,12 +1050,13 @@ def test_a_name_gets_the_result_of_its_member(entry, gt, table, label_sets, orde
         value = slot_of(entry, slot) or ""
         alike(classify_stage2, (value, slot, gt, stage1, table), (value, slot.value, gt, _named(stage1), table))
 
-    key_x = {FieldSlot.ENTRY_KEY: FieldLabel.X}
-    verdicts = [verify_entry(entry, gt, table)] + [EntryVerdict(labels | key_x) for labels in label_sets]
-    for verdict in verdicts:
-        alike(classify_error_mode, (verdict.labels,), (_named(verdict.labels),))
+    # the citation key, which no label set labels, is X
+    vectors = [verify_entry(entry, gt, table)]
+    vectors += [tuple(labels.get(slot, FieldLabel.X) for slot in ALL_SLOTS) for labels in label_sets]
+    for vector in vectors:
+        alike(classify_error_mode, (vector,), (tuple(map(str, vector)),))
     alike(
         aggregate_stats,
-        (count_vectors(TaggedVerdict(f"p{i}", "t", v) for i, v in enumerate(verdicts)),),
-        (count_vectors(TaggedVerdict(f"p{i}", "t", EntryVerdict(_named(v.labels))) for i, v in enumerate(verdicts)),),
+        (Counter((v, "", "", "") for v in vectors),),
+        (Counter((tuple(map(str, v)), "", "", "") for v in vectors),),
     )

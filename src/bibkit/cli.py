@@ -39,7 +39,6 @@ which that mode would not read.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import sys
@@ -163,6 +162,12 @@ def _read_meta_file(path: str) -> list[PaperMeta]:
 
 
 def cmd_reconcile(args) -> int:
+    """Revise each ``--bib`` entry against the record its ``--meta`` row's query resolves to.
+
+    A run resolves and title-gates each distinct query once and reuses both
+    for every entry that sends it; a failed lookup is not kept. The CrossRef
+    fallback builds an entry for the work it picks only.
+    """
     out = args.out or args.bib + ".revised.bib"
     files = {"--log": args.log, "--out": out, "--bib": args.bib, "--meta": args.meta, "--fixtures": args.fixtures}
     paths = {flag: Path(path).resolve() for flag, path in files.items() if path}
@@ -179,12 +184,11 @@ def cmd_reconcile(args) -> int:
     metas = _use_file("--meta", args.meta, _read_meta_file)
     if len(entries) != len(metas):
         raise InputError(f"{len(entries)} entries but {len(metas)} metadata lines")
-    # one lookup per distinct query string, as in harness.run_benchmark
-    resolve = functools.cache(_build_resolver(args).resolve)
+    resolve, lookups = _build_resolver(args).resolve, {}  # one lookup and gate per distinct query
     revised, log_rows = [], []
     for meta, baseline in zip(metas, entries):
         try:
-            outcome = reconcile(meta, baseline, resolve)
+            outcome = reconcile(meta, baseline, resolve, lookups)
         except QueryError as exc:  # a bad row is bad input, not a usage error
             raise InputError(f"meta row {meta.paper_id!r}: {exc}") from None
         revised.append(outcome.result)

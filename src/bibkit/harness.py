@@ -15,7 +15,6 @@ memory holds rows, not their text.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import os
 from collections import Counter
@@ -236,17 +235,14 @@ def run_benchmark(
     Records run one by one in ``corpus`` order and are not held once their
     vectors are made. Returns the report bundle as a dict, rows and "incomplete"
     in ``paper_id`` order; a failing record adds no rows or counts, is listed
-    under "incomplete" and never aborts the run. The run asks ``resolver`` once
-    per distinct query and reuses its result for every candidate that sends
-    the same query; an exception is not kept, so the next candidate with
-    that query asks again. ``table`` None is the shipped venue table. The
-    normalization memo of ``verify`` is emptied when the run returns or raises.
+    under "incomplete" and never aborts the run. The run resolves and
+    title-gates each distinct query once (``reconcile``'s memo) and reuses
+    both for every candidate that sends the same query; an exception is not
+    kept, so the next candidate with that query asks again. ``table`` None is
+    the shipped venue table. The normalization memo of ``verify`` is emptied
+    when the run returns or raises.
     """
-    if resolver is not None:
-        # Keyed on the exact query string build_query sends, not on the
-        # classified query: the CrossRef fallback searches the original
-        # string, so "10.1000/x" and "https://doi.org/10.1000/x" can differ.
-        resolver = functools.cache(resolver)
+    lookups: dict = {}  # reconcile's memo, for this run
     if table is None:
         table = VenueSynonymTable.default()
 
@@ -264,7 +260,7 @@ def run_benchmark(
                 for tag, model, entry in record.candidates:
                     vector = before = verify_entry(entry, gt, table)
                     if resolver is not None:
-                        outcome = reconcile(record.meta, entry, resolver)
+                        outcome = reconcile(record.meta, entry, resolver, lookups)
                         record_actions.append(action_row(pid, tag, outcome))
                         if outcome.result is not entry:  # a kept entry's labels stand: verify_entry is pure
                             vector = verify_entry(outcome.result, gt, table)

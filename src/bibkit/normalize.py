@@ -36,6 +36,11 @@ with resources.as_file(resources.files("bibkit.data").joinpath("stopwords.txt"))
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
+#: The two arXiv id shapes, without a ``vN`` version suffix: new style
+#: (2101.00123) and old style (hep-th/9901001, math.GT/0309136).
+ARXIV_NEW_ID = r"\d{4}\.\d{4,5}"
+ARXIV_OLD_ID = r"[a-z-]+(?:\.[A-Za-z]{2})?/\d{7}"
+
 
 def tokenize_filtered(text: str) -> frozenset[str]:
     """Lowercase alphanumeric tokens minus stopwords and 1-char tokens."""
@@ -51,9 +56,8 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 
 
 def fold_diacritics(value: str) -> str:
-    """Decompose unicode and drop combining marks; unmappable chars are dropped."""
-    decomposed = unicodedata.normalize("NFKD", value)
-    return "".join(c for c in decomposed if not unicodedata.combining(c) and ord(c) < 128)
+    """Decompose unicode and keep the ASCII characters: combining marks and unmappable chars are dropped."""
+    return unicodedata.normalize("NFKD", value).encode("ascii", "ignore").decode("ascii")
 
 
 _ET_AL_RE = re.compile(r"\bet\.?\s+al\.?\s*$", re.IGNORECASE)

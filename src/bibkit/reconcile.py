@@ -92,39 +92,52 @@ def reconcile(
     meta: PaperMeta,
     baseline: BibEntry,
     resolver: Callable[[str], ResolutionResult],
+    memo: dict | None = None,
 ) -> ReconcileOutcome:
     """End-to-end reconciliation of one baseline entry.
 
     The resolver is any callable mapping a query string to a
     ResolutionResult; upstream errors propagate and never modify the
-    baseline.
+    baseline. ``memo`` is one run's dict, passed to each of its calls. It
+    maps a query to its result and whether it is a title query, and a
+    (query, gate input) pair to that title gate's verdict, so a run resolves
+    and gates each distinct query once. A query is the exact string, not
+    the classified query: the CrossRef fallback searches the original
+    string. An exception is not kept, so the next entry with that query
+    asks again.
     """
     query = build_query(meta)
     if query is None:
         return ReconcileOutcome(result=baseline, action="kept_baseline_no_query")
 
-    result = resolver(query)
+    memo = {} if memo is None else memo
+    answer = memo.get(query)
+    if answer is None:
+        result = resolver(query)
+        found = result.status == "found" and result.bibtex is not None
+        # identifier queries resolve deterministically, so the gate compares
+        # title metadata when available and auto-passes otherwise
+        answer = memo[query] = (result, found and classify_query(query).kind == "title")
+    result, title_query = answer
     if result.status == "title_mismatch":
         return ReconcileOutcome(result=baseline, action="kept_baseline_title_mismatch")
     if result.status != "found" or result.bibtex is None:
         return ReconcileOutcome(result=baseline, action="kept_baseline_not_found")
 
-    authoritative = result.bibtex
-    auth_title = slot_of(authoritative, FieldSlot.TITLE) or ""
-
-    # identifier queries resolve deterministically, so the gate compares
-    # title metadata when available and auto-passes otherwise
-    gate_input = query if classify_query(query).kind == "title" else _nonblank(meta.title)
-
+    gate_input = query if title_query else _nonblank(meta.title)
     gate_score: float | None = None
     if gate_input is not None:
-        passed, gate_score = title_gate(gate_input, auth_title)
+        gate = memo.get((query, gate_input))
+        if gate is None:
+            auth_title = slot_of(result.bibtex, FieldSlot.TITLE) or ""
+            gate = memo[query, gate_input] = title_gate(gate_input, auth_title)
+        passed, gate_score = gate
         if not passed:
             return ReconcileOutcome(
                 result=baseline, action="kept_baseline_title_mismatch", gate_score=gate_score
             )
 
-    merged, replaced = merge_fields(baseline, authoritative)
+    merged, replaced = merge_fields(baseline, result.bibtex)
     return ReconcileOutcome(
         result=merged, action="merged", gate_score=gate_score, replaced_slots=replaced
     )

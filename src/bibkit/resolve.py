@@ -25,12 +25,13 @@ import json
 import os
 import re
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Protocol
 from urllib.parse import ParseResult, urlparse, urlunparse
 
 from .model import BibEntry, BibParseError, _close, parse_entry, sanitize_citation_key
-from .normalize import jaccard, normalize_doi, tokenize_filtered
+from .normalize import ARXIV_NEW_ID, ARXIV_OLD_ID, jaccard, normalize_doi, tokenize_filtered
 
 #: Jaccard threshold validating a title-query winner against the query.
 TITLE_MATCH_THRESHOLD = 0.85
@@ -89,12 +90,12 @@ class ResolutionResult:
 
 
 _DOI_RE = re.compile(r"^(?:doi:\s*)?(10\.\d{4,9}/\S+)$", re.IGNORECASE)
-_ARXIV_NEW_RE = re.compile(r"^(?:arxiv:\s*)?(\d{4}\.\d{4,5}(?:v\d+)?)$", re.IGNORECASE)
-_ARXIV_OLD_RE = re.compile(r"^(?:arxiv:\s*)?([a-z-]+(?:\.[A-Za-z]{2})?/\d{7}(?:v\d+)?)$")
+_ARXIV_NEW_RE = re.compile(rf"^(?:arxiv:\s*)?({ARXIV_NEW_ID}(?:v\d+)?)$", re.IGNORECASE)
+_ARXIV_OLD_RE = re.compile(rf"^(?:arxiv:\s*)?({ARXIV_OLD_ID}(?:v\d+)?)$")
 _PMID_RE = re.compile(r"^(?:pmid:?\s*)?(\d{1,8})$", re.IGNORECASE)
 _ISBN_RE = re.compile(r"^(?:isbn:?\s*)?([\d -]{9,16}[\dXx])$", re.IGNORECASE)
 _ISBN_SEPARATOR_RE = re.compile(r"[ -]")
-_ARXIV_ID_SHAPE_RE = re.compile(r"^\d{4}\.\d{4,5}(?:v\d+)?$")
+_ARXIV_ID_SHAPE_RE = re.compile(rf"^{ARXIV_NEW_ID}(?:v\d+)?$")
 
 
 def classify_query(raw: str) -> Query:
@@ -260,18 +261,20 @@ def _exchange_key(method, url, params, body):
 class ReplayTransport:
     """Replays recorded exchanges (a fixture file's ``exchanges`` list), each at most once.
 
-    An exchange without a string request method and url and an int response
-    status, or with a part of another type, is a ``ValueError``.
+    Of the exchanges recorded for one request, the first recorded answers
+    first. An exchange without a string request method and url and an int
+    response status, or with a part of another type, is a ``ValueError``.
     """
 
     def __init__(self, exchanges: list[dict]):
-        self._unused: list[tuple[tuple, TransportResponse]] = []
+        self._unused: dict[tuple, deque[TransportResponse]] = {}  # per key, first recorded first
         for i, exchange in enumerate(exchanges):
             req, resp = _get(exchange, "request"), _get(exchange, "response")
             if not (
                 isinstance(_get(req, "method"), str)
                 and isinstance(_get(req, "url"), str)
-                and isinstance(req.get("params") or {}, dict)
+                and isinstance(params := req.get("params") or {}, dict)
+                and all(isinstance(v, str) for v in params.values())
                 and isinstance(req.get("body") or "", str)
                 and type(_get(resp, "status")) is int  # not a bool
                 and isinstance(resp.get("body", ""), str)
@@ -280,13 +283,12 @@ class ReplayTransport:
                 raise ValueError(f"exchange {i} is not a well-formed request and response")
             key = _exchange_key(req["method"], req["url"], req.get("params"), req.get("body"))
             response = TransportResponse(resp["status"], resp.get("body", ""), resp.get("headers", {}))
-            self._unused.append((key, response))
+            self._unused.setdefault(key, deque()).append(response)
 
     def request(self, method, url, *, params=None, body=None, headers=None):
-        key = _exchange_key(method, url, params, body)
-        for i, (recorded, _) in enumerate(self._unused):
-            if recorded == key:
-                return self._unused.pop(i)[1]
+        unused = self._unused.get(_exchange_key(method, url, params, body))
+        if unused:
+            return unused.popleft()
         raise TransportError(f"no recorded exchange for {method} {url} body={body!r}")
 
 
@@ -408,8 +410,12 @@ class Resolver:
 
     # -- public ------------------------------------------------------------
 
-    def crossref_fallback(self, text: str) -> list[BibEntry]:
-        """Entries of up to 10 CrossRef works with a title, in API order."""
+    def crossref_fallback(self, text: str) -> list[tuple[str, object]]:
+        """(title, work) of up to 10 CrossRef works with a title, in API order.
+
+        ``_entry_from_work`` builds a work's entry; ``resolve_query`` builds
+        only the one it picks.
+        """
         headers = {}
         if self.config.contact:
             headers["User-Agent"] = f"bibkit/0.1 (mailto:{self.config.contact})"
@@ -422,9 +428,9 @@ class Resolver:
         )
         if resp.status != 200:
             return []
-        works = _get(_get(_json(resp.body), "message"), "items")
-        entries = [_entry_from_work(work) for work in _list(works)[:CROSSREF_MAX_CANDIDATES]]
-        return [entry for entry in entries if entry is not None]
+        works = _list(_get(_get(_json(resp.body), "message"), "items"))[:CROSSREF_MAX_CANDIDATES]
+        # the title as _entry_from_work reads it
+        return [(title, work) for work in works if (title := _first_str(_get(work, "title"))) is not None]
 
     def resolve_query(self, q: Query) -> ResolutionResult:
         endpoint = "web" if q.kind == "url" else "search"
@@ -444,8 +450,8 @@ class Resolver:
             return ResolutionResult(status="not_found", source=source)
 
         fallback = self.crossref_fallback(q.original)
-        titles = [entry.fields["title"] for entry in fallback]
-        return _select(q, titles, fallback.__getitem__, "crossref_fallback")
+        titles = [title for title, _ in fallback]
+        return _select(q, titles, lambda i: _entry_from_work(fallback[i][1]), "crossref_fallback")
 
     def resolve(self, raw: str) -> ResolutionResult:
         return self.resolve_query(classify_query(raw))

@@ -18,6 +18,8 @@ from typing import Iterable
 
 from .model import ALL_SLOTS, BibEntry, FieldLabel, FieldSlot, slot_of
 from .normalize import (
+    ARXIV_NEW_ID,
+    ARXIV_OLD_ID,
     VenueSynonymTable,
     author_lastname_list,
     jaccard,
@@ -188,6 +190,8 @@ def _page_range(value: str) -> tuple[tuple[int, str], tuple[int, str]] | None:
 
 
 _ARXIV_DOI_RE = re.compile(r"^10\.48550/arxiv\.(.+)$")
+#: An arXiv id in lowercased text; group 1 is the id without its version suffix
+_ARXIV_ID_RE = re.compile(rf"(?<![\w-])({ARXIV_NEW_ID}|{ARXIV_OLD_ID})(?:v\d+)?(?!\d)")
 _DIGITS_RE = re.compile(r"\d+")
 _FOUR_DIGITS_RE = re.compile(r"\d{4}")
 
@@ -205,14 +209,14 @@ def _doi_partial(value: str, gt_values: list[str], gt: GroundTruth) -> bool:
         if my_reg == gt_reg and my_suffix and gt_suffix:
             if SequenceMatcher(None, my_suffix, gt_suffix).ratio() >= DOI_SUFFIX_SIMILARITY:
                 return True
-    # a preprint DOI encoding the same arXiv id as a ground-truth arXiv
-    # version is a version variant of the same work, not a different paper
+    # a preprint DOI encoding the arXiv id a ground-truth arXiv version states
+    # (either without its vN) is a version variant of the same work
     m = _ARXIV_DOI_RE.match(norm)
-    if m:
-        arxiv_id = m.group(1)
+    arxiv_id = m and _ARXIV_ID_RE.fullmatch(m.group(1))
+    if arxiv_id:
         for version in gt.versions:
             if version.version_type == "arxiv" and any(
-                arxiv_id in v.lower() for v in version.fields.values()
+                arxiv_id.group(1) in _ARXIV_ID_RE.findall(v.lower()) for v in version.fields.values()
             ):
                 return True
     return False

@@ -16,13 +16,16 @@ field deltas from before they counted label vectors, which walked every
 entry's labels, the error-mode classifier from before it took labels in
 any order, which read a dict from slots to labels, and the author splitter
 and upstream-string brace check from before they jumped over brace groups,
-which stepped over every brace.
+which stepped over every brace, and the diacritic folder from before it
+encoded to ASCII, which filtered the decomposed value one character at a
+time.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import unicodedata
 from pathlib import Path
 
 from bibkit.harness import CorpusParseError, _parse_record
@@ -478,6 +481,12 @@ def parent_normalize_year(value: str) -> str:
     if not _YEAR_RE.match(s):
         raise MalformedYear(f"not a 4-digit year: {value!r}")
     return s
+
+
+def parent_fold_diacritics(value: str) -> str:
+    """NFKD, then each character kept when it is not combining and is ASCII."""
+    decomposed = unicodedata.normalize("NFKD", value)
+    return "".join(c for c in decomposed if not unicodedata.combining(c) and ord(c) < 128)
 
 
 def brute_jaccard(a, b) -> float:

@@ -891,6 +891,7 @@ MALFORMED_EXCHANGES = {
     "request-list": {"request": ["POST"], "response": {"status": 200}},
     "exchange-string": "POST http://server.test/search",
     "params-list": {"request": dict(SEARCH, params=["rows"]), "response": {"status": 200}},
+    "param-value-list": {"request": dict(SEARCH, params={"rows": [10]}), "response": {"status": 200}},
     "body-number": {"request": SEARCH, "response": {"status": 200, "body": 5}},
     "headers-list": {"request": SEARCH, "response": {"status": 429, "headers": []}},
 }

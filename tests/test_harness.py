@@ -1,7 +1,9 @@
 import gc
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -760,6 +762,29 @@ def test_write_bundle_matches_the_golden_snapshot(tmp_path, mode):
     resolver = perfect_resolver(corpus) if mode == "reconcile_then_verify" else None
     write_bundle(run_benchmark(corpus, resolver=resolver), tmp_path)
     assert read_tree(tmp_path) == read_tree(FIXTURES / "golden_bundle" / mode)
+
+
+#: Writes the golden-snapshot bundles of both modes, as the test above builds them, under argv[1].
+GOLDEN_BUNDLES_SCRIPT = """
+import sys
+from pathlib import Path
+from test_harness import CORPUS_PATH, load_corpus, perfect_resolver, run_benchmark, write_bundle
+corpus = list(load_corpus(CORPUS_PATH))
+for mode, resolver in (("verify", None), ("reconcile_then_verify", perfect_resolver(corpus))):
+    write_bundle(run_benchmark(corpus, resolver=resolver), Path(sys.argv[1]) / mode)
+"""
+
+
+def test_golden_bundles_do_not_depend_on_the_hash_seed(tmp_path):
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    trees = {}
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-c", GOLDEN_BUNDLES_SCRIPT, str(tmp_path / seed)], env=env, check=True)
+        trees[seed] = {mode: read_tree(tmp_path / seed / mode) for mode in ("verify", "reconcile_then_verify")}
+    golden = {mode: read_tree(FIXTURES / "golden_bundle" / mode) for mode in trees["0"]}
+    assert trees["0"] == trees["4242"] == golden
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from reference_impls import (
     MalformedYear,
     brute_jaccard,
     parent_author_lastname_list,
+    parent_fold_diacritics,
     parent_normalize_author,
     parent_normalize_pages,
     parent_normalize_year,
@@ -227,6 +228,24 @@ def test_tokenize_filtered():
 def test_fold_diacritics():
     assert fold_diacritics("Sánchez") == "Sanchez"
     assert fold_diacritics("Müller") == "Muller"
+
+
+# any character, lone surrogates, combining marks and letters that decompose
+FOLDABLE = st.text(
+    st.characters()
+    | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+    | st.characters(min_codepoint=0x0300, max_codepoint=0x036F)
+    | st.sampled_from("ÀéîõüÇñØßæﬁ①Å㎏ǅ"),
+    max_size=12,
+)
+
+
+@settings(max_examples=300)
+@given(FOLDABLE)
+@example("\ud800e\u0301\udfff")
+@example("Ǆ\u00a0ﬃ")
+def test_fold_diacritics_agrees_with_parent(value):
+    assert fold_diacritics(value) == parent_fold_diacritics(value)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from bibkit import reconcile as reconcile_module
 from bibkit.model import BibEntry, FieldSlot, parse_entry, serialize_entry, slot_of
 from bibkit.reconcile import (
     PaperMeta,
@@ -273,3 +274,78 @@ def test_shared_result_is_not_mutated_by_merges():
         assert outcome.result.fields is not shared.bibtex.fields
     assert serialize_entry(shared.bibtex) == before
     assert shared.candidates == [("Shared Title", 1.0)]
+
+
+# -- one run's lookup memo ------------------------------------------------------
+
+
+AUTH_TITLE = "Deep Residual Learning for Image Recognition"
+
+
+def counting_resolver(result: ResolutionResult):
+    calls = []
+
+    def resolver(query: str) -> ResolutionResult:
+        calls.append(query)
+        return result
+
+    return resolver, calls
+
+
+def found(title: str) -> ResolutionResult:
+    entry = parse_entry(f"@article{{auth, title={{{title}}}, year={{2016}}}}")
+    return ResolutionResult("found", bibtex=entry)
+
+
+def test_memo_gates_each_meta_title_of_one_doi_query():
+    resolver, calls = counting_resolver(found(AUTH_TITLE))
+    baseline = parse_entry("@article{b, title={Working title}}")
+    doi = "10.1109/cvpr.2016.90"
+    metas = [
+        PaperMeta("p1", doi=doi, title=AUTH_TITLE),
+        PaperMeta("p2", doi=doi, title="Volcanic plume dispersal"),
+        PaperMeta("p3", doi=doi, title="Residual learning of deep image models"),
+        PaperMeta("p4", doi=doi, title="Volcanic plume dispersal"),
+    ]
+    memo = {}
+    outcomes = [reconcile(meta, baseline, resolver, memo) for meta in metas]
+    assert calls == [doi]
+    mismatch = "kept_baseline_title_mismatch"
+    assert [o.action for o in outcomes] == ["merged", mismatch, "merged", mismatch]
+    assert [o.gate_score for o in outcomes] == [1.0, 0.0, title_gate(metas[2].title, AUTH_TITLE)[1], 0.0]
+    assert outcomes == [reconcile(meta, baseline, resolver) for meta in metas]  # as without the memo
+
+
+def test_memo_gates_a_title_query_against_the_query_once(monkeypatch):
+    gated = []
+    real_gate = reconcile_module.title_gate
+    monkeypatch.setattr(reconcile_module, "title_gate", lambda *args: gated.append(args) or real_gate(*args))
+    query = "Deep residual learning"
+    resolver, calls = counting_resolver(found(AUTH_TITLE))
+    memo = {}
+    metas = [PaperMeta(f"p{i}", title=f"{space}{query} ") for i, space in enumerate(["", " ", "\t"])]
+    baseline = parse_entry("@misc{b, note={n}}")
+    outcomes = [reconcile(meta, baseline, resolver, memo) for meta in metas]
+    assert calls == [query]
+    assert gated == [(query, AUTH_TITLE)]
+    assert [o.gate_score for o in outcomes] == [title_gate(query, AUTH_TITLE)[1]] * 3
+    assert [o.action for o in outcomes] == ["merged"] * 3
+
+
+def test_memo_keeps_no_failed_lookup():
+    results = [RuntimeError("network down"), ResolutionResult("not_found")]
+
+    def resolver(query):
+        result = results.pop(0)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    memo, meta = {}, PaperMeta("p", doi="10.1000/x")
+    baseline = parse_entry("@article{b, title={T}}")
+    with pytest.raises(RuntimeError):
+        reconcile(meta, baseline, resolver, memo)
+    assert memo == {}
+    assert reconcile(meta, baseline, resolver, memo).action == "kept_baseline_not_found"
+    assert reconcile(meta, baseline, resolver, memo).action == "kept_baseline_not_found"  # kept: not asked again
+    assert results == []

@@ -8,6 +8,7 @@ from urllib.parse import urlparse
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bibkit import resolve
 from bibkit.resolve import (
     CROSSREF_ENTRY_TYPES,
     CROSSREF_URL,
@@ -25,6 +26,7 @@ from bibkit.resolve import (
     http_url,
     normalize_url,
     rank_candidates,
+    _entry_from_work,
     _text,
 )
 
@@ -255,6 +257,23 @@ def test_determinism_same_fixture_same_result():
     assert first == second
 
 
+def test_replay_answers_one_request_in_recorded_order_each_once():
+    request = {"method": "POST", "url": "http://server.test/search", "body": "10.1111/iju.13054"}
+    transport = ReplayTransport([
+        {"request": request, "response": {"status": 200, "body": "first"}},
+        {"request": dict(request, body="other"), "response": {"status": 200, "body": "other"}},
+        {"request": request, "response": {"status": 200, "body": "second"}},
+    ])
+
+    def send(body=request["body"]):
+        return transport.request("POST", request["url"], body=body).body
+
+    assert [send(), send()] == ["first", "second"]
+    with pytest.raises(TransportError):
+        send()
+    assert send("other") == "other"
+
+
 # -- retry and failure handling ---------------------------------------------
 
 
@@ -481,13 +500,37 @@ def test_crossref_candidate_shape():
     resolver._server_lookup("search", "10.9999/unknown.1")  # consume exchange 1
     candidates = resolver.crossref_fallback("10.9999/unknown.1")
     assert len(candidates) == 10
-    first = candidates[0]
+    title, work = candidates[0]
+    first = _entry_from_work(work)
     assert isinstance(first, BibEntry)
-    assert first.get("title") == "Candidate Paper Number 00 on Record Linkage"
+    assert first.get("title") == title == "Candidate Paper Number 00 on Record Linkage"
     assert first.get("year") == "2015"
     assert first.get("doi") == "10.5555/cand.00"
     assert first.get("journal") == "Journal of Examples"
     assert first.get("author") == "Example, Writer 00"
+
+
+def test_crossref_fallback_builds_the_winning_work_only(monkeypatch):
+    query = "Record Linkage at Scale"
+    junk = {"author": [{"family": "Doe}"}, 7], "issued": {"date-parts": [["x"]]}, "DOI": "{", "type": []}
+    works = [dict(junk, title=[f"Unrelated Work {i}"], **{"container-title": [i]}) for i in range(9)]
+    winner = {
+        "title": [query],
+        "type": "journal-article",
+        "author": [{"family": "Doe", "given": "Jane"}],
+        "issued": {"date-parts": [[2019]]},
+        "container-title": ["Journal of Examples"],
+        "DOI": "10.5555/winner",
+    }
+    works.insert(4, winner)
+    built = []
+    monkeypatch.setattr(resolve, "_entry_from_work", lambda work: built.append(work) or _entry_from_work(work))
+    result = crossref_body_fallback(query, {"message": {"items": works}}).resolve(query)
+    assert result.status == "found"
+    assert result.source == "crossref_fallback"
+    assert len(result.candidates) == 10
+    assert result.bibtex == _entry_from_work(winner)
+    assert built == [winner]
 
 
 class RecordingTransport:
@@ -843,9 +886,11 @@ def test_text_agrees_with_parent_brace_scan(value):
 @example(works=[{"title": ["A"], "container-title": ["}{"], "DOI": "10.1/{"}])
 def test_crossref_fallback_never_raises_on_arbitrary_json(works):
     query = "10.9999/fuzz.1"
-    entries = crossref_body_fallback(query, {"message": {"items": works}}).crossref_fallback(query)
-    assert len(entries) <= sum(isinstance(w, dict) for w in works)
-    for entry in entries:
+    candidates = crossref_body_fallback(query, {"message": {"items": works}}).crossref_fallback(query)
+    assert len(candidates) <= sum(isinstance(w, dict) for w in works)
+    for title, work in candidates:
+        entry = _entry_from_work(work)
+        assert entry.fields["title"] == title
         assert entry.entry_type in ("", "article", "inproceedings", "incollection", "misc")
         assert isinstance(entry.fields["title"], str)
         assert all(isinstance(v, str) for v in entry.fields.values())

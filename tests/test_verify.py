@@ -526,6 +526,68 @@ def test_stage2_preprint_doi_of_arxiv_version_is_partial():
     assert verdict_from_criteria(cv) is FieldLabel.P
 
 
+def arxiv_gt(**arxiv_fields) -> GroundTruth:
+    """An arXiv version with ``arxiv_fields`` and a journal version whose DOI has another registrant."""
+    return GroundTruth(
+        "p",
+        (
+            GroundTruthVersion("arxiv", arxiv_fields),
+            GroundTruthVersion("journal", {"doi": "10.1000/deep.nets.2021"}),
+        ),
+    )
+
+
+DEEP_NETS = arxiv_gt(year="2021", url="https://arxiv.org/abs/2101.00123", title="Deep Nets")
+
+
+@pytest.mark.parametrize(
+    "doi, partial",
+    [
+        ("10.48550/arXiv.2101.00123", MET),
+        ("10.48550/arXiv.2101.99999", UNMET),
+        ("10.48550/arXiv.20", UNMET),  # in the year 2021
+        ("10.48550/arXiv.abs", UNMET),  # in the URL
+        ("10.48550/arXiv.nets", UNMET),  # in the title
+    ],
+    ids=["same-id", "other-id", "year-substring", "url-substring", "title-substring"],
+)
+def test_stage2_arxiv_doi_compares_the_stated_arxiv_id(doi, partial):
+    assert classify_stage2(doi, FieldSlot.DOI, DEEP_NETS).partial_match == partial
+
+
+@pytest.mark.parametrize(
+    "doi, stated",
+    [
+        ("10.48550/arXiv.2101.00123v2", "https://arxiv.org/abs/2101.00123"),
+        ("10.48550/arXiv.2101.00123", "https://arxiv.org/abs/2101.00123v3"),
+        ("10.48550/arXiv.2101.00123v1", "arXiv:2101.00123v2"),
+    ],
+)
+def test_stage2_arxiv_doi_matches_without_a_version_suffix(doi, stated):
+    assert classify_stage2(doi, FieldSlot.DOI, arxiv_gt(url=stated)).partial_match == MET
+
+
+@pytest.mark.parametrize(
+    "doi, partial",
+    [
+        ("10.48550/arXiv.hep-th/9901001", MET),
+        ("10.48550/arXiv.hep-th/9901001v2", MET),
+        ("10.48550/arXiv.hep-th/990100", UNMET),  # a prefix of the id
+        ("10.48550/arXiv.hep-th/99010", UNMET),
+        ("10.48550/arXiv.hep-th", UNMET),
+    ],
+)
+def test_stage2_old_style_arxiv_doi_matches_itself_only(doi, partial):
+    gt = arxiv_gt(eprint="hep-th/9901001")
+    assert classify_stage2(doi, FieldSlot.DOI, gt).partial_match == partial
+
+
+def test_stage2_arxiv_doi_ignores_a_longer_id_holding_its_own():
+    gt = arxiv_gt(note="see 12101.001234 and hep-th/99010012")
+    for doi in ("10.48550/arXiv.2101.00123", "10.48550/arXiv.hep-th/9901001"):
+        assert classify_stage2(doi, FieldSlot.DOI, gt).partial_match == UNMET
+
+
 def test_stage2_entry_type_related_is_partial():
     gt = GroundTruth("p", (GroundTruthVersion("journal", {"entry_type": "article"}),))
     cv = classify_stage2("misc", FieldSlot.ENTRY_TYPE, gt, context={})

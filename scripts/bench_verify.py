@@ -19,10 +19,16 @@ default) writes BENCH_verify.json.
 
 Run both checkouts from fresh copies side by side, such as ``git archive``
 of each commit into sibling directories ``parent`` and ``change``, as in the
-commands above. Results depend on which directory a checkout sits in, not
-only on its code: one change, run from its working repository against a
-parent copy elsewhere, read ``reconcile_bib``'s ``setup_s`` 27% better in 10
-of 10 pairs, and from a copy beside the parent's, no better.
+commands above. Every run and ``count_ops`` subprocess gets
+``PYTHONDONTWRITEBYTECODE=1`` and a ``PYTHONPYCACHEPREFIX`` of its own, a
+fresh empty directory, so no side reads a bytecode cache and each compiles
+from source. Without that, a checkout whose ``src/bibkit/__pycache__``
+still matched some of its sources (a working repository, where nothing
+refreshes the caches when bytecode writing is off) skipped their compile:
+``reconcile_bib``'s ``setup_s`` read 0.021 s there against 0.039 s with no
+caches, the same code. The prefix moves the standard library's caches too,
+so ``setup_s`` here includes compiling the modules it imports and reads
+higher than in a run that uses the installed ones; both sides pay the same.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,15 +60,20 @@ def out_path(workload: str) -> Path:
     return ROOT / ("BENCH_verify.json" if workload == WORKLOAD else f"BENCH_{workload}.json")
 
 
+def run_uncached(argv: list[str], checkout: Path, timeout: float) -> subprocess.CompletedProcess:
+    """``argv`` in ``checkout``, reading and writing no bytecode cache: every module compiles from source."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        return subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run: its metric values, plus the uncalibrated entries/s."""
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(SECONDS), "--trace", str(trace),
     ]
-    proc = subprocess.run(
-        argv, cwd=checkout, capture_output=True, text=True, timeout=SECONDS * 3 + 120
-    )
+    proc = run_uncached(argv, checkout, timeout=SECONDS * 3 + 120)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: perfbench exited {proc.returncode}: {proc.stderr.strip()}")
@@ -79,7 +91,7 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 def count_ops(checkout: Path, workload: str) -> dict:
     """The checkout's own ``scripts/count_ops.py`` report on ``workload``, cut to ``COUNTED``."""
     argv = [sys.executable, "scripts/count_ops.py", "--workload", workload]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=SECONDS * 30 + 120)
+    proc = run_uncached(argv, checkout, timeout=SECONDS * 30 + 120)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: count_ops.py exited {proc.returncode}: {proc.stderr.strip()}")
     counted = json.loads(proc.stdout)

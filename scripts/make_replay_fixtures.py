@@ -231,6 +231,54 @@ def main():
         ],
     )
 
+    # 9. URL query answered by a /web 300 Multiple Choices: the page holds
+    #    several items, listed as key -> title for the client to choose from.
+    #    The shape is recalled from the translation server's README, not
+    #    recorded. Only a 200 is read as items, so this resolves not_found and
+    #    nothing is sent to /export.
+    choices = {
+        "url": "https://example.org/page",
+        "session": "abc123",
+        "items": {"0": "First Article on the Page", "1": "Second Article on the Page"},
+    }
+    write(
+        "replay_web_choices.json",
+        [
+            exchange(
+                "POST", f"{SERVER}/web", body="https://example.org/page", status=300,
+                resp_body=json.dumps(choices),
+            ),
+        ],
+    )
+
+    # 10. DOI query answered by a /search 300 (identifier -> item, the shape
+    #     also recalled from the README): read as no server answer, so the
+    #     CrossRef fallback is asked, as for an empty reply.
+    search_choices = {"10.1234/abc": {"itemType": "journalArticle", "title": "Choices Returned by a Search"}}
+    choice_hit = {
+        "type": "journal-article",
+        "title": ["Choices Returned by a Search"],
+        "DOI": "10.1234/abc",
+        "issued": {"date-parts": [[2019]]},
+        "container-title": ["Journal of Examples"],
+        "author": [{"family": "Writer", "given": "Ada"}],
+    }
+    write(
+        "replay_search_choices.json",
+        [
+            exchange(
+                "POST", f"{SERVER}/search", body="10.1234/abc", status=300,
+                resp_body=json.dumps(search_choices),
+            ),
+            exchange(
+                "GET",
+                f"{CROSSREF}/works",
+                params={"query": "10.1234/abc", "rows": "10"},
+                resp_body=json.dumps({"message": {"items": [choice_hit]}}),
+            ),
+        ],
+    )
+
 
 if __name__ == "__main__":
     main()

@@ -5,9 +5,12 @@ brace-delimited, quote-delimited, or bare tokens; string concatenation
 with ``#``, ``@string`` macros and ``@preamble`` are rejected. Its loop
 takes one step per depth-0 segment of the body: one match of
 ``_SEGMENT_RE`` runs to the next ``,``, ``"`` or ``}`` and passes over
-brace-free ``{...}`` groups inside the regex engine. A ``{`` whose group
-holds braces is passed over by ``_close``, the one brace matcher, which
-finds each ``}`` and counts the ``{`` before it; ``split_entries``, the
+brace-free ``{...}`` groups inside the regex engine. The match also says
+where a field's value starts and, when the value is one brace-free group,
+where that group ends, so each value is read from those positions. A
+``{`` whose group holds braces is passed over by ``_close``, the one brace
+matcher, which finds each ``}`` and counts the ``{`` before it; it also
+finds the end of a value whose group nests, and ``split_entries``, the
 author splitter and the check on upstream strings use it too. Braces
 count inside quotes, and a quote toggles only at depth 0.
 """
@@ -113,20 +116,21 @@ def parse_entry(text: str) -> BibEntry:
         raise BibParseError("@preamble is not supported")
 
     # One step per depth-0 segment of the body. Each field is (start, its
-    # first '=' outside quotes and groups); a comma outside quotes starts the next.
+    # first '=' outside quotes and groups, where its value starts, the end of
+    # the value's brace-free group or -1); a comma outside quotes starts the next.
     start = pos = m.end()
     eq, segments, in_quote = -1, [], False
     while True:
         step = _SEGMENT_RE.match(s, pos)
         if eq < 0 and not in_quote:
-            eq = step.start(1)
+            (eq, at), (_, group_end) = step.span(1), step.span(2)
         pos = step.end()
         c = s[pos : pos + 1]
         if c == "}":
             break
         if c == ",":
             if not in_quote:
-                segments.append((start, eq))
+                segments.append((start, eq, at, group_end))
                 start, eq = pos + 1, -1
         elif c == '"':
             in_quote = not in_quote
@@ -140,13 +144,13 @@ def parse_entry(text: str) -> BibEntry:
             raise BibParseError("more than one entry in input")
         raise BibParseError(f"trailing content after entry: {trailing[:30]!r}")
 
-    segments += (start, eq), (end + 1, -1)  # the closing brace ends the last segment
+    segments += (start, eq, at, group_end), (end + 1, -1, -1, -1)  # the closing brace ends the last segment
     key = s[m.end() : segments[1][0] - 1].strip()
     if not key:
         raise BibParseError("entry has no citation key")
 
     fields: dict[str, str] = {}
-    for (start, eq), (next_start, _) in zip(segments[1:], segments[2:]):
+    for (start, eq, at, group_end), (next_start, _, _, _) in zip(segments[1:], segments[2:]):
         stop = next_start - 1
         if eq < 0:
             seg = s[start:stop].strip()
@@ -158,20 +162,19 @@ def parse_entry(text: str) -> BibEntry:
         name = s[start:eq].strip().lower()
         if not name:
             raise BibParseError("field with empty name")
-        raw = s[eq + 1 : stop].strip()
-        if raw[:1] == "{":  # the segment ends at depth 0, so this group closes inside it
-            open_at = s.find("{", eq)
-            close = _close(s, open_at)
-            value, rest, kind = s[open_at + 1 : close], s[close + 1 : stop], "braced"
-        elif raw[:1] == '"':
-            close = raw.find('"', 1)
+        c = s[at]  # the value's first character; the ',' or '}' at ``stop`` when it is empty
+        if c == "{":  # the segment ends at depth 0, so this group closes inside it
+            close = _close(s, at) if group_end < 0 else group_end - 1
+            value, rest, kind = s[at + 1 : close], s[close + 1 : stop], "braced"
+        elif c == '"':
+            close = s.find('"', at + 1, stop)
             if close < 0:
                 raise BibParseError("unterminated quoted value")
-            value, rest, kind = raw[1:close], raw[close + 1 :], "quoted"
-        elif "#" in raw:
-            raise BibParseError("'#' concatenation is not supported")
+            value, rest, kind = s[at + 1 : close], s[close + 1 : stop], "quoted"
         else:
-            value, rest = raw, ""  # bare, or empty
+            value, rest = s[at:stop].rstrip(), ""  # bare, or empty
+            if "#" in value:
+                raise BibParseError("'#' concatenation is not supported")
         if rest and (rest := rest.strip()):
             if rest[0] == "#":
                 raise BibParseError("'#' concatenation is not supported")
@@ -186,8 +189,12 @@ def parse_entry(text: str) -> BibEntry:
 _HEADER_RE = re.compile(r"@\s*([A-Za-z]+)\s*\{")
 #: One step of ``parse_entry``: text up to the next ``,``, ``"``, ``}`` or a
 #: ``{`` whose group holds braces (or is unclosed), passing over brace-free
-#: groups. Group 1 is its first ``=`` outside those groups.
-_SEGMENT_RE = re.compile(r'[^{}",=]*(?:\{[^{}]*\}[^{}",=]*)*(=)?[^{}",]*(?:\{[^{}]*\}[^{}",]*)*')
+#: groups. Group 1 runs from its first ``=`` outside those groups to where
+#: the value starts (``\s`` is the whitespace ``str.strip`` removes); group
+#: 2, when it matched, is a value that is one brace-free ``{...}`` group.
+_SEGMENT_RE = re.compile(
+    r'[^{}",=]*(?:\{[^{}]*\}[^{}",=]*)*(?:(=\s*)(\{[^{}]*\})?)?[^{}",]*(?:\{[^{}]*\}[^{}",]*)*'
+)
 #: The name after an ``@`` and the ``{`` or ``(`` that follows it, if one does.
 _AT_NAME_RE = re.compile(r"@\s*([^\s\"#%'(),={}@]*)\s*([{(]?)")
 

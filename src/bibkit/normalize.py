@@ -35,6 +35,8 @@ with resources.as_file(resources.files("bibkit.data").joinpath("stopwords.txt"))
     STOPWORDS = frozenset(w.strip() for w in _read_lines(_path) if w.strip())
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+#: What ``tokenize_filtered`` drops: the stopwords and every 1-char token ``_TOKEN_RE`` yields.
+_DROPPED_TOKENS = STOPWORDS | frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 
 #: The two arXiv id shapes, without a ``vN`` version suffix: new style
 #: (2101.00123) and old style (hep-th/9901001, math.GT/0309136).
@@ -44,8 +46,7 @@ ARXIV_OLD_ID = r"[a-z-]+(?:\.[A-Za-z]{2})?/\d{7}"
 
 def tokenize_filtered(text: str) -> frozenset[str]:
     """Lowercase alphanumeric tokens minus stopwords and 1-char tokens."""
-    tokens = _TOKEN_RE.findall(text.lower())
-    return frozenset(t for t in tokens if len(t) > 1 and t not in STOPWORDS)
+    return frozenset(_TOKEN_RE.findall(text.lower())) - _DROPPED_TOKENS
 
 
 def jaccard(a: frozenset[str], b: frozenset[str]) -> float:

@@ -15,7 +15,8 @@ error, a 5xx other than 501 or a 429 is retried once (a 429 after its
 numeric ``Retry-After``) and then raises ``UpstreamUnavailable``: an
 upstream that could not be asked never reads as "not found". A 501 is an
 answer: the translation server has no translator for the payload or finds
-no identifier in it.
+no identifier in it. Only a 200 from /search or /web is read as items; a
+300 lists choices, so it reads like an empty reply.
 """
 
 from __future__ import annotations
@@ -107,13 +108,13 @@ def classify_query(raw: str) -> Query:
     if m:
         return Query("doi", normalize_doi(m.group(1)), raw)
     if s.lower().startswith(("http://", "https://")):
-        parsed = http_url(s)  # None: normalize_url below raises the QueryError
+        parsed = http_url(s)  # None: _rewrite_url below raises the QueryError
         if parsed and parsed.hostname.removeprefix("www.") in ("doi.org", "dx.doi.org"):
             doi = normalize_doi(parsed.path.lstrip("/"))
             if not doi:
                 raise QueryError(f"no DOI in {s!r}")
             return Query("doi", doi, raw)
-        return Query("url", normalize_url(s), raw)
+        return Query("url", _rewrite_url(s, parsed), raw)
     m = _ARXIV_NEW_RE.match(s) or _ARXIV_OLD_RE.match(s)
     if m:
         return Query("arxiv_id", m.group(1), raw)
@@ -158,12 +159,17 @@ def http_url(url: str) -> ParseResult | None:
 
 
 def normalize_url(url: str) -> str:
-    """Rewrite arXiv PDF/HTML, alphaxiv, and HuggingFace paper links.
+    """Rewrite arXiv PDF/HTML, alphaxiv, and HuggingFace paper links; any other URL comes back stripped.
 
     All rewrites are pure string transformations; no network calls. A URL
     that ``http_url`` rejects is a ``QueryError``.
     """
-    parsed = http_url(url.strip())
+    url = url.strip()
+    return _rewrite_url(url, http_url(url))
+
+
+def _rewrite_url(url: str, parsed: ParseResult | None) -> str:
+    """``normalize_url`` of a stripped ``url``, given its ``http_url`` parse."""
     if parsed is None:
         raise QueryError(f"not an absolute http(s) URL: {url!r}")
     host = parsed.hostname.removeprefix("www.")
@@ -375,7 +381,7 @@ class Resolver:
             self._sleep(delay)
 
     def _server_lookup(self, endpoint: str, payload: str) -> list[dict]:
-        """POST to /search or /web; returns candidate items ([] when none)."""
+        """POST to /search or /web; returns the items of a 200 ([] when none, or for any other status)."""
         resp = self._request(
             "POST",
             self.config.base_url,
@@ -383,7 +389,7 @@ class Resolver:
             body=payload,
             headers={"Content-Type": "text/plain"},
         )
-        if resp.status not in (200, 300):
+        if resp.status != 200:  # a 300 lists choices, and deterministic resolution never picks among them
             return []
         items = _json(resp.body)
         if isinstance(items, dict):

@@ -16,9 +16,10 @@ field deltas from before they counted label vectors, which walked every
 entry's labels, the error-mode classifier from before it took labels in
 any order, which read a dict from slots to labels, and the author splitter
 and upstream-string brace check from before they jumped over brace groups,
-which stepped over every brace, and the diacritic folder from before it
+which stepped over every brace, the diacritic folder from before it
 encoded to ASCII, which filtered the decomposed value one character at a
-time.
+time, and the title tokenizer from before it dropped tokens with one set
+difference, which tested each token's length and stopword membership.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from pathlib import Path
 from bibkit.harness import CorpusParseError, _parse_record
 from bibkit.model import ALL_SLOTS, BibEntry, BibParseError, FieldLabel, FieldSlot, slot_of
 from bibkit.normalize import (
+    STOPWORDS,
     VenueSynonymTable,
+    _TOKEN_RE,
     _ET_AL_RE,
     _PAGE_PART_RE,
     _PAGE_SEP_RE,
@@ -487,6 +490,12 @@ def parent_fold_diacritics(value: str) -> str:
     """NFKD, then each character kept when it is not combining and is ASCII."""
     decomposed = unicodedata.normalize("NFKD", value)
     return "".join(c for c in decomposed if not unicodedata.combining(c) and ord(c) < 128)
+
+
+def parent_tokenize_filtered(text: str) -> frozenset[str]:
+    """Lowercase alphanumeric tokens minus stopwords and 1-char tokens, one token at a time."""
+    tokens = _TOKEN_RE.findall(text.lower())
+    return frozenset(t for t in tokens if len(t) > 1 and t not in STOPWORDS)
 
 
 def brute_jaccard(a, b) -> float:

@@ -329,6 +329,43 @@ def test_lookup_replays_recorded_crossref_exchange(capsys, fixture, query, print
     assert out.startswith(printed)
 
 
+@pytest.mark.parametrize(
+    "fixture,query,printed",
+    [
+        # the replay holds no /export: one sent for the listed choices would exit 3
+        ("replay_web_choices.json", "https://example.org/page", "not_found\n"),
+        # no server answer, so the CrossRef fallback is asked and its one work is found
+        ("replay_search_choices.json", "10.1234/abc", "@article{Writer2019,\n"),
+    ],
+)
+def test_lookup_reads_a_300_as_no_item(capsys, fixture, query, printed):
+    code, out, err = run(["lookup", query, "--fixtures", str(FIXTURES / fixture)] + SERVER, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(printed)
+
+
+def test_reconcile_reads_a_300_as_no_item(tmp_path, capsys):
+    exchanges = [
+        e for name in ("replay_web_choices.json", "replay_search_choices.json")
+        for e in json.loads((FIXTURES / name).read_text("utf-8"))["exchanges"]
+    ]
+    fixture = write_exchanges(tmp_path / "choices.json", *((e["request"], e["response"]) for e in exchanges))
+    bib = tmp_path / "refs.bib"
+    bib.write_text("@misc{page, title={A Page}}\n@article{abc, title={Choices Returned by Search}}\n", "utf-8")
+    meta = tmp_path / "meta.tsv"
+    meta.write_text(
+        "format_version\t1\np1\thttps://example.org/page\t\t\np2\t\t10.1234/abc\tChoices Returned by a Search\n",
+        "utf-8",
+    )
+    code, _, err = run(reconcile_args(bib, meta, fixture, tmp_path), capsys)
+    assert (code, err) == (0, "")
+    log = [row.split("\t")[:3] for row in (tmp_path / "actions.tsv").read_text("utf-8").splitlines()[1:]]
+    assert log == [["p1", "page", "kept_baseline_not_found"], ["p2", "abc", "merged"]]
+    revised = (tmp_path / "revised.bib").read_text("utf-8")
+    assert revised.startswith("@misc{page,\n  title = {A Page},\n}")
+    assert "doi = {10.1234/abc}" in revised
+
+
 def test_replayed_lookup_does_not_sleep(tmp_path, capsys, monkeypatch):
     sleeps = []
     monkeypatch.setattr(time, "sleep", sleeps.append)

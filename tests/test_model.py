@@ -248,6 +248,12 @@ _BIB_PIECES = st.lists(
 @example("@a{k{a{b}c}, t = {v}}")  # a nested group in the key
 @example('@a{k, t = "{x}{y{z}}", u = {v}}')  # a quote holding braces
 @example('@a{k, t = "x}y"}')  # a stray '}' inside quotes closes the entry
+@example("@a{k, t =\t\u3000{v}, u=\u3000x\u3000}")  # a tab and an ideographic space around values
+@example("@a{k, a = {x}, t = {x{y}z}, b = {w}}")  # one nested value among brace-free ones
+@example("@a{k, t = {a}{b}}")  # a brace-free group, then junk
+@example('@a{k, t = "v"   , u = {w}}')  # a quoted value followed by spaces
+@example("@a{k, t =")  # '=' is the last character
+@example("@a{k, {n{m}}x = {v}}")  # a nested group before the '='
 def test_parse_agrees_with_parent_parser(text):
     assert _outcome(parse_entry, text) == _outcome(parent_parse_entry, text)
     assert _outcome(split_entries, text) == _outcome(masked_parent_split_entries, text)

@@ -31,6 +31,7 @@ from reference_impls import (
     parent_normalize_pages,
     parent_normalize_year,
     parent_split_and,
+    parent_tokenize_filtered,
     reference_split_top_level_and,
 )
 
@@ -358,6 +359,20 @@ def test_tokenize_invariants(text):
         assert t not in STOPWORDS
         assert re.fullmatch(r"[a-z0-9]+", t)
     assert tokenize_filtered(" ".join(sorted(tokens))) == tokens
+
+
+# digits, 1-char tokens, stopwords, upper case, and U+212A (Kelvin), which lowercases to an ASCII k
+_TOKEN_PIECES = [*"abkxyzAKXYZ0189 -.\u212a\u00e9", "the", "of", "and", "The", "OF", "ab", "K1"]
+_TOKEN_TEXT = st.lists(st.sampled_from(_TOKEN_PIECES), max_size=20).map("".join) | st.text(max_size=40)
+
+
+@settings(max_examples=500)
+@given(_TOKEN_TEXT)
+@example("A Study of the K-Means and 3 Other Methods in 2 Parts")  # stopwords, 1-char letters and digits
+@example("\u212a means")  # the Kelvin sign lowercases to an ASCII k
+@example("x1 y 7 42 a I")
+def test_tokenize_filtered_agrees_with_parent(text):
+    assert tokenize_filtered(text) == parent_tokenize_filtered(text)
 
 
 @given(st.text(max_size=60))

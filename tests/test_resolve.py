@@ -1,5 +1,6 @@
 import http.server
 import json
+import re
 import socket
 import threading
 from dataclasses import replace
@@ -108,10 +109,38 @@ def test_classify_query_precedence_doi_over_title():
         ("https://huggingface.co/papers/2510.16227", "https://arxiv.org/abs/2510.16227"),
         ("https://huggingface.co/papers/not-an-id", "https://huggingface.co/papers/not-an-id"),
         ("https://example.org/paper/42", "https://example.org/paper/42"),
+        # every URL comes back stripped, rewritten or not
+        (" https://example.org/x ", "https://example.org/x"),
+        ("\thttps://huggingface.co/papers/not-an-id\n", "https://huggingface.co/papers/not-an-id"),
+        (" https://arxiv.org/pdf/2510.16227 ", "https://arxiv.org/abs/2510.16227"),
     ],
 )
 def test_normalize_url(raw, expected):
     assert normalize_url(raw) == expected
+
+
+_URL_HOSTS = ["arxiv.org", "www.arxiv.org", "beta.alphaxiv.org", "huggingface.co", "example.org", "u@arxiv.org:8"]
+_URL_PATHS = ["", "/", "/pdf/2510.16227", "/pdf/2510.16227.pdf", "/html/2101.00001v2", "/papers/2510.16227",
+              "/papers/x/", "/abs/1?q=1#f", "/p q"]
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(["http://", "https://", "HTTPS://"]),
+    st.sampled_from(_URL_HOSTS) | st.text("ab.:[]@0", max_size=8),
+    st.sampled_from(_URL_PATHS),
+    st.sampled_from(["", " ", "\t", "\n "]),
+)
+def test_classify_query_value_of_a_url_is_its_normalize_url(scheme, host, path, pad):
+    # one parse serves both: a URL query not on doi.org is what normalize_url makes of it, or the same error
+    url = pad + scheme + host + path + pad
+    try:
+        expected = normalize_url(url)
+    except QueryError as exc:
+        with pytest.raises(QueryError, match=re.escape(str(exc))):
+            classify_query(url)
+    else:
+        assert classify_query(url) == resolve.Query("url", expected, url)
 
 
 def test_normalize_url_malformed():
@@ -249,6 +278,20 @@ def test_url_query_uses_web_endpoint():
     assert result.status == "found"
     assert result.source == "web_endpoint"
     assert result.bibtex.get("doi") == "10.48550/arXiv.2510.16227"
+
+
+def test_web_300_is_not_found_and_exports_nothing():
+    # a 300 lists the page's items to choose from; the replay holds no /export, so one sent would raise
+    result = make_resolver("replay_web_choices.json").resolve("https://example.org/page")
+    assert (result.status, result.source, result.candidates, result.bibtex) == (
+        "not_found", "web_endpoint", [], None
+    )
+
+
+def test_search_300_reads_as_no_server_answer_and_asks_crossref():
+    result = make_resolver("replay_search_choices.json").resolve("10.1234/abc")
+    assert (result.status, result.source) == ("found", "crossref_fallback")
+    assert result.bibtex.get("doi") == "10.1234/abc"
 
 
 def test_determinism_same_fixture_same_result():

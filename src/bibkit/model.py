@@ -123,7 +123,7 @@ def parse_entry(text: str) -> BibEntry:
     while True:
         step = _SEGMENT_RE.match(s, pos)
         if eq < 0 and not in_quote:
-            (eq, at), (_, group_end) = step.span(1), step.span(2)
+            eq, at, group_end = step.start(1), step.end(1), step.end(2)
         pos = step.end()
         c = s[pos : pos + 1]
         if c == "}":

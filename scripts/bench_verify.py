@@ -20,18 +20,15 @@ default) writes BENCH_verify.json.
 Run both checkouts from fresh copies side by side, such as ``git archive``
 of each commit into sibling directories ``parent`` and ``change``, as in the
 commands above. Every run and ``count_ops`` subprocess gets
-``PYTHONDONTWRITEBYTECODE=1`` and a ``PYTHONPYCACHEPREFIX`` of its own, a
-fresh empty directory, so no side reads a bytecode cache and each compiles
-from source. Without that, a checkout whose ``src/bibkit/__pycache__``
-still matched some of its sources (a working repository, where nothing
-refreshes the caches when bytecode writing is off) skipped their compile:
-on ``reconcile_bib`` the set-up probe read a calibrated ``setup_s`` of
-0.021 s with every bibkit cache matching and 0.038 s with none, the same
-code. The prefix moves the standard library's caches too, so ``setup_s``
-and ``peak_rss_mb`` here include compiling the modules a run imports and
-read higher than in a run that uses the installed caches (about 0.12 s
-and 26.5 MB on ``reconcile_bib``); compare the two sides, not a figure
-from elsewhere.
+``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``, as in the
+benchmark's own runs: the standard library reads its installed bytecode
+caches, and bibkit, which has none in a fresh copy, compiles from source
+in every interpreter. A checkout that holds ``src/bibkit/__pycache__`` is
+refused before each subprocess starts. Such a cache skips the compile of
+every source it still matches (in a working repository nothing refreshes
+it while bytecode writing is off): on ``reconcile_bib`` the set-up probe
+read a calibrated ``setup_s`` of 0.021 s with every bibkit cache matching
+and 0.038 s with none, the same code.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import re
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,10 +60,13 @@ def out_path(workload: str) -> Path:
 
 
 def run_uncached(argv: list[str], checkout: Path, timeout: float) -> subprocess.CompletedProcess:
-    """``argv`` in ``checkout``, reading and writing no bytecode cache: every module compiles from source."""
-    with tempfile.TemporaryDirectory() as cache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
-        return subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=timeout)
+    """``argv`` in ``checkout``, which holds no bibkit bytecode cache, writing none: bibkit compiles from source."""
+    cache = checkout / "src" / "bibkit" / "__pycache__"
+    if cache.exists():
+        raise SystemExit(f"{cache}: a bytecode cache skips bibkit's compile; run from a fresh copy such as git archive")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)  # caches read from elsewhere would pass the check above
+    return subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:

@@ -43,7 +43,6 @@ import itertools
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -127,12 +126,12 @@ def _replay_transport(path: str) -> ReplayTransport:
 def _build_resolver(args) -> Resolver:
     config, source = ResolverConfig.from_env(), "BIBKIT_SERVER_URL"
     if args.server:
-        config.base_url, source = args.server, "--server"
+        config, source = config._replace(base_url=args.server), "--server"
     if http_url(config.base_url) is None:
         raise InputError(f"{source} {config.base_url!r}: not an absolute http(s) URL")
     if "?" in config.base_url or "#" in config.base_url:  # an endpoint path would follow it
         raise InputError(f"{source} {config.base_url!r}: holds a query or fragment")
-    config.base_url = config.base_url.rstrip("/")  # endpoints are joined with a "/"
+    config = config._replace(base_url=config.base_url.rstrip("/"))  # endpoints are joined with a "/"
     if any(c in "\r\n" or ord(c) > 0xFF for c in config.contact or ""):  # it goes in the User-Agent
         raise InputError(f"BIBKIT_CONTACT {config.contact!r}: holds a line break or a non-Latin-1 character")
     if not args.fixtures:
@@ -146,7 +145,7 @@ def cmd_lookup(args) -> int:
     result = _build_resolver(args).resolve(args.query)
     if result.status == "found":
         entry = result.bibtex  # an untyped CrossRef record prints as @misc, which parses
-        print(serialize_entry(replace(entry, entry_type=entry.entry_type or "misc")))
+        print(serialize_entry(entry._replace(entry_type=entry.entry_type or "misc")))
     else:
         print(result.status)
     return EXIT_OK

@@ -18,7 +18,6 @@ import contextlib
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -51,14 +50,31 @@ class CorpusParseError(Exception):
     """A corpus header or record that is not valid; the message starts with ``line N: ``."""
 
 
-@dataclass(frozen=True)
 class PaperRecord:
-    paper_id: str
-    domain: str
-    tier: str
-    ground_truth: GroundTruth
-    candidates: tuple[tuple[str, str, BibEntry], ...]  # (tag, model, entry)
-    meta: PaperMeta  # what a reconcile run resolves the paper by
+    """One corpus paper. A slotted class, not a tuple, so that it can be weakly referenced."""
+
+    __slots__ = ("paper_id", "domain", "tier", "ground_truth", "candidates", "meta", "__weakref__")
+
+    def __init__(
+        self,
+        paper_id: str,
+        domain: str,
+        tier: str,
+        ground_truth: GroundTruth,
+        candidates: tuple[tuple[str, str, BibEntry], ...],  # (tag, model, entry)
+        meta: PaperMeta,  # what a reconcile run resolves the paper by
+    ):
+        self.paper_id, self.domain, self.tier = paper_id, domain, tier
+        self.ground_truth, self.candidates, self.meta = ground_truth, candidates, meta
+
+    def _values(self) -> tuple:
+        return self.paper_id, self.domain, self.tier, self.ground_truth, self.candidates, self.meta
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is PaperRecord and self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"PaperRecord{self._values()!r}"
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class BibParseError(ValueError):
@@ -74,8 +74,7 @@ class FieldLabel(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class BibEntry:
+class BibEntry(NamedTuple):
     """One parsed BibTeX record.
 
     ``entry_type`` and field names are stored lowercase; field order is
@@ -84,7 +83,7 @@ class BibEntry:
 
     entry_type: str
     citation_key: str
-    fields: dict[str, str] = field(default_factory=dict)
+    fields: dict[str, str]
 
     def get(self, name: str) -> str | None:
         return self.fields.get(name.lower())

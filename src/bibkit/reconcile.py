@@ -7,8 +7,7 @@ Every non-merged path is a strict no-op on the baseline entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import BibEntry, FieldSlot, VALUE_SLOTS, slot_of
 from .normalize import jaccard, tokenize_filtered
@@ -21,16 +20,14 @@ RECONCILE_GATE_THRESHOLD = 0.3
 _STANDARD_FIELD_NAMES = frozenset(VALUE_SLOTS) - {FieldSlot.VENUE}
 
 
-@dataclass(frozen=True)
-class PaperMeta:
+class PaperMeta(NamedTuple):
     paper_id: str
     url: str | None = None
     doi: str | None = None
     title: str | None = None
 
 
-@dataclass
-class ReconcileOutcome:
+class ReconcileOutcome(NamedTuple):
     result: BibEntry
     action: str  # merged | kept_baseline_no_query | kept_baseline_not_found | kept_baseline_title_mismatch
     gate_score: float | None = None

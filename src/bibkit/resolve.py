@@ -27,8 +27,8 @@ import os
 import re
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Protocol
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
 from urllib.parse import ParseResult, urlparse, urlunparse
 
 from .model import BibEntry, BibParseError, _close, parse_entry, sanitize_citation_key
@@ -72,8 +72,7 @@ class ExportFailure(Exception):
     """Server export answered other than 200, or with unparseable BibTeX."""
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     kind: str  # doi | arxiv_id | isbn | pmid | url | title
     value: str
     original: str
@@ -82,10 +81,9 @@ class Query:
 IDENTIFIER_KINDS = frozenset({"doi", "arxiv_id", "isbn", "pmid"})
 
 
-@dataclass
-class ResolutionResult:
+class ResolutionResult(NamedTuple):
     status: str  # found | not_found | title_mismatch
-    candidates: list[tuple[str, float]] = field(default_factory=list)
+    candidates: Sequence[tuple[str, float]] = ()
     bibtex: BibEntry | None = None
     source: str | None = None  # search_endpoint | web_endpoint | crossref_fallback
 
@@ -208,11 +206,10 @@ def rank_candidates(query_text: str, candidates: list[str]) -> list[tuple[str, f
 # transport seam
 
 
-@dataclass
-class TransportResponse:
+class TransportResponse(NamedTuple):
     status: int
     body: str
-    headers: dict[str, str] = field(default_factory=dict)
+    headers: Mapping[str, str] = MappingProxyType({})  # read-only, so the one default is never changed
 
 
 class TransportError(Exception):
@@ -328,11 +325,10 @@ class RateLimiter:
             self._sleep(start - now)
 
 
-@dataclass
-class ResolverConfig:
+class ResolverConfig(NamedTuple):
     base_url: str
     contact: str | None = None
-    rate_per_sec: ClassVar[float] = 2.0  # requests per second, the one rate
+    rate_per_sec = 2.0  # requests per second, the one rate; not annotated, so not a field
 
     @classmethod
     def from_env(cls, env: dict[str, str] | None = None) -> "ResolverConfig":
@@ -516,7 +512,7 @@ def _issued_year(issued) -> str:
     return str(date[0]) if date and type(date[0]) is int else ""  # not a bool or null
 
 
-def _retry_after(headers: dict[str, str]) -> float:
+def _retry_after(headers: Mapping[str, str]) -> float:
     """Seconds a 429 asks the client to wait, or ``RETRY_DELAY`` if not a number."""
     for name, value in headers.items():
         if name.lower() == "retry-after":

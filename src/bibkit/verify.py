@@ -12,9 +12,8 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
-from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import ALL_SLOTS, BibEntry, FieldLabel, FieldSlot, slot_of
 from .normalize import (
@@ -81,14 +80,12 @@ _TEXT_SLOTS = (_TITLE, _VENUE, _AUTHOR)
 _COUNT_SLOTS = (FieldSlot.VOLUME, FieldSlot.NUMBER)
 
 
-@dataclass(frozen=True)
-class GroundTruthVersion:
+class GroundTruthVersion(NamedTuple):
     version_type: str  # arxiv | proceedings | journal
     fields: dict[str, str]  # slot name -> value
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     """All citable versions of one paper, and records it is confused with."""
 
     paper_id: str
@@ -106,8 +103,7 @@ class GroundTruth:
         return values
 
 
-@dataclass
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
     partial_match: str  # met | unmet | cannot_assess
     different_paper: str
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 from pathlib import Path
 
@@ -73,22 +74,20 @@ def test_output_file_is_named_after_the_workload():
     assert bench_verify.out_path("reconcile_bib").name == "BENCH_reconcile_bib.json"
 
 
-def assert_uncached(env: dict, caches: set) -> None:
-    """``env`` writes no bytecode and reads caches from a directory of its own, empty when the run starts."""
-    cache = Path(env["PYTHONPYCACHEPREFIX"])
+def assert_uncached(env: dict, checkout: Path) -> None:
+    """A run in ``checkout`` with ``env`` reads no bibkit bytecode cache and writes none."""
     assert env["PYTHONDONTWRITEBYTECODE"] == "1"
-    assert cache.is_dir() and not any(cache.iterdir())
-    assert cache not in caches
-    caches.add(cache)
+    assert "PYTHONPYCACHEPREFIX" not in env  # the standard library reads its installed caches
+    assert not (checkout / "src" / "bibkit" / "__pycache__").exists()
 
 
 def test_count_ops_runs_the_checkouts_own_script_and_keeps_the_counted_keys(monkeypatch, tmp_path):
-    calls, caches = [], set()
+    calls = []
     report = {"bibkit_opcodes_per_entry": 4000.5, "c_calls_per_entry": 900.1, "requests": {"search": 0}, "entries": 400}
 
     def fake_run(argv, cwd, **kwargs):
         calls.append((argv[1:], cwd))
-        assert_uncached(kwargs["env"], caches)
+        assert_uncached(kwargs["env"], cwd)
         return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(report), stderr="")
 
     monkeypatch.setattr(bench_verify.subprocess, "run", fake_run)
@@ -100,21 +99,31 @@ def test_count_ops_runs_the_checkouts_own_script_and_keeps_the_counted_keys(monk
 
 def test_perfbench_runs_read_no_bytecode_cache_on_either_side(monkeypatch, tmp_path):
     # a checkout whose __pycache__ matches its sources would skip their compile and read a faster set-up
-    calls, caches = [], set()
+    calls = []
     result = {"correct": True, "failed": 0, "metrics": {"entries_per_s": {"value": 100.0}}}
 
     def fake_run(argv, cwd, **kwargs):
         calls.append(cwd)
-        assert_uncached(kwargs["env"], caches)
+        assert_uncached(kwargs["env"], cwd)
         stdout = "uncalibrated: entries_per_s 90.5 1/s\n" + json.dumps(result) + "\n"
         return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench_verify.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "caches"))  # not passed on
     parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src" / "bibkit").mkdir(parents=True)
     runs = [bench_verify.run(checkout, "reconcile_bib", 1, trace) for trace in (0, 1) for checkout in (parent, change)]
     assert calls == [parent, change, parent, change]
     assert runs == 4 * [{"entries_per_s": 100.0, "uncalibrated_entries_per_s": 90.5}]
-    assert not any(cache.exists() for cache in caches)  # each run's directory is removed after it
+
+
+def test_a_checkout_holding_a_bibkit_cache_is_refused(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_verify.subprocess, "run", lambda *a, **k: pytest.fail("a subprocess started"))
+    cache = tmp_path / "src" / "bibkit" / "__pycache__"
+    cache.mkdir(parents=True)
+    with pytest.raises(SystemExit, match=re.escape(f"{cache}: a bytecode cache skips bibkit's compile")):
+        bench_verify.run(tmp_path, "reconcile_bib", 1, 0)
 
 
 def test_count_ops_that_fails_stops_the_run(monkeypatch, tmp_path):

@@ -63,6 +63,17 @@ def test_exit_code_tables_list_failures_in_order():
     assert docstring == [(name, str(code), prefix) for name, code, prefix in failures]
 
 
+# -- start-up -------------------------------------------------------------------
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # every command pays its imports; dataclasses also pulls in inspect, ast, dis and tokenize
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import bibkit.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
 # -- lookup ---------------------------------------------------------------------
 
 

@@ -3,7 +3,6 @@ import json
 import re
 import socket
 import threading
-from dataclasses import replace
 from urllib.parse import urlparse
 
 import pytest
@@ -284,7 +283,7 @@ def test_web_300_is_not_found_and_exports_nothing():
     # a 300 lists the page's items to choose from; the replay holds no /export, so one sent would raise
     result = make_resolver("replay_web_choices.json").resolve("https://example.org/page")
     assert (result.status, result.source, result.candidates, result.bibtex) == (
-        "not_found", "web_endpoint", [], None
+        "not_found", "web_endpoint", (), None
     )
 
 
@@ -938,5 +937,5 @@ def test_crossref_fallback_never_raises_on_arbitrary_json(works):
         assert isinstance(entry.fields["title"], str)
         assert all(isinstance(v, str) for v in entry.fields.values())
         # as ``lookup`` prints it, and as a merge writes it into a .bib file
-        printed = replace(entry, entry_type=entry.entry_type or "misc")
+        printed = entry._replace(entry_type=entry.entry_type or "misc")
         assert parse_entry(serialize_entry(printed)) == printed

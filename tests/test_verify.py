@@ -714,6 +714,65 @@ def test_malformed_values_are_labelled_in_stage2(slot, value, version, label):
     assert FieldSlot(slot) in stage2_slots(vector)
 
 
+#: One near miss per README stage-2 rule: (rule, slot, ground truth, context,
+#: a value the rule just takes, a value it just misses, the miss's label).
+#: A value the rule takes gets P (rules 1-9) or S (rules 10-11).
+NEAR_MISSES = [
+    # overlap with "deep residual learning image recognition": 3/6 = 0.5, then 3/7
+    (
+        1, FieldSlot.TITLE, _gt({"title": "Deep Residual Learning for Image Recognition"}), None,
+        "Deep Residual Learning of Networks", "Deep Residual Learning of Sparse Networks", FieldLabel.F,
+    ),
+    # token overlap under 0.5 both times; the last names share 2, then 1, of the shorter list's 3
+    (
+        2, FieldSlot.AUTHOR, _gt({"author": "Alpha, Ann and Beta, Bob and Gamma, Cy"}), None,
+        "Ann Alpha and Bob Beta and Dan Delta and Eve Epsilon", "Ann Alpha and Dan Delta and Eve Epsilon",
+        FieldLabel.F,
+    ),
+    # the ranges share page 556, then miss it by one
+    (3, FieldSlot.PAGES, _gt({"pages": "548--556"}), None, "556--560", "557--560", FieldLabel.F),
+    (4, FieldSlot.YEAR, _gt({"year": "2014"}), None, "2015", "2016", FieldLabel.F),
+    # a DOI without a suffix matches by equality alone: rule 6 needs both suffixes
+    (5, FieldSlot.DOI, _gt({"doi": "10.1234"}), None, "doi:10.1234", "10.1234/a", FieldLabel.F),
+    # suffix similarity to "adma.202001234": 0.857, then 0.786
+    (
+        6, FieldSlot.DOI, _gt({"doi": "10.1002/adma.202001234"}), None,
+        "10.1002/adma.202001299", "10.1002/adma.202001999", FieldLabel.F,
+    ),
+    # the stated id, then the next one
+    (
+        7, FieldSlot.DOI, arxiv_gt(eprint="2101.00123"), None,
+        "10.48550/arXiv.2101.00123", "10.48550/arXiv.2101.00124", FieldLabel.F,
+    ),
+    # equal after trimming, then a leading zero, which nothing strips
+    (8, FieldSlot.VOLUME, _gt({"volume": "34"}), None, " 34 ", "034", FieldLabel.F),
+    (9, FieldSlot.ENTRY_TYPE, _gt({"entry_type": "article"}), None, "inproceedings", "proceedings", FieldLabel.F),
+    # overlap 0 with the ground truth; with the alias's 4 tokens 2/4, then 2/5
+    (
+        10, FieldSlot.TITLE,
+        GroundTruth(
+            "p", _gt({"title": "Deep Residual Learning"}).versions,
+            known_aliases=({"title": "Clinical implications of intravesical recurrence"},),
+        ),
+        None, "Clinical implications", "Clinical implications in bladder", FieldLabel.F,
+    ),
+    # two other identity slots suspect; overlap 0, then one shared token (1/8)
+    (
+        11, FieldSlot.TITLE, _gt({"title": "Deep Residual Learning for Image Recognition"}),
+        {FieldSlot.AUTHOR: FieldLabel.S, FieldSlot.VENUE: FieldLabel.S},
+        "Bladder Cancer Outcomes", "Bladder Cancer Image Outcomes", FieldLabel.F,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, slot, gt, context, hit, miss, label", NEAR_MISSES, ids=[f"rule-{case[0]}" for case in NEAR_MISSES]
+)
+def test_stage2_rule_near_miss(rule, slot, gt, context, hit, miss, label):
+    assert _criteria(hit, slot, gt, context)[2] is (FieldLabel.P if rule <= 9 else FieldLabel.S)
+    assert _criteria(miss, slot, gt, context)[2] is label
+
+
 # -- error-mode classification ----------------------------------------------------
 
 

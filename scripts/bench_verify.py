@@ -10,8 +10,9 @@ Runs each checkout's own ``perfbench/run.py --trace 0`` in alternating pairs
 ``scripts/count_ops.py --workload W`` once. The change is the checkout this
 script is in. The file records every run, the medians and quartiles of the
 end-to-end metrics, the uncalibrated entries/s, the per-layer metrics, each
-side's ``bibkit_opcodes_per_entry``, ``c_calls_per_entry`` and upstream
-``requests`` under ``count_ops``, the machine and the Python version. For
+side's ``bibkit_opcodes_per_entry``, ``c_calls_per_entry``, upstream
+``requests`` and ``repeated_requests`` under ``count_ops`` (a checkout whose
+script predates a key records none), the machine and the Python version. For
 each end-to-end metric of BENCHMARK.json it summarizes, in the metric's
 ``better`` direction, the pairs where the change is better, the median gain,
 and that gain minus the parent's interquartile range. ``verify_corpus`` (the
@@ -51,7 +52,7 @@ SECONDS = 10
 TRACE_SEED = 301
 UNCALIBRATED_RE = re.compile(r"^uncalibrated: entries_per_s ([0-9.]+) 1/s")
 #: The keys of ``scripts/count_ops.py``'s report that the file records.
-COUNTED = ("bibkit_opcodes_per_entry", "c_calls_per_entry", "requests")
+COUNTED = ("bibkit_opcodes_per_entry", "c_calls_per_entry", "requests", "repeated_requests")
 
 
 def out_path(workload: str) -> Path:
@@ -91,13 +92,13 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def count_ops(checkout: Path, workload: str) -> dict:
-    """The checkout's own ``scripts/count_ops.py`` report on ``workload``, cut to ``COUNTED``."""
+    """The checkout's own ``scripts/count_ops.py`` report on ``workload``, cut to the ``COUNTED`` keys it has."""
     argv = [sys.executable, "scripts/count_ops.py", "--workload", workload]
     proc = run_uncached(argv, checkout, timeout=SECONDS * 30 + 120)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: count_ops.py exited {proc.returncode}: {proc.stderr.strip()}")
     counted = json.loads(proc.stdout)
-    return {key: counted[key] for key in COUNTED}
+    return {key: counted[key] for key in COUNTED if key in counted}  # an older script counts no repeats
 
 
 def spread(values: list[float]) -> dict:

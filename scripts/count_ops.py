@@ -17,8 +17,11 @@ perfbench's timing and checks are not counted; the one after runs under
 (``str.find``, ``re.Pattern.match``, ``len``). The JSON printed holds
 ``sys.version``, the total opcodes, those in bibkit's own functions, each
 function's opcodes per entry, the C calls per entry, in total and by
-callee, and the opcode-counted pass's upstream requests per endpoint and
-retries (all 0 on ``verify_corpus``, which asks no upstream). The fake
+callee, and the untraced pass's upstream requests per endpoint, repeated
+requests per endpoint and retries (all 0 on ``verify_corpus``, which asks
+no upstream). A repeated request is one whose ``(method, url, params,
+body)`` (``resolve._exchange_key``) equals a request sent earlier in the
+pass; a retry is one, and so is a second export of one item. The fake
 upstream answers at once, so request counts, not time, show the resolve
 path's work beside the opcodes.
 
@@ -50,6 +53,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import bibkit  # noqa: E402
 import bibkit.cli as cli  # noqa: E402
+from bibkit.resolve import _exchange_key  # noqa: E402
 import gen  # noqa: E402  (perfbench's generator)
 import upstream  # noqa: E402  (perfbench's fake upstream)
 from workload import Runner  # noqa: E402
@@ -120,6 +124,28 @@ def _run_hooked(call: Callable[[], object], install: Callable, hook) -> None:
             gc.enable()
 
 
+def count_repeats(call: Callable[[], object]) -> dict[str, int]:
+    """Requests per endpoint that ``call()`` sends perfbench's fake upstream and that repeat one sent before in it."""
+    repeats = {"search": 0, "web": 0, "export": 0, "crossref": 0}
+    seen = set()
+    send = upstream.FakeTransport.request
+
+    def request(fake, method, url, *, params=None, body=None, headers=None):
+        key = _exchange_key(method, url, params, body)
+        if key in seen:
+            endpoint = url.rsplit("/", 1)[-1]
+            repeats["crossref" if endpoint == "works" else endpoint] += 1
+        seen.add(key)
+        return send(fake, method, url, params=params, body=body, headers=headers)
+
+    upstream.FakeTransport.request = request
+    try:
+        call()
+    finally:
+        upstream.FakeTransport.request = send
+    return repeats
+
+
 def callee_name(function) -> str:
     """``str.find``, ``re.Pattern.match`` or ``len``: a C callable by its module and qualified name."""
     owner = getattr(function, "__self__", None)
@@ -147,8 +173,9 @@ def make_plan(workload: str, copies: int, out: Path) -> dict:
 def count_pass(plan: dict) -> tuple[Counter, Counter, dict]:
     """Opcodes per function name, and C calls per callee, of ``bibkit.cli.main`` in one perfbench pass each.
 
-    Both counted passes follow an untraced one. The dict is the
-    opcode-counted pass's ``counts`` (``Runner.run_pass``). The limiter runs
+    Both counted passes follow an untraced one. The dict is the untraced
+    pass's ``counts`` (``Runner.run_pass``) and its ``repeated`` requests
+    per endpoint (``count_repeats``). The limiter runs
     on virtual time only: on perfbench's clock, real time plus the virtual
     offset, whether a CrossRef start waits microseconds for its own slot
     varies from run to run, and with it the opcodes of the limiter.
@@ -158,8 +185,8 @@ def count_pass(plan: dict) -> tuple[Counter, Counter, dict]:
     passes = []
     try:
         runner = Runner(plan)  # points cli.Resolver at perfbench's fake upstream
-        runner.run_pass()
-        by_code = count_opcodes(lambda: passes.append(runner.run_pass()), within=cli.main.__code__)
+        repeated = count_repeats(lambda: passes.append(runner.run_pass()))
+        by_code = count_opcodes(runner.run_pass, within=cli.main.__code__)
         c_calls = count_c_calls(runner.run_pass, within=cli.main.__code__)
     finally:
         cli.Resolver, upstream.VirtualClock.now = resolver, now
@@ -168,7 +195,7 @@ def count_pass(plan: dict) -> tuple[Counter, Counter, dict]:
     counts: Counter = Counter()
     for code, n in by_code.items():
         counts[function_name(code)] += n
-    return counts, c_calls, passes[0]["counts"]
+    return counts, c_calls, {**passes[0]["counts"], "repeated": repeated}
 
 
 def report(counts: Counter, c_calls: Counter, pass_counts: dict, entries: int, **about) -> dict:
@@ -185,6 +212,7 @@ def report(counts: Counter, c_calls: Counter, pass_counts: dict, entries: int, *
         "c_calls_per_entry": round(sum(c_calls.values()) / entries, 1),
         "c_calls_by_callee_per_entry": {name: round(n / entries, 2) for name, n in c_calls.most_common()},
         "requests": pass_counts["requests"],
+        "repeated_requests": pass_counts["repeated"],
         "retries": pass_counts["retries"],
     }
 

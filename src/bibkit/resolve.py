@@ -17,6 +17,10 @@ upstream that could not be asked never reads as "not found". A 501 is an
 answer: the translation server has no translator for the payload or finds
 no identifier in it. Only a 200 from /search or /web is read as items; a
 300 lists choices, so it reads like an empty reply.
+
+A ``Resolver`` keeps the entry ``/export`` gave each item for its lifetime (the
+CLI builds one per command run), so no item is exported twice; a long-lived
+library ``Resolver`` keeps one entry per distinct exported item.
 """
 
 from __future__ import annotations
@@ -196,7 +200,7 @@ def rank_candidates(query_text: str, candidates: list[str]) -> list[tuple[str, f
     for index, title in enumerate(candidates):
         score = jaccard(query_tokens, tokenize_filtered(title))
         t_lower = title.lower()
-        substring = q_lower in t_lower or t_lower in q_lower
+        substring = bool(t_lower) and (q_lower in t_lower or t_lower in q_lower)  # "" is in every string
         scored.append((title, score, substring, index))
     scored.sort(key=lambda item: (-item[1], not item[2], item[3]))
     return [(title, score) for title, score, _, _ in scored]
@@ -338,7 +342,7 @@ class ResolverConfig(NamedTuple):
 
 
 class Resolver:
-    """Client for one thread at a time; the rate limiter is the only cross-call state."""
+    """Client for one thread at a time; across calls it keeps the limiter and each item's export."""
 
     def __init__(
         self,
@@ -351,6 +355,7 @@ class Resolver:
         self.transport = transport or HttpTransport()
         self.rate_limiter = rate_limiter or RateLimiter(config.rate_per_sec)
         self._sleep = sleep or time.sleep
+        self._exported: dict[str, BibEntry] = {}  # encoded item -> its /export entry; no failure is kept
 
     # -- low-level ---------------------------------------------------------
 
@@ -394,6 +399,8 @@ class Resolver:
 
     def _export_bibtex(self, encoded_item: str) -> BibEntry:
         """The entry ``/export`` makes of one item, given as ``json.dumps(item, sort_keys=True)``."""
+        if (entry := self._exported.get(encoded_item)) is not None:
+            return entry
         resp = self._request(
             "POST",
             self.config.base_url,
@@ -408,7 +415,9 @@ class Resolver:
             entry = parse_entry(resp.body)
         except BibParseError as exc:
             raise ExportFailure(f"unparseable BibTeX from export: {exc}") from exc
-        return BibEntry(entry.entry_type, sanitize_citation_key(entry.citation_key), entry.fields)
+        entry = BibEntry(entry.entry_type, sanitize_citation_key(entry.citation_key), entry.fields)
+        self._exported[encoded_item] = entry
+        return entry
 
     # -- public ------------------------------------------------------------
 

@@ -97,6 +97,17 @@ def test_count_ops_runs_the_checkouts_own_script_and_keeps_the_counted_keys(monk
     assert counted == 2 * [{"bibkit_opcodes_per_entry": 4000.5, "c_calls_per_entry": 900.1, "requests": {"search": 0}}]
 
 
+def test_count_ops_keeps_repeated_requests_where_the_checkouts_script_counts_them(monkeypatch, tmp_path):
+    older = {"bibkit_opcodes_per_entry": 1.0, "c_calls_per_entry": 2.0, "requests": {"export": 3}}
+    reports = {tmp_path / "parent": older, tmp_path / "change": dict(older, repeated_requests={"export": 0})}
+
+    def fake_run(argv, cwd, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(reports[cwd]), stderr="")
+
+    monkeypatch.setattr(bench_verify.subprocess, "run", fake_run)
+    assert {c: bench_verify.count_ops(c, "reconcile_bib") for c in reports} == reports
+
+
 def test_perfbench_runs_read_no_bytecode_cache_on_either_side(monkeypatch, tmp_path):
     # a checkout whose __pycache__ matches its sources would skip their compile and read a faster set-up
     calls = []

@@ -53,6 +53,35 @@ def test_two_runs_give_equal_request_counts(tmp_path):
     assert first["entries"] == 400
     assert all(n > 0 for n in first["requests"].values())  # every endpoint, the fallback too
     assert first["retries"] > 0  # the workload's flaky payloads are retried once each
+    assert_only_retries_repeat(first)
+
+
+def assert_only_retries_repeat(counted: dict) -> None:
+    """Each request of the pass repeats none before it, apart from the retries: no item is exported twice."""
+    assert counted["repeated_requests"]["export"] == 0
+    assert sum(counted["repeated_requests"].values()) == counted["retries"]
+
+
+def test_reconcile_bib_repeats_no_request(tmp_path):
+    # a DOI or URL that answers with a neighbour paper's item reaches an item that paper's query exports too
+    argv = [sys.executable, str(SCRIPT), "--workload", "reconcile_bib", "--work", str(tmp_path / "work")]
+    counted = json.loads(subprocess.run(argv, capture_output=True, check=True).stdout)
+    assert counted["requests"]["export"] > 0
+    assert_only_retries_repeat(counted)
+
+
+def test_a_request_sent_again_in_the_call_counts_as_repeated():
+    tables = {"flaky": [], "search": {"q": "[]", "r": "[]"}, "web": {}, "export": {}, "crossref": {"q": "{}"}}
+    fake = count_ops.upstream.FakeTransport(tables)
+
+    def send():
+        for body in ("q", "r", "q", "q"):
+            fake.request("POST", "http://server.test/search", body=body)
+        for query in ("q", "q"):
+            fake.request("GET", "https://api.crossref.org/works", params={"query": query, "rows": "10"})
+
+    assert count_ops.count_repeats(send) == {"search": 2, "web": 0, "export": 0, "crossref": 1}
+    assert count_ops.count_repeats(send) == {"search": 2, "web": 0, "export": 0, "crossref": 1}  # per call
 
 
 def test_one_call_per_entry_moves_the_count_by_exactly_its_opcodes(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from bibkit.resolve import (
     CROSSREF_ENTRY_TYPES,
     CROSSREF_URL,
     RETRY_DELAY,
+    ExportFailure,
     HttpTransport,
     QueryError,
     RateLimiter,
@@ -219,6 +220,12 @@ def test_rank_empty_raises():
     assert rank_candidates("q", []) == []
 
 
+def test_rank_untitled_candidate_gets_no_substring_tiebreak():
+    # "" is a substring of every query, yet an untitled candidate contains nothing of it
+    ranked = rank_candidates("https://arxiv.org/abs/2401.00001", ["Attention Is All You Need", ""])
+    assert ranked == [("Attention Is All You Need", 0.0), ("", 0.0)]
+
+
 # -- replay resolution -------------------------------------------------------
 
 
@@ -314,6 +321,76 @@ def test_replay_answers_one_request_in_recorded_order_each_once():
     with pytest.raises(TransportError):
         send()
     assert send("other") == "other"
+
+
+# -- export memo -------------------------------------------------------------
+
+
+ITEM = {"title": "Attention Is All You Need", "DOI": "10.9999/memo.1", "key": "ABCD1234"}
+ITEM_BIBTEX = "@inproceedings{vaswani2017, title = {Attention Is All You Need}, doi = {10.9999/memo.1}}"
+MEMO_URL = "https://arxiv.org/abs/2401.00001"
+
+
+def server_exchange(endpoint: str, query: str, items: list[dict]) -> dict:
+    return {
+        "request": {"method": "POST", "url": f"http://server.test/{endpoint}", "body": query},
+        "response": {"status": 200, "body": json.dumps(items)},
+    }
+
+
+def export_exchange(item: dict, status: int = 200, body: str = ITEM_BIBTEX) -> dict:
+    return {
+        "request": {
+            "method": "POST",
+            "url": "http://server.test/export",
+            "params": {"format": "bibtex"},
+            "body": json.dumps([item], sort_keys=True),
+        },
+        "response": {"status": status, "body": body},
+    }
+
+
+def test_an_item_two_queries_reach_is_exported_once():
+    # one /export is recorded, and the replay answers it once: a second export would raise
+    resolver = make_resolver([
+        server_exchange("search", "10.9999/memo.1", [ITEM]),
+        server_exchange("web", MEMO_URL, [dict(reversed(ITEM.items()))]),  # key order does not matter
+        export_exchange(ITEM),
+    ])
+    by_doi = resolver.resolve("10.9999/memo.1")
+    by_url = resolver.resolve(MEMO_URL)
+    assert (by_doi.status, by_url.status) == ("found", "found")
+    assert by_doi.bibtex == by_url.bibtex == parse_entry(ITEM_BIBTEX)
+
+
+@pytest.mark.parametrize(
+    "failed,error",
+    [
+        ([export_exchange(ITEM, 404, "@misc{k, title={Not found}}")], ExportFailure),
+        ([export_exchange(ITEM, 200, "this is not bibtex")], ExportFailure),
+        ([export_exchange(ITEM, 503, ""), export_exchange(ITEM, 503, "")], UpstreamUnavailable),
+    ],
+    ids=["non-200", "unparseable", "unavailable"],
+)
+def test_a_failed_export_is_not_kept(failed, error):
+    resolver = make_resolver([
+        server_exchange("search", "10.9999/memo.1", [ITEM]),
+        server_exchange("web", MEMO_URL, [ITEM]),
+        *failed,
+        export_exchange(ITEM),  # the next query that reaches the item asks again
+    ])
+    with pytest.raises(error):
+        resolver.resolve("10.9999/memo.1")
+    assert resolver.resolve(MEMO_URL).bibtex == parse_entry(ITEM_BIBTEX)
+
+
+def test_web_reply_exports_its_titled_item_before_an_untitled_one():
+    # only the titled item's /export is recorded: exporting the untitled one would raise
+    untitled = {"itemType": "webpage", "url": MEMO_URL}
+    resolver = make_resolver([server_exchange("web", MEMO_URL, [ITEM, untitled]), export_exchange(ITEM)])
+    result = resolver.resolve(MEMO_URL)
+    assert result.candidates == [("Attention Is All You Need", 0.0), ("", 0.0)]
+    assert result.bibtex == parse_entry(ITEM_BIBTEX)
 
 
 # -- retry and failure handling ---------------------------------------------

@@ -110,16 +110,22 @@ def count_c_calls(call: Callable[[], object], within) -> Counter:
 
 
 def _run_hooked(call: Callable[[], object], install: Callable, hook) -> None:
-    """``call()`` with ``hook`` installed by ``sys.settrace`` or ``sys.setprofile``."""
+    """``call()`` with ``hook`` installed by ``sys.settrace`` or ``sys.setprofile``.
+
+    The tracer and profiler installed before (a coverage tool's, a debugger's)
+    are back in place afterwards.
+    """
     # no collection while counting: it could run finalizers of garbage made before the call
     collecting = gc.isenabled()
+    tracer, profiler = sys.gettrace(), sys.getprofile()
     gc.collect()
     gc.disable()
     install(hook)
     try:
         call()
     finally:
-        install(None)
+        sys.settrace(tracer)
+        sys.setprofile(profiler)
         if collecting:
             gc.enable()
 

@@ -148,26 +148,25 @@ class VenueSynonymTable:
 
     File format: one record per line, canonical name, tab, pipe-separated
     variants (UTF-8). Every canonical name is implicitly its own variant.
+    A table is fixed once built, so memos may key on it by identity.
     """
 
     def __init__(self, mapping: dict[str, set[str]] | None = None):
         self._canonical_of: dict[str, str] = {}
         for canonical, variants in (mapping or {}).items():
-            self.add(canonical, variants)
+            self._add(canonical, variants)
 
     @staticmethod
     def _fold(value: str) -> str:
         return _SPACES_RE.sub(" ", value).strip().lower()
 
-    def add(self, canonical: str, variants: set[str] | list[str]) -> None:
-        """Map every variant to ``canonical``; on a conflict, raise and change nothing."""
+    def _add(self, canonical: str, variants: set[str] | list[str]) -> None:
+        """Map every variant to ``canonical``; a conflict raises, and the table being built is dropped."""
         canon_form = self._fold(canonical)
-        keys = {self._fold(variant): variant for variant in set(variants) | {canonical}}
-        for key, variant in keys.items():
-            existing = self._canonical_of.get(key)
-            if existing is not None and existing != canon_form:
+        for variant in {canonical, *variants}:
+            existing = self._canonical_of.setdefault(self._fold(variant), canon_form)
+            if existing != canon_form:
                 raise ValueError(f"variant {variant!r} already maps to {existing!r}")
-        self._canonical_of.update(dict.fromkeys(keys, canon_form))
 
     def canonical(self, folded: str) -> str:
         """The canonical name of an already folded venue, or ``folded`` when no variant matches."""
@@ -181,7 +180,7 @@ class VenueSynonymTable:
                 if not line.strip() or line.startswith("#"):
                     continue
                 canonical, _, variants = line.partition("\t")
-                table.add(canonical, [v for v in variants.split("|") if v.strip()])
+                table._add(canonical, [v for v in variants.split("|") if v.strip()])
         return table
 
     @classmethod
@@ -195,18 +194,12 @@ def normalize_venue(value: str) -> str:
     return VenueSynonymTable._fold(value)
 
 
-_DOI_PREFIX_RE = re.compile(r"^(?:https?://(?:dx\.)?doi\.org/|doi:\s*)", re.IGNORECASE)
+_DOI_PREFIX_RE = re.compile(r"^(?:https?://(?:dx\.)?doi\.org/|doi:\s*)+", re.IGNORECASE)
 
 
 def normalize_doi(value: str) -> str:
-    """Bare lowercase DOI with URL and "doi:" prefixes stripped."""
-    s = value.strip()
-    while True:
-        stripped = _DOI_PREFIX_RE.sub("", s)
-        if stripped == s:
-            break
-        s = stripped
-    return s.lower()
+    """Bare lowercase DOI with URL and "doi:" prefixes stripped, stacked ones too."""
+    return _DOI_PREFIX_RE.sub("", value.strip()).lower()
 
 
 _PAGE_SEP_RE = re.compile(r"\s*(?:-{1,3}|\u2013|\u2014)\s*")

@@ -440,7 +440,6 @@ class Resolver:
         if resp.status != 200:
             return []
         works = _list(_get(_get(_json(resp.body), "message"), "items"))[:CROSSREF_MAX_CANDIDATES]
-        # the title as _entry_from_work reads it
         return [(title, work) for work in works if (title := _first_str(_get(work, "title"))) is not None]
 
     def resolve_query(self, q: Query) -> ResolutionResult:
@@ -462,7 +461,7 @@ class Resolver:
 
         fallback = self.crossref_fallback(q.original)
         titles = [title for title, _ in fallback]
-        return _select(q, titles, lambda i: _entry_from_work(fallback[i][1]), "crossref_fallback")
+        return _select(q, titles, lambda i: _entry_from_work(*fallback[i]), "crossref_fallback")
 
     def resolve(self, raw: str) -> ResolutionResult:
         return self.resolve_query(classify_query(raw))
@@ -557,8 +556,8 @@ def _select(
     return ResolutionResult(status="found", candidates=ranked, bibtex=build(index), source=source)
 
 
-def _entry_from_work(work) -> BibEntry | None:
-    """The entry a CrossRef work states, or None when it has no string title.
+def _entry_from_work(title: str, work: dict) -> BibEntry:
+    """The entry a CrossRef work states, given the title ``crossref_fallback`` read from it.
 
     A string whose braces do not nest reads as absent, like a value of
     another type, so the entry serializes to text that parses back to it.
@@ -566,9 +565,6 @@ def _entry_from_work(work) -> BibEntry | None:
     venue is the ``booktitle`` of an inproceedings or incollection entry,
     else the ``journal``.
     """
-    title = _first_str(_get(work, "title"))
-    if title is None:  # also a work that is not an object
-        return None
     entry_type = CROSSREF_ENTRY_TYPES.get(_str(work.get("type")), "")
     names = [(_str(_get(a, "family")), _str(_get(a, "given"))) for a in _list(work.get("author"))]
     parts = [f"{family}, {given}" if given else family for family, given in names if family]

@@ -109,19 +109,21 @@ class CriterionVerdict(NamedTuple):
 
 
 @functools.cache
-def _table_free_normalized(slot: FieldSlot, value: str) -> str | None:
-    """The part of ``_normalized`` that reads no venue table; memoized until ``clear_memo``.
+def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) -> str | None:
+    """Per-slot normalization; None when the value cannot be normalized. Memoized until ``clear_memo``.
 
-    Most values recur across candidates and ground-truth versions. A venue
-    is only folded here, so the memo stays valid whatever the table holds.
-    A slot's name and its member are one key and get one normal form.
+    Most values recur across candidates and ground-truth versions. A table
+    is fixed once built and hashes by identity, so it is part of the key.
+    A slot's name and its member are one key and get one normal form; call
+    positionally, as a keyword call is a second key.
     """
     if slot == _AUTHOR:
         return normalize_author(value)
     if slot == _TITLE:
         return normalize_title(value)
     if slot == _VENUE:
-        return normalize_venue(value)
+        folded = normalize_venue(value)
+        return folded if table is None else table.canonical(folded)
     if slot == _DOI:
         return normalize_doi(value)
     if slot == _PAGES:
@@ -135,15 +137,7 @@ def _table_free_normalized(slot: FieldSlot, value: str) -> str | None:
 
 def clear_memo() -> None:
     """Empty the unbounded normalization memo; ``harness.run_benchmark`` does so when a run ends."""
-    _table_free_normalized.cache_clear()
-
-
-def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) -> str | None:
-    """Per-slot normalization; None when the value cannot be normalized."""
-    norm = _table_free_normalized(slot, value)
-    if slot == _VENUE and table is not None:
-        return table.canonical(norm)
-    return norm
+    _normalized.cache_clear()
 
 
 def classify_stage1(

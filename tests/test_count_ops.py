@@ -112,3 +112,21 @@ def test_c_calls_are_counted_by_callee_inside_the_given_function_only():
 
     counts = count_ops.count_c_calls(lambda: (outside(), within(), outside()), within=within.__code__)
     assert counts == {"str.find": 2, "str.count": 1, "len": 1}
+
+
+def test_the_tracer_and_profiler_installed_before_are_back_afterwards():
+    def sentinel(frame, event, arg):
+        return None
+
+    tracer, profiler = sys.gettrace(), sys.getprofile()  # a coverage tool's, when one runs
+    sys.settrace(sentinel)
+    sys.setprofile(sentinel)
+    try:
+        count_ops.count_opcodes(lambda: len("abc"))
+        after_opcodes = sys.gettrace(), sys.getprofile()
+        count_ops.count_c_calls(lambda: len("abc"), within=sentinel.__code__)
+        after_c_calls = sys.gettrace(), sys.getprofile()
+    finally:
+        sys.settrace(tracer)
+        sys.setprofile(profiler)
+    assert after_opcodes == after_c_calls == (sentinel, sentinel)

@@ -249,6 +249,26 @@ def test_load_value_of_wrong_type_rejected(tmp_path, line):
     assert [r.paper_id for r in load_corpus(path, permissive=True)] == ["ok"]
 
 
+def _record_line_without(key: str) -> str:
+    doc = json.loads(record_line())
+    del doc[key]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        pytest.param(_record_line_without("paper_id"), "missing paper_id", id="absent"),
+        pytest.param(record_line(paper_id=""), "missing paper_id", id="empty"),
+        pytest.param(record_line(paper_id=None), "missing paper_id", id="null"),
+        pytest.param(record_line(paper_id=7), "paper_id: unexpected int value", id="int"),
+    ],
+)
+def test_load_record_without_a_usable_paper_id_rejected(tmp_path, line, error):
+    with pytest.raises(CorpusParseError, match=f"^line 2: {error}$"):
+        list(load_corpus(write_corpus(tmp_path, [HEADER, line])))
+
+
 def test_load_skips_blank_lines(tmp_path):
     path = write_corpus(tmp_path, [HEADER, "", record_line(), ""])
     assert len(list(load_corpus(path))) == 1
@@ -648,7 +668,7 @@ def test_a_run_holds_no_record_it_has_labelled(mode):
 
 
 def memo_size() -> int:
-    return verify._table_free_normalized.cache_info().currsize
+    return verify._normalized.cache_info().currsize
 
 
 def test_memo_is_filled_during_a_run_and_empty_after(monkeypatch):

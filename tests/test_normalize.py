@@ -166,9 +166,8 @@ def test_venue_table_every_canonical_maps_to_itself():
 
 
 def test_venue_table_variant_uniqueness_enforced():
-    table = VenueSynonymTable({"Journal A": {"JA"}})
-    with pytest.raises(ValueError):
-        table.add("Journal B", {"JA"})
+    with pytest.raises(ValueError, match="already maps to"):
+        VenueSynonymTable({"Journal A": {"JA"}, "Journal B": {"JA"}})
 
 
 @pytest.mark.parametrize(

@@ -393,6 +393,16 @@ def test_web_reply_exports_its_titled_item_before_an_untitled_one():
     assert result.bibtex == parse_entry(ITEM_BIBTEX)
 
 
+@pytest.mark.parametrize("endpoint, query", [("search", "10.9999/memo.1"), ("web", MEMO_URL)])
+def test_a_reply_of_one_object_reads_as_one_item(endpoint, query):
+    reply = server_exchange(endpoint, query, [])
+    reply["response"]["body"] = json.dumps(ITEM)  # the object itself, not an array of it
+    result = make_resolver([reply, export_exchange(ITEM)]).resolve(query)
+    assert result.status == "found"
+    assert [title for title, _ in result.candidates] == [ITEM["title"]]
+    assert result.bibtex == parse_entry(ITEM_BIBTEX)
+
+
 # -- retry and failure handling ---------------------------------------------
 
 
@@ -620,7 +630,7 @@ def test_crossref_candidate_shape():
     candidates = resolver.crossref_fallback("10.9999/unknown.1")
     assert len(candidates) == 10
     title, work = candidates[0]
-    first = _entry_from_work(work)
+    first = _entry_from_work(title, work)
     assert isinstance(first, BibEntry)
     assert first.get("title") == title == "Candidate Paper Number 00 on Record Linkage"
     assert first.get("year") == "2015"
@@ -643,12 +653,14 @@ def test_crossref_fallback_builds_the_winning_work_only(monkeypatch):
     }
     works.insert(4, winner)
     built = []
-    monkeypatch.setattr(resolve, "_entry_from_work", lambda work: built.append(work) or _entry_from_work(work))
+    monkeypatch.setattr(
+        resolve, "_entry_from_work", lambda title, work: built.append(work) or _entry_from_work(title, work)
+    )
     result = crossref_body_fallback(query, {"message": {"items": works}}).resolve(query)
     assert result.status == "found"
     assert result.source == "crossref_fallback"
     assert len(result.candidates) == 10
-    assert result.bibtex == _entry_from_work(winner)
+    assert result.bibtex == _entry_from_work(query, winner)
     assert built == [winner]
 
 
@@ -1008,7 +1020,7 @@ def test_crossref_fallback_never_raises_on_arbitrary_json(works):
     candidates = crossref_body_fallback(query, {"message": {"items": works}}).crossref_fallback(query)
     assert len(candidates) <= sum(isinstance(w, dict) for w in works)
     for title, work in candidates:
-        entry = _entry_from_work(work)
+        entry = _entry_from_work(title, work)
         assert entry.fields["title"] == title
         assert entry.entry_type in ("", "article", "inproceedings", "incollection", "misc")
         assert isinstance(entry.fields["title"], str)

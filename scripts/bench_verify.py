@@ -7,20 +7,26 @@
 Runs each checkout's own ``perfbench/run.py --trace 0`` in alternating pairs
 (both runs of a pair use the same seed; the order flips every pair), then one
 ``--trace 1`` run on each at the trace seed, then each checkout's own
-``scripts/count_ops.py --workload W`` once. The change is the checkout this
-script is in. The file records every run, the medians and quartiles of the
-end-to-end metrics, the uncalibrated entries/s, the per-layer metrics, each
-side's ``bibkit_opcodes_per_entry``, ``c_calls_per_entry``, upstream
-``requests`` and ``repeated_requests`` under ``count_ops`` (a checkout whose
-script predates a key records none), the machine and the Python version. For
-each end-to-end metric of BENCHMARK.json it summarizes, in the metric's
-``better`` direction, the pairs where the change is better, the median gain,
-and that gain minus the parent's interquartile range. ``verify_corpus`` (the
-default) writes BENCH_verify.json.
+``scripts/count_ops.py --workload W`` once. Beside each run of a pair it
+times the checkout's own set-up probe (``SETUP_PROBE``, read from the source
+of its ``perfbench/run.py``) under ``python3 -S``, which loads no
+site-packages and no ``site`` imports: ``setup_s_no_site``, the median real
+seconds of 9 probes after one that is not recorded. It is how a user's plain
+interpreter sees start-up, an extra figure beside ``setup_s`` and not a gate.
+The change is the checkout this script is in. The file records every run, the
+medians and quartiles of the end-to-end metrics, the uncalibrated entries/s,
+the per-layer metrics, each side's ``bibkit_opcodes_per_entry``,
+``c_calls_per_entry``, upstream ``requests`` and ``repeated_requests`` under
+``count_ops`` (a checkout whose script predates a key records none), the
+machine and the Python version. For each end-to-end metric of BENCHMARK.json
+it summarizes, in the metric's ``better`` direction, the pairs where the
+change is better, the median gain, and that gain minus the parent's
+interquartile range. ``verify_corpus`` (the default) writes
+BENCH_verify.json.
 
 Run both checkouts from fresh copies side by side, such as ``git archive``
 of each commit into sibling directories ``parent`` and ``change``, as in the
-commands above. Every run and ``count_ops`` subprocess gets
+commands above. Every run, probe and ``count_ops`` subprocess gets
 ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``, as in the
 benchmark's own runs: the standard library reads its installed bytecode
 caches, and bibkit, which has none in a fresh copy, compiles from source
@@ -35,6 +41,7 @@ and 0.038 s with none, the same code.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -50,6 +57,8 @@ PAIRS = 10
 FIRST_SEED = 1
 SECONDS = 10
 TRACE_SEED = 301
+#: Probes of ``setup_s_no_site`` per run, after one that is not recorded.
+NO_SITE_SAMPLES = 9
 UNCALIBRATED_RE = re.compile(r"^uncalibrated: entries_per_s ([0-9.]+) 1/s")
 #: The keys of ``scripts/count_ops.py``'s report that the file records.
 COUNTED = ("bibkit_opcodes_per_entry", "c_calls_per_entry", "requests", "repeated_requests")
@@ -60,12 +69,15 @@ def out_path(workload: str) -> Path:
     return ROOT / ("BENCH_verify.json" if workload == WORKLOAD else f"BENCH_{workload}.json")
 
 
-def run_uncached(argv: list[str], checkout: Path, timeout: float) -> subprocess.CompletedProcess:
-    """``argv`` in ``checkout``, which holds no bibkit bytecode cache, writing none: bibkit compiles from source."""
+def run_uncached(argv: list[str], checkout: Path, timeout: float, **env: str) -> subprocess.CompletedProcess:
+    """``argv`` in ``checkout``, which holds no bibkit bytecode cache, writing none: bibkit compiles from source.
+
+    ``env`` adds to the environment.
+    """
     cache = checkout / "src" / "bibkit" / "__pycache__"
     if cache.exists():
         raise SystemExit(f"{cache}: a bytecode cache skips bibkit's compile; run from a fresh copy such as git archive")
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **env)
     env.pop("PYTHONPYCACHEPREFIX", None)  # caches read from elsewhere would pass the check above
     return subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=timeout)
 
@@ -89,6 +101,33 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         if m:
             out["uncalibrated_entries_per_s"] = float(m.group(1))
     return out
+
+
+def setup_probe(checkout: Path) -> str:
+    """The text of ``SETUP_PROBE`` in the checkout's ``perfbench/run.py``, read from its source, not imported."""
+    tree = ast.parse((checkout / "perfbench" / "run.py").read_text("utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SETUP_PROBE"]:
+            return ast.literal_eval(node.value)
+    raise SystemExit(f"{checkout}: perfbench/run.py assigns no SETUP_PROBE")
+
+
+def setup_no_site(checkout: Path) -> float:
+    """Median real seconds the checkout's set-up probe measures under ``python3 -S``.
+
+    The probe is the interpreter's whole program, so no module loads before
+    its ``t0``. Its first run is not recorded.
+    """
+    argv = [sys.executable, "-S", "-c", setup_probe(checkout)]
+    pythonpath = os.pathsep.join(str(checkout / d) for d in ("src", "perfbench"))
+    samples = []
+    for i in range(NO_SITE_SAMPLES + 1):
+        proc = run_uncached(argv, checkout, timeout=60, PYTHONPATH=pythonpath)
+        if proc.returncode != 0:
+            raise SystemExit(f"{checkout}: the set-up probe under -S exited {proc.returncode}: {proc.stderr.strip()}")
+        if i:
+            samples.append(float(proc.stdout.split()[0]))  # the probe prints its set-up, then a reference time
+    return statistics.median(samples)
 
 
 def count_ops(checkout: Path, workload: str) -> dict:
@@ -144,6 +183,7 @@ def main() -> int:
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
     better["uncalibrated_entries_per_s"] = "higher"
+    better["setup_s_no_site"] = "lower"
 
     pairs = []
     for i in range(PAIRS):
@@ -152,6 +192,7 @@ def main() -> int:
         pair = {"seed": seed, "order": order}
         for side in order:
             pair[side] = run(checkouts[side], workload, seed, 0)
+            pair[side]["setup_s_no_site"] = setup_no_site(checkouts[side])
         pairs.append(pair)
         print(f"pair {i + 1}/{PAIRS} seed {seed}: " + ", ".join(
             f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}" for name in better
@@ -175,6 +216,7 @@ def main() -> int:
         "trace_0": {
             "command": f"python3 perfbench/run.py --workload {workload} --seed SEED "
             f"--seconds {SECONDS} --trace 0",
+            "setup_s_no_site_command": "PYTHONPATH=src:perfbench python3 -S -c SETUP_PROBE",
             "pairs": pairs,
             "summary": summary,
         },

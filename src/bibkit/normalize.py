@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import re
 import unicodedata
-from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
@@ -31,8 +30,9 @@ def _read_lines(path: str | Path) -> Iterator[str]:
             yield line.removesuffix("\n")
 
 
-with resources.as_file(resources.files("bibkit.data").joinpath("stopwords.txt")) as _path:
-    STOPWORDS = frozenset(w.strip() for w in _read_lines(_path) if w.strip())
+#: The shipped data files: read by path, so bibkit runs from a package directory, not a zip.
+_DATA = Path(__file__).with_name("data")
+STOPWORDS = frozenset(w.strip() for w in _read_lines(_DATA / "stopwords.txt") if w.strip())
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 #: What ``tokenize_filtered`` drops: the stopwords and every 1-char token ``_TOKEN_RE`` yields.
@@ -185,8 +185,7 @@ class VenueSynonymTable:
 
     @classmethod
     def default(cls) -> "VenueSynonymTable":
-        with resources.as_file(resources.files("bibkit.data").joinpath("venues.tsv")) as p:
-            return cls.from_file(p)
+        return cls.from_file(_DATA / "venues.tsv")
 
 
 def normalize_venue(value: str) -> str:

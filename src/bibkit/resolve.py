@@ -10,13 +10,14 @@ All upstream traffic goes through a transport seam so the module can be
 exercised offline against recorded fixtures. Request starts are spaced per
 upstream (the translation server, CrossRef) at the one rate: each sees at
 most ``ResolverConfig.rate_per_sec`` starts in any one-second window, and N
-requests to one upstream take at least (N-1)/rate seconds. A network
-error, a 5xx other than 501 or a 429 is retried once (a 429 after its
-numeric ``Retry-After``) and then raises ``UpstreamUnavailable``: an
-upstream that could not be asked never reads as "not found". A 501 is an
-answer: the translation server has no translator for the payload or finds
-no identifier in it. Only a 200 from /search or /web is read as items; a
-300 lists choices, so it reads like an empty reply.
+requests to one upstream take at least (N-1)/rate seconds. A network error,
+a 5xx other than 501 or a 429 is retried once (a 429 after its
+``Retry-After``: seconds, or a date read against the reply's ``Date``) and
+then raises ``UpstreamUnavailable``: an upstream that could not be asked
+never reads as "not found". A 501 is an answer: the translation server has
+no translator for the payload or finds no identifier in it. Only a 200 from
+/search or /web is read as items; a 300 lists choices, so it reads like an
+empty reply.
 
 A ``Resolver`` keeps the entry ``/export`` gave each item for its lifetime (the
 CLI builds one per command run), so no item is exported twice; a long-lived
@@ -233,32 +234,41 @@ class Transport(Protocol):
 
 
 class HttpTransport:
-    """Live transport backed by requests."""
+    """Live transport on ``urllib.request``: every status is a response, and no redirect is followed."""
 
     def __init__(self, timeout: float = 30.0):
-        import requests
+        import urllib.request
 
-        self._session = requests.Session()
+        class NoRedirect(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args):
+                return None  # so the 3xx is raised as an HTTPError, which ``request`` reads
+
+        self._open = urllib.request.build_opener(NoRedirect).open
         self._timeout = timeout
 
     def request(self, method, url, *, params=None, body=None, headers=None):
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
+        from urllib.parse import urlencode
 
+        url += "?" + urlencode(params) if params else ""  # form-encoded, a space as "+"
+        data = body.encode("utf-8") if body is not None else None
         try:
-            resp = self._session.request(
-                method,
-                url,
-                params=params,
-                data=body.encode("utf-8") if body is not None else None,
-                headers=headers,
-                timeout=self._timeout,
-                allow_redirects=False,
-            )
-        except requests.RequestException as exc:
+            req = urllib.request.Request(url, data, headers or {}, method=method)
+            try:
+                resp = self._open(req, timeout=self._timeout)
+            except urllib.error.HTTPError as exc:  # any status but 2xx
+                resp = exc
+            with resp:
+                raw, charset = resp.read(), resp.headers.get_content_charset()
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(str(exc)) from exc
-        if "charset" not in resp.headers.get("Content-Type", "").lower():
-            resp.encoding = "utf-8"  # not requests' ISO-8859-1 for text/*, nor its guess
-        return TransportResponse(resp.status_code, resp.text, dict(resp.headers))
+        try:
+            text = raw.decode(charset or "utf-8", errors="replace")
+        except LookupError:  # a charset Python does not know
+            text = raw.decode("utf-8", errors="replace")
+        return TransportResponse(resp.status, text, dict(resp.headers))
 
 
 def _exchange_key(method, url, params, body):
@@ -521,15 +531,25 @@ def _issued_year(issued) -> str:
 
 
 def _retry_after(headers: Mapping[str, str]) -> float:
-    """Seconds a 429 asks the client to wait, or ``RETRY_DELAY`` if not a number."""
-    for name, value in headers.items():
-        if name.lower() == "retry-after":
-            try:
-                seconds = float(value)
-            except (TypeError, ValueError):  # an HTTP-date, or not a value at all
-                return RETRY_DELAY
-            return seconds if seconds >= 0 else RETRY_DELAY  # also rejects NaN
-    return RETRY_DELAY
+    """Seconds a 429 asks the client to wait, or ``RETRY_DELAY`` if it asks for none that can be read.
+
+    ``Retry-After`` is a number of seconds, or an HTTP-date read against the
+    response's own ``Date``, so no wall clock is needed.
+    """
+    fields = {name.lower(): value for name, value in headers.items()}
+    value, date = fields.get("retry-after"), fields.get("date")
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):  # an HTTP-date, or not a value at all
+        if not (isinstance(value, str) and isinstance(date, str)):
+            return RETRY_DELAY
+        from email.utils import parsedate_to_datetime  # loaded only to read a date
+
+        try:
+            seconds = (parsedate_to_datetime(value) - parsedate_to_datetime(date)).total_seconds()
+        except (TypeError, ValueError):  # a date that does not parse, or one with a zone and one without
+            return RETRY_DELAY
+    return seconds if seconds >= 0 else RETRY_DELAY  # also rejects NaN
 
 
 def _select(

@@ -2,8 +2,11 @@
 
 import importlib.util
 import json
+import os
 import re
+import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,3 +147,57 @@ def test_count_ops_that_fails_stops_the_run(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_verify.subprocess, "run", fake_run)
     with pytest.raises(SystemExit, match="count_ops.py exited 1: no such workload"):
         bench_verify.count_ops(tmp_path, "verify_corpus")
+
+
+# -- set-up under python3 -S -------------------------------------------------
+
+
+def test_setup_probe_is_read_from_the_checkouts_source_without_importing_it(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    probe = "\nimport time\nt0 = time.perf_counter()\n"
+    source = f'raise SystemExit("imported")\n\nSETUP_PROBE = {probe!r}\n'
+    (tmp_path / "perfbench" / "run.py").write_text(source, "utf-8")
+    assert bench_verify.setup_probe(tmp_path) == probe
+    (tmp_path / "perfbench" / "run.py").write_text("PROBE = 'x'\n", "utf-8")
+    with pytest.raises(SystemExit, match="assigns no SETUP_PROBE"):
+        bench_verify.setup_probe(tmp_path)
+
+
+def test_setup_no_site_is_the_median_of_nine_probes_under_S_after_one_not_recorded(monkeypatch, tmp_path):
+    checkout = tmp_path / "change"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text("SETUP_PROBE = 'print(0.01, 0.05)'\n", "utf-8")
+    setups = iter([9.0, 0.5, 0.1, 0.9, 0.3, 0.2, 0.8, 0.4, 0.7, 0.6])  # the first, a cold start, is not recorded
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append(argv)
+        assert cwd == checkout
+        assert_uncached(kwargs["env"], checkout)
+        assert kwargs["env"]["PYTHONPATH"] == f"{checkout / 'src'}{os.pathsep}{checkout / 'perfbench'}"
+        return subprocess.CompletedProcess(argv, 0, stdout=f"{next(setups)} 0.05\n", stderr="")
+
+    monkeypatch.setattr(bench_verify.subprocess, "run", fake_run)
+    assert bench_verify.setup_no_site(checkout) == 0.5
+    assert calls == 10 * [[sys.executable, "-S", "-c", "print(0.01, 0.05)"]]
+
+
+def test_setup_no_site_runs_the_checkouts_probe_without_site_packages(tmp_path):
+    # a fresh copy of this checkout's sources: no bibkit bytecode cache
+    root = SCRIPT.parent.parent
+    for part in ("src", "perfbench"):
+        shutil.copytree(root / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    assert 0 < bench_verify.setup_no_site(tmp_path) < 10
+    assert not (tmp_path / "src" / "bibkit" / "__pycache__").exists()
+
+
+def test_a_probe_that_fails_under_S_stops_the_run(monkeypatch, tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("SETUP_PROBE = 'import requests'\n", "utf-8")
+
+    def fake_run(argv, cwd, **kwargs):
+        return subprocess.CompletedProcess(argv, 1, stdout="", stderr="ModuleNotFoundError: No module named 'requests'")
+
+    monkeypatch.setattr(bench_verify.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit, match="the set-up probe under -S exited 1: ModuleNotFoundError"):
+        bench_verify.setup_no_site(tmp_path)

@@ -14,7 +14,7 @@ from bibkit import cli, harness
 from bibkit.cli import main
 from bibkit.model import FieldSlot, parse_entry
 
-from conftest import FIXTURES, rows_then_fail
+from conftest import FIXTURES, reply, rows_then_fail, stub_server
 
 CORPUS = str(FIXTURES / "golden_corpus.jsonl")
 GOLDEN = (FIXTURES / "golden_corpus.jsonl").read_bytes()
@@ -72,6 +72,21 @@ def test_importing_the_cli_loads_no_dataclasses():
     code = f"import sys; sys.path.insert(0, {src!r}); import bibkit.cli; print('dataclasses' in sys.modules)"
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_lookup_runs_on_the_standard_library_alone():
+    # -S: no site-packages, so a third-party import would fail the command
+    entry = b"@article{doe2020,\n  title = {A Paper},\n  doi = {10.1234/x}\n}\n"
+    answers = {"/search": reply(200, b'[{"title": "A Paper"}]'), "/export?format=bibtex": reply(200, entry)}
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "NO_PROXY": "127.0.0.1"}
+    with stub_server(answers.get) as (url, paths):
+        args = ["-S", "-m", "bibkit.cli", "lookup", "10.1234/x", "--server", url]
+        proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("@article{doe2020,")
+    assert "title = {A Paper}" in proc.stdout
+    assert paths == list(answers)
 
 
 # -- lookup ---------------------------------------------------------------------

@@ -34,7 +34,7 @@ from bibkit.resolve import (
 from bibkit.model import BibEntry, FieldSlot, parse_entry, serialize_entry
 from bibkit.reconcile import PaperMeta, reconcile
 
-from conftest import load_fixture
+from conftest import load_fixture, reply, stub_server
 from reference_impls import parent_text
 
 
@@ -508,9 +508,16 @@ def test_429_is_upstream_unavailable_not_an_answer(throttled, script):
     [
         ({"Retry-After": "7"}, 7.0),
         ({"retry-after": "2.5"}, 2.5),
-        ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, RETRY_DELAY),
+        ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, RETRY_DELAY),  # no Date to read it against
         ({"Retry-After": "-3"}, RETRY_DELAY),
         ({}, RETRY_DELAY),
+        # an HTTP-date is read against the response's own Date
+        ({"Retry-After": "Wed, 21 Oct 2015 07:28:30 GMT", "Date": "Wed, 21 Oct 2015 07:28:00 GMT"}, 30.0),
+        ({"retry-after": "Wed, 21 Oct 2015 07:28:30 GMT", "date": "Wed, 21 Oct 2015 08:28:00 +0100"}, 30.0),
+        ({"Retry-After": "Wed, 21 Oct 2015 07:27:00 GMT", "Date": "Wed, 21 Oct 2015 07:28:00 GMT"}, RETRY_DELAY),
+        ({"Retry-After": "soon", "Date": "Wed, 21 Oct 2015 07:28:00 GMT"}, RETRY_DELAY),
+        ({"Retry-After": "Wed, 21 Oct 2015 07:28:30 GMT", "Date": "yesterday"}, RETRY_DELAY),
+        ({"Retry-After": "Wed, 21 Oct 2015 07:28:30 GMT", "Date": "Wed, 21 Oct 2015 07:28:00 -0000"}, RETRY_DELAY),
     ],
 )
 def test_429_retries_once_after_retry_after(headers, expected_sleep):
@@ -525,6 +532,15 @@ def test_429_with_retry_after_beyond_limit_gives_up_at_once():
     throttled = TransportResponse(429, "", {"Retry-After": "3600"})
     resolver, transport, sleeps = throttle_resolver({"search": [throttled, ONE_ITEM]})
     with pytest.raises(UpstreamUnavailable, match="3600"):
+        resolver._server_lookup("search", "x")
+    assert transport.calls == ["search"]
+    assert sleeps == []
+
+
+def test_429_with_a_retry_after_date_beyond_limit_gives_up_at_once():
+    headers = {"Retry-After": "Wed, 21 Oct 2015 08:28:00 GMT", "Date": "Wed, 21 Oct 2015 07:28:00 GMT"}
+    resolver, transport, sleeps = throttle_resolver({"search": [TransportResponse(429, "", headers), ONE_ITEM]})
+    with pytest.raises(UpstreamUnavailable, match="after 3600 s"):
         resolver._server_lookup("search", "x")
     assert transport.calls == ["search"]
     assert sleeps == []
@@ -736,6 +752,54 @@ def test_http_transport_reads_a_body_without_a_charset_as_utf8(monkeypatch, cont
         thread.join(timeout=5.0)
     assert not thread.is_alive()
     assert response.body == text
+
+
+# The transport's contract, as the resolver reads it: every status is a
+# response, and a reply that cannot be read whole is a TransportError.
+
+
+def transport_answer(monkeypatch, send, method="GET", path="/search", **kwargs):
+    """The paths a stub that answers each with ``send`` was asked, and the transport's response to one request."""
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")  # a proxy setting must not reroute the request
+    with stub_server(lambda asked: send) as (url, paths):
+        response = HttpTransport(timeout=5.0).request(method, url + path, **kwargs)
+    return paths, response
+
+
+def test_http_transport_returns_a_redirect_without_following_it(monkeypatch):
+    paths, response = transport_answer(monkeypatch, reply(302, headers={"Location": "/elsewhere"}))
+    assert paths == ["/search"]
+    assert response.status == 302
+    assert response.headers["Location"] == "/elsewhere"
+
+
+def test_http_transport_returns_an_error_status_with_its_body(monkeypatch):
+    busy = reply(503, b"busy", {"Content-Type": "text/plain"})
+    _, response = transport_answer(monkeypatch, busy, "POST", body="10.1234/x")
+    assert (response.status, response.body) == (503, "busy")
+
+
+def test_http_transport_passes_a_429s_retry_after_to_the_resolver(monkeypatch):
+    _, response = transport_answer(monkeypatch, reply(429, headers={"Retry-After": "7"}))
+    assert response.status == 429
+    assert resolve._retry_after(response.headers) == 7.0
+
+
+def test_http_transport_reads_an_unknown_charset_as_utf8_with_replacements(monkeypatch):
+    body = "Sánchez".encode("latin-1") + " María".encode("utf-8")
+    _, response = transport_answer(monkeypatch, reply(200, body, {"Content-Type": "text/plain; charset=x-unknown"}))
+    assert response.body == "S\ufffdnchez María"
+
+
+def test_http_transport_reply_cut_short_of_its_content_length_is_transport_error(monkeypatch):
+    with pytest.raises(TransportError):
+        transport_answer(monkeypatch, reply(200, b"[]", {"Content-Length": "100"}))
+
+
+def test_http_transport_encodes_params_into_the_query_string(monkeypatch):
+    params = {"query": "Déjà vu: a/b & c+d", "rows": "10"}
+    paths, _ = transport_answer(monkeypatch, reply(200, b"{}"), path="/works", params=params)
+    assert paths == ["/works?query=D%C3%A9j%C3%A0+vu%3A+a%2Fb+%26+c%2Bd&rows=10"]
 
 
 def single_hit_fallback(doi: str, hit: dict) -> Resolver:

@@ -10,14 +10,13 @@ All upstream traffic goes through a transport seam so the module can be
 exercised offline against recorded fixtures. Request starts are spaced per
 upstream (the translation server, CrossRef) at the one rate: each sees at
 most ``ResolverConfig.rate_per_sec`` starts in any one-second window, and N
-requests to one upstream take at least (N-1)/rate seconds. A network error,
-a 5xx other than 501 or a 429 is retried once (a 429 after its
-``Retry-After``: seconds, or a date read against the reply's ``Date``) and
-then raises ``UpstreamUnavailable``: an upstream that could not be asked
-never reads as "not found". A 501 is an answer: the translation server has
-no translator for the payload or finds no identifier in it. Only a 200 from
-/search or /web is read as items; a 300 lists choices, so it reads like an
-empty reply.
+requests to one upstream take at least (N-1)/rate seconds. A network
+error, a 5xx other than 501 or a 429 is retried once (a 429 after its
+numeric ``Retry-After``) and then raises ``UpstreamUnavailable``: an
+upstream that could not be asked never reads as "not found". A 501 is an
+answer: the translation server has no translator for the payload or finds
+no identifier in it. Only a 200 from /search or /web is read as items; a
+300 lists choices, so it reads like an empty reply.
 
 A ``Resolver`` keeps the entry ``/export`` gave each item for its lifetime (the
 CLI builds one per command run), so no item is exported twice; a long-lived
@@ -34,7 +33,7 @@ import time
 from collections import deque
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
-from urllib.parse import ParseResult, urlparse, urlunparse
+from urllib.parse import ParseResult, quote, unquote, urlencode, urlparse, urlsplit, urlunparse, urlunsplit
 
 from .model import BibEntry, BibParseError, _close, parse_entry, sanitize_citation_key
 from .normalize import ARXIV_NEW_ID, ARXIV_OLD_ID, jaccard, normalize_doi, tokenize_filtered
@@ -247,15 +246,23 @@ class HttpTransport:
         self._timeout = timeout
 
     def request(self, method, url, *, params=None, body=None, headers=None):
+        import base64
         import http.client
         import urllib.error
         import urllib.request
-        from urllib.parse import urlencode
 
-        url += "?" + urlencode(params) if params else ""  # form-encoded, a space as "+"
         data = body.encode("utf-8") if body is not None else None
+        headers = dict(headers or {})
         try:
-            req = urllib.request.Request(url, data, headers or {}, method=method)
+            parts = urlsplit(url)
+            if parts.password is not None:  # credentials in the URL are sent as Basic auth, as requests sent them
+                pair = f"{unquote(parts.username)}:{unquote(parts.password)}".encode("latin-1")
+                headers["Authorization"] = "Basic " + base64.b64encode(pair).decode("ascii")
+            # a space or non-ASCII is percent-encoded as requests did; params are form-encoded, a space as "+"
+            path, query = (quote(part, safe="!#$%&'()*+,/:;=?@[]~") for part in (parts.path, parts.query))
+            query = "&".join(q for q in (query, urlencode(params or {})) if q)
+            url = urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], path, query, ""))
+            req = urllib.request.Request(url, data, headers, method=method)
             try:
                 resp = self._open(req, timeout=self._timeout)
             except urllib.error.HTTPError as exc:  # any status but 2xx
@@ -531,25 +538,15 @@ def _issued_year(issued) -> str:
 
 
 def _retry_after(headers: Mapping[str, str]) -> float:
-    """Seconds a 429 asks the client to wait, or ``RETRY_DELAY`` if it asks for none that can be read.
-
-    ``Retry-After`` is a number of seconds, or an HTTP-date read against the
-    response's own ``Date``, so no wall clock is needed.
-    """
-    fields = {name.lower(): value for name, value in headers.items()}
-    value, date = fields.get("retry-after"), fields.get("date")
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):  # an HTTP-date, or not a value at all
-        if not (isinstance(value, str) and isinstance(date, str)):
-            return RETRY_DELAY
-        from email.utils import parsedate_to_datetime  # loaded only to read a date
-
-        try:
-            seconds = (parsedate_to_datetime(value) - parsedate_to_datetime(date)).total_seconds()
-        except (TypeError, ValueError):  # a date that does not parse, or one with a zone and one without
-            return RETRY_DELAY
-    return seconds if seconds >= 0 else RETRY_DELAY  # also rejects NaN
+    """Seconds a 429 asks the client to wait, or ``RETRY_DELAY`` if not a number."""
+    for name, value in headers.items():
+        if name.lower() == "retry-after":
+            try:
+                seconds = float(value)
+            except (TypeError, ValueError):  # an HTTP-date, or not a value at all
+                return RETRY_DELAY
+            return seconds if seconds >= 0 else RETRY_DELAY  # also rejects NaN
+    return RETRY_DELAY
 
 
 def _select(

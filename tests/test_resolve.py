@@ -1,3 +1,4 @@
+import base64
 import http.server
 import json
 import re
@@ -508,16 +509,9 @@ def test_429_is_upstream_unavailable_not_an_answer(throttled, script):
     [
         ({"Retry-After": "7"}, 7.0),
         ({"retry-after": "2.5"}, 2.5),
-        ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, RETRY_DELAY),  # no Date to read it against
+        ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, RETRY_DELAY),
         ({"Retry-After": "-3"}, RETRY_DELAY),
         ({}, RETRY_DELAY),
-        # an HTTP-date is read against the response's own Date
-        ({"Retry-After": "Wed, 21 Oct 2015 07:28:30 GMT", "Date": "Wed, 21 Oct 2015 07:28:00 GMT"}, 30.0),
-        ({"retry-after": "Wed, 21 Oct 2015 07:28:30 GMT", "date": "Wed, 21 Oct 2015 08:28:00 +0100"}, 30.0),
-        ({"Retry-After": "Wed, 21 Oct 2015 07:27:00 GMT", "Date": "Wed, 21 Oct 2015 07:28:00 GMT"}, RETRY_DELAY),
-        ({"Retry-After": "soon", "Date": "Wed, 21 Oct 2015 07:28:00 GMT"}, RETRY_DELAY),
-        ({"Retry-After": "Wed, 21 Oct 2015 07:28:30 GMT", "Date": "yesterday"}, RETRY_DELAY),
-        ({"Retry-After": "Wed, 21 Oct 2015 07:28:30 GMT", "Date": "Wed, 21 Oct 2015 07:28:00 -0000"}, RETRY_DELAY),
     ],
 )
 def test_429_retries_once_after_retry_after(headers, expected_sleep):
@@ -532,15 +526,6 @@ def test_429_with_retry_after_beyond_limit_gives_up_at_once():
     throttled = TransportResponse(429, "", {"Retry-After": "3600"})
     resolver, transport, sleeps = throttle_resolver({"search": [throttled, ONE_ITEM]})
     with pytest.raises(UpstreamUnavailable, match="3600"):
-        resolver._server_lookup("search", "x")
-    assert transport.calls == ["search"]
-    assert sleeps == []
-
-
-def test_429_with_a_retry_after_date_beyond_limit_gives_up_at_once():
-    headers = {"Retry-After": "Wed, 21 Oct 2015 08:28:00 GMT", "Date": "Wed, 21 Oct 2015 07:28:00 GMT"}
-    resolver, transport, sleeps = throttle_resolver({"search": [TransportResponse(429, "", headers), ONE_ITEM]})
-    with pytest.raises(UpstreamUnavailable, match="after 3600 s"):
         resolver._server_lookup("search", "x")
     assert transport.calls == ["search"]
     assert sleeps == []
@@ -800,6 +785,28 @@ def test_http_transport_encodes_params_into_the_query_string(monkeypatch):
     params = {"query": "Déjà vu: a/b & c+d", "rows": "10"}
     paths, _ = transport_answer(monkeypatch, reply(200, b"{}"), path="/works", params=params)
     assert paths == ["/works?query=D%C3%A9j%C3%A0+vu%3A+a%2Fb+%26+c%2Bd&rows=10"]
+
+
+@pytest.mark.parametrize(
+    "userinfo,authorization",
+    [("u:p%40ss@", "Basic " + base64.b64encode(b"u:p@ss").decode()), ("u@", None)],  # no password: no auth
+)
+def test_http_transport_sends_the_urls_credentials_as_basic_auth(monkeypatch, userinfo, authorization):
+    asked = []
+
+    def send(handler):
+        asked.append(handler.headers.get("Authorization"))
+        reply(200, b"[]")(handler)
+
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    with stub_server(lambda path: send) as (url, paths):
+        response = HttpTransport(timeout=5.0).request("GET", url.replace("//", "//" + userinfo) + "/search")
+    assert (response.status, paths, asked) == (200, ["/search"], [authorization])
+
+
+def test_http_transport_percent_encodes_a_space_and_non_ascii_in_the_path(monkeypatch):
+    paths, response = transport_answer(monkeypatch, reply(200, b"[]"), path="/a b/%20é/search", params={"q": "x"})
+    assert (response.status, paths) == (200, ["/a%20b/%20%C3%A9/search?q=x"])
 
 
 def single_hit_fallback(doi: str, hit: dict) -> Resolver:

@@ -19,7 +19,7 @@ import json
 import os
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .model import (
     ALL_SLOTS,
@@ -50,31 +50,15 @@ class CorpusParseError(Exception):
     """A corpus header or record that is not valid; the message starts with ``line N: ``."""
 
 
-class PaperRecord:
-    """One corpus paper. A slotted class, not a tuple, so that it can be weakly referenced."""
+class PaperRecord(NamedTuple):
+    """One corpus paper."""
 
-    __slots__ = ("paper_id", "domain", "tier", "ground_truth", "candidates", "meta", "__weakref__")
-
-    def __init__(
-        self,
-        paper_id: str,
-        domain: str,
-        tier: str,
-        ground_truth: GroundTruth,
-        candidates: tuple[tuple[str, str, BibEntry], ...],  # (tag, model, entry)
-        meta: PaperMeta,  # what a reconcile run resolves the paper by
-    ):
-        self.paper_id, self.domain, self.tier = paper_id, domain, tier
-        self.ground_truth, self.candidates, self.meta = ground_truth, candidates, meta
-
-    def _values(self) -> tuple:
-        return self.paper_id, self.domain, self.tier, self.ground_truth, self.candidates, self.meta
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is PaperRecord and self._values() == other._values()
-
-    def __repr__(self) -> str:
-        return f"PaperRecord{self._values()!r}"
+    paper_id: str
+    domain: str
+    tier: str
+    ground_truth: GroundTruth
+    candidates: tuple[tuple[str, str, BibEntry], ...]  # (tag, model, entry)
+    meta: PaperMeta  # what a reconcile run resolves the paper by
 
 
 # --------------------------------------------------------------------------

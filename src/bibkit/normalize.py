@@ -151,22 +151,12 @@ class VenueSynonymTable:
     A table is fixed once built, so memos may key on it by identity.
     """
 
-    def __init__(self, mapping: dict[str, set[str]] | None = None):
+    def __init__(self):
         self._canonical_of: dict[str, str] = {}
-        for canonical, variants in (mapping or {}).items():
-            self._add(canonical, variants)
 
     @staticmethod
     def _fold(value: str) -> str:
         return _SPACES_RE.sub(" ", value).strip().lower()
-
-    def _add(self, canonical: str, variants: set[str] | list[str]) -> None:
-        """Map every variant to ``canonical``; a conflict raises, and the table being built is dropped."""
-        canon_form = self._fold(canonical)
-        for variant in {canonical, *variants}:
-            existing = self._canonical_of.setdefault(self._fold(variant), canon_form)
-            if existing != canon_form:
-                raise ValueError(f"variant {variant!r} already maps to {existing!r}")
 
     def canonical(self, folded: str) -> str:
         """The canonical name of an already folded venue, or ``folded`` when no variant matches."""
@@ -174,13 +164,18 @@ class VenueSynonymTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "VenueSynonymTable":
+        """The table of a venues file; a variant of two canonical names raises ``ValueError``."""
         table = cls()
         with contextlib.closing(_read_lines(path)) as lines:  # a conflict raises mid-file
             for line in lines:
                 if not line.strip() or line.startswith("#"):
                     continue
                 canonical, _, variants = line.partition("\t")
-                table._add(canonical, [v for v in variants.split("|") if v.strip()])
+                canon_form = cls._fold(canonical)
+                for variant in {canonical, *(v for v in variants.split("|") if v.strip())}:
+                    existing = table._canonical_of.setdefault(cls._fold(variant), canon_form)
+                    if existing != canon_form:
+                        raise ValueError(f"variant {variant!r} already maps to {existing!r}")
         return table
 
     @classmethod

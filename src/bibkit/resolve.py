@@ -63,6 +63,11 @@ RETRY_DELAY = 1.0
 #: means the upstream cannot be asked within this run.
 MAX_RETRY_AFTER = 60.0
 
+#: Seconds the live transport waits to connect and for each read.
+HTTP_TIMEOUT = 30.0
+#: Longest response body (bytes) the live transport reads; a longer one is a ``TransportError``.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 class QueryError(Exception):
     """A query that is empty, names no DOI, or is a URL that is not absolute http(s)."""
@@ -160,18 +165,11 @@ def http_url(url: str) -> ParseResult | None:
     return parsed if parsed.scheme in ("http", "https") and parsed.hostname and port != 0 else None
 
 
-def normalize_url(url: str) -> str:
-    """Rewrite arXiv PDF/HTML, alphaxiv, and HuggingFace paper links; any other URL comes back stripped.
-
-    All rewrites are pure string transformations; no network calls. A URL
-    that ``http_url`` rejects is a ``QueryError``.
-    """
-    url = url.strip()
-    return _rewrite_url(url, http_url(url))
-
-
 def _rewrite_url(url: str, parsed: ParseResult | None) -> str:
-    """``normalize_url`` of a stripped ``url``, given its ``http_url`` parse."""
+    """Rewrite arXiv PDF/HTML, alphaxiv, and HuggingFace paper links in a stripped ``url``; others come back as is.
+
+    ``parsed`` is ``url``'s ``http_url`` parse; None is a ``QueryError``. No network calls.
+    """
     if parsed is None:
         raise QueryError(f"not an absolute http(s) URL: {url!r}")
     host = parsed.hostname.removeprefix("www.")
@@ -235,7 +233,7 @@ class Transport(Protocol):
 class HttpTransport:
     """Live transport on ``urllib.request``: every status is a response, and no redirect is followed."""
 
-    def __init__(self, timeout: float = 30.0):
+    def __init__(self):
         import urllib.request
 
         class NoRedirect(urllib.request.HTTPRedirectHandler):
@@ -243,7 +241,6 @@ class HttpTransport:
                 return None  # so the 3xx is raised as an HTTPError, which ``request`` reads
 
         self._open = urllib.request.build_opener(NoRedirect).open
-        self._timeout = timeout
 
     def request(self, method, url, *, params=None, body=None, headers=None):
         import base64
@@ -264,11 +261,14 @@ class HttpTransport:
             url = urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], path, query, ""))
             req = urllib.request.Request(url, data, headers, method=method)
             try:
-                resp = self._open(req, timeout=self._timeout)
+                resp = self._open(req, timeout=HTTP_TIMEOUT)
             except urllib.error.HTTPError as exc:  # any status but 2xx
                 resp = exc
             with resp:
-                raw, charset = resp.read(), resp.headers.get_content_charset()
+                raw, charset = resp.read(MAX_BODY_BYTES + 1), resp.headers.get_content_charset()
+                if len(raw) > MAX_BODY_BYTES:
+                    raise TransportError(f"response body longer than {MAX_BODY_BYTES} bytes")
+                resp.read()  # b"" after a whole body; one cut short of its length raises IncompleteRead
         except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(str(exc)) from exc
         try:
@@ -352,10 +352,9 @@ class ResolverConfig(NamedTuple):
     rate_per_sec = 2.0  # requests per second, the one rate; not annotated, so not a field
 
     @classmethod
-    def from_env(cls, env: dict[str, str] | None = None) -> "ResolverConfig":
-        env = os.environ if env is None else env
-        base = env.get("BIBKIT_SERVER_URL", "http://127.0.0.1:1969")
-        return cls(base_url=base, contact=env.get("BIBKIT_CONTACT"))
+    def from_env(cls) -> "ResolverConfig":
+        base = os.environ.get("BIBKIT_SERVER_URL", "http://127.0.0.1:1969")
+        return cls(base_url=base, contact=os.environ.get("BIBKIT_CONTACT"))
 
 
 class Resolver:

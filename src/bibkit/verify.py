@@ -75,9 +75,8 @@ _ENTRY_TYPE, _ENTRY_KEY = FieldSlot.ENTRY_TYPE, FieldSlot.ENTRY_KEY
 _AUTHOR, _TITLE, _YEAR, _VENUE = FieldSlot.AUTHOR, FieldSlot.TITLE, FieldSlot.YEAR, FieldSlot.VENUE
 _PAGES, _DOI = FieldSlot.PAGES, FieldSlot.DOI
 _C, _M, _S, _X = FieldLabel.C, FieldLabel.M, FieldLabel.S, FieldLabel.X
-#: The slots whose partial match is a token overlap, and those that must be equal.
+#: The slots whose partial match is a token overlap.
 _TEXT_SLOTS = (_TITLE, _VENUE, _AUTHOR)
-_COUNT_SLOTS = (FieldSlot.VOLUME, FieldSlot.NUMBER)
 
 
 class GroundTruthVersion(NamedTuple):
@@ -190,12 +189,7 @@ def _doi_partial(value: str, gt_values: list[str], gt: GroundTruth) -> bool:
     norm = normalize_doi(value)
     my_reg, _, my_suffix = norm.partition("/")
     for gt_value in gt_values:
-        gt_doi = normalize_doi(gt_value)
-        # verify_entry never sends an equal DOI here (stage 1 labels it C);
-        # a direct call can, and a DOI without a suffix matches nothing else
-        if norm == gt_doi:
-            return True
-        gt_reg, _, gt_suffix = gt_doi.partition("/")
+        gt_reg, _, gt_suffix = normalize_doi(gt_value).partition("/")
         if my_reg == gt_reg and my_suffix and gt_suffix:
             if SequenceMatcher(None, my_suffix, gt_suffix).ratio() >= DOI_SUFFIX_SIMILARITY:
                 return True
@@ -219,8 +213,9 @@ def classify_stage2(
     context: dict[FieldSlot, object] | None = None,
     table: VenueSynonymTable | None = None,
 ) -> CriterionVerdict:
-    """Deterministic overlap heuristic for slots Stage 1 left pending.
+    """Deterministic overlap heuristic. Precondition: ``classify_stage1`` left ``slot`` pending.
 
+    So no rule matches an equal DOI, volume or number: stage 1 labels it C.
     ``context`` maps slots to their labels so far; ``slot``'s own is ignored.
     """
     context = context or {}
@@ -282,9 +277,6 @@ def _partial_match(entry_value, slot, gt, gt_values, overlap, suspects) -> bool:
         return False
     if slot == _DOI:
         return _doi_partial(entry_value, gt_values, gt)
-    if slot in _COUNT_SLOTS:
-        # verify_entry never sends an equal value here (stage 1 labels it C)
-        return any(entry_value.strip() == v.strip() for v in gt_values)
     if slot == _ENTRY_TYPE:
         mine = entry_value.strip().lower()
         related = mine in RELATED_ENTRY_TYPES and all(

@@ -7,10 +7,8 @@ co-error counting, offline resolver replay, live rate limiting, and
 benchmark determinism against a hand-tallied golden report.
 """
 
-import http.server
 import json
 import random
-import threading
 import time
 from collections import Counter
 
@@ -50,7 +48,7 @@ from bibkit.verify import (
     verify_entry,
 )
 
-from conftest import FIXTURES, load_fixture, slot_labels
+from conftest import FIXTURES, load_fixture, reply, slot_labels, stub_server
 from reference_impls import brute_co_error, brute_jaccard
 from test_reconcile import PAIRS, make_meta, make_resolver
 from test_verify import (
@@ -298,36 +296,8 @@ def test_replay_low_scoring_title_is_mismatch():
 # 10. rate limiter against a local live stub -------------------------------------------------
 
 
-class _StubHandler(http.server.BaseHTTPRequestHandler):
-    def _reply(self):
-        body = b"[]"
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        self._reply()
-
-    def do_GET(self):
-        self._reply()
-
-    def log_message(self, *args):
-        pass
-
-
-def _serve_stub() -> http.server.ThreadingHTTPServer:
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server
-
-
-def _stop(*servers) -> None:
-    for server in servers:
-        server.shutdown()
-        server.server_close()
+#: What each stub upstream answers: a /search that finds nothing, and a CrossRef page read as no hits.
+_EMPTY = reply(200, b"[]", {"Content-Type": "application/json"})
 
 
 def _timed_starts(resolver: Resolver) -> list[tuple[str, float]]:
@@ -349,18 +319,16 @@ def _assert_window_bound(starts):
         assert len(in_window) <= 2, in_window
 
 
-def test_rate_limiter_live_spacing():
-    server = _serve_stub()
-    try:
-        config = ResolverConfig(base_url=f"http://127.0.0.1:{server.server_port}")
-        resolver = Resolver(config, transport=HttpTransport(timeout=5.0))
+def test_rate_limiter_live_spacing(monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")  # a proxy setting must not reroute the request
+    with stub_server(lambda path: _EMPTY) as (base_url, _):
+        config = ResolverConfig(base_url=base_url)
+        resolver = Resolver(config, transport=HttpTransport())
         starts = _timed_starts(resolver)
         begin = time.monotonic()
         for i in range(6):
             resolver._server_lookup("search", f"10.9999/q{i}")
         elapsed = time.monotonic() - begin
-    finally:
-        _stop(server)
     starts = [t for _, t in starts]
 
     assert elapsed >= 2.5 - 0.05
@@ -369,17 +337,14 @@ def test_rate_limiter_live_spacing():
 
 
 def test_rate_limiter_live_crossref_fallback_takes_its_own_slot(monkeypatch):
-    server, crossref = _serve_stub(), _serve_stub()
-    try:
-        crossref_url = f"http://127.0.0.1:{crossref.server_port}"
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")  # a proxy setting must not reroute the request
+    with stub_server(lambda path: _EMPTY) as (base_url, _), stub_server(lambda path: _EMPTY) as (crossref_url, _):
         monkeypatch.setattr("bibkit.resolve.CROSSREF_URL", crossref_url)
-        config = ResolverConfig(base_url=f"http://127.0.0.1:{server.server_port}")
-        resolver = Resolver(config, transport=HttpTransport(timeout=5.0))
+        config = ResolverConfig(base_url=base_url)
+        resolver = Resolver(config, transport=HttpTransport())
         starts = _timed_starts(resolver)
         for i in range(3):  # each title finds nothing on the server and falls back
             resolver.resolve(f"A Paper Nobody Indexed {i}")
-    finally:
-        _stop(server, crossref)
 
     assert [upstream for upstream, _ in starts] == [config.base_url, crossref_url] * 3
     by_upstream = {config.base_url: [], crossref_url: []}

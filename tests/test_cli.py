@@ -1395,15 +1395,17 @@ def test_report_rejects_an_evaluated_citation_key(tmp_path, capsys, label):
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "rows,reason",
     [
-        FULL_ENTRY[:3],  # slots missing
-        FULL_ENTRY + ["p\tc\ttitle\tC\t1"],  # a slot labelled twice
-        FULL_ENTRY[:-1] + ["p\tc\tissn\tC\t1"],  # unknown slot
-        FULL_ENTRY[:-1] + ["p\tc\tdoi\tQ\t1"],  # unknown label
-        FULL_ENTRY[:-1] + ["p\tc\tdoi\tC\t3"],  # unknown stage
-        FULL_ENTRY[:-1] + ["p\tc\tdoi\tC\t2"],  # stage 2 never gives C
-        FULL_ENTRY[:-1] + ["p\tc\tdoi\tF\t1"],  # stage 1 never gives F
+        (FULL_ENTRY[:3], "labels missing for some slots"),
+        (FULL_ENTRY + ["p\tc\ttitle\tC\t1"], "duplicate title label"),
+        (FULL_ENTRY[:-1] + ["p\tc\tissn\tC\t1"], "'issn' is not a valid FieldSlot"),
+        (FULL_ENTRY[:-1] + ["p\tc\tdoi\tQ\t1"], "'Q' is not a valid FieldLabel"),
+        (FULL_ENTRY[:-1] + ["p\tc\tdoi\tC\t3"], "unknown stage '3'"),
+        (FULL_ENTRY[:-1] + ["p\tc\tdoi\tC\t2"], "stage 2 cannot give doi label C"),
+        (FULL_ENTRY[:-1] + ["p\tc\tdoi\tF\t1"], "stage 1 cannot give doi label F"),
+        (FULL_ENTRY[:-1] + ["p\tc\tdoi\tC"], "malformed labels row: 'p\\tc\\tdoi\\tC'"),
+        (FULL_ENTRY[:-1] + ["p\tc\tdoi\tC\t1\t1"], "malformed labels row: 'p\\tc\\tdoi\\tC\\t1\\t1'"),
     ],
     ids=[
         "missing_slots",
@@ -1413,14 +1415,16 @@ def test_report_rejects_an_evaluated_citation_key(tmp_path, capsys, label):
         "unknown_stage",
         "stage_2_label_C",
         "stage_1_label_F",
+        "short_row",
+        "long_row",
     ],
 )
-def test_report_rejects_malformed_entries(tmp_path, capsys, rows):
+def test_report_rejects_malformed_entries(tmp_path, capsys, rows, reason):
     labels = tmp_path / "labels.tsv"
     labels.write_text("\n".join(["format_version\t1"] + rows) + "\n", "utf-8")
-    code, _, err = run(["report", "--labels", str(labels)], capsys)
-    assert code == 2
-    assert "input error" in err
+    code, out, err = run(["report", "--labels", str(labels)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.endswith(f"{reason}\n"), err
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])

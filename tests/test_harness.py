@@ -649,13 +649,23 @@ def test_bundle_does_not_depend_on_record_order(tmp_path, monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["verify", "reconcile_then_verify"])
 def test_a_run_holds_no_record_it_has_labelled(mode):
+    class Tracked:
+        """A record's candidates, weakly referenceable; only that record holds it."""
+
+        def __init__(self, candidates):
+            self.candidates = candidates
+
+        def __iter__(self):
+            return iter(self.candidates)
+
     refs = []
 
     def records():
         for record in load_corpus(CORPUS_PATH):
             gc.collect()
             assert [ref() for ref in refs] == [None] * len(refs), "an earlier record is alive"
-            refs.append(weakref.ref(record))
+            record = record._replace(candidates=Tracked(record.candidates))
+            refs.append(weakref.ref(record.candidates))
             yield record
 
     resolver = (lambda query: ResolutionResult("not_found")) if mode == "reconcile_then_verify" else None

@@ -165,9 +165,11 @@ def test_venue_table_every_canonical_maps_to_itself():
         assert TABLE.canonical(normalize_venue(canonical)) == canonical
 
 
-def test_venue_table_variant_uniqueness_enforced():
+def test_venue_table_variant_uniqueness_enforced(tmp_path):
+    path = tmp_path / "venues.tsv"
+    path.write_text("Journal A\tJA\nJournal B\tJA\n", "utf-8")
     with pytest.raises(ValueError, match="already maps to"):
-        VenueSynonymTable({"Journal A": {"JA"}, "Journal B": {"JA"}})
+        VenueSynonymTable.from_file(path)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,6 @@
 import base64
-import http.server
 import json
-import re
 import socket
-import threading
 from urllib.parse import urlparse
 
 import pytest
@@ -26,7 +23,6 @@ from bibkit.resolve import (
     UpstreamUnavailable,
     classify_query,
     http_url,
-    normalize_url,
     rank_candidates,
     _entry_from_work,
     _text,
@@ -95,7 +91,7 @@ def test_classify_query_precedence_doi_over_title():
     assert classify_query("10.1000/j.123").kind == "doi"
 
 
-# -- URL normalization -------------------------------------------------------
+# -- URL normalization: the value classify_query gives an http(s) query --------
 
 
 @pytest.mark.parametrize(
@@ -117,45 +113,18 @@ def test_classify_query_precedence_doi_over_title():
     ],
 )
 def test_normalize_url(raw, expected):
-    assert normalize_url(raw) == expected
-
-
-_URL_HOSTS = ["arxiv.org", "www.arxiv.org", "beta.alphaxiv.org", "huggingface.co", "example.org", "u@arxiv.org:8"]
-_URL_PATHS = ["", "/", "/pdf/2510.16227", "/pdf/2510.16227.pdf", "/html/2101.00001v2", "/papers/2510.16227",
-              "/papers/x/", "/abs/1?q=1#f", "/p q"]
-
-
-@settings(max_examples=300)
-@given(
-    st.sampled_from(["http://", "https://", "HTTPS://"]),
-    st.sampled_from(_URL_HOSTS) | st.text("ab.:[]@0", max_size=8),
-    st.sampled_from(_URL_PATHS),
-    st.sampled_from(["", " ", "\t", "\n "]),
-)
-def test_classify_query_value_of_a_url_is_its_normalize_url(scheme, host, path, pad):
-    # one parse serves both: a URL query not on doi.org is what normalize_url makes of it, or the same error
-    url = pad + scheme + host + path + pad
-    try:
-        expected = normalize_url(url)
-    except QueryError as exc:
-        with pytest.raises(QueryError, match=re.escape(str(exc))):
-            classify_query(url)
-    else:
-        assert classify_query(url) == resolve.Query("url", expected, url)
+    assert classify_query(raw) == resolve.Query("url", expected, raw)
 
 
 def test_normalize_url_malformed():
-    # after the first two: an unclosed bracket, a host in brackets that is not IPv6, host text after the
+    # after the first: an unclosed bracket, a host in brackets that is not IPv6, host text after the
     # brackets, no host, two bad ports
     for raw in [
-        "not a url", "https://", "http://[::1", "https://[x]/", "http://[::1]x/paper", "http://:1969", "http://h:0",
+        "https://", "http://[::1", "https://[x]/", "http://[::1]x/paper", "http://:1969", "http://h:0",
         "http://h:99999",
     ]:
         with pytest.raises(QueryError, match=r"^not an absolute http\(s\) URL: "):
-            normalize_url(raw)
-        if raw.startswith("http"):  # classify_query sends only these to normalize_url
-            with pytest.raises(QueryError, match=r"^not an absolute http\(s\) URL: "):
-                classify_query(raw)
+            classify_query(raw)
 
 
 @pytest.mark.parametrize(
@@ -680,10 +649,13 @@ class RecordingTransport:
     "env,user_agent",
     [({"BIBKIT_CONTACT": "me@example.org"}, "bibkit/0.1 (mailto:me@example.org)"), ({}, None)],
 )
-def test_crossref_request_names_the_contact(env, user_agent):
+def test_crossref_request_names_the_contact(monkeypatch, env, user_agent):
+    monkeypatch.delenv("BIBKIT_CONTACT", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     transport = RecordingTransport()
     limiter = RateLimiter(ResolverConfig.rate_per_sec, clock=lambda: 0.0, sleep=lambda s: None)
-    resolver = Resolver(ResolverConfig.from_env(env), transport, limiter, sleep=lambda s: None)
+    resolver = Resolver(ResolverConfig.from_env(), transport, limiter, sleep=lambda s: None)
     assert resolver.crossref_fallback("A Paper") == []
     [(method, url, headers)] = transport.calls
     assert (method, url) == ("GET", f"{CROSSREF_URL}/works")
@@ -697,7 +669,7 @@ def test_http_transport_connection_refused_is_transport_error(monkeypatch):
         port = sock.getsockname()[1]
     # the socket is closed and never listened, so nothing accepts on the port
     with pytest.raises(TransportError):
-        HttpTransport(timeout=5.0).request("GET", f"http://127.0.0.1:{port}/")
+        HttpTransport().request("GET", f"http://127.0.0.1:{port}/")
 
 
 @pytest.mark.parametrize(
@@ -709,33 +681,10 @@ def test_http_transport_connection_refused_is_transport_error(monkeypatch):
     ],
 )
 def test_http_transport_reads_a_body_without_a_charset_as_utf8(monkeypatch, content_type, encoding):
-    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     text = '"Sánchez, María"'
-    body = text.encode(encoding)
-
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_POST(self):
-            self.rfile.read(int(self.headers.get("Content-Length", 0)))
-            self.send_response(200)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        url = f"http://127.0.0.1:{server.server_port}/export"
-        response = HttpTransport(timeout=5.0).request("POST", url, body="[]")
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
-    assert not thread.is_alive()
+    _, response = transport_answer(
+        monkeypatch, reply(200, text.encode(encoding), {"Content-Type": content_type}), "POST", "/export", body="[]"
+    )
     assert response.body == text
 
 
@@ -747,7 +696,7 @@ def transport_answer(monkeypatch, send, method="GET", path="/search", **kwargs):
     """The paths a stub that answers each with ``send`` was asked, and the transport's response to one request."""
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")  # a proxy setting must not reroute the request
     with stub_server(lambda asked: send) as (url, paths):
-        response = HttpTransport(timeout=5.0).request(method, url + path, **kwargs)
+        response = HttpTransport().request(method, url + path, **kwargs)
     return paths, response
 
 
@@ -800,13 +749,23 @@ def test_http_transport_sends_the_urls_credentials_as_basic_auth(monkeypatch, us
 
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     with stub_server(lambda path: send) as (url, paths):
-        response = HttpTransport(timeout=5.0).request("GET", url.replace("//", "//" + userinfo) + "/search")
+        response = HttpTransport().request("GET", url.replace("//", "//" + userinfo) + "/search")
     assert (response.status, paths, asked) == (200, ["/search"], [authorization])
 
 
 def test_http_transport_percent_encodes_a_space_and_non_ascii_in_the_path(monkeypatch):
     paths, response = transport_answer(monkeypatch, reply(200, b"[]"), path="/a b/%20é/search", params={"q": "x"})
     assert (response.status, paths) == (200, ["/a%20b/%20%C3%A9/search?q=x"])
+
+
+def test_http_transport_reads_a_body_up_to_its_bound(monkeypatch):
+    monkeypatch.setattr(resolve, "MAX_BODY_BYTES", 8)
+    _, response = transport_answer(monkeypatch, reply(200, b"12345678"))
+    assert response.body == "12345678"
+    with pytest.raises(TransportError, match="longer than 8 bytes"):
+        transport_answer(monkeypatch, reply(200, b"123456789"))
+    with pytest.raises(TransportError, match="longer than 8 bytes"):  # an error status's body too
+        transport_answer(monkeypatch, reply(503, b"123456789"))
 
 
 def single_hit_fallback(doi: str, hit: dict) -> Resolver:

@@ -131,7 +131,6 @@ def _build_resolver(args) -> Resolver:
         raise InputError(f"{source} {config.base_url!r}: not an absolute http(s) URL")
     if "?" in config.base_url or "#" in config.base_url:  # an endpoint path would follow it
         raise InputError(f"{source} {config.base_url!r}: holds a query or fragment")
-    config = config._replace(base_url=config.base_url.rstrip("/"))  # endpoints are joined with a "/"
     if any(c in "\r\n" or ord(c) > 0xFF for c in config.contact or ""):  # it goes in the User-Agent
         raise InputError(f"BIBKIT_CONTACT {config.contact!r}: holds a line break or a non-Latin-1 character")
     if not args.fixtures:
@@ -205,7 +204,9 @@ def cmd_bench(args) -> int:
     # the records, read as the run asks for each; a file error, also at the open, is an input error
     corpus = iter(lambda: _use_file("--corpus", args.corpus, lambda p: next(records, None)), None)
     resolver = _build_resolver(args).resolve if args.mode == "reconcile_then_verify" else None
-    table = _use_file("--venues", args.venues, VenueSynonymTable.from_file) if args.venues else None
+    table = VenueSynonymTable.default()
+    if args.venues:
+        table = _use_file("--venues", args.venues, VenueSynonymTable.from_file)
     bundle = run_benchmark(corpus, resolver=resolver, table=table)
     if args.out:
         _use_file("--out", args.out, lambda p: write_bundle(bundle, p))

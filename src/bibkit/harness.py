@@ -30,7 +30,7 @@ from .model import (
     parse_entry,
     serialize_entry,
 )
-from .normalize import VenueSynonymTable, _read_lines
+from .normalize import VENUES, VenueSynonymTable, _read_lines
 from .reconcile import PaperMeta, ReconcileOutcome, reconcile
 from .resolve import ResolutionResult
 from .verify import (
@@ -228,7 +228,7 @@ def _field_deltas(pairs: dict[tuple[tuple[FieldLabel, ...], tuple[FieldLabel, ..
 def run_benchmark(
     corpus: Iterable[PaperRecord],
     resolver: Callable[[str], ResolutionResult] | None = None,
-    table: VenueSynonymTable | None = None,
+    table: VenueSynonymTable = VENUES,
 ) -> dict:
     """Label every candidate entry; reconcile it first when given a ``resolver``.
 
@@ -238,13 +238,10 @@ def run_benchmark(
     under "incomplete" and never aborts the run. The run resolves and
     title-gates each distinct query once (``reconcile``'s memo) and reuses
     both for every candidate that sends the same query; an exception is not
-    kept, so the next candidate with that query asks again. ``table`` None is
-    the shipped venue table. The normalization memo of ``verify`` is emptied
-    when the run returns or raises.
+    kept, so the next candidate with that query asks again. The normalization
+    memo of ``verify`` is emptied when the run returns or raises.
     """
     lookups: dict = {}  # reconcile's memo, for this run
-    if table is None:
-        table = VenueSynonymTable.default()
 
     # counted over complete records' entries: (vector, model, tier, domain) after and before, (before, after)
     counts, counts_before, pairs = Counter(), Counter(), Counter()

@@ -48,18 +48,9 @@ class FieldSlot(str, enum.Enum):
 #: still part of the slot set).
 ALL_SLOTS = tuple(FieldSlot)
 
-#: The eight ordinary value-bearing slots (everything except the entry type
-#: and the citation key).
-VALUE_SLOTS = (
-    FieldSlot.AUTHOR,
-    FieldSlot.TITLE,
-    FieldSlot.YEAR,
-    FieldSlot.VENUE,
-    FieldSlot.VOLUME,
-    FieldSlot.NUMBER,
-    FieldSlot.PAGES,
-    FieldSlot.DOI,
-)
+#: The eight ordinary value-bearing slots: every slot after the entry type
+#: and the citation key, in slot order.
+VALUE_SLOTS = ALL_SLOTS[2:]
 
 
 class FieldLabel(str, enum.Enum):

@@ -4,7 +4,8 @@ Every normalizer is idempotent and pure. A value with no normal form (an
 author field without a last name, pages or a year that do not parse) is
 not an error: its normalizer returns None, and ``author_lastname_list``
 returns ``[]``. The stopword list and the default venue synonym table are
-shipped as data files so gate decisions stay reproducible across runs.
+shipped as data files so gate decisions stay reproducible across runs; each
+is read once, when this module is imported.
 """
 
 from __future__ import annotations
@@ -178,9 +179,14 @@ class VenueSynonymTable:
                         raise ValueError(f"variant {variant!r} already maps to {existing!r}")
         return table
 
-    @classmethod
-    def default(cls) -> "VenueSynonymTable":
-        return cls.from_file(_DATA / "venues.tsv")
+    @staticmethod
+    def default() -> "VenueSynonymTable":
+        """The shipped table, ``VENUES``: the one every caller gets when it names none."""
+        return VENUES
+
+
+#: The shipped venue table, built once per process; an empty ``VenueSynonymTable()`` maps no synonyms.
+VENUES = VenueSynonymTable.from_file(_DATA / "venues.tsv")
 
 
 def normalize_venue(value: str) -> str:

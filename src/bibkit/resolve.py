@@ -367,7 +367,7 @@ class Resolver:
         rate_limiter: RateLimiter | None = None,
         sleep: Callable[[float], None] | None = None,
     ):
-        self.config = config
+        self.config = config._replace(base_url=config.base_url.rstrip("/"))  # endpoints are joined with a "/"
         self.transport = transport or HttpTransport()
         self.rate_limiter = rate_limiter or RateLimiter(config.rate_per_sec)
         self._sleep = sleep or time.sleep
@@ -566,7 +566,8 @@ def _select(
         ranked, index = [(titles[0], 1.0)], 0
     else:
         ranked = rank_candidates(q.value, titles)
-        if q.kind == "title" and ranked[0][1] < TITLE_MATCH_THRESHOLD:
+        # a query of no content tokens scores 1.0 against an untitled item, yet matches no title
+        if q.kind == "title" and (ranked[0][1] < TITLE_MATCH_THRESHOLD or not tokenize_filtered(q.value)):
             return ResolutionResult(status="title_mismatch", candidates=ranked, source=source)
         index = titles.index(ranked[0][0])
     return ResolutionResult(status="found", candidates=ranked, bibtex=build(index), source=source)

@@ -19,6 +19,7 @@ from .model import ALL_SLOTS, BibEntry, FieldLabel, FieldSlot, slot_of
 from .normalize import (
     ARXIV_NEW_ID,
     ARXIV_OLD_ID,
+    VENUES,
     VenueSynonymTable,
     author_lastname_list,
     jaccard,
@@ -108,7 +109,7 @@ class CriterionVerdict(NamedTuple):
 
 
 @functools.cache
-def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) -> str | None:
+def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable) -> str | None:
     """Per-slot normalization; None when the value cannot be normalized. Memoized until ``clear_memo``.
 
     Most values recur across candidates and ground-truth versions. A table
@@ -121,8 +122,7 @@ def _normalized(slot: FieldSlot, value: str, table: VenueSynonymTable | None) ->
     if slot == _TITLE:
         return normalize_title(value)
     if slot == _VENUE:
-        folded = normalize_venue(value)
-        return folded if table is None else table.canonical(folded)
+        return table.canonical(normalize_venue(value))
     if slot == _DOI:
         return normalize_doi(value)
     if slot == _PAGES:
@@ -143,7 +143,7 @@ def classify_stage1(
     entry: BibEntry,
     slot: FieldSlot,
     gt: GroundTruth,
-    table: VenueSynonymTable | None = None,
+    table: VenueSynonymTable = VENUES,
 ):
     """Rule-based labels: X, M, C, or PENDING, in that rule order."""
     if slot == _ENTRY_KEY:
@@ -211,7 +211,7 @@ def classify_stage2(
     slot: FieldSlot,
     gt: GroundTruth,
     context: dict[FieldSlot, object] | None = None,
-    table: VenueSynonymTable | None = None,
+    table: VenueSynonymTable = VENUES,
 ) -> CriterionVerdict:
     """Deterministic overlap heuristic. Precondition: ``classify_stage1`` left ``slot`` pending.
 
@@ -325,7 +325,7 @@ def classify_error_mode(labels: Iterable[FieldLabel]) -> str:
 def verify_entry(
     entry: BibEntry,
     gt: GroundTruth,
-    table: VenueSynonymTable | None = None,
+    table: VenueSynonymTable = VENUES,
 ) -> tuple[FieldLabel, ...]:
     """Two-stage labeling of all ten slots: the entry's label vector, its labels in ``ALL_SLOTS`` order."""
     labels = {slot: classify_stage1(entry, slot, gt, table) for slot in ALL_SLOTS}

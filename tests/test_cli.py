@@ -13,6 +13,7 @@ import pytest
 from bibkit import cli, harness
 from bibkit.cli import main
 from bibkit.model import FieldSlot, parse_entry
+from bibkit.verify import verify_entry
 
 from conftest import FIXTURES, reply, rows_then_fail, stub_server
 
@@ -452,6 +453,21 @@ def test_verify_writes_bundle(tmp_path, capsys):
     assert code == 0
     assert (out_dir / "report.json").is_file()
     assert (out_dir / "labels.tsv").is_file()
+
+
+def test_verify_entry_given_no_table_labels_as_the_command_does(tmp_path, capsys):
+    """The library's default venue table is the one ``bibkit verify`` uses: the shipped one."""
+    code, _, _ = run(["verify", "--corpus", CORPUS, "--out", str(tmp_path / "bundle")], capsys)
+    assert code == 0
+    labels = harness.read_labels(tmp_path / "bundle" / "labels.tsv")
+    written = {(paper_id, tag): vector for paper_id, tag, vector in labels}
+    direct = {
+        (record.paper_id, tag): verify_entry(entry, record.ground_truth)
+        for record in harness.load_corpus(CORPUS)
+        for tag, _, entry in record.candidates
+    }
+    assert len(direct) == 20
+    assert direct == written
 
 
 def golden_corpus_with(tmp_path, **first_record):

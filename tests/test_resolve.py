@@ -270,6 +270,33 @@ def test_search_300_reads_as_no_server_answer_and_asks_crossref():
     assert result.bibtex.get("doi") == "10.1234/abc"
 
 
+def test_a_server_url_with_a_trailing_slash_joins_endpoints_with_one():
+    # the fixture records http://server.test/search; a second "/" would miss it
+    exchanges = load_fixture("replay_doi_found.json")["exchanges"]
+    limiter = RateLimiter(rate_per_sec=2.0, clock=lambda: 0.0, sleep=lambda s: None)
+    config = ResolverConfig(base_url="http://server.test/")
+    resolver = Resolver(config, transport=ReplayTransport(exchanges), rate_limiter=limiter, sleep=lambda s: None)
+    assert resolver.config.base_url == "http://server.test"
+    result = resolver.resolve("10.1111/iju.13054")
+    assert result == make_resolver("replay_doi_found.json").resolve("10.1111/iju.13054")
+    assert result.status == "found"
+
+
+def test_a_title_query_of_no_content_tokens_matches_no_item():
+    # "On the" is all stopwords: its empty token set scores 1.0 against an untitled item
+    untitled, other = {"itemType": "journalArticle", "DOI": "10.9999/other"}, {"title": "Something Else Entirely"}
+    exchanges = [
+        server_exchange("search", "On the", [untitled, other]),
+        export_exchange(untitled, body="@article{other2020, doi = {10.9999/other}}"),
+    ]
+    result = make_resolver(exchanges).resolve("On the")
+    assert (result.status, result.bibtex) == ("title_mismatch", None)
+    assert result.candidates == [("", 1.0), ("Something Else Entirely", 0.0)]
+    baseline = BibEntry("article", "k", {"title": "On the", "doi": "10.1111/mine"})
+    outcome = reconcile(PaperMeta("p", title="On the"), baseline, make_resolver(exchanges).resolve)
+    assert (outcome.action, outcome.result) == ("kept_baseline_title_mismatch", baseline)
+
+
 def test_determinism_same_fixture_same_result():
     first = make_resolver("replay_doi_found.json").resolve("10.1111/iju.13054")
     second = make_resolver("replay_doi_found.json").resolve("10.1111/iju.13054")
